@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -25,119 +26,77 @@ from .ensemble import run_ensemble
 from .errors import ConfigError
 from .figures import FIGURES, reproduce_figure
 from .output import (
+    FORMATS,
+    alpha_columns,
     build_manifest,
     canonical_json,
+    csv_text,
+    distribution_columns,
+    qfi_columns,
+    variance_columns,
     write_csv,
-    write_json,
     write_manifest,
+    write_series,
     write_text,
 )
 from .svgplot import heatmap, line_plot
 
 
-def _fit_dict(fit):
-    return {
-        "alpha": fit.alpha,
-        "amplitude": fit.amplitude,
-        "t_min": fit.t_min,
-        "t_max": fit.t_max,
-        "n_points": fit.n_points,
-        "residual_rms": fit.residual_rms,
-    }
-
-
-def _emit(cfg, stem, columns, rows, series, manifest, files):
-    if cfg.output_format == "csv":
-        path = os.path.join(cfg.out_dir, stem + ".csv")
-        write_csv(path, columns, rows, manifest)
-    else:
-        path = os.path.join(cfg.out_dir, stem + ".json")
-        write_json(path, manifest, series)
-    files.append(path)
+def _simulate_plot(cfg, series):
+    where = f"({cfg.disorder_kind}, p={cfg.p:g})"
+    if cfg.experiment == "variance":
+        return line_plot(
+            [(series.steps[1:], series.variance[1:], "Var(x)")],
+            title=f"variance {where}",
+            xlabel="step t", ylabel="Var(x)", log_x=True, log_y=True,
+        )
+    if cfg.experiment == "distribution":
+        return heatmap(
+            series.distribution, series.positions, series.steps,
+            title=f"walker density {where}",
+            xlabel="position x", ylabel="step t",
+        )
+    return line_plot(
+        [(series.steps[2:], series.qfi_mean[2:], "QFI")],
+        title=f"QFI {where}",
+        xlabel="step t", ylabel="QFI", log_x=True, log_y=True,
+    )
 
 
 def _write_simulate_outputs(cfg, ens_cfg, series):
-    files = []
     desc = describe_ensemble(ens_cfg, cfg.experiment, fit=cfg.fit)
     extras = {}
     fit = None
-    alpha = None
     if cfg.experiment == "fit":
         fit = fit_power_law(series.qfi_mean, cfg.fit["t_min"], cfg.fit["t_max"])
-        extras["fit_result"] = _fit_dict(fit)
-        if "window" in cfg.fit:
-            alpha = windowed_alpha(series.qfi_mean, window=cfg.fit["window"])
+        extras["fit_result"] = asdict(fit)
     manifest = build_manifest(desc, **extras)
 
-    if cfg.experiment in ("qfi", "two-particle", "fit"):
-        rows = [
-            (int(t), m, s)
-            for t, m, s in zip(series.steps, series.qfi_mean, series.qfi_stderr)
-        ]
-        _emit(cfg, "qfi", ("t", "qfi_mean", "qfi_stderr"), rows, {
-            "t": series.steps.tolist(),
-            "qfi_mean": series.qfi_mean.tolist(),
-            "qfi_stderr": series.qfi_stderr.tolist(),
-        }, manifest, files)
-        if alpha is not None:
-            rows = [(int(t), a) for t, a in zip(alpha.centers, alpha.alphas)]
-            _emit(cfg, "alpha", ("t_center", "alpha"), rows, {
-                "t_center": alpha.centers.tolist(),
-                "alpha": alpha.alphas.tolist(),
-            }, manifest, files)
-        if cfg.plot:
-            path = os.path.join(cfg.out_dir, "qfi.svg")
-            write_text(path, line_plot(
-                [(series.steps[2:], series.qfi_mean[2:], "QFI")],
-                title=f"QFI ({cfg.disorder_kind}, p={cfg.p:g})",
-                xlabel="step t", ylabel="QFI", log_x=True, log_y=True,
-            ))
-            files.append(path)
-    elif cfg.experiment == "variance":
-        rows = [(int(t), v) for t, v in zip(series.steps, series.variance)]
-        _emit(cfg, "variance", ("t", "variance"), rows, {
-            "t": series.steps.tolist(),
-            "variance": series.variance.tolist(),
-        }, manifest, files)
+    # stem -> columns; the first stem also names the plot
+    if cfg.experiment == "variance":
+        data = {"variance": variance_columns(series.steps, series.variance)}
         if series.variance_per_map is not None:
-            rows = [
-                (int(t), v)
-                for t, v in zip(series.steps, series.variance_per_map)
-            ]
-            _emit(cfg, "variance_per_map", ("t", "variance"), rows, {
-                "t": series.steps.tolist(),
-                "variance": series.variance_per_map.tolist(),
-            }, manifest, files)
-        if cfg.plot:
-            path = os.path.join(cfg.out_dir, "variance.svg")
-            write_text(path, line_plot(
-                [(series.steps[1:], series.variance[1:], "Var(x)")],
-                title=f"variance ({cfg.disorder_kind}, p={cfg.p:g})",
-                xlabel="step t", ylabel="Var(x)", log_x=True, log_y=True,
-            ))
-            files.append(path)
+            data["variance_per_map"] = variance_columns(
+                series.steps, series.variance_per_map
+            )
+    elif cfg.experiment == "distribution":
+        data = {"distribution": distribution_columns(series)}
     else:
-        rows = []
-        t_col, x_col, p_col = [], [], []
-        for t in range(cfg.n_steps + 1):
-            for i, x in enumerate(series.positions):
-                prob = series.distribution[t, i]
-                rows.append((int(t), int(x), prob))
-                t_col.append(int(t))
-                x_col.append(int(x))
-                p_col.append(prob)
-        _emit(cfg, "distribution", ("t", "x", "probability"), rows, {
-            "t": t_col, "x": x_col, "probability": p_col,
-        }, manifest, files)
-        if cfg.plot:
-            path = os.path.join(cfg.out_dir, "distribution.svg")
-            write_text(path, heatmap(
-                series.distribution, series.positions, series.steps,
-                title=f"walker density ({cfg.disorder_kind}, p={cfg.p:g})",
-                xlabel="position x", ylabel="step t",
-            ))
-            files.append(path)
+        data = {"qfi": qfi_columns(series)}
+        if fit is not None and "window" in cfg.fit:
+            data["alpha"] = alpha_columns(
+                windowed_alpha(series.qfi_mean, window=cfg.fit["window"])
+            )
 
+    files = [
+        write_series(os.path.join(cfg.out_dir, stem), cfg.output_format,
+                     manifest, columns)
+        for stem, columns in data.items()
+    ]
+    if cfg.plot:
+        path = os.path.join(cfg.out_dir, next(iter(data)) + ".svg")
+        write_text(path, _simulate_plot(cfg, series))
+        files.append(path)
     manifest_path = os.path.join(cfg.out_dir, "run_manifest.json")
     write_manifest(manifest_path, manifest)
     files.append(manifest_path)
@@ -233,7 +192,18 @@ def _read_series_csv(path):
     return steps, values
 
 
+def _check_fit_args(args):
+    # the limits (and wording) of a config file's 'fit' block
+    if args.t_min < 1:
+        raise ConfigError("--t-min must be a positive integer")
+    if args.t_min >= args.t_max:
+        raise ConfigError("--t-min must be below --t-max")
+    if args.window is not None and args.window < 5:
+        raise ConfigError("--window must be an integer >= 5")
+
+
 def _cmd_fit(args):
+    _check_fit_args(args)
     steps, values = _read_series_csv(args.input)
     with open(args.input, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
@@ -244,30 +214,23 @@ def _cmd_fit(args):
         "tool": {"name": "dqwalk", "version": __version__},
         "input": args.input,
         "input_sha256": digest,
-        "fit": _fit_dict(fit),
+        "fit": asdict(fit),
     }
     alpha = None
     if args.window is not None:
-        alpha = windowed_alpha(values, window=args.window, steps=steps)
-        rows = [(int(t), float(a)) for t, a in zip(alpha.centers, alpha.alphas)]
+        alpha = alpha_columns(windowed_alpha(values, window=args.window, steps=steps))
         if args.out:
-            write_csv(args.out, ("t_center", "alpha"), rows, manifest)
+            write_csv(args.out, manifest, alpha)
             # status goes to stderr so stdout stays machine-readable
             print(f"wrote {args.out}", file=sys.stderr)
     if args.format == "json":
         if alpha is not None:
-            manifest["alpha_series"] = {
-                "t_center": alpha.centers.tolist(),
-                "alpha": alpha.alphas.tolist(),
-            }
+            manifest["alpha_series"] = alpha
         print(canonical_json(manifest))
         return 0
     if alpha is not None and not args.out:
         # windowed series streamed as CSV; the manifest comment carries the fit
-        print(f"# manifest: {canonical_json(manifest)}")
-        print("t_center,alpha")
-        for t, a in rows:
-            print(f"{t},{a!r}")
+        sys.stdout.write(csv_text(manifest, alpha))
         return 0
     print(
         f"alpha = {fit.alpha:.6g} over t in [{fit.t_min}, {fit.t_max}] "
@@ -301,7 +264,7 @@ def _build_parser():
     sim.add_argument("--workers", type=int, default=None,
                      help="worker processes (default: all available cores)")
     sim.add_argument("--out", default=None, help="override the output directory")
-    sim.add_argument("--format", choices=("csv", "json"), default=None,
+    sim.add_argument("--format", choices=FORMATS, default=None,
                      help="override the output format")
     sim.add_argument("--plot", action="store_true", help="also write SVG plots")
     sim.set_defaults(handler=_cmd_simulate)
@@ -314,7 +277,7 @@ def _build_parser():
                      help="override the ensemble size for disordered runs")
     rep.add_argument("--seed", type=int, default=0, help="master seed")
     rep.add_argument("--out", default=".", help="output directory")
-    rep.add_argument("--format", choices=("csv", "json"), default="csv")
+    rep.add_argument("--format", choices=FORMATS, default="csv")
     rep.add_argument("--workers", type=int, default=None,
                      help="worker processes (default: all available cores)")
     rep.set_defaults(handler=_cmd_reproduce)

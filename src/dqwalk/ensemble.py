@@ -247,10 +247,14 @@ def run_ensemble(config, workers=None):
                 dist_sum += dists
             if own_var_rows is not None:
                 own_var_rows[k] = own_var
-    finally:
+    except BaseException:
+        # a failed member or an interrupt must not wait for the queue to drain
         if pool is not None:
-            pool.close()
-            pool.join()
+            pool.terminate()
+        raise
+    if pool is not None:
+        pool.close()
+        pool.join()
 
     out = EnsembleSeries(
         config=config,

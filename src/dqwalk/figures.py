@@ -11,12 +11,21 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .analysis import fit_power_law, windowed_alpha
 from .config import describe_ensemble
 from .ensemble import EnsembleConfig, InitialStateSpec, run_ensemble
-from .output import build_manifest, write_csv, write_json, write_manifest, write_text
+from .output import (
+    alpha_columns,
+    build_manifest,
+    distribution_columns,
+    qfi_columns,
+    variance_columns,
+    write_manifest,
+    write_series,
+    write_text,
+)
 from .svgplot import heatmap, line_plot
 from .twoparticle import TwoParticleExperiment, run_two_particle, separable_reference
 
@@ -50,19 +59,23 @@ class _Job:
     def n_maps(self, p):
         if p == 0:
             return 1
-        return self.maps_override if self.maps_override else self.scale
+        return self.scale if self.maps_override is None else self.maps_override
+
+    def run(self, kind, p, n_steps, **collect):
+        """One single-walker ensemble at this job's size, seed and workers."""
+        cfg = EnsembleConfig(
+            kind=kind, p=p, n_steps=n_steps, n_maps=self.n_maps(p),
+            master_seed=self.seed, **collect,
+        )
+        return cfg, run_ensemble(cfg, workers=self.workers)
 
     def path(self, suffix):
         return os.path.join(self.out_dir, f"{self.name}_{suffix}")
 
-    def emit_series(self, stem, columns, rows, series_dict, manifest):
-        if self.fmt == "csv":
-            path = self.path(stem + ".csv")
-            write_csv(path, columns, rows, manifest)
-        else:
-            path = self.path(stem + ".json")
-            write_json(path, manifest, series_dict)
-        self.result.files.append(path)
+    def emit_series(self, stem, columns, manifest):
+        self.result.files.append(
+            write_series(self.path(stem), self.fmt, manifest, columns)
+        )
 
     def emit_svg(self, stem, svg):
         path = self.path(stem + ".svg")
@@ -75,47 +88,23 @@ class _Job:
         self.result.files.append(path)
 
 
-def _fit_dict(fit):
-    return {
-        "alpha": fit.alpha,
-        "amplitude": fit.amplitude,
-        "t_min": fit.t_min,
-        "t_max": fit.t_max,
-        "n_points": fit.n_points,
-        "residual_rms": fit.residual_rms,
-    }
+def _label(kind, p):
+    return f"{kind} p={p:g}" if p > 0 else "ordered"
 
 
-def _qfi_rows(series):
-    return [
-        (int(t), m, s)
-        for t, m, s in zip(series.steps, series.qfi_mean, series.qfi_stderr)
-    ]
-
-
-def _qfi_series_dict(series):
-    return {
-        "t": series.steps.tolist(),
-        "qfi_mean": series.qfi_mean.tolist(),
-        "qfi_stderr": series.qfi_stderr.tolist(),
-    }
+def _slug(kind, p):
+    return "ordered" if kind == "none" else f"{kind}_p{p:g}"
 
 
 def _single_qfi_panel(job, kind, p, n_steps, fit_range):
-    cfg = EnsembleConfig(
-        kind=kind, p=p, n_steps=n_steps, n_maps=job.n_maps(p),
-        master_seed=job.seed,
-    )
-    series = run_ensemble(cfg, workers=job.workers)
+    cfg, series = job.run(kind, p, n_steps)
     fit = fit_power_law(series.qfi_mean, *fit_range)
     job.result.fits["qfi"] = fit
     desc = describe_ensemble(cfg, "qfi", fit={"t_min": fit_range[0], "t_max": fit_range[1]})
-    manifest = build_manifest(desc, figure=job.name, fit=_fit_dict(fit))
-    job.emit_series("qfi", ("t", "qfi_mean", "qfi_stderr"), _qfi_rows(series),
-                    _qfi_series_dict(series), manifest)
-    label = f"{kind} p={p:g}" if p > 0 else "ordered"
+    manifest = build_manifest(desc, figure=job.name, fit=asdict(fit))
+    job.emit_series("qfi", qfi_columns(series), manifest)
     svg = line_plot(
-        [(series.steps[2:], series.qfi_mean[2:], label)],
+        [(series.steps[2:], series.qfi_mean[2:], _label(kind, p))],
         title=f"{job.name}: QFI, alpha[{fit.t_min},{fit.t_max}] = {fit.alpha:.3f}",
         xlabel="step t", ylabel="QFI", log_x=True, log_y=True,
     )
@@ -123,25 +112,15 @@ def _single_qfi_panel(job, kind, p, n_steps, fit_range):
     return [manifest]
 
 
-def _alpha_panel(job, kind, p, n_steps, window=20):
-    cfg = EnsembleConfig(
-        kind=kind, p=p, n_steps=n_steps, n_maps=job.n_maps(p),
-        master_seed=job.seed,
-    )
-    series = run_ensemble(cfg, workers=job.workers)
+def _alpha_panel(job, kind, p, n_steps, window):
+    cfg, series = job.run(kind, p, n_steps)
     alpha = windowed_alpha(series.qfi_mean, window=window)
     desc = describe_ensemble(cfg, "qfi")
     manifest = build_manifest(desc, figure=job.name, window=window)
-    job.emit_series("qfi", ("t", "qfi_mean", "qfi_stderr"), _qfi_rows(series),
-                    _qfi_series_dict(series), manifest)
-    rows = [(int(t), a) for t, a in zip(alpha.centers, alpha.alphas)]
-    job.emit_series(
-        "alpha", ("t_center", "alpha"), rows,
-        {"t_center": alpha.centers.tolist(), "alpha": alpha.alphas.tolist()},
-        manifest,
-    )
+    job.emit_series("qfi", qfi_columns(series), manifest)
+    job.emit_series("alpha", alpha_columns(alpha), manifest)
     job.emit_svg("qfi", line_plot(
-        [(series.steps[2:], series.qfi_mean[2:], f"{kind} p={p:g}")],
+        [(series.steps[2:], series.qfi_mean[2:], _label(kind, p))],
         title=f"{job.name}: QFI", xlabel="step t", ylabel="QFI",
         log_x=True, log_y=True,
     ))
@@ -153,7 +132,7 @@ def _alpha_panel(job, kind, p, n_steps, window=20):
     return [manifest]
 
 
-def _two_particle_panel(job, kind, p, n_steps=50):
+def _two_particle_panel(job, kind, p, n_steps):
     manifests = []
     curves = []
     n_maps = job.n_maps(p)
@@ -164,8 +143,7 @@ def _two_particle_panel(job, kind, p, n_steps=50):
         series = run_two_particle(exp, workers=job.workers)
         desc = describe_ensemble(series.config, "two-particle")
         manifest = build_manifest(desc, figure=job.name, statistics=statistics)
-        job.emit_series(f"qfi_{statistics}", ("t", "qfi_mean", "qfi_stderr"),
-                        _qfi_rows(series), _qfi_series_dict(series), manifest)
+        job.emit_series(f"qfi_{statistics}", qfi_columns(series), manifest)
         curves.append((series.steps[2:], series.qfi_mean[2:], statistics))
         manifests.append(manifest)
         if statistics == "separable":
@@ -173,43 +151,33 @@ def _two_particle_panel(job, kind, p, n_steps=50):
             curves.append(
                 (series.steps[2:], reference[2:], "single-walker sum")
             )
-    label = f"{kind} p={p:g}" if p > 0 else "ordered"
     job.emit_svg("qfi", line_plot(
         curves,
-        title=f"{job.name}: joint QFI ({label})",
+        title=f"{job.name}: joint QFI ({_label(kind, p)})",
         xlabel="step t", ylabel="QFI", log_x=True, log_y=True,
     ))
     return manifests
 
 
-def _distribution_panels(job, n_steps=50):
+# the five disorder panels of the distribution and variance scans
+_SCAN = (
+    ("none", 0.0), ("static", 0.1), ("static", 1.0),
+    ("dynamic", 0.1), ("dynamic", 1.0),
+)
+
+
+def _distribution_panels(job, n_steps):
     manifests = []
-    panels = [
-        ("none", 0.0), ("static", 0.1), ("static", 1.0),
-        ("dynamic", 0.1), ("dynamic", 1.0),
-    ]
-    for kind, p in panels:
-        cfg = EnsembleConfig(
-            kind=kind, p=p, n_steps=n_steps, n_maps=job.n_maps(p),
-            master_seed=job.seed,
-            initial=InitialStateSpec(coin=_BALANCED),
+    for kind, p in _SCAN:
+        cfg, series = job.run(
+            kind, p, n_steps, initial=InitialStateSpec(coin=_BALANCED),
             collect_qfi=False, collect_distribution=True,
         )
-        series = run_ensemble(cfg, workers=job.workers)
         desc = describe_ensemble(cfg, "distribution")
         manifest = build_manifest(desc, figure=job.name)
-        slug = "ordered" if kind == "none" else f"{kind}_p{p:g}"
-        rows = []
-        txt_t, txt_x, txt_p = [], [], []
-        for t in range(n_steps + 1):
-            for i, x in enumerate(series.positions):
-                rows.append((int(t), int(x), series.distribution[t, i]))
-                txt_t.append(int(t))
-                txt_x.append(int(x))
-                txt_p.append(series.distribution[t, i])
+        slug = _slug(kind, p)
         job.emit_series(
-            f"distribution_{slug}", ("t", "x", "probability"), rows,
-            {"t": txt_t, "x": txt_x, "probability": txt_p}, manifest,
+            f"distribution_{slug}", distribution_columns(series), manifest
         )
         job.emit_svg(f"distribution_{slug}", heatmap(
             series.distribution, series.positions, series.steps,
@@ -220,30 +188,21 @@ def _distribution_panels(job, n_steps=50):
     return manifests
 
 
-def _variance_panels(job, n_steps=100):
+def _variance_panels(job, n_steps):
     manifests = []
     curves = {"static": [], "dynamic": []}
-    panels = [
-        ("none", 0.0), ("static", 0.1), ("static", 1.0),
-        ("dynamic", 0.1), ("dynamic", 1.0),
-    ]
-    for kind, p in panels:
-        cfg = EnsembleConfig(
-            kind=kind, p=p, n_steps=n_steps, n_maps=job.n_maps(p),
-            master_seed=job.seed,
-            initial=InitialStateSpec(coin=_BALANCED),
+    for kind, p in _SCAN:
+        cfg, series = job.run(
+            kind, p, n_steps, initial=InitialStateSpec(coin=_BALANCED),
             collect_qfi=False, collect_variance=True,
         )
-        series = run_ensemble(cfg, workers=job.workers)
         fit = fit_power_law(series.variance, 10, n_steps)
         desc = describe_ensemble(cfg, "variance")
-        manifest = build_manifest(desc, figure=job.name, fit=_fit_dict(fit))
-        slug = "ordered" if kind == "none" else f"{kind}_p{p:g}"
+        manifest = build_manifest(desc, figure=job.name, fit=asdict(fit))
+        slug = _slug(kind, p)
         job.result.fits[slug] = fit
-        rows = [(int(t), v) for t, v in zip(series.steps, series.variance)]
         job.emit_series(
-            f"variance_{slug}", ("t", "variance"), rows,
-            {"t": series.steps.tolist(), "variance": series.variance.tolist()},
+            f"variance_{slug}", variance_columns(series.steps, series.variance),
             manifest,
         )
         label = "ordered" if kind == "none" else f"p = {p:g}"
@@ -263,49 +222,23 @@ def _variance_panels(job, n_steps=100):
     return manifests
 
 
-def _fig2a(job):
-    return _single_qfi_panel(job, "none", 0.0, 100, (10, 100))
-
-
-def _fig2b(job):
-    return _single_qfi_panel(job, "dynamic", 0.1, 50, (10, 50))
-
-
-def _fig2c_static(job):
-    return _single_qfi_panel(job, "static", 1.0, 50, (10, 50))
-
-
-def _fig2c_dynamic(job):
-    return _single_qfi_panel(job, "dynamic", 1.0, 50, (10, 50))
-
-
-def _fig3(job):
-    return _alpha_panel(job, "static", 1.0, 100, window=20)
-
-
-def _fig4a(job):
-    return _two_particle_panel(job, "none", 0.0)
-
-
-def _fig4b(job):
-    return _two_particle_panel(job, "static", 1.0)
-
-
-def _fig4c(job):
-    return _two_particle_panel(job, "dynamic", 1.0)
-
-
+# preset -> (panel function, its parameters)
 FIGURES = {
-    "fig2a": _fig2a,
-    "fig2b": _fig2b,
-    "fig2c-static": _fig2c_static,
-    "fig2c-dynamic": _fig2c_dynamic,
-    "fig3": _fig3,
-    "fig4a": _fig4a,
-    "fig4b": _fig4b,
-    "fig4c": _fig4c,
-    "fig5": _distribution_panels,
-    "fig6": _variance_panels,
+    "fig2a": (_single_qfi_panel,
+              {"kind": "none", "p": 0.0, "n_steps": 100, "fit_range": (10, 100)}),
+    "fig2b": (_single_qfi_panel,
+              {"kind": "dynamic", "p": 0.1, "n_steps": 50, "fit_range": (10, 50)}),
+    "fig2c-static": (_single_qfi_panel,
+                     {"kind": "static", "p": 1.0, "n_steps": 50, "fit_range": (10, 50)}),
+    "fig2c-dynamic": (_single_qfi_panel,
+                      {"kind": "dynamic", "p": 1.0, "n_steps": 50, "fit_range": (10, 50)}),
+    "fig3": (_alpha_panel,
+             {"kind": "static", "p": 1.0, "n_steps": 100, "window": 20}),
+    "fig4a": (_two_particle_panel, {"kind": "none", "p": 0.0, "n_steps": 50}),
+    "fig4b": (_two_particle_panel, {"kind": "static", "p": 1.0, "n_steps": 50}),
+    "fig4c": (_two_particle_panel, {"kind": "dynamic", "p": 1.0, "n_steps": 50}),
+    "fig5": (_distribution_panels, {"n_steps": 50}),
+    "fig6": (_variance_panels, {"n_steps": 100}),
 }
 
 
@@ -317,6 +250,6 @@ def reproduce_figure(name, out_dir, paper_scale=False, maps=None, seed=0,
         raise ValueError(f"unknown figure {name!r}; available: {known}")
     job = _Job(name, out_dir, paper_scale=paper_scale, maps=maps, seed=seed,
                fmt=fmt, workers=workers)
-    manifests = FIGURES[name](job)
-    job.emit_manifest(manifests)
+    panel, params = FIGURES[name]
+    job.emit_manifest(panel(job, **params))
     return job.result

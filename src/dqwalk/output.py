@@ -12,7 +12,11 @@ import hashlib
 import json
 import os
 
+import numpy as np
+
 from ._version import __version__
+
+FORMATS = ("csv", "json")
 
 
 def canonical_json(obj):
@@ -47,23 +51,68 @@ def write_text(path, text):
         fh.write(text)
 
 
-def write_csv(path, columns, rows, manifest):
+def csv_text(manifest, columns):
     """CSV with a '# manifest: ...' comment line above the header.
 
-    Floats are written in shortest round-trip form, so files parse back to
-    the exact binary values that were computed.
+    `columns` maps header -> equal-length list.  Floats are written in
+    shortest round-trip form, so files parse back to the exact binary values
+    that were computed.
     """
     lines = [f"# manifest: {canonical_json(manifest)}", ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    write_text(path, "\n".join(lines) + "\n")
+    lines.extend(",".join(map(_cell, row)) for row in zip(*columns.values()))
+    return "\n".join(lines) + "\n"
 
 
-def write_json(path, manifest, series):
+def write_csv(path, manifest, columns):
+    write_text(path, csv_text(manifest, columns))
+
+
+def write_json(path, manifest, columns):
     """JSON payload: the manifest plus named column arrays."""
-    payload = {"manifest": manifest, "series": series}
+    payload = {"manifest": manifest, "series": columns}
     write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def write_manifest(path, manifest):
     write_text(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+
+
+def write_series(stem, fmt, manifest, columns):
+    """Write `columns` to stem.csv or stem.json; returns the path written."""
+    if fmt == "csv":
+        path = stem + ".csv"
+        write_csv(path, manifest, columns)
+    elif fmt == "json":
+        path = stem + ".json"
+        write_json(path, manifest, columns)
+    else:
+        raise ValueError(f"unknown output format {fmt!r}; expected one of {FORMATS}")
+    return path
+
+
+# One column builder per series kind; the headers are the CSV_SCHEMAS of the CLI.
+
+def qfi_columns(series):
+    return {
+        "t": series.steps.tolist(),
+        "qfi_mean": series.qfi_mean.tolist(),
+        "qfi_stderr": series.qfi_stderr.tolist(),
+    }
+
+
+def alpha_columns(alpha):
+    return {"t_center": alpha.centers.tolist(), "alpha": alpha.alphas.tolist()}
+
+
+def variance_columns(steps, variance):
+    return {"t": steps.tolist(), "variance": variance.tolist()}
+
+
+def distribution_columns(series):
+    """One row per (t, x), t-major, from the (T+1, W) mean distribution."""
+    n_t, n_x = series.distribution.shape
+    return {
+        "t": np.repeat(series.steps, n_x).tolist(),
+        "x": np.tile(series.positions, n_t).tolist(),
+        "probability": series.distribution.ravel().tolist(),
+    }

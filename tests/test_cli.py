@@ -240,7 +240,7 @@ def test_reproduce_unknown_figure_exits_2():
     assert info.value.code == 2
 
 
-def test_cli_argument_validation(capsys):
+def test_cli_argument_validation(tmp_path, capsys):
     rc = main(["fit", "--input", "/no/file.csv", "--t-min", "1",
                "--t-max", "5"])
     assert rc == 2
@@ -248,3 +248,14 @@ def test_cli_argument_validation(capsys):
     rc = main(["reproduce", "fig2a", "--maps", "0"])
     assert rc == 2
     assert "--maps" in capsys.readouterr().err
+    # fit limits are argument errors (2), as in a config 'fit' block
+    series = tmp_path / "series.csv"
+    series.write_text("t,value\n" + "".join(f"{t},{t * t}.0\n" for t in range(1, 21)))
+    for flags, name in (
+        (["--t-min", "0", "--t-max", "5"], "--t-min"),
+        (["--t-min", "5", "--t-max", "5"], "--t-max"),
+        (["--t-min", "1", "--t-max", "5", "--window", "3"], "--window"),
+    ):
+        rc = main(["fit", "--input", str(series)] + flags)
+        assert rc == 2
+        assert name in capsys.readouterr().err

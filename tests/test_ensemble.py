@@ -1,4 +1,6 @@
+import multiprocessing
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -161,6 +163,32 @@ def test_member_failure_carries_index_and_seed(monkeypatch):
     assert info.value.member_index == 2
     assert info.value.member_seed == split_seed(9, 2)
     assert "synthetic failure" in str(info.value)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers must inherit the patched generate_map")
+def test_pooled_member_failure_surfaces_without_draining(monkeypatch):
+    real = ensemble_mod.generate_map
+    bad_seed = split_seed(9, 0)
+
+    def broken(kind, n_steps, p, semantics, seed):
+        if seed == bad_seed:
+            raise ValueError("synthetic failure")
+        time.sleep(5.0)
+        return real(kind, n_steps, p, semantics, seed)
+
+    monkeypatch.setattr(ensemble_mod, "generate_map", broken)
+    cfg = EnsembleConfig(kind="dynamic", p=0.5, n_steps=5, n_maps=8,
+                         master_seed=9)
+    start = time.monotonic()
+    with pytest.raises(EnsembleMemberError) as info:
+        run_ensemble(cfg, workers=2)
+    elapsed = time.monotonic() - start
+    assert info.value.member_index == 0
+    assert info.value.member_seed == bad_seed
+    assert "synthetic failure" in str(info.value)
+    # draining the queue would take 7 members x 5 s / 2 workers = 17.5 s
+    assert elapsed < 3.0
 
 
 def test_member_error_survives_pickling():

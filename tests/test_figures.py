@@ -1,0 +1,55 @@
+import json
+
+import pytest
+
+from dqwalk.cli import main
+from dqwalk.figures import FIGURES, reproduce_figure
+
+
+def _read_csv(path):
+    """(manifest, columns) of a series CSV, every value parsed as a float."""
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# manifest: ")
+    manifest = json.loads(lines[0][len("# manifest: "):])
+    header = lines[1].split(",")
+    rows = [[float(v) for v in line.split(",")] for line in lines[2:]]
+    return manifest, {h: [row[i] for row in rows] for i, h in enumerate(header)}
+
+
+@pytest.mark.parametrize("preset", sorted(FIGURES))
+def test_preset_csv_and_json_carry_the_same_series(preset, tmp_path):
+    for fmt in ("csv", "json"):
+        rc = main(["reproduce", preset, "--maps", "1", "--workers", "1",
+                   "--format", fmt, "--out", str(tmp_path / fmt)])
+        assert rc == 0
+    csv_names = sorted(p.name for p in (tmp_path / "csv").iterdir())
+    json_names = sorted(p.name for p in (tmp_path / "json").iterdir())
+    assert sorted(n.replace(".csv", ".json") for n in csv_names) == json_names
+
+    csv_files = [n for n in csv_names if n.endswith(".csv")]
+    assert csv_files
+    for name in csv_files:
+        manifest, columns = _read_csv(tmp_path / "csv" / name)
+        payload = json.loads(
+            (tmp_path / "json" / name.replace(".csv", ".json")).read_text()
+        )
+        assert manifest == payload["manifest"]
+        assert set(columns) == set(payload["series"])
+        for header, values in columns.items():
+            assert values == [float(v) for v in payload["series"][header]]
+    # plots and the preset manifest do not depend on the data format
+    for name in csv_names:
+        if not name.endswith(".csv"):
+            assert (tmp_path / "csv" / name).read_bytes() == \
+                (tmp_path / "json" / name).read_bytes()
+
+
+def test_reproduce_figure_rejects_zero_maps(tmp_path):
+    with pytest.raises(ValueError, match="n_maps"):
+        reproduce_figure("fig2b", str(tmp_path), maps=0, workers=1)
+    assert not list(tmp_path.iterdir())
+
+
+def test_reproduce_figure_rejects_unknown_format(tmp_path):
+    with pytest.raises(ValueError, match="xml"):
+        reproduce_figure("fig2a", str(tmp_path), fmt="xml", workers=1)
