@@ -169,7 +169,7 @@ def _read_series_csv(path):
     try:
         with open(path, encoding="utf-8") as fh:
             header = None
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
@@ -181,7 +181,12 @@ def _read_series_csv(path):
                         )
                     continue
                 parts = line.split(",")
-                steps.append(int(float(parts[0])))
+                step = float(parts[0])
+                if not step.is_integer():
+                    raise ConfigError(
+                        f"{path}: line {lineno}: step {parts[0]!r} is not a whole number"
+                    )
+                steps.append(int(step))
                 values.append(float(parts[1]))
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc

@@ -5,9 +5,26 @@ the master seed by the SplitMix64 finalizer.  That derivation is a bijection
 on 64-bit words for a fixed master seed, so members never share a map by
 accident, and the full ensemble is pinned by (config, master_seed) alone.
 
-Member results are accumulated strictly in member order, whether the members
-ran serially or on a process pool, so the same config produces bit-identical
-aggregates no matter how the work was scheduled.
+Members run BLOCK_MAPS at a time through one block kernel: a block stacks
+its members' pi masks and evolves their states together as (B, rows, W, 2)
+arrays, with the operations of `step_with_derivative` and the QFI reduction
+of `qfi_pure`, so every member's series equals the one-map `qfi_series`
+bit for bit.  Block boundaries follow from the member index alone, and
+block results are accumulated strictly in block order, whether the blocks
+ran serially or on a process pool, so the same config produces
+bit-identical aggregates no matter how the work was scheduled.
+
+Two walkers share one map, and U (x) U is linear, so their joint state is
+exactly (a (x) b + s b (x) a) / sqrt2 with a = U|x,up>, b = U|x,down> and
+s = +1 for bosons, -1 for fermions (a (x) b alone for separable input).
+The kernel evolves a and b as two single-walker rows per member and
+rebuilds the joint QFI and marginal from them:
+
+    F = F_a + F_b + 8 s |<a|db>|^2,
+    P(x) = |a(x)|^2 (separable) or (|a(x)|^2 + |b(x)|^2) / 2,
+
+both exact while <a|b> = 0, which the evolution conserves and every step
+checks (Omar, Paunkovic, Sheridan & Bose, PRA 74, 042304 (2006)).
 """
 
 from __future__ import annotations
@@ -19,20 +36,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .disorder import generate_map, validate_disorder
-from .errors import EnsembleMemberError
-from .metrology import qfi_pure
-from .observables import position_distribution
-from .operators import (
-    OPERATOR_ORDERS,
-    PHASE_FIRST,
-    DerivativePair,
-    StepContext,
-    step,
-    step_with_derivative,
-    two_particle_step,
-    two_particle_step_with_derivative,
+from .errors import EnsembleMemberError, RowCheckError
+from .metrology import NEGATIVE_TOL, NORM_TOL, qfi_rows, row_inner
+from .operators import OPERATOR_ORDERS, PHASE_FIRST, block_step
+from .states import (
+    DOWN,
+    TWO_PARTICLE_KINDS,
+    UP,
+    new_two_particle_state,
+    new_walker_state,
 )
-from .states import TWO_PARTICLE_KINDS, new_two_particle_state, new_walker_state
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_B = 0xBF58476D1CE4E5B9
@@ -40,6 +53,14 @@ _MIX_C = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
 
 INITIAL_KINDS = ("single",) + TWO_PARTICLE_KINDS
+
+#: members one kernel call evolves together.  A constant, never derived from
+#: the worker count: block boundaries set the order in which aggregates are
+#: summed, so they must not depend on scheduling.
+BLOCK_MAPS = 32
+
+#: s in (a (x) b + s b (x) a) / sqrt2 for each two-walker initial kind
+_EXCHANGE_SIGN = {"separable": 0, "boson": 1, "fermion": -1}
 
 
 def split_seed(master_seed, index):
@@ -145,61 +166,130 @@ class EnsembleSeries:
     variance_per_map: np.ndarray = None
 
 
-def _steppers(initial_kind):
-    if initial_kind == "single":
-        return step, step_with_derivative
-    return two_particle_step, two_particle_step_with_derivative
+def _initial_rows(config, n_members):
+    """t = 0 rows of a block, shape (n_members, rows per member, W, 2).
 
-
-def _run_member(args):
-    """Evolve one member; returns (qfi, distributions, own_variance) arrays.
-
-    Runs in worker processes, so it must stay top-level picklable and raise
-    only through EnsembleMemberError (which carries the member's seed).
+    One walker: the configured coin at the configured position.  Two
+    walkers: a = |x, up> and b = |x, down>, from which the joint state is
+    rebuilt (see the module docstring).
     """
-    config, index = args
-    seed = split_seed(config.master_seed, index)
-    try:
-        pmap = generate_map(
-            config.kind, config.n_steps, config.p, config.semantics, seed
-        )
-        t_max = config.t_max
-        state = config.initial.build(t_max)
-        n = config.n_steps
-        want_dist = config.collect_distribution or config.collect_variance
-        want_own_var = config.per_map_variance
-        track_dist = want_dist or want_own_var
+    spec = config.initial
+    coins = [spec.coin] if spec.kind == "single" else [(1.0, 0.0), (0.0, 1.0)]
+    rows = [new_walker_state(config.t_max, spec.position, coin).amplitudes
+            for coin in coins]
+    return np.repeat(np.stack(rows)[None], n_members, axis=0)
 
-        qfi = np.empty(n + 1) if config.collect_qfi else None
-        dists = np.empty((n + 1, 2 * t_max + 1)) if track_dist else None
-        plain_step, deriv_step = _steppers(config.initial.kind)
 
-        if config.collect_qfi:
-            pair = DerivativePair.initial(state)
-            qfi[0] = qfi_pure(pair)
-            if track_dist:
-                dists[0] = position_distribution(state).probabilities
-            for t in range(1, n + 1):
-                pair = deriv_step(
-                    pair, StepContext(config.phi, t, pmap, config.operator_order)
-                )
-                qfi[t] = qfi_pure(pair)
-                if track_dist:
-                    dists[t] = position_distribution(pair.psi).probabilities
-        else:
-            dists[0] = position_distribution(state).probabilities
-            for t in range(1, n + 1):
-                state = plain_step(
-                    state, StepContext(config.phi, t, pmap, config.operator_order)
-                )
-                dists[t] = position_distribution(state).probabilities
+def _member_error(config, index, message):
+    return EnsembleMemberError(index, split_seed(config.master_seed, index), message)
 
-        own_var = _variance_rows(dists, t_max) if want_own_var else None
-        return qfi, dists if want_dist else None, own_var
-    except EnsembleMemberError:
-        raise
-    except Exception as exc:
-        raise EnsembleMemberError(index, seed, str(exc)) from exc
+
+def _stack_masks(config, members):
+    """The members' pi masks as one (B, n_steps, W) bool table.
+
+    A map covers -n_steps..n_steps; the columns beyond, which only walkers
+    started off the origin reach, stay False (no disorder), as in
+    `PhaseMap.step_signs`.
+    """
+    n, t_max = config.n_steps, config.t_max
+    pad = t_max - n
+    masks = np.zeros((len(members), n, 2 * t_max + 1), dtype=bool)
+    for row, k in enumerate(members):
+        try:
+            pmap = generate_map(
+                config.kind, n, config.p, config.semantics,
+                split_seed(config.master_seed, k),
+            )
+        except Exception as exc:
+            raise _member_error(config, k, str(exc)) from exc
+        masks[row, :, pad:pad + 2 * n + 1] = pmap.pi_mask
+    return masks
+
+
+def _run_block(args):
+    """Evolve one block of members; returns (qfi, distribution sum, own variance).
+
+    qfi and own variance hold one row per member, the distribution sum is
+    the member-order sum of the block's marginals; each is None unless
+    collected.  Runs in worker processes, so it must stay top-level
+    picklable.  A failure on one member's map or state raises
+    EnsembleMemberError with that member's index and seed.  Every step checks
+    the norms, 0 <= F(t) <= (n t)^2 for n walkers (each step's phase
+    generator is a sum of n spin-up projectors) and, for two walkers,
+    |<a|b>| <= NORM_TOL, which the product form relies on.
+    """
+    config, block = args
+    start = block * BLOCK_MAPS
+    members = range(start, min(start + BLOCK_MAPS, config.n_maps))
+    n, t_max = config.n_steps, config.t_max
+    width = 2 * t_max + 1
+    masks = _stack_masks(config, members)
+
+    def check(values, bad, what):
+        if bad.any():
+            row = int(np.flatnonzero(bad)[0])
+            message = f"step {t}: {what}: {values[row]!r}"
+            raise _member_error(config, members[row], message)
+
+    kind = config.initial.kind
+    walkers = 1 if kind == "single" else 2
+    sign = _EXCHANGE_SIGN.get(kind, 0)
+    want_dist = config.collect_distribution or config.collect_variance
+    track_dist = want_dist or config.per_map_variance
+
+    psi = _initial_rows(config, len(members))
+    psi_next = np.zeros_like(psi)
+    dpsi = dpsi_next = None
+    qfi = dist_sum = own_var = None
+    if config.collect_qfi:
+        dpsi, dpsi_next = np.zeros_like(psi), np.zeros_like(psi)
+        qfi = np.empty((len(members), n + 1))
+    if want_dist:
+        dist_sum = np.empty((n + 1, width))
+    if config.per_map_variance:
+        own_var = np.empty((len(members), n + 1))
+
+    phase = np.exp(1j * config.phi)
+    for t in range(n + 1):
+        if t > 0:
+            factor = phase * (1 - 2 * masks[:, t - 1])
+            block_step(psi, dpsi, factor[:, None, :], config.operator_order,
+                       psi_next, dpsi_next)
+            psi, psi_next = psi_next, psi
+            dpsi, dpsi_next = dpsi_next, dpsi
+        if walkers == 2:
+            a = psi[:, 0].reshape(len(members), -1)
+            ab = np.abs(row_inner(a, psi[:, 1].reshape(len(members), -1)))
+            check(ab, ab > NORM_TOL, f"|<a|b>| exceeds {NORM_TOL}")
+        if qfi is not None:
+            try:
+                row_qfi = qfi_rows(psi.reshape(-1, 2 * width),
+                                   dpsi.reshape(-1, 2 * width))
+            except RowCheckError as exc:
+                member = members[exc.row // walkers]
+                raise _member_error(config, member, f"step {t}: {exc}") from exc
+            values = row_qfi.reshape(len(members), walkers).sum(axis=1)
+            if sign:
+                db = dpsi[:, 1].reshape(len(members), -1)
+                values += 8 * sign * np.abs(row_inner(a, db)) ** 2
+            bound = (walkers * t) ** 2
+            check(values,
+                  (values < -NEGATIVE_TOL) | (values > bound * (1 + NORM_TOL)),
+                  f"F outside [0, (n t)^2 = {bound}]")
+            # the exchange term can leave an analytic zero as -1e-16 dust
+            qfi[:, t] = np.maximum(values, 0.0)
+        if track_dist:
+            weights = np.abs(psi) ** 2
+            probs = weights[..., UP] + weights[..., DOWN]
+            marginal = probs[:, 0] if sign == 0 else (probs[:, 0] + probs[:, 1]) / 2
+            total = marginal.sum(axis=-1)
+            check(total, np.abs(total - 1.0) > NORM_TOL,
+                  f"distribution sum deviates from 1 beyond {NORM_TOL}")
+            if dist_sum is not None:
+                dist_sum[t] = marginal.sum(axis=0)
+            if own_var is not None:
+                own_var[:, t] = _variance_rows(marginal, t_max)
+    return qfi, dist_sum, own_var
 
 
 def _variance_rows(dists, t_max):
@@ -211,42 +301,44 @@ def _variance_rows(dists, t_max):
 def run_ensemble(config, workers=None):
     """Run all members and aggregate.
 
-    workers = None or 1 runs in-process; larger values use a process pool.
-    Aggregation order is by member index either way, so results are
-    bit-identical across worker counts.
+    workers = None or 1 runs in-process; larger values shard whole blocks
+    over a pool of at most one process per block.  Aggregation order is by
+    block, then member, either way, so results are bit-identical across
+    worker counts.
     """
     if workers is None:
         workers = 1
     if workers < 1:
         raise ValueError("workers must be >= 1")
     n_maps = config.n_maps
-    workers = min(workers, n_maps)
+    n_blocks = -(-n_maps // BLOCK_MAPS)
+    workers = min(workers, n_blocks)
 
-    tasks = ((config, k) for k in range(n_maps))
+    tasks = ((config, block) for block in range(n_blocks))
     n = config.n_steps
     width = 2 * config.t_max + 1
 
-    qfi_rows = np.empty((n_maps, n + 1)) if config.collect_qfi else None
+    qfi_table = np.empty((n_maps, n + 1)) if config.collect_qfi else None
     want_dist = config.collect_distribution or config.collect_variance
     dist_sum = np.zeros((n + 1, width)) if want_dist else None
     own_var_rows = np.empty((n_maps, n + 1)) if config.per_map_variance else None
 
     if workers == 1:
-        results = map(_run_member, tasks)
+        results = map(_run_block, tasks)
         pool = None
     else:
-        chunk = max(1, n_maps // (workers * 8))
         pool = multiprocessing.Pool(processes=workers)
-        results = pool.imap(_run_member, tasks, chunksize=chunk)
+        results = pool.imap(_run_block, tasks)
     try:
-        # accumulate strictly in member order: scheduling cannot change bytes
-        for k, (qfi, dists, own_var) in enumerate(results):
-            if qfi_rows is not None:
-                qfi_rows[k] = qfi
+        # accumulate strictly in block order: scheduling cannot change bytes
+        for block, (qfi, dists, own_var) in enumerate(results):
+            rows = slice(block * BLOCK_MAPS, (block + 1) * BLOCK_MAPS)
+            if qfi_table is not None:
+                qfi_table[rows] = qfi
             if dist_sum is not None:
                 dist_sum += dists
             if own_var_rows is not None:
-                own_var_rows[k] = own_var
+                own_var_rows[rows] = own_var
     except BaseException:
         # a failed member or an interrupt must not wait for the queue to drain
         if pool is not None:
@@ -265,10 +357,10 @@ def run_ensemble(config, workers=None):
         steps=np.arange(n + 1),
         positions=np.arange(-config.t_max, config.t_max + 1),
     )
-    if qfi_rows is not None:
-        out.qfi_mean = qfi_rows.mean(axis=0)
+    if qfi_table is not None:
+        out.qfi_mean = qfi_table.mean(axis=0)
         if n_maps > 1:
-            out.qfi_stderr = qfi_rows.std(axis=0, ddof=1) / math.sqrt(n_maps)
+            out.qfi_stderr = qfi_table.std(axis=0, ddof=1) / math.sqrt(n_maps)
         else:
             out.qfi_stderr = np.zeros(n + 1)
     if dist_sum is not None:

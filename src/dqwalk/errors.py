@@ -9,6 +9,18 @@ class BoundaryError(RuntimeError):
     """
 
 
+class RowCheckError(ValueError):
+    """A check failed on one row of a stacked (rows, N) computation.
+
+    `row` is the index of the first offending row, so that a caller holding
+    many states at once can name the one that failed.
+    """
+
+    def __init__(self, row, message):
+        super().__init__(message)
+        self.row = row
+
+
 class ConfigError(ValueError):
     """A run configuration is malformed; the message names the offending field."""
 

@@ -8,6 +8,9 @@ It is evaluated here in the equivalent residual form 4*||dpsi - <psi|dpsi>
 psi||^2 (identical for normalized psi), because the textbook subtraction
 cancels catastrophically once both terms grow like t^2: at t = 50 it already
 loses enough digits to break sum rules that hold to 1e-12 in residual form.
+`qfi_rows` evaluates it for a whole stack of states at once; `qfi_pure` is
+its one-row case, so the ensemble kernel and `qfi_series` share every
+operation and agree bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import RowCheckError
 from .operators import (
     PHASE_FIRST,
     DerivativePair,
@@ -48,18 +52,48 @@ class QfiSeries:
         return np.arange(len(self.values))
 
 
+def row_inner(u, v):
+    """<u_r|v_r> for every row r of two stacks of shape (R, N).
+
+    Each row is summed on its own, so a row's value does not depend on how
+    many other rows share the stack.
+    """
+    return (u.conj() * v).sum(axis=-1)
+
+
+def _first(bad):
+    return int(np.flatnonzero(bad)[0])
+
+
+def qfi_rows(psi, dpsi):
+    """QFI of every row of stacked normalized pure states.
+
+    psi and dpsi have shape (R, N): row r is one state flattened to N
+    amplitudes and its exact derivative.  Returns the R values.  Raises
+    RowCheckError naming the first row whose norm^2 is off 1 by more than
+    NORM_TOL or whose QFI comes out below -NEGATIVE_TOL.
+    """
+    norm2 = row_inner(psi, psi).real
+    off = np.abs(norm2 - 1.0) > NORM_TOL
+    if off.any():
+        row = _first(off)
+        raise RowCheckError(
+            row, f"state norm^2 = {norm2[row]!r} deviates from 1 beyond {NORM_TOL}"
+        )
+    overlap = row_inner(psi, dpsi)
+    residual = dpsi - overlap[:, None] * psi
+    values = 4.0 * row_inner(residual, residual).real
+    negative = values < -NEGATIVE_TOL
+    if negative.any():
+        row = _first(negative)
+        raise RowCheckError(row, f"QFI evaluated to {values[row]!r} < 0")
+    return np.maximum(values, 0.0)
+
+
 def qfi_pure(pair):
     """QFI of a normalized pure state given its exact derivative state."""
     psi, dpsi = pair.psi.amplitudes, pair.dpsi.amplitudes
-    norm2 = np.vdot(psi, psi).real
-    if abs(norm2 - 1.0) > NORM_TOL:
-        raise ValueError(f"state norm^2 = {norm2!r} deviates from 1 beyond {NORM_TOL}")
-    overlap = np.vdot(psi, dpsi)
-    residual = dpsi - overlap * psi
-    value = 4.0 * np.vdot(residual, residual).real
-    if value < -NEGATIVE_TOL:
-        raise ValueError(f"QFI evaluated to {value!r} < 0")
-    return max(value, 0.0)
+    return float(qfi_rows(psi.reshape(1, -1), dpsi.reshape(1, -1))[0])
 
 
 def _evolvers(state):

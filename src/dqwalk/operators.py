@@ -143,6 +143,51 @@ def step_with_derivative(pair, ctx):
     return DerivativePair(psi_next, dpsi_next)
 
 
+def _coin_shift(up, down, out):
+    """Balanced coin, then shift, of (up, down) into out[..., W, 2].
+
+    Row 0 up and row W-1 down of `out` are the cells the shift leaves empty;
+    they are never written.
+    """
+    out_up, out_down = out[..., 1:, UP], out[..., :-1, DOWN]
+    np.add(up[..., :-1], down[..., :-1], out=out_up)
+    out_up *= INV_SQRT2
+    np.subtract(up[..., 1:], down[..., 1:], out=out_down)
+    out_down *= INV_SQRT2
+
+
+def block_step(psi, dpsi, factor, order, psi_out, dpsi_out):
+    """One step of stacked single-walker rows, on bare arrays.
+
+    psi and dpsi have shape (..., W, 2), one walker per leading index; dpsi
+    is None to evolve psi alone.  `factor` holds each row's up-component
+    multipliers e^{i(phi + dphi(t, x))} and broadcasts against (..., W).
+    The step is written into psi_out (and dpsi_out), which must be distinct
+    from the inputs and zero in the two cells the shift leaves empty.
+
+    Every amplitude goes through the operations of `step_with_derivative`
+    in the same order, so each row agrees with it bit for bit.  Raises
+    BoundaryError if any row's support touches the lattice edge.
+    """
+    if psi[..., 0, :].any() or psi[..., -1, :].any():
+        raise BoundaryError(
+            f"walker support reached the lattice edge (W = {psi.shape[-2]})"
+        )
+    up, down = psi[..., UP], psi[..., DOWN]
+    if order == PHASE_FIRST:
+        if dpsi is not None:
+            mixed_up = up * (1j * factor) + dpsi[..., UP] * factor
+            _coin_shift(mixed_up, dpsi[..., DOWN], dpsi_out)
+        _coin_shift(up * factor, down, psi_out)
+        return
+    _coin_shift(up, down, psi_out)
+    if dpsi is not None:
+        _coin_shift(dpsi[..., UP], dpsi[..., DOWN], dpsi_out)
+        dpsi_out[..., UP] *= factor
+        dpsi_out[..., UP] += psi_out[..., UP] * (1j * factor)
+    psi_out[..., UP] *= factor
+
+
 # -- two-walker evolution ----------------------------------------------------
 #
 # The joint step is U (x) U with both factors driven by the same phase map and

@@ -3,8 +3,11 @@
 A single walker lives on positions -t_max..t_max with a two-level coin, stored
 as a dense complex array of shape (2*t_max + 1, 2).  Index 0 of the coin axis
 is "up" (moves right under the shift), index 1 is "down" (moves left).  A pair
-of walkers is stored as the full joint tensor of shape (W, 2, W, 2); no
-product-form shortcut is taken even when the state happens to factorize.
+of walkers is stored as the full joint tensor of shape (W, 2, W, 2).  That
+tensor is the one-map API and the reference the tests hold the ensembles to:
+since both walkers share one map and U (x) U is linear, ensembles evolve a
+pair exactly as (a (x) b + s b (x) a) / sqrt2 from the single-walker
+evolutions a, b of |x,up>, |x,down> (see `dqwalk.ensemble`).
 """
 
 from __future__ import annotations

@@ -1,11 +1,15 @@
 """Two-walker experiments: exchange statistics vs phase information.
 
 Both walkers traverse the same disordered medium (one shared phase map per
-member) and the joint state is evolved as a full tensor, never as a product
-shortcut.  For separable inputs the joint QFI must equal the sum of the two
+member).  U (x) U is linear and both factors see the same map, so the joint
+state is exactly (a (x) b + s b (x) a) / sqrt2, s = +1 for bosons and -1 for
+fermions (a (x) b for separable input), where a and b are the single-walker
+evolutions of |x,up> and |x,down>; the ensemble kernel evolves a and b and
+rebuilds the joint QFI from them.  This is exact linearity, not an
+approximation, and the tests hold it to the full (W, 2, W, 2) tensor
+evolution.  For separable inputs the joint QFI must equal the sum of the two
 single-walker QFIs map by map; `separable_reference` computes that sum through
-the independent single-walker route so the identity stays checkable instead of
-being baked in.
+two independent single-walker ensembles so the identity stays checkable.
 """
 
 from __future__ import annotations

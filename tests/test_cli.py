@@ -259,3 +259,10 @@ def test_cli_argument_validation(tmp_path, capsys):
         rc = main(["fit", "--input", str(series)] + flags)
         assert rc == 2
         assert name in capsys.readouterr().err
+    # fractional steps are rejected, not truncated to a shifted series
+    halves = tmp_path / "halves.csv"
+    halves.write_text("t,value\n" + "".join(
+        f"{t + 0.5},{(t + 1.0) ** 2}\n" for t in range(5)))
+    rc = main(["fit", "--input", str(halves), "--t-min", "1", "--t-max", "4"])
+    assert rc == 2
+    assert "line 2: step '0.5'" in capsys.readouterr().err

@@ -11,11 +11,11 @@ from dqwalk import (
     EnsembleMemberError,
     InitialStateSpec,
     generate_map,
-    new_walker_state,
     qfi_series,
     run_ensemble,
     split_seed,
 )
+from dqwalk.operators import OPERATOR_ORDERS
 
 
 def test_split_seed_deterministic_and_distinct():
@@ -70,17 +70,43 @@ def test_config_validation():
                        collect_qfi=False)
 
 
-def test_mean_matches_manual_average():
-    # the ensemble route must agree with averaging explicit per-map runs
-    cfg = EnsembleConfig(kind="dynamic", p=0.6, n_steps=15, n_maps=6,
-                         master_seed=42, phi=0.3)
+_BALANCED = (complex(2 ** -0.5), complex(2 ** -0.5))
+
+_ORACLE_CASES = [
+    pytest.param(kind, p, order, initial, id=f"{kind}-{order}-{where}")
+    for kind, p in (("none", 0.0), ("static", 0.7), ("dynamic", 0.6))
+    for order in OPERATOR_ORDERS
+    for where, initial in (
+        ("origin", InitialStateSpec()),
+        ("offcentre", InitialStateSpec(position=3, coin=_BALANCED)),
+    )
+]
+
+
+def _member_qfi_rows(cfg):
+    """Every member's QFI row from the block kernel, in member order."""
+    n_blocks = -(-cfg.n_maps // ensemble_mod.BLOCK_MAPS)
+    return np.concatenate(
+        [ensemble_mod._run_block((cfg, b))[0] for b in range(n_blocks)]
+    )
+
+
+@pytest.mark.parametrize("kind,p,order,initial", _ORACLE_CASES)
+def test_mean_matches_manual_average(kind, p, order, initial):
+    # the block kernel must reproduce the one-map route bit for bit, member
+    # by member; two blocks, the second one partial
+    n_maps = ensemble_mod.BLOCK_MAPS + 3
+    cfg = EnsembleConfig(kind=kind, p=p, n_steps=15, n_maps=n_maps,
+                         master_seed=42, phi=0.3, initial=initial,
+                         operator_order=order)
     series = run_ensemble(cfg)
     rows = []
-    for k in range(cfg.n_maps):
-        seed = split_seed(42, k)
-        pmap = generate_map("dynamic", 15, 0.6, seed=seed)
-        rows.append(qfi_series(new_walker_state(15), pmap, 0.3, 15).values)
+    for k in range(n_maps):
+        pmap = generate_map(kind, 15, p, seed=split_seed(42, k))
+        rows.append(qfi_series(initial.build(cfg.t_max), pmap, 0.3, 15,
+                               order=order).values)
     rows = np.array(rows)
+    np.testing.assert_array_equal(_member_qfi_rows(cfg), rows)
     np.testing.assert_array_equal(series.qfi_mean, rows.mean(axis=0))
     np.testing.assert_allclose(
         series.qfi_stderr,
@@ -88,7 +114,7 @@ def test_mean_matches_manual_average():
         atol=1e-15,
     )
     np.testing.assert_array_equal(series.member_seeds,
-                                  [split_seed(42, k) for k in range(6)])
+                                  [split_seed(42, k) for k in range(n_maps)])
 
 
 def test_rerun_is_bit_identical():
@@ -103,16 +129,19 @@ def test_rerun_is_bit_identical():
 
 
 def test_worker_count_does_not_change_results():
-    cfg = EnsembleConfig(kind="dynamic", p=0.5, n_steps=18, n_maps=14,
+    # four blocks, so every pool size below gets more than one of them
+    cfg = EnsembleConfig(kind="dynamic", p=0.5, n_steps=18,
+                         n_maps=3 * ensemble_mod.BLOCK_MAPS + 5,
                          master_seed=3, collect_distribution=True,
                          per_map_variance=True)
     serial = run_ensemble(cfg, workers=1)
-    pooled = run_ensemble(cfg, workers=3)
-    np.testing.assert_array_equal(serial.qfi_mean, pooled.qfi_mean)
-    np.testing.assert_array_equal(serial.qfi_stderr, pooled.qfi_stderr)
-    np.testing.assert_array_equal(serial.distribution, pooled.distribution)
-    np.testing.assert_array_equal(serial.variance_per_map,
-                                  pooled.variance_per_map)
+    for workers in (2, 3):
+        pooled = run_ensemble(cfg, workers=workers)
+        np.testing.assert_array_equal(serial.qfi_mean, pooled.qfi_mean)
+        np.testing.assert_array_equal(serial.qfi_stderr, pooled.qfi_stderr)
+        np.testing.assert_array_equal(serial.distribution, pooled.distribution)
+        np.testing.assert_array_equal(serial.variance_per_map,
+                                      pooled.variance_per_map)
 
 
 def test_single_map_stderr_is_zero():
@@ -178,8 +207,9 @@ def test_pooled_member_failure_surfaces_without_draining(monkeypatch):
         return real(kind, n_steps, p, semantics, seed)
 
     monkeypatch.setattr(ensemble_mod, "generate_map", broken)
-    cfg = EnsembleConfig(kind="dynamic", p=0.5, n_steps=5, n_maps=8,
-                         master_seed=9)
+    # three blocks, so the pool really runs two workers
+    cfg = EnsembleConfig(kind="dynamic", p=0.5, n_steps=5,
+                         n_maps=3 * ensemble_mod.BLOCK_MAPS, master_seed=9)
     start = time.monotonic()
     with pytest.raises(EnsembleMemberError) as info:
         run_ensemble(cfg, workers=2)
@@ -187,8 +217,37 @@ def test_pooled_member_failure_surfaces_without_draining(monkeypatch):
     assert info.value.member_index == 0
     assert info.value.member_seed == bad_seed
     assert "synthetic failure" in str(info.value)
-    # draining the queue would take 7 members x 5 s / 2 workers = 17.5 s
+    # draining the queue would take the other two blocks,
+    # 2 x BLOCK_MAPS members x 5 s over 2 workers = BLOCK_MAPS x 5 s
     assert elapsed < 3.0
+
+
+@pytest.mark.parametrize("initial", ["single", "boson"])
+def test_qfi_above_heisenberg_bound_fails_the_member(monkeypatch, initial):
+    # plant F > (n t)^2 on the third member of the second block at step 5
+    real = ensemble_mod.qfi_rows
+    n_steps = 8
+    walkers = 1 if initial == "single" else 2
+    planted_call = (n_steps + 1) + 5
+    calls = []
+
+    def planted(psi, dpsi):
+        values = real(psi, dpsi)
+        if len(calls) == planted_call:
+            values[2 * walkers] = 1e6
+        calls.append(None)
+        return values
+
+    monkeypatch.setattr(ensemble_mod, "qfi_rows", planted)
+    cfg = EnsembleConfig(kind="static", p=1.0, n_steps=n_steps,
+                         n_maps=ensemble_mod.BLOCK_MAPS + 4, master_seed=11,
+                         initial=InitialStateSpec(kind=initial))
+    with pytest.raises(EnsembleMemberError) as info:
+        run_ensemble(cfg)
+    member = ensemble_mod.BLOCK_MAPS + 2
+    assert info.value.member_index == member
+    assert info.value.member_seed == split_seed(11, member)
+    assert "step 5" in str(info.value) and "outside" in str(info.value)
 
 
 def test_member_error_survives_pickling():

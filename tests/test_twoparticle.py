@@ -1,16 +1,23 @@
 import numpy as np
 import pytest
 
+import dqwalk.ensemble as ensemble_mod
 from dqwalk import (
+    EnsembleConfig,
+    InitialStateSpec,
     StepContext,
     TwoParticleExperiment,
     exchange_residual,
     generate_map,
     new_two_particle_state,
+    position_distribution,
+    qfi_series,
     run_two_particle,
     separable_reference,
+    split_seed,
     two_particle_step,
 )
+from dqwalk.operators import OPERATOR_ORDERS
 
 
 def test_experiment_validates_statistics():
@@ -56,6 +63,32 @@ def test_exchange_symmetry_preserved_by_disordered_evolution(statistics):
     for t in range(1, 16):
         s = two_particle_step(s, StepContext(0.7, t, pmap))
     assert exchange_residual(s) < 1e-12
+
+
+@pytest.mark.parametrize("order", OPERATOR_ORDERS)
+@pytest.mark.parametrize("kind,p", [("static", 1.0), ("dynamic", 0.8)])
+@pytest.mark.parametrize("statistics", ["separable", "boson", "fermion"])
+def test_single_walker_rows_match_tensor_evolution(statistics, kind, p, order):
+    # the ensemble rebuilds the joint state from a = U|x,up>, b = U|x,down>;
+    # the full (W, 2, W, 2) tensor evolution is the reference
+    n_steps, phi, n_maps = 10, 0.4, 3
+    cfg = EnsembleConfig(kind=kind, p=p, n_steps=n_steps, n_maps=n_maps,
+                         master_seed=5, phi=phi, operator_order=order,
+                         initial=InitialStateSpec(kind=statistics),
+                         collect_distribution=True)
+    qfi, dist_sum, _ = ensemble_mod._run_block((cfg, 0))
+    reference_dist = np.zeros_like(dist_sum)
+    for k in range(n_maps):
+        pmap = generate_map(kind, n_steps, p, seed=split_seed(5, k))
+        state = new_two_particle_state(statistics, n_steps)
+        reference = qfi_series(state, pmap, phi, n_steps, order=order).values
+        assert np.all(np.abs(qfi[k] - reference)
+                      <= 1e-12 * np.maximum(reference, 1.0))
+        reference_dist[0] += position_distribution(state).probabilities
+        for t in range(1, n_steps + 1):
+            state = two_particle_step(state, StepContext(phi, t, pmap, order))
+            reference_dist[t] += position_distribution(state).probabilities
+    np.testing.assert_allclose(dist_sum, reference_dist, rtol=0, atol=1e-12)
 
 
 def test_joint_qfi_nonnegative_under_disorder():
