@@ -68,6 +68,33 @@ class PhaseMap:
         return signs
 
 
+@dataclass(frozen=True, eq=False)
+class MapStack:
+    """The pi masks of B maps on one state lattice, to step B walkers at once.
+
+    masks has shape (B, n_steps, 2*t_max + 1) and is bool; masks[b, t-1] is
+    map b's row for step t, already aligned to the state lattice, with the
+    columns beyond the map's own lattice False, as in `PhaseMap.step_signs`.
+    """
+
+    masks: np.ndarray = field(repr=False)
+
+    @property
+    def n_steps(self):
+        return self.masks.shape[1]
+
+    def step_signs(self, step_index, t_max):
+        """Signs for step step_index, shape (B, 1, W): one row per map, with
+        an axis that broadcasts over the walkers each map drives.
+        """
+        if self.masks.shape[2] != 2 * t_max + 1:
+            raise ValueError(
+                f"masks are {self.masks.shape[2]} sites wide, the lattice "
+                f"{2 * t_max + 1}"
+            )
+        return 1 - 2 * self.masks[:, step_index - 1, None, :]
+
+
 def validate_disorder(kind, n_steps, p, semantics):
     """Reject invalid disorder parameters; shared by maps and ensemble configs."""
     if kind not in KINDS:

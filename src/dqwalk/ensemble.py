@@ -6,11 +6,11 @@ on 64-bit words for a fixed master seed, so members never share a map by
 accident, and the full ensemble is pinned by (config, master_seed) alone.
 
 Members run BLOCK_MAPS at a time through one block kernel: a block stacks
-its members' pi masks and evolves their states together as (B, rows, W, 2)
-arrays, with the operations of `step_with_derivative` and the QFI reduction
-of `qfi_pure`, so every member's series equals the one-map `qfi_series`
-bit for bit.  Block boundaries follow from the member index alone, and
-block results are accumulated strictly in block order, whether the blocks
+its members' pi masks into a `MapStack` and evolves their states together
+as one stack of (B, rows, W, 2) walkers, one `step_with_derivative` (or
+`step`) and one `qfi_pure` call per step, so every member's series equals
+the one-map `qfi_series` bit for bit.  Block boundaries follow from the
+member index alone, and block results are accumulated strictly in block order, whether the blocks
 ran serially or on a process pool, so the same config produces
 bit-identical aggregates no matter how the work was scheduled.
 
@@ -35,14 +35,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disorder import generate_map, validate_disorder
+from .disorder import MapStack, generate_map, validate_disorder
 from .errors import EnsembleMemberError, RowCheckError
-from .metrology import NEGATIVE_TOL, NORM_TOL, qfi_rows, row_inner
-from .operators import OPERATOR_ORDERS, PHASE_FIRST, block_step
+from .metrology import NEGATIVE_TOL, NORM_TOL, qfi_pure, row_inner
+from .operators import (
+    OPERATOR_ORDERS,
+    PHASE_FIRST,
+    DerivativePair,
+    StepContext,
+    step,
+    step_with_derivative,
+)
 from .states import (
     DOWN,
     TWO_PARTICLE_KINDS,
     UP,
+    WalkerState,
     new_two_particle_state,
     new_walker_state,
 )
@@ -185,7 +193,7 @@ def _member_error(config, index, message):
 
 
 def _stack_masks(config, members):
-    """The members' pi masks as one (B, n_steps, W) bool table.
+    """The members' pi masks as one MapStack of a (B, n_steps, W) bool table.
 
     A map covers -n_steps..n_steps; the columns beyond, which only walkers
     started off the origin reach, stay False (no disorder), as in
@@ -203,7 +211,7 @@ def _stack_masks(config, members):
         except Exception as exc:
             raise _member_error(config, k, str(exc)) from exc
         masks[row, :, pad:pad + 2 * n + 1] = pmap.pi_mask
-    return masks
+    return MapStack(masks)
 
 
 def _run_block(args):
@@ -223,7 +231,7 @@ def _run_block(args):
     members = range(start, min(start + BLOCK_MAPS, config.n_maps))
     n, t_max = config.n_steps, config.t_max
     width = 2 * t_max + 1
-    masks = _stack_masks(config, members)
+    maps = _stack_masks(config, members)
 
     def check(values, bad, what):
         if bad.any():
@@ -237,40 +245,41 @@ def _run_block(args):
     want_dist = config.collect_distribution or config.collect_variance
     track_dist = want_dist or config.per_map_variance
 
-    psi = _initial_rows(config, len(members))
-    psi_next = np.zeros_like(psi)
-    dpsi = dpsi_next = None
+    rows = _initial_rows(config, len(members))
+    # two buffers that trade places every step; cur holds step t
+    cur = WalkerState(t_max, rows)
+    nxt = WalkerState(t_max, np.zeros_like(rows))
     qfi = dist_sum = own_var = None
     if config.collect_qfi:
-        dpsi, dpsi_next = np.zeros_like(psi), np.zeros_like(psi)
+        cur = DerivativePair(cur, WalkerState(t_max, np.zeros_like(rows)))
+        nxt = DerivativePair(nxt, WalkerState(t_max, np.zeros_like(rows)))
         qfi = np.empty((len(members), n + 1))
     if want_dist:
         dist_sum = np.empty((n + 1, width))
     if config.per_map_variance:
         own_var = np.empty((len(members), n + 1))
 
-    phase = np.exp(1j * config.phi)
     for t in range(n + 1):
         if t > 0:
-            factor = phase * (1 - 2 * masks[:, t - 1])
-            block_step(psi, dpsi, factor[:, None, :], config.operator_order,
-                       psi_next, dpsi_next)
-            psi, psi_next = psi_next, psi
-            dpsi, dpsi_next = dpsi_next, dpsi
+            ctx = StepContext(config.phi, t, maps, config.operator_order)
+            if qfi is None:
+                step(cur, ctx, out=nxt)
+            else:
+                step_with_derivative(cur, ctx, out=nxt)
+            cur, nxt = nxt, cur
+        psi = cur.amplitudes if qfi is None else cur.psi.amplitudes
         if walkers == 2:
             a = psi[:, 0].reshape(len(members), -1)
             ab = np.abs(row_inner(a, psi[:, 1].reshape(len(members), -1)))
             check(ab, ab > NORM_TOL, f"|<a|b>| exceeds {NORM_TOL}")
         if qfi is not None:
             try:
-                row_qfi = qfi_rows(psi.reshape(-1, 2 * width),
-                                   dpsi.reshape(-1, 2 * width))
+                values = qfi_pure(cur).sum(axis=1)
             except RowCheckError as exc:
                 member = members[exc.row // walkers]
                 raise _member_error(config, member, f"step {t}: {exc}") from exc
-            values = row_qfi.reshape(len(members), walkers).sum(axis=1)
             if sign:
-                db = dpsi[:, 1].reshape(len(members), -1)
+                db = cur.dpsi.amplitudes[:, 1].reshape(len(members), -1)
                 values += 8 * sign * np.abs(row_inner(a, db)) ** 2
             bound = (walkers * t) ** 2
             check(values,

@@ -8,9 +8,9 @@ It is evaluated here in the equivalent residual form 4*||dpsi - <psi|dpsi>
 psi||^2 (identical for normalized psi), because the textbook subtraction
 cancels catastrophically once both terms grow like t^2: at t = 50 it already
 loses enough digits to break sum rules that hold to 1e-12 in residual form.
-`qfi_rows` evaluates it for a whole stack of states at once; `qfi_pure` is
-its one-row case, so the ensemble kernel and `qfi_series` share every
-operation and agree bit for bit.
+`qfi_rows` evaluates it for a whole stack of states at once; `qfi_pure`
+applies it to one state or to a stack of walkers, so the ensemble kernel and
+`qfi_series` share every operation and agree bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .operators import (
     two_particle_step,
     two_particle_step_with_derivative,
 )
-from .states import TwoParticleState, support_radius
+from .states import TwoParticleState, WalkerState, support_radius
 
 NORM_TOL = 1e-9
 #: negative QFI beyond this magnitude means a broken caller, not rounding
@@ -91,9 +91,17 @@ def qfi_rows(psi, dpsi):
 
 
 def qfi_pure(pair):
-    """QFI of a normalized pure state given its exact derivative state."""
+    """QFI of a normalized pure state given its exact derivative state.
+
+    For a stack of walkers (WalkerState amplitudes of shape (..., W, 2)) it
+    returns one value per walker, an array of shape (...), and a
+    RowCheckError counts the walkers in C order.
+    """
     psi, dpsi = pair.psi.amplitudes, pair.dpsi.amplitudes
-    return float(qfi_rows(psi.reshape(1, -1), dpsi.reshape(1, -1))[0])
+    lead = psi.shape[:-2] if isinstance(pair.psi, WalkerState) else ()
+    n_rows = math.prod(lead)
+    values = qfi_rows(psi.reshape(n_rows, -1), dpsi.reshape(n_rows, -1))
+    return values.reshape(lead) if lead else float(values[0])
 
 
 def _evolvers(state):

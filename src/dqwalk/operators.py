@@ -111,14 +111,24 @@ def apply_shift(state):
     return WalkerState(state.t_max, out)
 
 
-def step(state, ctx):
-    """One full step of the walk on a single walker."""
+def step(state, ctx, out=None):
+    """One full step of the walk on a single walker.
+
+    With `out`, a WalkerState of the same shape, the step is written into
+    out in one fused pass (`block_step`) and out is returned; `state` may
+    then be a stack of walkers and ctx.phase_map a `MapStack`.  Both routes
+    give the same bits.
+    """
+    if out is not None:
+        block_step(state.amplitudes, None, _phase_factor(ctx, state.t_max),
+                   ctx.order, out.amplitudes, None)
+        return out
     if ctx.order == PHASE_FIRST:
         return apply_shift(apply_coin(apply_phase(state, ctx)))
     return apply_phase(apply_shift(apply_coin(state)), ctx)
 
 
-def step_with_derivative(pair, ctx):
+def step_with_derivative(pair, ctx, out=None):
     """Advance (psi, dpsi) one step.
 
     The psi component follows exactly the same code path as `step`; dpsi picks
@@ -126,8 +136,17 @@ def step_with_derivative(pair, ctx):
 
         phase-first:  dpsi' = S C (dP psi + P dpsi)
         phase-last:   dpsi' = dP S C psi + P S C dpsi
+
+    With `out`, a DerivativePair of walker states shaped like pair's, the
+    step is written into out through `block_step`, as for `step`; this is
+    how ensembles step their stacks of walkers.
     """
     psi, dpsi = pair.psi, pair.dpsi
+    if out is not None:
+        block_step(psi.amplitudes, dpsi.amplitudes,
+                   _phase_factor(ctx, psi.t_max), ctx.order,
+                   out.psi.amplitudes, out.dpsi.amplitudes)
+        return out
     if ctx.order == PHASE_FIRST:
         psi_next = apply_shift(apply_coin(apply_phase(psi, ctx)))
         mixed = apply_phase_derivative(psi, ctx)

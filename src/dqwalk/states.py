@@ -35,7 +35,10 @@ class WalkerState:
     """Amplitudes of one walker over (position, coin).
 
     t_max is the capacity in steps: a walker started at the origin can take at
-    most t_max steps before its light cone reaches the array edge.
+    most t_max steps before its light cone reaches the array edge.  The
+    amplitudes may also be a stack of shape (..., W, 2), one walker per
+    leading index, which `step`/`step_with_derivative` with `out` and
+    `qfi_pure` treat walker by walker; the ensembles step such stacks.
     """
 
     t_max: int
@@ -45,7 +48,7 @@ class WalkerState:
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
         expected = (_width(self.t_max), 2)
-        if self.amplitudes.shape != expected:
+        if self.amplitudes.shape[-2:] != expected:
             raise ValueError(
                 f"amplitude array has shape {self.amplitudes.shape}, expected {expected}"
             )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dqwalk.ensemble as ensemble_mod
+import dqwalk.metrology as metrology_mod
 from dqwalk import (
     EnsembleConfig,
     EnsembleMemberError,
@@ -225,7 +226,7 @@ def test_pooled_member_failure_surfaces_without_draining(monkeypatch):
 @pytest.mark.parametrize("initial", ["single", "boson"])
 def test_qfi_above_heisenberg_bound_fails_the_member(monkeypatch, initial):
     # plant F > (n t)^2 on the third member of the second block at step 5
-    real = ensemble_mod.qfi_rows
+    real = metrology_mod.qfi_rows
     n_steps = 8
     walkers = 1 if initial == "single" else 2
     planted_call = (n_steps + 1) + 5
@@ -238,7 +239,7 @@ def test_qfi_above_heisenberg_bound_fails_the_member(monkeypatch, initial):
         calls.append(None)
         return values
 
-    monkeypatch.setattr(ensemble_mod, "qfi_rows", planted)
+    monkeypatch.setattr(metrology_mod, "qfi_rows", planted)
     cfg = EnsembleConfig(kind="static", p=1.0, n_steps=n_steps,
                          n_maps=ensemble_mod.BLOCK_MAPS + 4, master_seed=11,
                          initial=InitialStateSpec(kind=initial))
