@@ -75,6 +75,8 @@ class MapStack:
     masks has shape (B, n_steps, 2*t_max + 1) and is bool; masks[b, t-1] is
     map b's row for step t, already aligned to the state lattice, with the
     columns beyond the map's own lattice False, as in `PhaseMap.step_signs`.
+    The ensembles pass the transposed view of an (n_steps, W, B) table, so
+    that the map axis is innermost in memory like their walkers.
     """
 
     masks: np.ndarray = field(repr=False)
@@ -84,15 +86,22 @@ class MapStack:
         return self.masks.shape[1]
 
     def step_signs(self, step_index, t_max):
-        """Signs for step step_index, shape (B, 1, W): one row per map, with
-        an axis that broadcasts over the walkers each map drives.
+        """Signs for step step_index on the sites |x| <= t_max, shape
+        (B, 1, 2*t_max + 1): one row per map, with an axis that broadcasts
+        over the walkers each map drives.  t_max may be below the table's
+        half-width, for a walker stepped on a window of its lattice.  The
+        signs are complex, +-1 + 0j, the values `PhaseMap.step_signs` takes
+        on when multiplied into the phase factor, so the factor is formed
+        without a cast.
         """
-        if self.masks.shape[2] != 2 * t_max + 1:
+        c = (self.masks.shape[2] - 1) // 2
+        if t_max > c:
             raise ValueError(
                 f"masks are {self.masks.shape[2]} sites wide, the lattice "
                 f"{2 * t_max + 1}"
             )
-        return 1 - 2 * self.masks[:, step_index - 1, None, :]
+        row = self.masks[:, step_index - 1, None, c - t_max:c + t_max + 1]
+        return np.where(row, -1.0 + 0j, 1.0 + 0j)
 
 
 def validate_disorder(kind, n_steps, p, semantics):

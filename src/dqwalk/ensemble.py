@@ -5,14 +5,22 @@ the master seed by the SplitMix64 finalizer.  That derivation is a bijection
 on 64-bit words for a fixed master seed, so members never share a map by
 accident, and the full ensemble is pinned by (config, master_seed) alone.
 
-Members run BLOCK_MAPS at a time through one block kernel: a block stacks
-its members' pi masks into a `MapStack` and evolves their states together
-as one stack of (B, rows, W, 2) walkers, one `step_with_derivative` (or
-`step`) and one `qfi_pure` call per step, so every member's series equals
-the one-map `qfi_series` bit for bit.  Block boundaries follow from the
-member index alone, and block results are accumulated strictly in block order, whether the blocks
-ran serially or on a process pool, so the same config produces
-bit-identical aggregates no matter how the work was scheduled.
+Members run BLOCK_MAPS at a time through one block kernel, `_run_block`.
+A block keeps psi and dpsi of all its walkers in (2, W, rows) buffers,
+coin, site and walker, so that the walker axis is innermost in memory and
+each numpy operation of a step is one contiguous loop.  The public layers
+see the buffers through transposed views, as a WalkerState stack of shape
+(rows, 1, W, 2) under a `MapStack` with one mask row per walker, and the
+kernel calls `step_with_derivative` (or `step`), `qfi_pure` and
+`position_distribution` once per block step.  Step t touches only the light
+cone: the sites |x| <= |x0| + t, where the other cells are exact zeros.
+Every amplitude goes through the element-wise operations of the one-map
+step, and `qfi_pure` sums each walker's cells in an order fixed by those
+cells alone, so every member's series equals the one-map `qfi_series` bit
+for bit.  Block boundaries follow from the member index alone, and block
+results are accumulated strictly in block order, whether the blocks ran
+serially or on a process pool, so the same config produces bit-identical
+aggregates no matter how the work was scheduled.
 
 Two walkers share one map, and U (x) U is linear, so their joint state is
 exactly (a (x) b + s b (x) a) / sqrt2 with a = U|x,up>, b = U|x,down> and
@@ -37,7 +45,8 @@ import numpy as np
 
 from .disorder import MapStack, generate_map, validate_disorder
 from .errors import EnsembleMemberError, RowCheckError
-from .metrology import NEGATIVE_TOL, NORM_TOL, qfi_pure, row_inner
+from .metrology import NEGATIVE_TOL, NORM_TOL, cell_inner, qfi_pure
+from .observables import position_distribution
 from .operators import (
     OPERATOR_ORDERS,
     PHASE_FIRST,
@@ -47,10 +56,9 @@ from .operators import (
     step_with_derivative,
 )
 from .states import (
-    DOWN,
     TWO_PARTICLE_KINDS,
-    UP,
     WalkerState,
+    light_cone,
     new_two_particle_state,
     new_walker_state,
 )
@@ -174,34 +182,24 @@ class EnsembleSeries:
     variance_per_map: np.ndarray = None
 
 
-def _initial_rows(config, n_members):
-    """t = 0 rows of a block, shape (n_members, rows per member, W, 2).
-
-    One walker: the configured coin at the configured position.  Two
-    walkers: a = |x, up> and b = |x, down>, from which the joint state is
-    rebuilt (see the module docstring).
-    """
-    spec = config.initial
-    coins = [spec.coin] if spec.kind == "single" else [(1.0, 0.0), (0.0, 1.0)]
-    rows = [new_walker_state(config.t_max, spec.position, coin).amplitudes
-            for coin in coins]
-    return np.repeat(np.stack(rows)[None], n_members, axis=0)
-
-
 def _member_error(config, index, message):
     return EnsembleMemberError(index, split_seed(config.master_seed, index), message)
 
 
-def _stack_masks(config, members):
-    """The members' pi masks as one MapStack of a (B, n_steps, W) bool table.
+def _stack_masks(config, members, walkers):
+    """The members' pi masks as one MapStack, one map per walker row.
 
-    A map covers -n_steps..n_steps; the columns beyond, which only walkers
-    started off the origin reach, stay False (no disorder), as in
-    `PhaseMap.step_signs`.
+    The table is (n_steps, W, rows) bool, the walker axis innermost as in
+    the block's state buffers, and the MapStack holds its (rows, n_steps, W)
+    view.  Each member's map is repeated for each of its walkers: signs
+    broadcast over a walker axis of length 2 would make every numpy inner
+    loop that short.  A map covers -n_steps..n_steps; the columns beyond,
+    which only walkers started off the origin reach, stay False (no
+    disorder), as in `PhaseMap.step_signs`.
     """
     n, t_max = config.n_steps, config.t_max
     pad = t_max - n
-    masks = np.zeros((len(members), n, 2 * t_max + 1), dtype=bool)
+    table = np.zeros((n, 2 * t_max + 1, len(members) * walkers), dtype=bool)
     for row, k in enumerate(members):
         try:
             pmap = generate_map(
@@ -210,8 +208,9 @@ def _stack_masks(config, members):
             )
         except Exception as exc:
             raise _member_error(config, k, str(exc)) from exc
-        masks[row, :, pad:pad + 2 * n + 1] = pmap.pi_mask
-    return MapStack(masks)
+        cols = slice(row * walkers, (row + 1) * walkers)
+        table[:, pad:pad + 2 * n + 1, cols] = pmap.pi_mask[..., None]
+    return MapStack(table.transpose(2, 0, 1))
 
 
 def _run_block(args):
@@ -221,17 +220,45 @@ def _run_block(args):
     the member-order sum of the block's marginals; each is None unless
     collected.  Runs in worker processes, so it must stay top-level
     picklable.  A failure on one member's map or state raises
-    EnsembleMemberError with that member's index and seed.  Every step checks
-    the norms, 0 <= F(t) <= (n t)^2 for n walkers (each step's phase
-    generator is a sum of n spin-up projectors) and, for two walkers,
-    |<a|b>| <= NORM_TOL, which the product form relies on.
+    EnsembleMemberError with that member's index and seed.
+
+    Memory order: psi and dpsi live in (2, W, rows) buffers, coin, site and
+    walker, so every numpy operation of a step runs as one contiguous loop
+    over the window's sites and all walkers.  The public functions see the
+    buffers as WalkerState stacks of shape (rows, 1, W, 2), the transposed
+    views, and the masks as a MapStack of matching rows.
+
+    Window rule: step t reads and writes only the sites |x| <= r + t (at
+    least 1), r = |x0| (`states.light_cone`).  The state of step t-1 fills
+    at most |x| <= r + t - 1, so the window is its light cone plus one
+    margin site on each side.  The two cells the shift leaves unwritten,
+    the up cell at x = -(r + t) and the down cell at x = r + t, hold the
+    zeros of step t-2, whose buffer this step overwrites; sites beyond the
+    window hold exact zeros throughout.  Every element goes through the
+    operations of `step_with_derivative` in the same order, so it has the
+    bits of the one-map evolution.  The checks and reductions read the
+    same window, so the norm checks also catch amplitude outside the light
+    cone.
+
+    Rows equal `qfi_series`: it reduces every step over the same window,
+    and `qfi_pure` sums in an order fixed by each walker's own cells
+    (`metrology._site_sums`), so neither the number of walkers nor the
+    memory order changes a bit.
+
+    Every step checks the norms, 0 <= F(t) <= (n t)^2 for n walkers (each
+    step's phase generator is a sum of n spin-up projectors) and, for two
+    walkers, |<a|b>| <= NORM_TOL, which the product form relies on.
     """
     config, block = args
     start = block * BLOCK_MAPS
     members = range(start, min(start + BLOCK_MAPS, config.n_maps))
     n, t_max = config.n_steps, config.t_max
     width = 2 * t_max + 1
-    maps = _stack_masks(config, members)
+    spec = config.initial
+    walkers = 1 if spec.kind == "single" else 2
+    sign = _EXCHANGE_SIGN.get(spec.kind, 0)
+    rows = len(members) * walkers
+    maps = _stack_masks(config, members, walkers)
 
     def check(values, bad, what):
         if bad.any():
@@ -239,65 +266,76 @@ def _run_block(args):
             message = f"step {t}: {what}: {values[row]!r}"
             raise _member_error(config, members[row], message)
 
-    kind = config.initial.kind
-    walkers = 1 if kind == "single" else 2
-    sign = _EXCHANGE_SIGN.get(kind, 0)
-    want_dist = config.collect_distribution or config.collect_variance
-    track_dist = want_dist or config.per_map_variance
+    def failed(exc):
+        member = members[exc.row // walkers]
+        return _member_error(config, member, f"step {t}: {exc}")
 
-    rows = _initial_rows(config, len(members))
-    # two buffers that trade places every step; cur holds step t
-    cur = WalkerState(t_max, rows)
-    nxt = WalkerState(t_max, np.zeros_like(rows))
-    qfi = dist_sum = own_var = None
+    def buffers():
+        bufs = [np.zeros((2, width, rows), dtype=np.complex128) for _ in range(2)]
+        return bufs, [WalkerState(t_max, b.transpose(2, 1, 0)[:, None]) for b in bufs]
+
+    # step t lives in buffer t % 2; one walker: the configured coin at x0;
+    # two walkers: a = |x0, up> and b = |x0, down> (see the module docstring)
+    psi, states = buffers()
+    coins = [spec.coin] if walkers == 1 else [(1.0, 0.0), (0.0, 1.0)]
+    for j, coin in enumerate(coins):
+        psi[0][..., j::walkers] = new_walker_state(
+            t_max, spec.position, coin).amplitudes.T[..., None]
+    qfi = dist_sum = own_var = marginals = None
     if config.collect_qfi:
-        cur = DerivativePair(cur, WalkerState(t_max, np.zeros_like(rows)))
-        nxt = DerivativePair(nxt, WalkerState(t_max, np.zeros_like(rows)))
+        dpsi, dstates = buffers()
+        states = [DerivativePair(a, b) for a, b in zip(states, dstates)]
         qfi = np.empty((len(members), n + 1))
-    if want_dist:
+    evolve = step if qfi is None else step_with_derivative
+    if config.collect_distribution or config.collect_variance:
         dist_sum = np.empty((n + 1, width))
     if config.per_map_variance:
         own_var = np.empty((len(members), n + 1))
+    if dist_sum is not None or own_var is not None:
+        # full-width member marginals; windows only grow, so sites beyond
+        # the current one are never written and stay zero
+        marginals = np.zeros((len(members), width))
 
+    radius = abs(spec.position)
     for t in range(n + 1):
+        h = light_cone(radius, t)
+        now = states[t % 2].window(h)
         if t > 0:
             ctx = StepContext(config.phi, t, maps, config.operator_order)
-            if qfi is None:
-                step(cur, ctx, out=nxt)
-            else:
-                step_with_derivative(cur, ctx, out=nxt)
-            cur, nxt = nxt, cur
-        psi = cur.amplitudes if qfi is None else cur.psi.amplitudes
+            evolve(states[1 - t % 2].window(h), ctx, out=now)
+        sites = slice(t_max - h, t_max + h + 1)
+        cells = psi[t % 2][:, sites]
         if walkers == 2:
-            a = psi[:, 0].reshape(len(members), -1)
-            ab = np.abs(row_inner(a, psi[:, 1].reshape(len(members), -1)))
+            a = cells[..., 0::2]
+            ab = np.abs(cell_inner(a, cells[..., 1::2]))
             check(ab, ab > NORM_TOL, f"|<a|b>| exceeds {NORM_TOL}")
         if qfi is not None:
             try:
-                values = qfi_pure(cur).sum(axis=1)
+                values = qfi_pure(now).reshape(-1, walkers).sum(axis=1)
             except RowCheckError as exc:
-                member = members[exc.row // walkers]
-                raise _member_error(config, member, f"step {t}: {exc}") from exc
+                raise failed(exc) from exc
             if sign:
-                db = cur.dpsi.amplitudes[:, 1].reshape(len(members), -1)
-                values += 8 * sign * np.abs(row_inner(a, db)) ** 2
+                db = dpsi[t % 2][:, sites, 1::2]
+                values += 8 * sign * np.abs(cell_inner(a, db)) ** 2
             bound = (walkers * t) ** 2
             check(values,
                   (values < -NEGATIVE_TOL) | (values > bound * (1 + NORM_TOL)),
                   f"F outside [0, (n t)^2 = {bound}]")
             # the exchange term can leave an analytic zero as -1e-16 dust
             qfi[:, t] = np.maximum(values, 0.0)
-        if track_dist:
-            weights = np.abs(psi) ** 2
-            probs = weights[..., UP] + weights[..., DOWN]
-            marginal = probs[:, 0] if sign == 0 else (probs[:, 0] + probs[:, 1]) / 2
-            total = marginal.sum(axis=-1)
-            check(total, np.abs(total - 1.0) > NORM_TOL,
-                  f"distribution sum deviates from 1 beyond {NORM_TOL}")
+        if marginals is not None:
+            try:
+                dist = position_distribution(now if qfi is None else now.psi)
+            except RowCheckError as exc:
+                raise failed(exc) from exc
+            probs = dist.probabilities.reshape(len(members), walkers, -1)
+            marginals[:, sites] = (
+                probs[:, 0] if sign == 0 else (probs[:, 0] + probs[:, 1]) / 2
+            )
             if dist_sum is not None:
-                dist_sum[t] = marginal.sum(axis=0)
+                dist_sum[t] = marginals.sum(axis=0)
             if own_var is not None:
-                own_var[:, t] = _variance_rows(marginal, t_max)
+                own_var[:, t] = _variance_rows(marginals, t_max)
     return qfi, dist_sum, own_var
 
 

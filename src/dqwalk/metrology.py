@@ -8,9 +8,16 @@ It is evaluated here in the equivalent residual form 4*||dpsi - <psi|dpsi>
 psi||^2 (identical for normalized psi), because the textbook subtraction
 cancels catastrophically once both terms grow like t^2: at t = 50 it already
 loses enough digits to break sum rules that hold to 1e-12 in residual form.
-`qfi_rows` evaluates it for a whole stack of states at once; `qfi_pure`
-applies it to one state or to a stack of walkers, so the ensemble kernel and
-`qfi_series` share every operation and agree bit for bit.
+
+`qfi_rows` evaluates it for a stack of walkers held as (coin, site, walker)
+cells, the layout of the ensemble kernel's buffers, and `qfi_pure` applies
+it to one state or to a stack of walkers.  Each walker's sums add the two
+coins of a site and then the sites in order (`_site_sums`): the order is
+fixed by the walker's own cells, whatever the number of walkers or their
+memory layout, and exact zeros leave a sum unchanged.  `qfi_series` reduces
+a single walker over the window |x| <= r + t of step t (r the initial
+support radius, `states.light_cone`), the window the ensemble kernel steps
+and reduces, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from .operators import (
     two_particle_step,
     two_particle_step_with_derivative,
 )
-from .states import TwoParticleState, WalkerState, support_radius
+from .states import TwoParticleState, WalkerState, light_cone, support_radius
 
 NORM_TOL = 1e-9
 #: negative QFI beyond this magnitude means a broken caller, not rounding
@@ -52,13 +59,37 @@ class QfiSeries:
         return np.arange(len(self.values))
 
 
-def row_inner(u, v):
-    """<u_r|v_r> for every row r of two stacks of shape (R, N).
+def _site_sums(x):
+    """Column sums of x, shape (2, N, M) float, over its (coin, site) cells.
 
-    Each row is summed on its own, so a row's value does not depend on how
-    many other rows share the stack.
+    The two coins of a site are added first, then the sites one after
+    another, in order: the coin sums are a C-ordered (N, M) array whose
+    columns are the re and im parts of the walkers side by side, so M >= 2,
+    and numpy reduces its axis 0 row by row, vectorised over the columns
+    (the ensemble and property tests pin this).  A column's sum thus
+    depends on its own cells only, not on the number of walkers or their
+    memory layout, and exact zeros beyond a walker's support leave it
+    unchanged: a sum over a window equals the sum over the full lattice bit
+    for bit.  x is scratch: the coin sums overwrite x[0].
     """
-    return (u.conj() * v).sum(axis=-1)
+    return np.add.reduce(np.add(x[0], x[1], out=x[0]), axis=0)
+
+
+def cell_inner(u, v):
+    """<u_r|v_r> for every walker r of two (2, N, R) complex cell stacks.
+
+    Cells are (coin, site, walker), as the ensembles store their walkers;
+    the sum runs in `_site_sums` order.
+    """
+    prod = u.conj()
+    np.multiply(prod, v, out=prod)
+    return _site_sums(prod.view(np.float64)).view(np.complex128)
+
+
+def _abs2_sums(squares):
+    """Sum of |z|^2 per walker, from the squared float view of z (scratch)."""
+    sums = _site_sums(squares)
+    return sums[0::2] + sums[1::2]
 
 
 def _first(bad):
@@ -66,23 +97,25 @@ def _first(bad):
 
 
 def qfi_rows(psi, dpsi):
-    """QFI of every row of stacked normalized pure states.
+    """QFI of every walker of stacked normalized pure states.
 
-    psi and dpsi have shape (R, N): row r is one state flattened to N
-    amplitudes and its exact derivative.  Returns the R values.  Raises
-    RowCheckError naming the first row whose norm^2 is off 1 by more than
-    NORM_TOL or whose QFI comes out below -NEGATIVE_TOL.
+    psi and dpsi are complex (2, N, R) cell stacks, walker r being column r
+    (see `cell_inner`), with the walker axis contiguous in memory.  Returns
+    the R values.  Raises RowCheckError naming the first walker whose norm^2
+    is off 1 by more than NORM_TOL or whose QFI comes out below
+    -NEGATIVE_TOL.
     """
-    norm2 = row_inner(psi, psi).real
+    norm2 = _abs2_sums(np.square(psi.view(np.float64)))
     off = np.abs(norm2 - 1.0) > NORM_TOL
     if off.any():
         row = _first(off)
         raise RowCheckError(
             row, f"state norm^2 = {norm2[row]!r} deviates from 1 beyond {NORM_TOL}"
         )
-    overlap = row_inner(psi, dpsi)
-    residual = dpsi - overlap[:, None] * psi
-    values = 4.0 * row_inner(residual, residual).real
+    residual = cell_inner(psi, dpsi) * psi
+    np.subtract(dpsi, residual, out=residual)
+    residual = residual.view(np.float64)
+    values = 4.0 * _abs2_sums(np.square(residual, out=residual))
     negative = values < -NEGATIVE_TOL
     if negative.any():
         row = _first(negative)
@@ -90,17 +123,31 @@ def qfi_rows(psi, dpsi):
     return np.maximum(values, 0.0)
 
 
+def _cells(amplitudes):
+    """(2, N, R) cells of amplitudes shaped (..., N, 2), walkers in C order;
+    a copy where the walker axis is not contiguous, as for one walker.
+    """
+    cells = amplitudes.reshape(-1, amplitudes.shape[-2], 2).transpose(2, 1, 0)
+    if cells.strides[-1] != cells.itemsize:
+        cells = np.ascontiguousarray(cells)
+    return cells
+
+
 def qfi_pure(pair):
     """QFI of a normalized pure state given its exact derivative state.
 
     For a stack of walkers (WalkerState amplitudes of shape (..., W, 2)) it
     returns one value per walker, an array of shape (...), and a
-    RowCheckError counts the walkers in C order.
+    RowCheckError counts the walkers in C order.  A two-walker tensor
+    counts as one walker on W*2*W sites.
     """
     psi, dpsi = pair.psi.amplitudes, pair.dpsi.amplitudes
-    lead = psi.shape[:-2] if isinstance(pair.psi, WalkerState) else ()
-    n_rows = math.prod(lead)
-    values = qfi_rows(psi.reshape(n_rows, -1), dpsi.reshape(n_rows, -1))
+    if isinstance(pair.psi, WalkerState):
+        lead = psi.shape[:-2]
+    else:
+        lead = ()
+        psi, dpsi = psi.reshape(-1, 2), dpsi.reshape(-1, 2)
+    values = qfi_rows(_cells(psi), _cells(dpsi))
     return values.reshape(lead) if lead else float(values[0])
 
 
@@ -122,17 +169,21 @@ def qfi_series(initial, phase_map, phi, n_steps, order=PHASE_FIRST):
         raise ValueError(
             f"requested {n_steps} steps but the map covers {phase_map.n_steps}"
         )
-    if support_radius(initial) + n_steps > initial.t_max:
+    radius = support_radius(initial)
+    if radius + n_steps > initial.t_max:
         raise ValueError(
             f"state capacity t_max = {initial.t_max} cannot hold {n_steps} steps"
         )
     _, stepper = _evolvers(initial)
+    single = isinstance(initial, WalkerState)
     pair = DerivativePair.initial(initial)
     values = np.empty(n_steps + 1)
-    values[0] = qfi_pure(pair)
-    for t in range(1, n_steps + 1):
-        pair = stepper(pair, StepContext(phi, t, phase_map, order))
-        values[t] = qfi_pure(pair)
+    for t in range(n_steps + 1):
+        if t > 0:
+            pair = stepper(pair, StepContext(phi, t, phase_map, order))
+        # one walker is reduced over the same window as in the ensembles
+        cone = pair.window(light_cone(radius, t)) if single else pair
+        values[t] = qfi_pure(cone)
     return QfiSeries(values, float(phi))
 
 

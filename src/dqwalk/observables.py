@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import TwoParticleState, WalkerState
+from .errors import RowCheckError
+from .states import DOWN, UP, TwoParticleState, WalkerState
 
 NORM_TOL = 1e-9
 
@@ -27,11 +28,11 @@ def position_distribution(state, particle=0):
 
     For a two-walker state this returns the single-particle marginal of the
     chosen particle (0 or 1); symmetrized states give the same marginal for
-    both.
+    both.  For a stack of walkers (WalkerState amplitudes of shape
+    (..., W, 2)) the probabilities have shape (..., W), one marginal per
+    walker, and a RowCheckError names the first walker, in C order, whose
+    norm^2 is off 1 by more than NORM_TOL.
     """
-    norm2 = np.vdot(state.amplitudes, state.amplitudes).real
-    if abs(norm2 - 1.0) > NORM_TOL:
-        raise ValueError(f"state norm^2 = {norm2!r} deviates from 1 beyond {NORM_TOL}")
     weights = np.abs(state.amplitudes) ** 2
     if isinstance(state, TwoParticleState):
         if particle not in (0, 1):
@@ -39,9 +40,16 @@ def position_distribution(state, particle=0):
         axes = (1, 2, 3) if particle == 0 else (0, 1, 3)
         probs = weights.sum(axis=axes)
     elif isinstance(state, WalkerState):
-        probs = weights.sum(axis=1)
+        probs = weights[..., UP] + weights[..., DOWN]
     else:
         raise TypeError(f"unsupported state type {type(state).__name__}")
+    norm2 = np.atleast_1d(probs.sum(axis=-1)).ravel()
+    off = np.abs(norm2 - 1.0) > NORM_TOL
+    if off.any():
+        row = int(np.flatnonzero(off)[0])
+        raise RowCheckError(
+            row, f"state norm^2 = {norm2[row]!r} deviates from 1 beyond {NORM_TOL}"
+        )
     return PositionDistribution(state.t_max, probs)
 
 

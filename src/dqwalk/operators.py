@@ -62,6 +62,11 @@ class DerivativePair:
             zero = WalkerState.zeros(state.t_max)
         return cls(state, zero)
 
+    def window(self, half_width):
+        """Both walker states' sites |x| <= half_width (`WalkerState.window`)."""
+        return DerivativePair(self.psi.window(half_width),
+                              self.dpsi.window(half_width))
+
 
 def _phase_factor(ctx, t_max):
     """Complex up-component multiplier e^{i(phi + dphi(x))} per position."""

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import BoundaryError
+
 UP = 0
 DOWN = 1
 
@@ -76,6 +78,22 @@ class WalkerState:
 
     def copy(self):
         return WalkerState(self.t_max, self.amplitudes.copy())
+
+    def window(self, half_width):
+        """The sites |x| <= half_width, as a view state of that capacity.
+
+        Steps and reductions on the window write and read the same memory
+        as on the full lattice.  Raises BoundaryError if the window would
+        cross the lattice edge.
+        """
+        if half_width > self.t_max:
+            raise BoundaryError(
+                f"light cone |x| <= {half_width} crosses the lattice edge "
+                f"(t_max = {self.t_max})"
+            )
+        c = self.t_max
+        sites = self.amplitudes[..., c - half_width:c + half_width + 1, :]
+        return WalkerState(half_width, sites)
 
 
 @dataclass
@@ -188,6 +206,15 @@ def exchange_residual(state):
     swapped = np.transpose(state.amplitudes, (2, 3, 0, 1))
     sign = 1.0 if state.symmetry == "boson" else -1.0
     return float(np.max(np.abs(state.amplitudes - sign * swapped)))
+
+
+def light_cone(radius, t):
+    """Half-width of the window holding a walker t steps after it filled
+    |x| <= radius: each step moves amplitude by one site at most
+    (Kempe, Contemp. Phys. 44, 307 (2003)).  At least 1, the smallest
+    lattice a WalkerState has.
+    """
+    return max(radius + t, 1)
 
 
 def support_radius(state):

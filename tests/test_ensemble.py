@@ -8,6 +8,8 @@ import pytest
 import dqwalk.ensemble as ensemble_mod
 import dqwalk.metrology as metrology_mod
 from dqwalk import (
+    DOWN,
+    UP,
     EnsembleConfig,
     EnsembleMemberError,
     InitialStateSpec,
@@ -116,6 +118,75 @@ def test_mean_matches_manual_average(kind, p, order, initial):
     )
     np.testing.assert_array_equal(series.member_seeds,
                                   [split_seed(42, k) for k in range(n_maps)])
+
+
+@pytest.mark.parametrize("order", OPERATOR_ORDERS)
+@pytest.mark.parametrize("initial", [
+    pytest.param(InitialStateSpec(), id="origin"),
+    pytest.param(InitialStateSpec(position=3, coin=_BALANCED), id="offcentre"),
+])
+def test_rows_match_qfi_series_at_fig3_size(order, initial):
+    # fig3's T = 100: windows grow to 207 sites, long enough for a summation
+    # order that depends on the window, the width or the number of walkers
+    # to show; a full block of walkers and a lone one
+    n = 100
+    expected = {}
+    for n_maps in (ensemble_mod.BLOCK_MAPS, 1):
+        cfg = EnsembleConfig(kind="static", p=1.0, n_steps=n, n_maps=n_maps,
+                             master_seed=8, phi=0.3, initial=initial,
+                             operator_order=order)
+        rows = ensemble_mod._run_block((cfg, 0))[0]
+        for k, row in enumerate(rows):
+            if k not in expected:
+                pmap = generate_map("static", n, 1.0, seed=split_seed(8, k))
+                expected[k] = qfi_series(initial.build(cfg.t_max), pmap, 0.3, n,
+                                         order=order).values
+            np.testing.assert_array_equal(row, expected[k])
+
+
+@pytest.mark.parametrize("collect_qfi", [True, False], ids=["qfi", "plain"])
+@pytest.mark.parametrize("order", OPERATOR_ORDERS)
+@pytest.mark.parametrize("kind,position", [
+    ("single", 0), ("single", 3), ("boson", -2),
+])
+def test_block_steps_stay_in_the_light_cone(monkeypatch, collect_qfi, order,
+                                            kind, position):
+    # after every block step, psi and dpsi are exact zeros beyond
+    # |x - x0| <= t, and the window's two cells the shift never writes
+    # (up at its left edge, down at its right edge) hold zeros
+    n = 12
+    cfg = EnsembleConfig(
+        kind="dynamic", p=0.7, n_steps=n, n_maps=5, master_seed=4, phi=0.9,
+        initial=InitialStateSpec(kind=kind, position=position,
+                                 coin=_BALANCED if kind == "single" else (1, 0)),
+        operator_order=order, collect_qfi=collect_qfi,
+        collect_distribution=not collect_qfi,
+    )
+    x = np.arange(-cfg.t_max, cfg.t_max + 1)
+    rows = 5 if kind == "single" else 10
+    steps = []
+
+    def watch(real):
+        def stepped(state, ctx, out):
+            real(state, ctx, out=out)
+            t = ctx.step_index
+            outs = [out.psi, out.dpsi] if collect_qfi else [out]
+            for window in outs:
+                assert window.t_max == abs(position) + t
+                assert not window.amplitudes[..., 0, UP].any()
+                assert not window.amplitudes[..., -1, DOWN].any()
+                cells = window.amplitudes.base  # (coin, site, walker) buffer
+                assert cells.shape == (2, len(x), rows)
+                assert not cells[:, np.abs(x - position) > t].any()
+            steps.append(t)
+            return out
+        return stepped
+
+    monkeypatch.setattr(ensemble_mod, "step_with_derivative",
+                        watch(ensemble_mod.step_with_derivative))
+    monkeypatch.setattr(ensemble_mod, "step", watch(ensemble_mod.step))
+    ensemble_mod._run_block((cfg, 0))
+    assert steps == list(range(1, n + 1))
 
 
 def test_rerun_is_bit_identical():

@@ -4,6 +4,7 @@ import pytest
 from dqwalk import (
     PositionDistribution,
     StepContext,
+    WalkerState,
     generate_map,
     new_two_particle_state,
     new_walker_state,
@@ -12,6 +13,7 @@ from dqwalk import (
     step,
     two_particle_step,
 )
+from dqwalk.errors import RowCheckError
 
 
 def _evolve(state, pmap, n_steps, phi=0.0):
@@ -44,6 +46,23 @@ def test_distribution_rejects_unnormalized_state():
     s.amplitudes *= 1.01
     with pytest.raises(ValueError):
         position_distribution(s)
+
+
+def test_distribution_of_a_stack_is_one_marginal_per_walker():
+    pmaps = [generate_map("dynamic", 9, 0.6, seed=seed) for seed in (1, 2, 3)]
+    singles = [_evolve(new_walker_state(9), pmap, 9, phi=0.3) for pmap in pmaps]
+    # (coin, site, walker) memory, as the ensembles hold their walkers
+    cells = np.stack([s.amplitudes.T for s in singles], axis=-1)
+    stack = WalkerState(9, cells.transpose(2, 1, 0)[:, None])
+    dist = position_distribution(stack)
+    assert dist.probabilities.shape == (3, 1, 19)
+    for b, single in enumerate(singles):
+        assert np.array_equal(dist.probabilities[b, 0],
+                              position_distribution(single).probabilities)
+    stack.amplitudes[2] *= 1.01
+    with pytest.raises(RowCheckError) as info:
+        position_distribution(stack)
+    assert info.value.row == 2
 
 
 def test_two_particle_marginals_symmetrized_states_match():

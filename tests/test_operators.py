@@ -85,6 +85,31 @@ def test_shift_raises_at_lattice_edge():
         apply_shift(s)
 
 
+def test_windowed_stacked_step_raises_at_lattice_edge():
+    # walker 1 of three, in the ensembles' (coin, site, walker) buffers, is
+    # planted on the edge site x = t_max; the window that reaches the edge
+    # refuses to step it, and no window may reach past the edge
+    t_max, n_walkers = 5, 3
+
+    def stack():
+        cells = np.zeros((2, 2 * t_max + 1, n_walkers), dtype=complex)
+        return WalkerState(t_max, cells.transpose(2, 1, 0)[:, None])
+
+    masks = MapStack(np.zeros((n_walkers, t_max, 2 * t_max + 1), dtype=bool))
+    ctx = StepContext(0.2, 1, masks)
+    for coin in (UP, DOWN):
+        for edge in (0, -1):
+            pair = DerivativePair(stack(), stack())
+            pair.psi.amplitudes[1, 0, edge, coin] = 1.0
+            with pytest.raises(BoundaryError):
+                step_with_derivative(pair.window(t_max), ctx,
+                                     out=DerivativePair(stack(), stack()).window(t_max))
+            with pytest.raises(BoundaryError):
+                step(pair.psi.window(t_max), ctx, out=stack().window(t_max))
+    with pytest.raises(BoundaryError):
+        stack().window(t_max + 1)
+
+
 def test_phase_acts_on_up_only():
     s = new_walker_state(2, coin=(INV_SQRT2, INV_SQRT2))
     out = apply_phase(s, _ctx(phi=0.7))
