@@ -94,6 +94,10 @@ class MapStack:
         on when multiplied into the phase factor, so the factor is formed
         without a cast.
         """
+        if not 1 <= step_index <= self.n_steps:
+            raise ValueError(
+                f"step index {step_index} outside 1..{self.n_steps}"
+            )
         c = (self.masks.shape[2] - 1) // 2
         if t_max > c:
             raise ValueError(

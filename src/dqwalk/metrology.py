@@ -224,7 +224,7 @@ def cramer_rao_bound(qfi_value, n_trials):
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    if qfi_value < 0:
+    if not qfi_value >= 0:
         raise ValueError("QFI must be nonnegative")
     if qfi_value == 0:
         return math.inf

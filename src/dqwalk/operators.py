@@ -215,110 +215,53 @@ def block_step(psi, dpsi, factor, order, psi_out, dpsi_out):
 # -- two-walker evolution ----------------------------------------------------
 #
 # The joint step is U (x) U with both factors driven by the same phase map and
-# the same phi.  Each factor acts on its own (position, coin) axis pair of the
-# (W, 2, W, 2) tensor; the helpers below are the single-walker primitives
-# rewritten against either axis pair.
+# the same phi.  A (W, 2, W, 2) tensor is a stack of walkers for either
+# particle: particle 2 is its trailing (W, 2) axes as they stand, particle 1
+# the trailing axes of the view a.transpose(2, 3, 0, 1).  So the joint step is
+# `block_step` on particle 1's view, then on particle 2's, and the factor's
+# (W,) row broadcasts against (..., W) in both.
 
 
-def _p_phase(a, factor, particle):
-    out = np.empty_like(a)
-    if particle == 0:
-        out[:, UP] = a[:, UP] * factor[:, None, None]
-        out[:, DOWN] = a[:, DOWN]
-    else:
-        out[..., UP] = a[..., UP] * factor
-        out[..., DOWN] = a[..., DOWN]
-    return out
+def _swap(a):
+    """View of a joint tensor with particle 1's (W, 2) axes trailing."""
+    return None if a is None else a.transpose(2, 3, 0, 1)
 
 
-def _p_dphase(a, factor, particle):
-    out = np.zeros_like(a)
-    if particle == 0:
-        out[:, UP] = a[:, UP] * (1j * factor)[:, None, None]
-    else:
-        out[..., UP] = a[..., UP] * (1j * factor)
-    return out
-
-
-def _p_coin(a, particle):
-    out = np.empty_like(a)
-    if particle == 0:
-        up, down = a[:, UP], a[:, DOWN]
-        out[:, UP] = (up + down) * INV_SQRT2
-        out[:, DOWN] = (up - down) * INV_SQRT2
-    else:
-        up, down = a[..., UP], a[..., DOWN]
-        out[..., UP] = (up + down) * INV_SQRT2
-        out[..., DOWN] = (up - down) * INV_SQRT2
-    return out
-
-
-def _p_shift(a, particle, t_max):
-    out = np.zeros_like(a)
-    if particle == 0:
-        if a[-1, UP].any() or a[0, DOWN].any():
-            raise BoundaryError(
-                f"walker 1 support reached the lattice edge (t_max = {t_max})"
-            )
-        out[1:, UP] = a[:-1, UP]
-        out[:-1, DOWN] = a[1:, DOWN]
-    else:
-        if a[:, :, -1, UP].any() or a[:, :, 0, DOWN].any():
-            raise BoundaryError(
-                f"walker 2 support reached the lattice edge (t_max = {t_max})"
-            )
-        out[:, :, 1:, UP] = a[:, :, :-1, UP]
-        out[:, :, :-1, DOWN] = a[:, :, 1:, DOWN]
-    return out
-
-
-def _u_one(a, factor, particle, order, t_max, derivative=False):
-    """Apply this particle's step factor (or its phi derivative) to the tensor."""
-    if order == PHASE_FIRST:
-        if derivative:
-            b = _p_dphase(a, factor, particle)
-        else:
-            b = _p_phase(a, factor, particle)
-        return _p_shift(_p_coin(b, particle), particle, t_max)
-    b = _p_shift(_p_coin(a, particle), particle, t_max)
-    if derivative:
-        return _p_dphase(b, factor, particle)
-    return _p_phase(b, factor, particle)
+def _joint_step(psi, dpsi, ctx, t_max):
+    """U (x) U on (W, 2, W, 2) amplitudes, and on dpsi unless it is None."""
+    factor = _phase_factor(ctx, t_max)
+    mid, out = np.zeros_like(psi), np.zeros_like(psi)
+    dmid = dout = None
+    if dpsi is not None:
+        dmid, dout = np.zeros_like(dpsi), np.zeros_like(dpsi)
+    block_step(_swap(psi), _swap(dpsi), factor, ctx.order, _swap(mid), _swap(dmid))
+    block_step(mid, dmid, factor, ctx.order, out, dout)
+    return out, dout
 
 
 def two_particle_step(state, ctx):
-    """One joint step: the single-walker unitary applied to each particle."""
-    t_max = state.t_max
-    factor = _phase_factor(ctx, t_max)
-    a = _u_one(state.amplitudes, factor, 0, ctx.order, t_max)
-    a = _u_one(a, factor, 1, ctx.order, t_max)
-    return TwoParticleState(t_max, a, state.symmetry)
+    """One joint step: the single-walker step for particle 1, then for 2.
+
+    Both go through `block_step`, which raises BoundaryError if either
+    particle has amplitude on an edge site.
+    """
+    a, _ = _joint_step(state.amplitudes, None, ctx, state.t_max)
+    return TwoParticleState(state.t_max, a, state.symmetry)
 
 
 def two_particle_step_with_derivative(pair, ctx):
     """Advance a joint (psi, dpsi) pair one step.
 
-    Product rule over the two factors: with U0, U1 the per-particle unitaries,
+    (psi, dpsi) goes through `block_step` for particle 1, then for particle
+    2, so with U1, U2 the per-particle steps the product rule
 
-        dpsi' = U1 dU0 psi + dU1 U0 psi + U1 U0 dpsi.
+        dpsi' = U2 dU1 psi + dU2 U1 psi + U2 U1 dpsi
 
-    The psi component repeats the `two_particle_step` pipeline exactly.
+    holds by construction, and psi' is `two_particle_step`'s bit for bit.
     """
-    psi, dpsi = pair.psi, pair.dpsi
-    t_max = psi.t_max
-    order = ctx.order
-    factor = _phase_factor(ctx, t_max)
-    a, da = psi.amplitudes, dpsi.amplitudes
-
-    u0_a = _u_one(a, factor, 0, order, t_max)
-    psi_next = _u_one(u0_a, factor, 1, order, t_max)
-
-    d_next = _u_one(_u_one(a, factor, 0, order, t_max, derivative=True),
-                    factor, 1, order, t_max)
-    d_next += _u_one(u0_a, factor, 1, order, t_max, derivative=True)
-    d_next += _u_one(_u_one(da, factor, 0, order, t_max), factor, 1, order, t_max)
-
+    psi = pair.psi
+    a, da = _joint_step(psi.amplitudes, pair.dpsi.amplitudes, ctx, psi.t_max)
     return DerivativePair(
-        TwoParticleState(t_max, psi_next, psi.symmetry),
-        TwoParticleState(t_max, d_next, psi.symmetry),
+        TwoParticleState(psi.t_max, a, psi.symmetry),
+        TwoParticleState(psi.t_max, da, psi.symmetry),
     )

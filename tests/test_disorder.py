@@ -8,6 +8,7 @@ from dqwalk import (
     map_from_json,
     map_to_json,
 )
+from dqwalk.disorder import MapStack
 
 
 def test_same_seed_same_map():
@@ -107,6 +108,15 @@ def test_step_signs_values_and_alignment():
     assert wide.shape == (15,)
     np.testing.assert_array_equal(wide[3:12], signs)
     assert (wide[:3] == 1.0).all() and (wide[12:] == 1.0).all()
+
+
+def test_map_stack_step_index_is_checked():
+    stack = MapStack(np.zeros((2, 4, 9), dtype=bool))
+    assert stack.step_signs(1, 4).shape == (2, 1, 9)
+    assert stack.step_signs(4, 4).shape == (2, 1, 9)
+    for step_index in (0, 5):
+        with pytest.raises(ValueError):
+            stack.step_signs(step_index, 4)
 
 
 def test_json_round_trip():

@@ -118,6 +118,8 @@ def test_cramer_rao_bound():
     with pytest.raises(ValueError):
         cramer_rao_bound(-1.0, 10)
     with pytest.raises(ValueError):
+        cramer_rao_bound(math.nan, 3)
+    with pytest.raises(ValueError):
         cramer_rao_bound(1.0, 0)
 
 

@@ -334,10 +334,31 @@ def test_two_particle_derivative_psi_component_bitwise():
 
 @pytest.mark.parametrize("statistics", ["separable", "boson", "fermion"])
 def test_two_particle_derivative_matches_finite_difference(statistics):
+    # both operator orders, from the origin and off centre
     pmap = generate_map("dynamic", 8, 0.6, seed=23)
-    s = new_two_particle_state(statistics, 8)
-    pair = DerivativePair.initial(s)
-    for t in range(1, 9):
-        pair = two_particle_step_with_derivative(pair, StepContext(0.4, t, pmap))
-    fd = _fd_derivative(s, pmap, 0.4, 8, PHASE_FIRST)
-    assert np.max(np.abs(pair.dpsi.amplitudes - fd)) < 1e-6
+    for order in (PHASE_FIRST, PHASE_LAST):
+        for position in (0, 2):
+            s = new_two_particle_state(statistics, position + 8, position=position)
+            pair = DerivativePair.initial(s)
+            for t in range(1, 9):
+                pair = two_particle_step_with_derivative(
+                    pair, StepContext(0.4, t, pmap, order))
+            fd = _fd_derivative(s, pmap, 0.4, 8, order)
+            assert np.max(np.abs(pair.dpsi.amplitudes - fd)) < 1e-6, (order, position)
+
+
+def test_two_particle_step_raises_at_lattice_edge():
+    # an amplitude on an edge site of either particle, in either coin state,
+    # stops the joint step with and without the derivative
+    ctx = _ctx(t=1, n_steps=3)
+    for particle in (0, 1):
+        for edge in (0, -1):
+            for coin in (UP, DOWN):
+                s = new_two_particle_state("separable", 3)
+                cell = [3, DOWN, 3, UP]
+                cell[2 * particle], cell[2 * particle + 1] = edge, coin
+                s.amplitudes[tuple(cell)] = 1.0
+                with pytest.raises(BoundaryError):
+                    two_particle_step(s, ctx)
+                with pytest.raises(BoundaryError):
+                    two_particle_step_with_derivative(DerivativePair.initial(s), ctx)
