@@ -21,7 +21,7 @@ import numpy as np
 
 from ._version import __version__
 from .analysis import fit_power_law, windowed_alpha
-from .config import describe_ensemble, load_config, to_ensemble_config
+from .config import describe_ensemble, load_config
 from .ensemble import run_ensemble
 from .errors import ConfigError
 from .figures import FIGURES, reproduce_figure
@@ -43,7 +43,7 @@ from .svgplot import heatmap, line_plot
 
 
 def _simulate_plot(cfg, series):
-    where = f"({cfg.disorder_kind}, p={cfg.p:g})"
+    where = f"({cfg.ensemble.kind}, p={cfg.ensemble.p:g})"
     if cfg.experiment == "variance":
         return line_plot(
             [(series.steps[1:], series.variance[1:], "Var(x)")],
@@ -63,12 +63,19 @@ def _simulate_plot(cfg, series):
     )
 
 
-def _write_simulate_outputs(cfg, ens_cfg, series):
-    desc = describe_ensemble(ens_cfg, cfg.experiment, fit=cfg.fit)
+def _write_simulate_outputs(cfg, series):
+    desc = describe_ensemble(cfg.ensemble, cfg.experiment, fit=cfg.fit)
     extras = {}
-    fit = None
+    fit = alpha = None
     if cfg.experiment == "fit":
-        fit = fit_power_law(series.qfi_mean, cfg.fit["t_min"], cfg.fit["t_max"])
+        try:
+            fit = fit_power_law(series.qfi_mean, cfg.fit["t_min"], cfg.fit["t_max"])
+            if "window" in cfg.fit:
+                alpha = windowed_alpha(series.qfi_mean, window=cfg.fit["window"])
+        except ValueError as exc:
+            # a range the series is zero over, as F(1) is for a walker
+            # started in one coin state: a config the run cannot serve
+            raise ConfigError(f"'fit': {exc}") from exc
         extras["fit_result"] = asdict(fit)
     manifest = build_manifest(desc, **extras)
 
@@ -83,10 +90,8 @@ def _write_simulate_outputs(cfg, ens_cfg, series):
         data = {"distribution": distribution_columns(series)}
     else:
         data = {"qfi": qfi_columns(series)}
-        if fit is not None and "window" in cfg.fit:
-            data["alpha"] = alpha_columns(
-                windowed_alpha(series.qfi_mean, window=cfg.fit["window"])
-            )
+        if alpha is not None:
+            data["alpha"] = alpha_columns(alpha)
 
     files = [
         write_series(os.path.join(cfg.out_dir, stem), cfg.output_format,
@@ -120,23 +125,10 @@ def _resolve_workers(args):
 
 def _cmd_simulate(args):
     _check_runtime_args(args)
-    cfg = load_config(args.config)
-    overrides = {}
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be nonnegative")
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.format is not None:
-        overrides["output_format"] = args.format
-    if args.plot:
-        overrides["plot"] = True
-    if overrides:
-        cfg = cfg.with_overrides(**overrides)
-    ens_cfg = to_ensemble_config(cfg)
-    series = run_ensemble(ens_cfg, workers=_resolve_workers(args))
-    files, fit = _write_simulate_outputs(cfg, ens_cfg, series)
+    flags = {key: getattr(args, key) for key in ("seed", "out", "format", "plot")}
+    cfg = load_config(args.config, **{k: v for k, v in flags.items() if v is not None})
+    series = run_ensemble(cfg.ensemble, workers=_resolve_workers(args))
+    files, fit = _write_simulate_outputs(cfg, series)
     if fit is not None:
         print(
             f"alpha = {fit.alpha:.6g} over t in [{fit.t_min}, {fit.t_max}] "
@@ -201,8 +193,8 @@ def _check_fit_args(args):
     # the limits (and wording) of a config file's 'fit' block
     if args.t_min < 1:
         raise ConfigError("--t-min must be a positive integer")
-    if args.t_min >= args.t_max:
-        raise ConfigError("--t-min must be below --t-max")
+    if args.t_max - args.t_min < 2:
+        raise ConfigError("--t-max must be at least --t-min + 2 (3 points)")
     if args.window is not None and args.window < 5:
         raise ConfigError("--window must be an integer >= 5")
 
@@ -271,7 +263,8 @@ def _build_parser():
     sim.add_argument("--out", default=None, help="override the output directory")
     sim.add_argument("--format", choices=FORMATS, default=None,
                      help="override the output format")
-    sim.add_argument("--plot", action="store_true", help="also write SVG plots")
+    sim.add_argument("--plot", action="store_true", default=None,
+                     help="also write SVG plots")
     sim.set_defaults(handler=_cmd_simulate)
 
     rep = sub.add_parser("reproduce", help="rerun a named preset")

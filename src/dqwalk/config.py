@@ -17,17 +17,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .disorder import KINDS, SEMANTICS, validate_disorder
 from .ensemble import EnsembleConfig, InitialStateSpec
 from .errors import ConfigError
-from .operators import OPERATOR_ORDERS, PHASE_FIRST
+from .operators import PHASE_FIRST
+from .output import FORMATS
 from .states import TWO_PARTICLE_KINDS
 from .twoparticle import DEFAULT_INDISTINGUISHABLE
 
 EXPERIMENTS = ("qfi", "variance", "distribution", "two-particle", "fit")
-FORMATS = ("csv", "json")
 
 _TOP_KEYS = {
     "experiment", "disorder", "steps", "maps", "phi", "initial", "seed",
@@ -38,28 +37,16 @@ _INITIAL_KEYS = {"kind", "position", "coin"}
 _FIT_KEYS = {"t_min", "t_max", "window"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """A fully resolved simulate/fit run."""
+    """A fully resolved simulate run: the ensemble and what to do with it."""
 
     experiment: str
-    disorder_kind: str
-    p: float
-    semantics: str
-    n_steps: int
-    n_maps: int
-    phi: float
-    initial: InitialStateSpec
-    seed: int
+    ensemble: EnsembleConfig
     out_dir: str = "."
     output_format: str = "csv"
     plot: bool = False
     fit: dict = None
-    per_map_variance: bool = False
-    operator_order: str = PHASE_FIRST
-
-    def with_overrides(self, **kwargs):
-        return replace(self, **kwargs)
 
 
 def _require(condition, message):
@@ -70,6 +57,14 @@ def _require(condition, message):
 def _check_keys(obj, allowed, where):
     unknown = sorted(set(obj) - allowed)
     _require(not unknown, f"unknown {where} field(s): {', '.join(unknown)}")
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _coin_amp(value, name):
@@ -88,38 +83,24 @@ def _parse_initial(obj, experiment):
         return InitialStateSpec(kind=kind)
     _require(isinstance(obj, dict), "'initial' must be an object")
     _check_keys(obj, _INITIAL_KEYS, "'initial'")
-    kind = obj.get("kind", "single")
-    _require(
-        kind in ("single",) + TWO_PARTICLE_KINDS,
-        f"'initial.kind' must be one of single/{'/'.join(TWO_PARTICLE_KINDS)}",
-    )
     position = obj.get("position", 0)
+    _require(_is_int(position), "'initial.position' must be an integer")
+    coin = obj.get("coin", [1, 0])
     _require(
-        isinstance(position, int) and not isinstance(position, bool),
-        "'initial.position' must be an integer",
+        isinstance(coin, list) and len(coin) == 2,
+        "'initial.coin' must be a two-entry list [up, down]",
     )
-    if "coin" in obj:
-        _require(
-            kind == "single",
-            "'initial.coin' only applies to single-walker states",
-        )
-        coin_raw = obj["coin"]
-        _require(
-            isinstance(coin_raw, list) and len(coin_raw) == 2,
-            "'initial.coin' must be a two-entry list [up, down]",
-        )
-        coin = (
-            _coin_amp(coin_raw[0], "initial.coin[0]"),
-            _coin_amp(coin_raw[1], "initial.coin[1]"),
-        )
-        n2 = abs(coin[0]) ** 2 + abs(coin[1]) ** 2
-        _require(abs(n2 - 1.0) <= 1e-9, "'initial.coin' must be normalized")
-    else:
-        coin = (1.0 + 0.0j, 0.0j)
+    coin = tuple(_coin_amp(c, f"initial.coin[{i}]") for i, c in enumerate(coin))
     try:
-        return InitialStateSpec(kind=kind, position=position, coin=coin)
+        spec = InitialStateSpec(obj.get("kind", "single"), position, coin)
     except ValueError as exc:
         raise ConfigError(f"'initial': {exc}") from exc
+    # the spec cannot tell a given coin from the default one
+    _require(
+        "coin" not in obj or spec.kind == "single",
+        "'initial.coin' only applies to single-walker states",
+    )
+    return spec
 
 
 def _parse_fit(obj, n_steps):
@@ -128,25 +109,31 @@ def _parse_fit(obj, n_steps):
     _require("t_min" in obj and "t_max" in obj, "'fit' needs 't_min' and 't_max'")
     t_min, t_max = obj["t_min"], obj["t_max"]
     for name, v in (("t_min", t_min), ("t_max", t_max)):
-        _require(
-            isinstance(v, int) and not isinstance(v, bool) and v >= 1,
-            f"'fit.{name}' must be a positive integer",
-        )
-    _require(t_min < t_max, "'fit.t_min' must be below 'fit.t_max'")
+        _require(_is_int(v) and v >= 1, f"'fit.{name}' must be a positive integer")
+    _require(
+        t_max - t_min >= 2, "'fit.t_max' must be at least 'fit.t_min' + 2 (3 points)"
+    )
     _require(t_max <= n_steps, "'fit.t_max' exceeds the number of steps")
     out = {"t_min": t_min, "t_max": t_max}
     if "window" in obj:
         w = obj["window"]
+        _require(_is_int(w) and w >= 5, "'fit.window' must be an integer >= 5")
+        # windowed_alpha needs one full window [t - w//2, t + w//2] in 1..n_steps
         _require(
-            isinstance(w, int) and not isinstance(w, bool) and w >= 5,
-            "'fit.window' must be an integer >= 5",
+            2 * (w // 2) <= n_steps - 1,
+            f"'fit.window' {w} does not fit inside steps 1..{n_steps}",
         )
         out["window"] = w
     return out
 
 
 def parse_config(raw):
-    """Validate a decoded JSON object into a RunConfig."""
+    """Validate a decoded JSON object into a RunConfig.
+
+    The science fields are checked once, by EnsembleConfig and
+    InitialStateSpec; what is left here are JSON types, unknown keys and the
+    fields EnsembleConfig does not hold.
+    """
     _require(isinstance(raw, dict), "config must be a JSON object")
     _check_keys(raw, _TOP_KEYS, "config")
 
@@ -157,52 +144,24 @@ def parse_config(raw):
     )
 
     n_steps = raw.get("steps")
-    _require(
-        isinstance(n_steps, int) and not isinstance(n_steps, bool) and n_steps >= 1,
-        "'steps' must be an integer >= 1",
-    )
+    _require(_is_int(n_steps) and n_steps >= 1, "'steps' must be an integer >= 1")
 
     disorder = raw.get("disorder", {"kind": "none"})
     _require(isinstance(disorder, dict), "'disorder' must be an object")
     _check_keys(disorder, _DISORDER_KEYS, "'disorder'")
-    kind = disorder.get("kind")
-    _require(kind in KINDS, f"'disorder.kind' must be one of {'/'.join(KINDS)}")
     p = disorder.get("p", 0.0)
-    _require(
-        isinstance(p, (int, float)) and not isinstance(p, bool),
-        "'disorder.p' must be a number",
-    )
-    semantics = disorder.get("semantics", "bernoulli-uniform")
-    _require(
-        semantics in SEMANTICS,
-        f"'disorder.semantics' must be one of {'/'.join(SEMANTICS)}",
-    )
-    try:
-        validate_disorder(kind, n_steps, float(p), semantics)
-    except ValueError as exc:
-        raise ConfigError(f"'disorder': {exc}") from exc
+    _require(_is_number(p), "'disorder.p' must be a number")
 
     # Unspecified ensembles default to the full publication-grade size;
     # desk-scale runs should say "maps" explicitly.
     n_maps = raw.get("maps", 10000)
-    _require(
-        isinstance(n_maps, int) and not isinstance(n_maps, bool) and n_maps >= 1,
-        "'maps' must be an integer >= 1",
-    )
+    _require(_is_int(n_maps) and n_maps >= 1, "'maps' must be an integer >= 1")
 
     phi = raw.get("phi", 0.0)
-    _require(
-        isinstance(phi, (int, float))
-        and not isinstance(phi, bool)
-        and math.isfinite(phi),
-        "'phi' must be a finite number",
-    )
+    _require(_is_number(phi) and math.isfinite(phi), "'phi' must be a finite number")
 
     seed = raw.get("seed", 0)
-    _require(
-        isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
-        "'seed' must be a nonnegative integer",
-    )
+    _require(_is_int(seed) and seed >= 0, "'seed' must be a nonnegative integer")
 
     out_dir = raw.get("out", ".")
     _require(isinstance(out_dir, str) and out_dir, "'out' must be a directory path")
@@ -220,12 +179,6 @@ def parse_config(raw):
         isinstance(per_map_variance, bool), "'per_map_variance' must be true or false"
     )
 
-    operator_order = raw.get("operator_order", PHASE_FIRST)
-    _require(
-        operator_order in OPERATOR_ORDERS,
-        f"'operator_order' must be one of {'/'.join(OPERATOR_ORDERS)}",
-    )
-
     initial = _parse_initial(raw.get("initial"), experiment)
     if experiment == "two-particle":
         _require(
@@ -235,33 +188,41 @@ def parse_config(raw):
 
     fit = None
     if "fit" in raw:
+        _require(experiment == "fit", "'fit' only applies to experiment 'fit'")
         fit = _parse_fit(raw["fit"], n_steps)
     _require(
         experiment != "fit" or fit is not None,
         "'fit' experiments need a 'fit' object with 't_min' and 't_max'",
     )
 
-    return RunConfig(
-        experiment=experiment,
-        disorder_kind=kind,
-        p=float(p),
-        semantics=semantics,
-        n_steps=n_steps,
-        n_maps=n_maps,
-        phi=float(phi),
-        initial=initial,
-        seed=seed,
-        out_dir=out_dir,
-        output_format=output_format,
-        plot=plot,
-        fit=fit,
-        per_map_variance=per_map_variance,
-        operator_order=operator_order,
-    )
+    try:
+        ensemble = EnsembleConfig(
+            kind=disorder.get("kind"),
+            p=float(p),
+            n_steps=n_steps,
+            n_maps=n_maps,
+            master_seed=seed,
+            phi=float(phi),
+            semantics=disorder.get("semantics", "bernoulli-uniform"),
+            initial=initial,
+            collect_qfi=experiment in ("qfi", "two-particle", "fit"),
+            collect_distribution=experiment == "distribution",
+            collect_variance=experiment == "variance",
+            per_map_variance=experiment == "variance" and per_map_variance,
+            operator_order=raw.get("operator_order", PHASE_FIRST),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return RunConfig(experiment, ensemble, out_dir, output_format, plot, fit)
 
 
-def load_config(path):
-    """Read and validate a JSON config file."""
+def load_config(path, **overrides):
+    """Read and validate a JSON config file.
+
+    The file must be valid on its own.  `overrides` are top-level keys, as
+    set by `simulate`'s flags, that then replace the file's under the same
+    rules.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -269,26 +230,8 @@ def load_config(path):
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return parse_config(raw)
-
-
-def to_ensemble_config(cfg):
-    """EnsembleConfig for a RunConfig, with collect flags set by experiment."""
-    return EnsembleConfig(
-        kind=cfg.disorder_kind,
-        p=cfg.p,
-        n_steps=cfg.n_steps,
-        n_maps=cfg.n_maps,
-        master_seed=cfg.seed,
-        phi=cfg.phi,
-        semantics=cfg.semantics,
-        initial=cfg.initial,
-        collect_qfi=cfg.experiment in ("qfi", "two-particle", "fit"),
-        collect_distribution=cfg.experiment == "distribution",
-        collect_variance=cfg.experiment == "variance",
-        per_map_variance=cfg.experiment == "variance" and cfg.per_map_variance,
-        operator_order=cfg.operator_order,
-    )
+    cfg = parse_config(raw)
+    return parse_config({**raw, **overrides}) if overrides else cfg
 
 
 def describe_ensemble(config, experiment, fit=None):

@@ -58,6 +58,7 @@ from .operators import (
 from .states import (
     TWO_PARTICLE_KINDS,
     WalkerState,
+    coin_spinor,
     light_cone,
     new_two_particle_state,
     new_walker_state,
@@ -104,9 +105,7 @@ class InitialStateSpec:
     def __post_init__(self):
         if self.kind not in INITIAL_KINDS:
             raise ValueError(f"unknown initial-state kind {self.kind!r}")
-        object.__setattr__(
-            self, "coin", (complex(self.coin[0]), complex(self.coin[1]))
-        )
+        object.__setattr__(self, "coin", coin_spinor(self.coin))
         if self.kind != "single" and self.coin != (1.0 + 0.0j, 0.0j):
             raise ValueError(
                 "coin amplitudes are fixed by the exchange symmetry for "

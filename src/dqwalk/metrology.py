@@ -96,6 +96,18 @@ def _first(bad):
     return int(np.flatnonzero(bad)[0])
 
 
+def check_norms(norm2):
+    """Raise RowCheckError naming the first walker whose norm^2, one entry
+    of the 1-D `norm2`, is off 1 by more than NORM_TOL.
+    """
+    off = np.abs(norm2 - 1.0) > NORM_TOL
+    if off.any():
+        row = _first(off)
+        raise RowCheckError(
+            row, f"state norm^2 = {norm2[row]!r} deviates from 1 beyond {NORM_TOL}"
+        )
+
+
 def qfi_rows(psi, dpsi):
     """QFI of every walker of stacked normalized pure states.
 
@@ -105,13 +117,7 @@ def qfi_rows(psi, dpsi):
     is off 1 by more than NORM_TOL or whose QFI comes out below
     -NEGATIVE_TOL.
     """
-    norm2 = _abs2_sums(np.square(psi.view(np.float64)))
-    off = np.abs(norm2 - 1.0) > NORM_TOL
-    if off.any():
-        row = _first(off)
-        raise RowCheckError(
-            row, f"state norm^2 = {norm2[row]!r} deviates from 1 beyond {NORM_TOL}"
-        )
+    check_norms(_abs2_sums(np.square(psi.view(np.float64))))
     residual = cell_inner(psi, dpsi) * psi
     np.subtract(dpsi, residual, out=residual)
     residual = residual.view(np.float64)

@@ -6,10 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RowCheckError
+from .metrology import NORM_TOL, check_norms
 from .states import DOWN, UP, TwoParticleState, WalkerState
-
-NORM_TOL = 1e-9
 
 
 @dataclass
@@ -43,13 +41,7 @@ def position_distribution(state, particle=0):
         probs = weights[..., UP] + weights[..., DOWN]
     else:
         raise TypeError(f"unsupported state type {type(state).__name__}")
-    norm2 = np.atleast_1d(probs.sum(axis=-1)).ravel()
-    off = np.abs(norm2 - 1.0) > NORM_TOL
-    if off.any():
-        row = int(np.flatnonzero(off)[0])
-        raise RowCheckError(
-            row, f"state norm^2 = {norm2[row]!r} deviates from 1 beyond {NORM_TOL}"
-        )
+    check_norms(np.atleast_1d(probs.sum(axis=-1)).ravel())
     return PositionDistribution(state.t_max, probs)
 
 

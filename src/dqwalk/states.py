@@ -24,6 +24,9 @@ DOWN = 1
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
+#: how far |c|^2 of a coin spinor may be off 1
+COIN_TOL = 1e-12
+
 #: symmetry tags a two-walker state can carry
 TWO_PARTICLE_KINDS = ("separable", "boson", "fermion")
 
@@ -139,16 +142,25 @@ class TwoParticleState:
         return TwoParticleState(self.t_max, self.amplitudes.copy(), self.symmetry)
 
 
+def coin_spinor(coin):
+    """The (up, down) coin amplitudes as complex numbers.
+
+    Raises ValueError unless |c|^2 is 1 within COIN_TOL.
+    """
+    cu, cd = complex(coin[0]), complex(coin[1])
+    n2 = abs(cu) ** 2 + abs(cd) ** 2
+    if not abs(n2 - 1.0) <= COIN_TOL:  # also rejects nan
+        raise ValueError(f"coin amplitudes not normalized: |c|^2 = {n2!r}")
+    return cu, cd
+
+
 def new_walker_state(t_max, position=0, coin=(1.0, 0.0)):
     """Walker localized at `position` with the given (up, down) coin amplitudes.
 
     The coin spinor must be normalized; amplitudes are stored as given, no
     implicit renormalization.
     """
-    cu, cd = complex(coin[0]), complex(coin[1])
-    n2 = abs(cu) ** 2 + abs(cd) ** 2
-    if abs(n2 - 1.0) > 1e-12:
-        raise ValueError(f"coin amplitudes not normalized: |c|^2 = {n2!r}")
+    cu, cd = coin_spinor(coin)
     state = WalkerState.zeros(t_max)
     row = state.index_of(position)
     state.amplitudes[row, UP] = cu

@@ -266,3 +266,89 @@ def test_cli_argument_validation(tmp_path, capsys):
     rc = main(["fit", "--input", str(halves), "--t-min", "1", "--t-max", "4"])
     assert rc == 2
     assert "line 2: step '0.5'" in capsys.readouterr().err
+
+
+def _refuse_to_run(*args, **kwargs):
+    raise AssertionError("an invalid config reached the ensemble")
+
+
+def test_coin_off_tolerance_exits_2_before_running(tmp_path, capsys, monkeypatch):
+    # within 1e-9 but not within the states' 1e-12 of |c|^2 = 1
+    monkeypatch.setattr("dqwalk.cli.run_ensemble", _refuse_to_run)
+    cfg = _write_config(tmp_path, steps=5, maps=2,
+                        initial={"coin": [0.707106781186, 0.707106781186]})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "not normalized" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("fields, words", [
+    ({"experiment": "fit", "fit": {"t_min": 1, "t_max": 2}}, "'fit.t_max'"),
+    ({"experiment": "fit", "steps": 10,
+      "fit": {"t_min": 1, "t_max": 10, "window": 50}}, "'fit.window' 50"),
+    ({"experiment": "fit", "steps": 10,
+      "fit": {"t_min": 1, "t_max": 10, "window": 10}}, "'fit.window' 10"),
+    ({"experiment": "qfi", "fit": {"t_min": 1, "t_max": 5}},
+     "only applies to experiment 'fit'"),
+], ids=["two-points", "long-window", "window-one-short", "fit-on-qfi"])
+def test_bad_fit_block_exits_2_before_running(tmp_path, capsys, monkeypatch,
+                                              fields, words):
+    monkeypatch.setattr("dqwalk.cli.run_ensemble", _refuse_to_run)
+    cfg = _write_config(tmp_path, **fields)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert words in capsys.readouterr().err
+
+
+def test_longest_window_that_fits_runs(tmp_path):
+    # 2 * (9 // 2) = 8 <= steps - 1: one window, centred on t = 5
+    cfg = _write_config(tmp_path, experiment="fit", steps=9,
+                        fit={"t_min": 2, "t_max": 9, "window": 9})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    _, rows = _read_csv(tmp_path / "o" / "alpha.csv")
+    assert rows[:, 0].tolist() == [5.0]
+
+
+def test_fit_range_over_zero_qfi_exits_2(tmp_path, capsys):
+    # F(1) = 0 for a walker started spin-up: [1, 3] holds two usable points
+    cfg = _write_config(tmp_path, experiment="fit", steps=5,
+                        fit={"t_min": 1, "t_max": 3})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "'fit': only 2 usable points" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flags, key", [
+    (["--seed", "-1"], "'seed'"),
+    (["--out", ""], "'out'"),
+], ids=["seed", "out"])
+def test_flags_obey_the_rules_of_their_keys(tmp_path, capsys, flags, key):
+    cfg = _write_config(tmp_path)
+    assert main(["simulate", "--config", cfg] + flags) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_flag_does_not_excuse_the_key_it_replaces(tmp_path, capsys):
+    cfg = _write_config(tmp_path, seed=-1)
+    assert main(["simulate", "--config", cfg, "--seed", "3",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "'seed'" in capsys.readouterr().err
+
+
+def test_flags_set_their_keys(tmp_path):
+    cfg = _write_config(tmp_path, format="csv", seed=4)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--seed", "7", "--out", str(out),
+                 "--format", "json", "--plot"]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["config"]["seed"] == 7
+    assert (out / "qfi.json").exists() and (out / "qfi.svg").exists()
+
+
+def test_fit_command_needs_three_points(tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    series.write_text("t,value\n" + "".join(f"{t},{t * t}.0\n" for t in range(1, 9)))
+    rc = main(["fit", "--input", str(series), "--t-min", "2", "--t-max", "3"])
+    assert rc == 2
+    assert "--t-max" in capsys.readouterr().err
+    rc = main(["fit", "--input", str(series), "--t-min", "2", "--t-max", "4"])
+    assert rc == 0

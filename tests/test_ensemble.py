@@ -334,3 +334,15 @@ def test_workers_validation():
     cfg = EnsembleConfig(kind="none", p=0.0, n_steps=5, n_maps=1)
     with pytest.raises(ValueError):
         run_ensemble(cfg, workers=0)
+
+
+def test_initial_state_spec_checks_the_coin_norm():
+    # the tolerance of new_walker_state, so a bad coin fails at construction
+    with pytest.raises(ValueError, match="not normalized"):
+        InitialStateSpec(coin=(1, 1))
+    with pytest.raises(ValueError, match="not normalized"):
+        InitialStateSpec(coin=(0.707106781186, 0.707106781186))
+    with pytest.raises(ValueError, match="not normalized"):
+        InitialStateSpec(coin=(float("nan"), 0.0))
+    spec = InitialStateSpec(coin=(2 ** -0.5, 2 ** -0.5))
+    assert spec.build(3).norm() == pytest.approx(1.0, abs=1e-15)
