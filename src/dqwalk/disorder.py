@@ -94,17 +94,29 @@ class MapStack:
         on when multiplied into the phase factor, so the factor is formed
         without a cast.
         """
+        return self._signs(step_index, slice(-t_max, t_max + 1))
+
+    def cone_signs(self, step_index, origin, t):
+        """Signs for step step_index at the t + 1 sites origin - t + 2k,
+        k = 0..t, of the light cone t steps from origin
+        (`states.ConeState`), shape (B, 1, t + 1), as `step_signs`.
+        """
+        return self._signs(step_index, slice(origin - t, origin + t + 1, 2))
+
+    def _signs(self, step_index, sites):
+        """Signs at the lattice sites `sites`, a slice of x."""
         if not 1 <= step_index <= self.n_steps:
             raise ValueError(
                 f"step index {step_index} outside 1..{self.n_steps}"
             )
         c = (self.masks.shape[2] - 1) // 2
-        if t_max > c:
+        if sites.start < -c or sites.stop - 1 > c:
             raise ValueError(
-                f"masks are {self.masks.shape[2]} sites wide, the lattice "
-                f"{2 * t_max + 1}"
+                f"masks are {self.masks.shape[2]} sites wide, the sites "
+                f"reach {sites.start}..{sites.stop - 1}"
             )
-        row = self.masks[:, step_index - 1, None, c - t_max:c + t_max + 1]
+        cols = slice(c + sites.start, c + sites.stop, sites.step)
+        row = self.masks[:, step_index - 1, None, cols]
         return np.where(row, -1.0 + 0j, 1.0 + 0j)
 
 

@@ -6,21 +6,24 @@ on 64-bit words for a fixed master seed, so members never share a map by
 accident, and the full ensemble is pinned by (config, master_seed) alone.
 
 Members run BLOCK_MAPS at a time through one block kernel, `_run_block`.
-A block keeps psi and dpsi of all its walkers in (2, W, rows) buffers,
-coin, site and walker, so that the walker axis is innermost in memory and
-each numpy operation of a step is one contiguous loop.  The public layers
-see the buffers through transposed views, as a WalkerState stack of shape
-(rows, 1, W, 2) under a `MapStack` with one mask row per walker, and the
-kernel calls `step_with_derivative` (or `step`), `qfi_pure` and
-`position_distribution` once per block step.  Step t touches only the light
-cone: the sites |x| <= |x0| + t, where the other cells are exact zeros.
+After t steps from x0 a walker's amplitude sits only on the t + 1 sites
+x0 - t + 2k (Kempe, Contemp. Phys. 44, 307 (2003)), so a block holds psi
+and dpsi of all its walkers on those light-cone slots, in (2, n_steps + 1,
+rows) buffers, coin, slot and walker.  The walker axis is innermost in
+memory and the slots of a step are contiguous, so each numpy operation of
+a step is one contiguous loop over only the cells that can be nonzero.
+The public layers see the buffers through transposed views, as
+`states.ConeState` stacks of shape (rows, 1, t + 1, 2) under a `MapStack`
+with one mask row per walker, and the kernel calls `step_with_derivative`
+(or `step`), `qfi_pure` and `position_distribution` once per block step.
 Every amplitude goes through the element-wise operations of the one-map
 step, and `qfi_pure` sums each walker's cells in an order fixed by those
-cells alone, so every member's series equals the one-map `qfi_series` bit
-for bit.  Block boundaries follow from the member index alone, and block
-results are accumulated strictly in block order, whether the blocks ran
-serially or on a process pool, so the same config produces bit-identical
-aggregates no matter how the work was scheduled.
+cells alone, skipping only exact zeros, so every member's series equals
+the one-map `qfi_series` bit for bit.  Block boundaries follow from the
+member index alone, and block results are accumulated strictly in block
+order, whether the blocks ran serially or on a process pool, so the same
+config produces bit-identical aggregates no matter how the work was
+scheduled.
 
 Two walkers share one map, and U (x) U is linear, so their joint state is
 exactly (a (x) b + s b (x) a) / sqrt2 with a = U|x,up>, b = U|x,down> and
@@ -57,9 +60,9 @@ from .operators import (
 )
 from .states import (
     TWO_PARTICLE_KINDS,
-    WalkerState,
+    UP,
+    ConeState,
     coin_spinor,
-    light_cone,
     new_two_particle_state,
     new_walker_state,
 )
@@ -190,7 +193,9 @@ def _stack_masks(config, members, walkers):
 
     The table is (n_steps, W, rows) bool, the walker axis innermost as in
     the block's state buffers, and the MapStack holds its (rows, n_steps, W)
-    view.  Each member's map is repeated for each of its walkers: signs
+    view; the kernel reads it at the light cone's sites
+    (`MapStack.cone_signs`).  Each member's map is repeated for each of its
+    walkers: signs
     broadcast over a walker axis of length 2 would make every numpy inner
     loop that short.  A map covers -n_steps..n_steps; the columns beyond,
     which only walkers started off the origin reach, stay False (no
@@ -221,28 +226,28 @@ def _run_block(args):
     picklable.  A failure on one member's map or state raises
     EnsembleMemberError with that member's index and seed.
 
-    Memory order: psi and dpsi live in (2, W, rows) buffers, coin, site and
-    walker, so every numpy operation of a step runs as one contiguous loop
-    over the window's sites and all walkers.  The public functions see the
-    buffers as WalkerState stacks of shape (rows, 1, W, 2), the transposed
-    views, and the masks as a MapStack of matching rows.
+    Light-cone slots: after t steps from x0 a walker's amplitude sits only
+    on the t + 1 sites x0 - t + 2k (`states.ConeState`), so the block holds
+    psi and dpsi in (2, n_steps + 1, rows) buffers, coin, slot and walker,
+    and step t reads slots 0..t-1 of one buffer and writes slots 0..t of
+    the other.  The walker axis is innermost and the slots a step touches
+    are contiguous, so every numpy operation of a step is one contiguous
+    loop.  The public functions see the buffers through transposed views,
+    ConeState stacks of shape (rows, 1, t + 1, 2), and the masks as a
+    MapStack of matching rows, whose signs are read at the cone's sites.
+    The two cells the shift leaves unwritten, up at slot 0 and down at slot
+    t, are zero: down at slot t was never written, and up at slot 0 only
+    holds the t = 0 state, which is cleared before step 2 overwrites that
+    buffer.  Every element goes through the operations of
+    `step_with_derivative` in the same order, so it has the bits of the
+    one-map evolution.
 
-    Window rule: step t reads and writes only the sites |x| <= r + t (at
-    least 1), r = |x0| (`states.light_cone`).  The state of step t-1 fills
-    at most |x| <= r + t - 1, so the window is its light cone plus one
-    margin site on each side.  The two cells the shift leaves unwritten,
-    the up cell at x = -(r + t) and the down cell at x = r + t, hold the
-    zeros of step t-2, whose buffer this step overwrites; sites beyond the
-    window hold exact zeros throughout.  Every element goes through the
-    operations of `step_with_derivative` in the same order, so it has the
-    bits of the one-map evolution.  The checks and reductions read the
-    same window, so the norm checks also catch amplitude outside the light
-    cone.
-
-    Rows equal `qfi_series`: it reduces every step over the same window,
-    and `qfi_pure` sums in an order fixed by each walker's own cells
-    (`metrology._site_sums`), so neither the number of walkers nor the
-    memory order changes a bit.
+    Rows equal `qfi_series`: it reduces every step over the full lattice,
+    whose cells off the cone are exact zeros, and `qfi_pure` sums in an
+    order fixed by each walker's own cells (`metrology._site_sums`), so
+    neither the skipped zeros, the number of walkers nor the memory order
+    changes a bit.  The marginals are kept on the full lattice, with the
+    previous step's sites zeroed, so they too equal the one-map ones.
 
     Every step checks the norms, 0 <= F(t) <= (n t)^2 for n walkers (each
     step's phase generator is a sum of n spin-up projectors) and, for two
@@ -254,6 +259,7 @@ def _run_block(args):
     n, t_max = config.n_steps, config.t_max
     width = 2 * t_max + 1
     spec = config.initial
+    x0 = spec.position
     walkers = 1 if spec.kind == "single" else 2
     sign = _EXCHANGE_SIGN.get(spec.kind, 0)
     rows = len(members) * walkers
@@ -269,41 +275,42 @@ def _run_block(args):
         member = members[exc.row // walkers]
         return _member_error(config, member, f"step {t}: {exc}")
 
-    def buffers():
-        bufs = [np.zeros((2, width, rows), dtype=np.complex128) for _ in range(2)]
-        return bufs, [WalkerState(t_max, b.transpose(2, 1, 0)[:, None]) for b in bufs]
-
     # step t lives in buffer t % 2; one walker: the configured coin at x0;
     # two walkers: a = |x0, up> and b = |x0, down> (see the module docstring)
-    psi, states = buffers()
+    psi = [np.zeros((2, n + 1, rows), dtype=np.complex128) for _ in range(2)]
     coins = [spec.coin] if walkers == 1 else [(1.0, 0.0), (0.0, 1.0)]
     for j, coin in enumerate(coins):
-        psi[0][..., j::walkers] = new_walker_state(
-            t_max, spec.position, coin).amplitudes.T[..., None]
-    qfi = dist_sum = own_var = marginals = None
+        psi[0][:, 0, j::walkers] = np.array(coin)[:, None]
+    bufs = [psi]
+    qfi = dpsi = dist_sum = own_var = marginals = None
     if config.collect_qfi:
-        dpsi, dstates = buffers()
-        states = [DerivativePair(a, b) for a, b in zip(states, dstates)]
+        dpsi = [np.zeros_like(b) for b in psi]
+        bufs.append(dpsi)
         qfi = np.empty((len(members), n + 1))
     evolve = step if qfi is None else step_with_derivative
+
+    def stack(s):
+        """Step s's walkers, slots 0..s of buffer s % 2, as ConeState stacks."""
+        cones = [ConeState(b[s % 2][:, :s + 1].transpose(2, 1, 0)[:, None], x0)
+                 for b in bufs]
+        return cones[0] if len(cones) == 1 else DerivativePair(*cones)
+
     if config.collect_distribution or config.collect_variance:
         dist_sum = np.empty((n + 1, width))
     if config.per_map_variance:
         own_var = np.empty((len(members), n + 1))
     if dist_sum is not None or own_var is not None:
-        # full-width member marginals; windows only grow, so sites beyond
-        # the current one are never written and stay zero
         marginals = np.zeros((len(members), width))
 
-    radius = abs(spec.position)
+    now = None
     for t in range(n + 1):
-        h = light_cone(radius, t)
-        now = states[t % 2].window(h)
+        prev, now = now, stack(t)
         if t > 0:
+            if t == 2:
+                psi[0][UP, 0] = 0.0  # the t = 0 state, never overwritten
             ctx = StepContext(config.phi, t, maps, config.operator_order)
-            evolve(states[1 - t % 2].window(h), ctx, out=now)
-        sites = slice(t_max - h, t_max + h + 1)
-        cells = psi[t % 2][:, sites]
+            evolve(prev, ctx, out=now)
+        cells = psi[t % 2][:, :t + 1]
         if walkers == 2:
             a = cells[..., 0::2]
             ab = np.abs(cell_inner(a, cells[..., 1::2]))
@@ -314,7 +321,7 @@ def _run_block(args):
             except RowCheckError as exc:
                 raise failed(exc) from exc
             if sign:
-                db = dpsi[t % 2][:, sites, 1::2]
+                db = dpsi[t % 2][:, :t + 1, 1::2]
                 values += 8 * sign * np.abs(cell_inner(a, db)) ** 2
             bound = (walkers * t) ** 2
             check(values,
@@ -328,7 +335,11 @@ def _run_block(args):
             except RowCheckError as exc:
                 raise failed(exc) from exc
             probs = dist.probabilities.reshape(len(members), walkers, -1)
-            marginals[:, sites] = (
+            # full-lattice member marginals: zero step t-1's sites, then
+            # write step t's, x0 - t + 2k at column t_max + x0 - t + 2k
+            lo = t_max + x0 - t
+            marginals[:, lo + 1:lo + 2 * t:2] = 0.0
+            marginals[:, lo:lo + 2 * t + 1:2] = (
                 probs[:, 0] if sign == 0 else (probs[:, 0] + probs[:, 1]) / 2
             )
             if dist_sum is not None:

@@ -14,10 +14,10 @@ cells, the layout of the ensemble kernel's buffers, and `qfi_pure` applies
 it to one state or to a stack of walkers.  Each walker's sums add the two
 coins of a site and then the sites in order (`_site_sums`): the order is
 fixed by the walker's own cells, whatever the number of walkers or their
-memory layout, and exact zeros leave a sum unchanged.  `qfi_series` reduces
-a single walker over the window |x| <= r + t of step t (r the initial
-support radius, `states.light_cone`), the window the ensemble kernel steps
-and reduces, so the two agree bit for bit.
+memory layout, and exact zeros leave a sum unchanged.  So `qfi_series`,
+which reduces a walker over its full lattice, and the ensemble kernel,
+which reduces only the t + 1 light-cone sites a walker can occupy after t
+steps (`states.ConeState`), agree bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .operators import (
     two_particle_step,
     two_particle_step_with_derivative,
 )
-from .states import TwoParticleState, WalkerState, light_cone, support_radius
+from .states import TwoParticleState, WalkerState, support_radius
 
 NORM_TOL = 1e-9
 #: negative QFI beyond this magnitude means a broken caller, not rounding
@@ -69,8 +69,8 @@ def _site_sums(x):
     (the ensemble and property tests pin this).  A column's sum thus
     depends on its own cells only, not on the number of walkers or their
     memory layout, and exact zeros beyond a walker's support leave it
-    unchanged: a sum over a window equals the sum over the full lattice bit
-    for bit.  x is scratch: the coin sums overwrite x[0].
+    unchanged: a sum over a walker's light-cone sites equals the sum over
+    its full lattice bit for bit.  x is scratch: the coin sums overwrite x[0].
     """
     return np.add.reduce(np.add(x[0], x[1], out=x[0]), axis=0)
 
@@ -181,15 +181,12 @@ def qfi_series(initial, phase_map, phi, n_steps, order=PHASE_FIRST):
             f"state capacity t_max = {initial.t_max} cannot hold {n_steps} steps"
         )
     _, stepper = _evolvers(initial)
-    single = isinstance(initial, WalkerState)
     pair = DerivativePair.initial(initial)
     values = np.empty(n_steps + 1)
     for t in range(n_steps + 1):
         if t > 0:
             pair = stepper(pair, StepContext(phi, t, phase_map, order))
-        # one walker is reduced over the same window as in the ensembles
-        cone = pair.window(light_cone(radius, t)) if single else pair
-        values[t] = qfi_pure(cone)
+        values[t] = qfi_pure(pair)
     return QfiSeries(values, float(phi))
 
 

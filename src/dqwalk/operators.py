@@ -21,7 +21,7 @@ import numpy as np
 
 from .disorder import PhaseMap
 from .errors import BoundaryError
-from .states import DOWN, INV_SQRT2, UP, TwoParticleState, WalkerState
+from .states import DOWN, INV_SQRT2, UP, ConeState, TwoParticleState, WalkerState
 
 PHASE_FIRST = "phase-first"
 PHASE_LAST = "phase-last"
@@ -68,16 +68,22 @@ class DerivativePair:
                               self.dpsi.window(half_width))
 
 
-def _phase_factor(ctx, t_max):
-    """Complex up-component multiplier e^{i(phi + dphi(x))} per position."""
-    return np.exp(1j * ctx.phi) * ctx.phase_map.step_signs(ctx.step_index, t_max)
+def _phase_factor(ctx, state):
+    """Complex up-component multiplier e^{i(phi + dphi(x))} at each site of
+    `state`: its lattice, or the slots of a `ConeState`.
+    """
+    if isinstance(state, ConeState):
+        signs = ctx.phase_map.cone_signs(ctx.step_index, state.origin, state.steps)
+    else:
+        signs = ctx.phase_map.step_signs(ctx.step_index, state.t_max)
+    return np.exp(1j * ctx.phi) * signs
 
 
 def apply_phase(state, ctx):
     """P: multiply the up component at x by e^{i(phi + dphi(t, x))}."""
     a = state.amplitudes
     out = np.empty_like(a)
-    out[:, UP] = a[:, UP] * _phase_factor(ctx, state.t_max)
+    out[:, UP] = a[:, UP] * _phase_factor(ctx, state)
     out[:, DOWN] = a[:, DOWN]
     return WalkerState(state.t_max, out)
 
@@ -86,7 +92,7 @@ def apply_phase_derivative(state, ctx):
     """dP/dphi: i * e^{i(phi + dphi)} on the up component, zero on down."""
     a = state.amplitudes
     out = np.zeros_like(a)
-    out[:, UP] = a[:, UP] * (1j * _phase_factor(ctx, state.t_max))
+    out[:, UP] = a[:, UP] * (1j * _phase_factor(ctx, state))
     return WalkerState(state.t_max, out)
 
 
@@ -119,14 +125,15 @@ def apply_shift(state):
 def step(state, ctx, out=None):
     """One full step of the walk on a single walker.
 
-    With `out`, a WalkerState of the same shape, the step is written into
-    out in one fused pass (`block_step`) and out is returned; `state` may
-    then be a stack of walkers and ctx.phase_map a `MapStack`.  Both routes
-    give the same bits.
+    With `out`, the step is written into out in one fused pass
+    (`block_step`) and out is returned.  `state` may then be a stack of
+    walkers under a `MapStack`, and out either a WalkerState of the same
+    shape or, for a `ConeState` of t slots, the ConeState of its t + 1
+    slots one step on; this is how ensembles step their walkers.  Both
+    routes give the same bits.
     """
     if out is not None:
-        block_step(state.amplitudes, None, _phase_factor(ctx, state.t_max),
-                   ctx.order, out.amplitudes, None)
+        _fused_step(state, None, ctx, out, None)
         return out
     if ctx.order == PHASE_FIRST:
         return apply_shift(apply_coin(apply_phase(state, ctx)))
@@ -142,15 +149,12 @@ def step_with_derivative(pair, ctx, out=None):
         phase-first:  dpsi' = S C (dP psi + P dpsi)
         phase-last:   dpsi' = dP S C psi + P S C dpsi
 
-    With `out`, a DerivativePair of walker states shaped like pair's, the
-    step is written into out through `block_step`, as for `step`; this is
-    how ensembles step their stacks of walkers.
+    With `out`, a DerivativePair of walker states shaped as for `step`, the
+    step is written into out through `block_step`, as for `step`.
     """
     psi, dpsi = pair.psi, pair.dpsi
     if out is not None:
-        block_step(psi.amplitudes, dpsi.amplitudes,
-                   _phase_factor(ctx, psi.t_max), ctx.order,
-                   out.psi.amplitudes, out.dpsi.amplitudes)
+        _fused_step(psi, dpsi, ctx, out.psi, out.dpsi)
         return out
     if ctx.order == PHASE_FIRST:
         psi_next = apply_shift(apply_coin(apply_phase(psi, ctx)))
@@ -167,33 +171,55 @@ def step_with_derivative(pair, ctx, out=None):
     return DerivativePair(psi_next, dpsi_next)
 
 
-def _coin_shift(up, down, out):
-    """Balanced coin, then shift, of (up, down) into out[..., W, 2].
-
-    Row 0 up and row W-1 down of `out` are the cells the shift leaves empty;
-    they are never written.
+def _fused_step(psi, dpsi, ctx, psi_out, dpsi_out):
+    """The `out` route of `step*`: `block_step` on the states' amplitudes,
+    with the phase taken at the sites it acts on, those of the input for
+    phase-first and of the output for phase-last.
     """
+    sites = psi if ctx.order == PHASE_FIRST else psi_out
+    block_step(psi.amplitudes, None if dpsi is None else dpsi.amplitudes,
+               _phase_factor(ctx, sites), ctx.order, psi_out.amplitudes,
+               None if dpsi_out is None else dpsi_out.amplitudes)
+
+
+def _coin_shift(up, down, out):
+    """Balanced coin, then shift, of (up, down), shape (..., N), into
+    out, shape (..., M, 2).
+
+    The shift follows from the shapes.  On a lattice (M = N) up moves one
+    site right and down one site left.  On light-cone slots (M = N + 1;
+    slot k of step t is site x0 - t + 2k, `states.ConeState`) up moves one
+    slot and down stays.  Up at slot 0 and down at slot M-1 of `out` are
+    the cells the shift leaves empty; they are never written.
+    """
+    m = out.shape[-2] - 1
+    lo = up.shape[-1] - m  # 1 on a lattice, 0 on slots
     out_up, out_down = out[..., 1:, UP], out[..., :-1, DOWN]
-    np.add(up[..., :-1], down[..., :-1], out=out_up)
+    np.add(up[..., :m], down[..., :m], out=out_up)
     out_up *= INV_SQRT2
-    np.subtract(up[..., 1:], down[..., 1:], out=out_down)
+    np.subtract(up[..., lo:], down[..., lo:], out=out_down)
     out_down *= INV_SQRT2
 
 
 def block_step(psi, dpsi, factor, order, psi_out, dpsi_out):
     """One step of stacked single-walker rows, on bare arrays.
 
-    psi and dpsi have shape (..., W, 2), one walker per leading index; dpsi
-    is None to evolve psi alone.  `factor` holds each row's up-component
-    multipliers e^{i(phi + dphi(t, x))} and broadcasts against (..., W).
-    The step is written into psi_out (and dpsi_out), which must be distinct
-    from the inputs and zero in the two cells the shift leaves empty.
+    psi and dpsi have shape (..., N, 2), one walker per leading index; dpsi
+    is None to evolve psi alone.  psi_out (and dpsi_out) have shape
+    (..., N, 2) for walkers on a lattice and (..., N + 1, 2) for walkers
+    on light-cone slots (`_coin_shift`).  `factor` holds each row's
+    up-component multipliers e^{i(phi + dphi(t, x))} at the sites the
+    phase acts on, the input's for phase-first and the output's for
+    phase-last, and broadcasts against them.  The step is written into
+    psi_out (and dpsi_out), which must be distinct from the inputs and zero
+    in the two cells the shift leaves empty.
 
     Every amplitude goes through the operations of `step_with_derivative`
-    in the same order, so each row agrees with it bit for bit.  Raises
-    BoundaryError if any row's support touches the lattice edge.
+    in the same order, so each row agrees with it bit for bit.  On a
+    lattice, raises BoundaryError if any row's support touches the edge.
     """
-    if psi[..., 0, :].any() or psi[..., -1, :].any():
+    if psi_out.shape[-2] == psi.shape[-2] and (
+            psi[..., 0, :].any() or psi[..., -1, :].any()):
         raise BoundaryError(
             f"walker support reached the lattice edge (W = {psi.shape[-2]})"
         )
@@ -227,9 +253,12 @@ def _swap(a):
     return None if a is None else a.transpose(2, 3, 0, 1)
 
 
-def _joint_step(psi, dpsi, ctx, t_max):
-    """U (x) U on (W, 2, W, 2) amplitudes, and on dpsi unless it is None."""
-    factor = _phase_factor(ctx, t_max)
+def _joint_step(state, dpsi, ctx):
+    """U (x) U on the (W, 2, W, 2) amplitudes of `state`, and on dpsi
+    unless it is None.
+    """
+    psi = state.amplitudes
+    factor = _phase_factor(ctx, state)
     mid, out = np.zeros_like(psi), np.zeros_like(psi)
     dmid = dout = None
     if dpsi is not None:
@@ -245,7 +274,7 @@ def two_particle_step(state, ctx):
     Both go through `block_step`, which raises BoundaryError if either
     particle has amplitude on an edge site.
     """
-    a, _ = _joint_step(state.amplitudes, None, ctx, state.t_max)
+    a, _ = _joint_step(state, None, ctx)
     return TwoParticleState(state.t_max, a, state.symmetry)
 
 
@@ -260,7 +289,7 @@ def two_particle_step_with_derivative(pair, ctx):
     holds by construction, and psi' is `two_particle_step`'s bit for bit.
     """
     psi = pair.psi
-    a, da = _joint_step(psi.amplitudes, pair.dpsi.amplitudes, ctx, psi.t_max)
+    a, da = _joint_step(psi, pair.dpsi.amplitudes, ctx)
     return DerivativePair(
         TwoParticleState(psi.t_max, a, psi.symmetry),
         TwoParticleState(psi.t_max, da, psi.symmetry),

@@ -13,7 +13,7 @@ evolutions a, b of |x,up>, |x,down> (see `dqwalk.ensemble`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,8 +42,9 @@ class WalkerState:
     t_max is the capacity in steps: a walker started at the origin can take at
     most t_max steps before its light cone reaches the array edge.  The
     amplitudes may also be a stack of shape (..., W, 2), one walker per
-    leading index, which `step`/`step_with_derivative` with `out` and
-    `qfi_pure` treat walker by walker; the ensembles step such stacks.
+    leading index, which `step`/`step_with_derivative` with `out`,
+    `qfi_pure` and `position_distribution` treat walker by walker; the
+    ensembles step such stacks on their light cones (`ConeState`).
     """
 
     t_max: int
@@ -80,7 +81,7 @@ class WalkerState:
         return float(np.linalg.norm(self.amplitudes))
 
     def copy(self):
-        return WalkerState(self.t_max, self.amplitudes.copy())
+        return replace(self, amplitudes=self.amplitudes.copy())
 
     def window(self, half_width):
         """The sites |x| <= half_width, as a view state of that capacity.
@@ -97,6 +98,46 @@ class WalkerState:
         c = self.t_max
         sites = self.amplitudes[..., c - half_width:c + half_width + 1, :]
         return WalkerState(half_width, sites)
+
+
+@dataclass
+class ConeState(WalkerState):
+    """Walkers `steps` steps after leaving `origin`, held on their light cone.
+
+    After t steps from x0 a walker's amplitude sits only on the t + 1
+    sites x0 - t + 2k, k = 0..t (Kempe, Contemp. Phys. 44, 307 (2003)).
+    The amplitudes have shape (..., t + 1, 2) and slot k holds the site
+    x0 - t + 2k, so t = 0 is one slot at x0.  t_max = |x0| + t is the
+    half-width of the lattice the cone spans.  The ensembles step stacks
+    of such walkers (`step`/`step_with_derivative` with `out`) and reduce
+    them with `qfi_pure` and `position_distribution`, whose sums then skip
+    only exact zeros.
+    """
+
+    t_max: int = field(init=False)
+    origin: int = 0
+
+    def __post_init__(self):
+        if self.amplitudes.ndim < 2 or self.amplitudes.shape[-1] != 2 \
+                or self.amplitudes.shape[-2] < 1:
+            raise ValueError(
+                f"amplitude array has shape {self.amplitudes.shape}, "
+                f"expected (..., t + 1, 2)"
+            )
+        self.t_max = abs(self.origin) + self.steps
+
+    @property
+    def steps(self):
+        """t, the steps taken since the walkers left the origin."""
+        return self.amplitudes.shape[-2] - 1
+
+    @property
+    def width(self):
+        return self.steps + 1
+
+    def positions(self):
+        """Lattice coordinates matching the slot axis of `amplitudes`."""
+        return self.origin - self.steps + 2 * np.arange(self.steps + 1)
 
 
 @dataclass
@@ -218,15 +259,6 @@ def exchange_residual(state):
     swapped = np.transpose(state.amplitudes, (2, 3, 0, 1))
     sign = 1.0 if state.symmetry == "boson" else -1.0
     return float(np.max(np.abs(state.amplitudes - sign * swapped)))
-
-
-def light_cone(radius, t):
-    """Half-width of the window holding a walker t steps after it filled
-    |x| <= radius: each step moves amplitude by one site at most
-    (Kempe, Contemp. Phys. 44, 307 (2003)).  At least 1, the smallest
-    lattice a WalkerState has.
-    """
-    return max(radius + t, 1)
 
 
 def support_radius(state):

@@ -151,9 +151,9 @@ def test_rows_match_qfi_series_at_fig3_size(order, initial):
 ])
 def test_block_steps_stay_in_the_light_cone(monkeypatch, collect_qfi, order,
                                             kind, position):
-    # after every block step, psi and dpsi are exact zeros beyond
-    # |x - x0| <= t, and the window's two cells the shift never writes
-    # (up at its left edge, down at its right edge) hold zeros
+    # every block step writes the t + 1 light-cone slots x0 - t + 2k of a
+    # (coin, slot, walker) buffer; the two cells the shift never writes (up
+    # at slot 0, down at slot t) and the slots beyond t hold zeros
     n = 12
     cfg = EnsembleConfig(
         kind="dynamic", p=0.7, n_steps=n, n_maps=5, master_seed=4, phi=0.9,
@@ -162,7 +162,6 @@ def test_block_steps_stay_in_the_light_cone(monkeypatch, collect_qfi, order,
         operator_order=order, collect_qfi=collect_qfi,
         collect_distribution=not collect_qfi,
     )
-    x = np.arange(-cfg.t_max, cfg.t_max + 1)
     rows = 5 if kind == "single" else 10
     steps = []
 
@@ -171,13 +170,16 @@ def test_block_steps_stay_in_the_light_cone(monkeypatch, collect_qfi, order,
             real(state, ctx, out=out)
             t = ctx.step_index
             outs = [out.psi, out.dpsi] if collect_qfi else [out]
-            for window in outs:
-                assert window.t_max == abs(position) + t
-                assert not window.amplitudes[..., 0, UP].any()
-                assert not window.amplitudes[..., -1, DOWN].any()
-                cells = window.amplitudes.base  # (coin, site, walker) buffer
-                assert cells.shape == (2, len(x), rows)
-                assert not cells[:, np.abs(x - position) > t].any()
+            for cone in outs:
+                assert cone.amplitudes.shape == (rows, 1, t + 1, 2)
+                assert cone.t_max == abs(position) + t
+                np.testing.assert_array_equal(
+                    cone.positions(), position - t + 2 * np.arange(t + 1))
+                assert not cone.amplitudes[..., 0, UP].any()
+                assert not cone.amplitudes[..., t, DOWN].any()
+                cells = cone.amplitudes.base  # (coin, slot, walker) buffer
+                assert cells.shape == (2, n + 1, rows)
+                assert not cells[:, t + 1:].any()
             steps.append(t)
             return out
         return stepped

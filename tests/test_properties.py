@@ -1,5 +1,6 @@
-"""Property tests: the windowed, stacked step and the two-walker tensor step
-against one-map steps, and `simulate` on mutated configs.
+"""Property tests: the stacked light-cone step, the block kernel and the
+two-walker tensor step against one-map steps, and `simulate` on mutated
+configs.
 
 Bounded example counts and deadlines keep the tier-1 run short.
 """
@@ -15,22 +16,31 @@ import tempfile
 import numpy as np
 import pytest
 
+import dqwalk.ensemble as ensemble_mod
 from dqwalk import (
+    UP,
     DerivativePair,
+    EnsembleConfig,
+    InitialStateSpec,
     StepContext,
-    WalkerState,
     generate_map,
     new_two_particle_state,
     new_walker_state,
+    position_distribution,
     qfi_pure,
+    qfi_series,
+    split_seed,
+    step,
     step_with_derivative,
+    two_particle_step,
     two_particle_step_with_derivative,
 )
 from dqwalk.cli import main
 from dqwalk.config import EXPERIMENTS
 from dqwalk.disorder import KINDS, SEMANTICS, MapStack
+from dqwalk.ensemble import INITIAL_KINDS
 from dqwalk.operators import OPERATOR_ORDERS
-from dqwalk.states import INV_SQRT2, TWO_PARTICLE_KINDS, light_cone
+from dqwalk.states import INV_SQRT2, TWO_PARTICLE_KINDS, ConeState
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -48,11 +58,12 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
     phi=st.floats(-math.pi, math.pi),
     order=st.sampled_from(OPERATOR_ORDERS),
 )
-def test_windowed_stacked_steps_equal_one_map_steps(
+def test_cone_stacked_steps_equal_one_map_steps(
         kind, p, seed, n_maps, n_steps, position, theta, phi, order):
-    # stacked steps on light-cone windows of (coin, site, walker) buffers,
-    # as the ensembles run them, against full-width one-map steps: every
-    # amplitude and every QFI value agrees bit for bit
+    # stacked steps on light-cone slots of (coin, slot, walker) buffers, as
+    # the ensembles run them, against full-width one-map steps: slot k of
+    # step t holds site x0 - t + 2k bit for bit, every other cell of the
+    # one-map state is exactly 0, and every QFI value agrees bit for bit
     if kind == "none":
         p = 0.0
     t_max = abs(position) + n_steps
@@ -65,28 +76,83 @@ def test_windowed_stacked_steps_equal_one_map_steps(
         table[:, pad:pad + 2 * n_steps + 1, b] = pmap.pi_mask
     stack = MapStack(table.transpose(2, 0, 1))
 
-    def walkers(psi=None):
-        cells = np.zeros((2, width, n_maps), dtype=complex)
-        if psi is not None:
-            cells[...] = psi.amplitudes.T[..., None]
-        return WalkerState(t_max, cells.transpose(2, 1, 0)[:, None])
+    # [psi, dpsi, plain psi] x [even steps, odd steps]
+    bufs = np.zeros((3, 2, 2, n_steps + 1, n_maps), dtype=complex)
+    bufs[0::2, 0, :, 0] = np.array(coin)[:, None]
+
+    def cones(t):
+        psi, dpsi, plain = (ConeState(b[t % 2, :, :t + 1].transpose(2, 1, 0)[:, None],
+                                      position) for b in bufs)
+        return DerivativePair(psi, dpsi), plain
 
     start = new_walker_state(t_max, position, coin)
-    cur = DerivativePair(walkers(start), walkers())
-    nxt = DerivativePair(walkers(), walkers())
+    cur, plain = cones(0)
     singles = [DerivativePair.initial(start) for _ in pmaps]
+    x = np.arange(-t_max, t_max + 1)
     for t in range(1, n_steps + 1):
-        h = light_cone(abs(position), t)
-        step_with_derivative(cur.window(h), StepContext(phi, t, stack, order),
-                             out=nxt.window(h))
-        cur, nxt = nxt, cur
+        if t == 2:
+            bufs[0::2, 0, UP, 0] = 0.0  # the t = 0 state the shift never overwrites
+        ctx = StepContext(phi, t, stack, order)
+        nxt, plain_next = cones(t)
+        step_with_derivative(cur, ctx, out=nxt)
+        step(plain, ctx, out=plain_next)
+        cur, plain = nxt, plain_next
         singles = [step_with_derivative(pair, StepContext(phi, t, pmap, order))
                    for pair, pmap in zip(singles, pmaps)]
-        values = qfi_pure(cur.window(h))
+        values = qfi_pure(cur)
+        sites = cur.psi.positions()
+        np.testing.assert_array_equal(sites, position - t + 2 * np.arange(t + 1))
+        off_cone = ~np.isin(x, sites)
         for b, pair in enumerate(singles):
-            assert np.array_equal(cur.psi.amplitudes[b, 0], pair.psi.amplitudes)
-            assert np.array_equal(cur.dpsi.amplitudes[b, 0], pair.dpsi.amplitudes)
+            for got, want in ((cur.psi, pair.psi), (cur.dpsi, pair.dpsi),
+                              (plain, pair.psi)):
+                assert np.array_equal(got.amplitudes[b, 0],
+                                      want.amplitudes[sites + t_max])
+                assert not want.amplitudes[off_cone].any()
             assert values[b, 0] == qfi_pure(pair)
+
+
+@settings(max_examples=40, deadline=5000)
+@given(
+    kind=st.sampled_from(["none", "static", "dynamic"]),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    n_maps=st.integers(1, 3),
+    n_steps=st.integers(1, 14),
+    position=st.integers(-4, 4),
+    theta=st.floats(0.0, math.pi),
+    phi=st.floats(-math.pi, math.pi),
+    order=st.sampled_from(OPERATOR_ORDERS),
+    initial=st.sampled_from(INITIAL_KINDS),
+)
+def test_block_rows_equal_one_map_series(
+        kind, p, seed, n_maps, n_steps, position, theta, phi, order, initial):
+    # the block kernel against the one-map route, member by member: QFI
+    # rows and, for one map, the distribution; bit for bit for one walker,
+    # to rounding for two, whose one-map route is the joint tensor
+    if kind == "none":
+        p = 0.0
+    single = initial == "single"
+    coin = ((math.cos(theta / 2), np.exp(1j * phi) * math.sin(theta / 2))
+            if single else (1.0, 0.0))
+    spec = InitialStateSpec(kind=initial, position=position, coin=coin)
+    cfg = EnsembleConfig(kind=kind, p=p, n_steps=n_steps, n_maps=n_maps,
+                         master_seed=seed, phi=phi, initial=spec,
+                         operator_order=order, collect_distribution=True)
+    qfi, dist_sum, _ = ensemble_mod._run_block((cfg, 0))
+    same = (np.testing.assert_array_equal if single else
+            lambda a, b: np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12))
+    for k in range(n_maps):
+        pmap = generate_map(kind, n_steps, p, seed=split_seed(seed, k))
+        start = spec.build(cfg.t_max)
+        same(qfi[k], qfi_series(start, pmap, phi, n_steps, order=order).values)
+    if n_maps == 1:
+        state = start
+        for t in range(n_steps + 1):
+            if t > 0:
+                stepper = step if single else two_particle_step
+                state = stepper(state, StepContext(phi, t, pmap, order))
+            same(dist_sum[t], position_distribution(state).probabilities)
 
 
 @settings(max_examples=40, deadline=2000)
