@@ -77,7 +77,7 @@ INITIAL_KINDS = ("single",) + TWO_PARTICLE_KINDS
 #: members one kernel call evolves together.  A constant, never derived from
 #: the worker count: block boundaries set the order in which aggregates are
 #: summed, so they must not depend on scheduling.
-BLOCK_MAPS = 32
+BLOCK_MAPS = 64
 
 #: s in (a (x) b + s b (x) a) / sqrt2 for each two-walker initial kind
 _EXCHANGE_SIGN = {"separable": 0, "boson": 1, "fermion": -1}
