@@ -178,6 +178,10 @@ def parse_config(raw):
     _require(
         isinstance(per_map_variance, bool), "'per_map_variance' must be true or false"
     )
+    _require(
+        experiment == "variance" or not per_map_variance,
+        "'per_map_variance' only applies to experiment 'variance'",
+    )
 
     initial = _parse_initial(raw.get("initial"), experiment)
     if experiment == "two-particle":
@@ -208,7 +212,7 @@ def parse_config(raw):
             collect_qfi=experiment in ("qfi", "two-particle", "fit"),
             collect_distribution=experiment == "distribution",
             collect_variance=experiment == "variance",
-            per_map_variance=experiment == "variance" and per_map_variance,
+            per_map_variance=per_map_variance,
             operator_order=raw.get("operator_order", PHASE_FIRST),
         )
     except ValueError as exc:

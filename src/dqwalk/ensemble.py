@@ -41,7 +41,6 @@ checks (Omar, Paunkovic, Sheridan & Bose, PRA 74, 042304 (2006)).
 from __future__ import annotations
 
 import math
-import multiprocessing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -384,6 +383,8 @@ def run_ensemble(config, workers=None):
         results = map(_run_block, tasks)
         pool = None
     else:
+        import multiprocessing  # only a pool needs it; keeps start-up lean
+
         pool = multiprocessing.Pool(processes=workers)
         results = pool.imap(_run_block, tasks)
     try:

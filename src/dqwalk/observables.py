@@ -29,7 +29,8 @@ def position_distribution(state, particle=0):
     both.  For a stack of walkers (WalkerState amplitudes of shape
     (..., W, 2)) the probabilities have shape (..., W), one marginal per
     walker, and a RowCheckError names the first walker, in C order, whose
-    norm^2 is off 1 by more than NORM_TOL.
+    norm^2 is off 1 by more than NORM_TOL.  For a `states.ConeState` the
+    last axis holds its slots, in the order of `ConeState.positions`.
     """
     weights = np.abs(state.amplitudes) ** 2
     if isinstance(state, TwoParticleState):

@@ -13,7 +13,7 @@ evolutions a, b of |x,up>, |x,down> (see `dqwalk.ensemble`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,7 +81,7 @@ class WalkerState:
         return float(np.linalg.norm(self.amplitudes))
 
     def copy(self):
-        return replace(self, amplitudes=self.amplitudes.copy())
+        return WalkerState(self.t_max, self.amplitudes.copy())
 
     def window(self, half_width):
         """The sites |x| <= half_width, as a view state of that capacity.
@@ -130,10 +130,6 @@ class ConeState(WalkerState):
     def steps(self):
         """t, the steps taken since the walkers left the origin."""
         return self.amplitudes.shape[-2] - 1
-
-    @property
-    def width(self):
-        return self.steps + 1
 
     def positions(self):
         """Lattice coordinates matching the slot axis of `amplitudes`."""

@@ -9,10 +9,10 @@ bytes; nothing here reads clocks or global state.
 from __future__ import annotations
 
 import base64
+import html
 import math
 import struct
 import zlib
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -47,6 +47,13 @@ def _decade_ticks(lo, hi):
     lo_e = math.floor(math.log10(lo))
     hi_e = math.ceil(math.log10(hi))
     return [10.0**e for e in range(lo_e, hi_e + 1)]
+
+
+def escape(text):
+    """Text escaped for an SVG element: &, < and >, as xml.sax.saxutils.escape
+    does, without that module's import of urllib.request.
+    """
+    return html.escape(text, quote=False)
 
 
 def _fmt(value):

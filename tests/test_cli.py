@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -297,6 +300,39 @@ def test_bad_fit_block_exits_2_before_running(tmp_path, capsys, monkeypatch,
     cfg = _write_config(tmp_path, **fields)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert words in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["qfi", "fit", "distribution", "two-particle"])
+def test_per_map_variance_off_experiment_variance_exits_2(tmp_path, capsys,
+                                                         monkeypatch, experiment):
+    # silently dropping it would run a different experiment than asked for
+    monkeypatch.setattr("dqwalk.cli.run_ensemble", _refuse_to_run)
+    extra = {"fit": {"fit": {"t_min": 2, "t_max": 12}},
+             "two-particle": {"initial": {"kind": "boson"}}}.get(experiment, {})
+    cfg = _write_config(tmp_path, experiment=experiment, per_map_variance=True,
+                        **extra)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "'per_map_variance' only applies to experiment 'variance'" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+def test_per_map_variance_false_is_accepted_anywhere(tmp_path):
+    cfg = _write_config(tmp_path, per_map_variance=False)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_cli_import_skips_network_and_pool_modules():
+    # xml.sax.saxutils pulls in urllib.request and friends, and a pool is
+    # only needed with several workers; neither belongs in every start-up
+    code = ("import sys, dqwalk, dqwalk.cli; "
+            "print(sorted({'urllib.request', 'multiprocessing'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_longest_window_that_fits_runs(tmp_path):

@@ -53,3 +53,13 @@ def test_reproduce_figure_rejects_zero_maps(tmp_path):
 def test_reproduce_figure_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError, match="xml"):
         reproduce_figure("fig2a", str(tmp_path), fmt="xml", workers=1)
+
+
+@pytest.mark.parametrize("text", [
+    "fig4b: F(t) & <x^2> > 0", "p = 0.5", "<&>", "'quoted' \"text\"", "",
+])
+def test_svg_text_escapes_as_saxutils(text):
+    from xml.sax import saxutils
+
+    from dqwalk import svgplot
+    assert svgplot.escape(text) == saxutils.escape(text)
