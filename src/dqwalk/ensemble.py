@@ -192,11 +192,10 @@ def _stack_masks(config, members, walkers):
 
     The table is (n_steps, W, rows) bool, the walker axis innermost as in
     the block's state buffers, and the MapStack holds its (rows, n_steps, W)
-    view; the kernel reads it at the light cone's sites
+    view, which the kernel reads at the light cone's sites
     (`MapStack.cone_signs`).  Each member's map is repeated for each of its
-    walkers: signs
-    broadcast over a walker axis of length 2 would make every numpy inner
-    loop that short.  A map covers -n_steps..n_steps; the columns beyond,
+    walkers: signs broadcast over a walker axis of length 2 would make
+    every numpy inner loop that short.  A map covers -n_steps..n_steps; the columns beyond,
     which only walkers started off the origin reach, stay False (no
     disorder), as in `PhaseMap.step_signs`.
     """
@@ -225,19 +224,12 @@ def _run_block(args):
     picklable.  A failure on one member's map or state raises
     EnsembleMemberError with that member's index and seed.
 
-    Light-cone slots: after t steps from x0 a walker's amplitude sits only
-    on the t + 1 sites x0 - t + 2k (`states.ConeState`), so the block holds
-    psi and dpsi in (2, n_steps + 1, rows) buffers, coin, slot and walker,
-    and step t reads slots 0..t-1 of one buffer and writes slots 0..t of
-    the other.  The walker axis is innermost and the slots a step touches
-    are contiguous, so every numpy operation of a step is one contiguous
-    loop.  The public functions see the buffers through transposed views,
-    ConeState stacks of shape (rows, 1, t + 1, 2), and the masks as a
-    MapStack of matching rows, whose signs are read at the cone's sites.
-    The two cells the shift leaves unwritten, up at slot 0 and down at slot
-    t, are zero: down at slot t was never written, and up at slot 0 only
-    holds the t = 0 state, which is cleared before step 2 overwrites that
-    buffer.  Every element goes through the operations of
+    Light-cone slots (see the module docstring): step t reads slots 0..t-1
+    of one (2, n_steps + 1, rows) buffer and writes slots 0..t of the
+    other.  The two cells the shift leaves unwritten, up at slot 0 and down
+    at slot t, are zero: down at slot t was never written, and up at slot 0
+    only holds the t = 0 state, which is cleared before step 2 overwrites
+    that buffer.  Every element goes through the operations of
     `step_with_derivative` in the same order, so it has the bits of the
     one-map evolution.
 

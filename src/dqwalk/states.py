@@ -118,11 +118,10 @@ class ConeState(WalkerState):
     origin: int = 0
 
     def __post_init__(self):
-        if self.amplitudes.ndim < 2 or self.amplitudes.shape[-1] != 2 \
-                or self.amplitudes.shape[-2] < 1:
+        shape = self.amplitudes.shape
+        if len(shape) < 2 or shape[-1] != 2 or shape[-2] < 1:
             raise ValueError(
-                f"amplitude array has shape {self.amplitudes.shape}, "
-                f"expected (..., t + 1, 2)"
+                f"amplitude array has shape {shape}, expected (..., t + 1, 2)"
             )
         self.t_max = abs(self.origin) + self.steps
 
