@@ -41,10 +41,6 @@ class PhaseMap:
     seed: int
     pi_mask: np.ndarray = field(repr=False)
 
-    @property
-    def width(self):
-        return 2 * self.n_steps + 1
-
     def row(self, step_index):
         """Boolean pi-cells for step step_index (1-based)."""
         if not 1 <= step_index <= self.n_steps:
@@ -70,13 +66,14 @@ class PhaseMap:
 
 @dataclass(frozen=True, eq=False)
 class MapStack:
-    """The pi masks of B maps on one state lattice, to step B walkers at once.
+    """The pi masks of B maps, to step B stacks of light-cone walkers at once.
 
     masks has shape (B, n_steps, 2*t_max + 1) and is bool; masks[b, t-1] is
-    map b's row for step t, already aligned to the state lattice, with the
-    columns beyond the map's own lattice False, as in `PhaseMap.step_signs`.
-    The ensembles pass the transposed view of an (n_steps, W, B) table, so
-    that the map axis is innermost in memory like their walkers.
+    map b's row for step t on the lattice -t_max..t_max, with the columns
+    beyond the map's own lattice False, as in `PhaseMap.step_signs`.  The
+    ensembles pass the transposed view of an (n_steps, W, B) table, so
+    that the map axis is innermost in memory like their walkers, and read
+    it at the sites of their `states.ConeState` slots.
     """
 
     masks: np.ndarray = field(repr=False)
@@ -85,38 +82,27 @@ class MapStack:
     def n_steps(self):
         return self.masks.shape[1]
 
-    def step_signs(self, step_index, t_max):
-        """Signs for step step_index on the sites |x| <= t_max, shape
-        (B, 1, 2*t_max + 1): one row per map, with an axis that broadcasts
-        over the walkers each map drives.  t_max may be below the table's
-        half-width, for a walker stepped on a window of its lattice.  The
+    def cone_signs(self, step_index, origin, t):
+        """Signs for step step_index at the t + 1 sites origin - t + 2k,
+        k = 0..t, of the light cone t steps from origin
+        (`states.ConeState`), shape (B, 1, t + 1): one row per map, with
+        an axis that broadcasts over the walkers each map drives.  The
         signs are complex, +-1 + 0j, the values `PhaseMap.step_signs` takes
         on when multiplied into the phase factor, so the factor is formed
         without a cast.
         """
-        return self._signs(step_index, slice(-t_max, t_max + 1))
-
-    def cone_signs(self, step_index, origin, t):
-        """Signs for step step_index at the t + 1 sites origin - t + 2k,
-        k = 0..t, of the light cone t steps from origin
-        (`states.ConeState`), shape (B, 1, t + 1), as `step_signs`.
-        """
-        return self._signs(step_index, slice(origin - t, origin + t + 1, 2))
-
-    def _signs(self, step_index, sites):
-        """Signs at the lattice sites `sites`, a slice of x."""
         if not 1 <= step_index <= self.n_steps:
             raise ValueError(
                 f"step index {step_index} outside 1..{self.n_steps}"
             )
         c = (self.masks.shape[2] - 1) // 2
-        if sites.start < -c or sites.stop - 1 > c:
+        lo, hi = origin - t, origin + t
+        if lo < -c or hi > c:
             raise ValueError(
-                f"masks are {self.masks.shape[2]} sites wide, the sites "
-                f"reach {sites.start}..{sites.stop - 1}"
+                f"masks are {self.masks.shape[2]} sites wide, the cone "
+                f"reaches {lo}..{hi}"
             )
-        cols = slice(c + sites.start, c + sites.stop, sites.step)
-        row = self.masks[:, step_index - 1, None, cols]
+        row = self.masks[:, step_index - 1, None, c + lo:c + hi + 1:2]
         return np.where(row, -1.0 + 0j, 1.0 + 0j)
 
 

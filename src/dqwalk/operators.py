@@ -62,15 +62,11 @@ class DerivativePair:
             zero = WalkerState.zeros(state.t_max)
         return cls(state, zero)
 
-    def window(self, half_width):
-        """Both walker states' sites |x| <= half_width (`WalkerState.window`)."""
-        return DerivativePair(self.psi.window(half_width),
-                              self.dpsi.window(half_width))
-
 
 def _phase_factor(ctx, state):
     """Complex up-component multiplier e^{i(phi + dphi(x))} at each site of
-    `state`: its lattice, or the slots of a `ConeState`.
+    `state`: the slots of a `ConeState` under a `MapStack`, or the lattice
+    of any other state under a `PhaseMap`.
     """
     if isinstance(state, ConeState):
         signs = ctx.phase_map.cone_signs(ctx.step_index, state.origin, state.steps)
@@ -126,11 +122,11 @@ def step(state, ctx, out=None):
     """One full step of the walk on a single walker.
 
     With `out`, the step is written into out in one fused pass
-    (`block_step`) and out is returned.  `state` may then be a stack of
-    walkers under a `MapStack`, and out either a WalkerState of the same
-    shape or, for a `ConeState` of t slots, the ConeState of its t + 1
-    slots one step on; this is how ensembles step their walkers.  Both
-    routes give the same bits.
+    (`block_step`) and out is returned.  `state` may then be a `ConeState`
+    stack of t slots under a `MapStack`, and out the ConeState of its
+    t + 1 slots one step on; this is how ensembles step their walkers.
+    A lattice walker under a `PhaseMap` steps into a WalkerState of its
+    own shape.  Both routes give the same bits.
     """
     if out is not None:
         _fused_step(state, None, ctx, out, None)
@@ -149,8 +145,9 @@ def step_with_derivative(pair, ctx, out=None):
         phase-first:  dpsi' = S C (dP psi + P dpsi)
         phase-last:   dpsi' = dP S C psi + P S C dpsi
 
-    With `out`, a DerivativePair of walker states shaped as for `step`, the
-    step is written into out through `block_step`, as for `step`.
+    With `out`, a DerivativePair of states shaped as for `step` (the
+    ensembles pass `ConeState` stacks under a `MapStack`), the step is
+    written into out through `block_step`, as for `step`.
     """
     psi, dpsi = pair.psi, pair.dpsi
     if out is not None:

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoundaryError
-
 UP = 0
 DOWN = 1
 
@@ -42,9 +40,9 @@ class WalkerState:
     t_max is the capacity in steps: a walker started at the origin can take at
     most t_max steps before its light cone reaches the array edge.  The
     amplitudes may also be a stack of shape (..., W, 2), one walker per
-    leading index, which `step`/`step_with_derivative` with `out`,
-    `qfi_pure` and `position_distribution` treat walker by walker; the
-    ensembles step such stacks on their light cones (`ConeState`).
+    leading index, which `qfi_pure` and `position_distribution` treat
+    walker by walker.  Stacks are stepped only on their light cones
+    (`ConeState`).
     """
 
     t_max: int
@@ -63,10 +61,6 @@ class WalkerState:
     def zeros(cls, t_max):
         return cls(t_max, np.zeros((_width(t_max), 2), dtype=np.complex128))
 
-    @property
-    def width(self):
-        return _width(self.t_max)
-
     def positions(self):
         """Lattice coordinates matching axis 0 of `amplitudes`."""
         return np.arange(-self.t_max, self.t_max + 1)
@@ -79,25 +73,6 @@ class WalkerState:
 
     def norm(self):
         return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self):
-        return WalkerState(self.t_max, self.amplitudes.copy())
-
-    def window(self, half_width):
-        """The sites |x| <= half_width, as a view state of that capacity.
-
-        Steps and reductions on the window write and read the same memory
-        as on the full lattice.  Raises BoundaryError if the window would
-        cross the lattice edge.
-        """
-        if half_width > self.t_max:
-            raise BoundaryError(
-                f"light cone |x| <= {half_width} crosses the lattice edge "
-                f"(t_max = {self.t_max})"
-            )
-        c = self.t_max
-        sites = self.amplitudes[..., c - half_width:c + half_width + 1, :]
-        return WalkerState(half_width, sites)
 
 
 @dataclass
@@ -164,18 +139,11 @@ class TwoParticleState:
         w = _width(t_max)
         return cls(t_max, np.zeros((w, 2, w, 2), dtype=np.complex128), symmetry)
 
-    @property
-    def width(self):
-        return _width(self.t_max)
-
     def positions(self):
         return np.arange(-self.t_max, self.t_max + 1)
 
     def norm(self):
         return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self):
-        return TwoParticleState(self.t_max, self.amplitudes.copy(), self.symmetry)
 
 
 def coin_spinor(coin):

@@ -111,12 +111,23 @@ def test_step_signs_values_and_alignment():
 
 
 def test_map_stack_step_index_is_checked():
-    stack = MapStack(np.zeros((2, 4, 9), dtype=bool))
-    assert stack.step_signs(1, 4).shape == (2, 1, 9)
-    assert stack.step_signs(4, 4).shape == (2, 1, 9)
+    # 2 maps of 4 steps on the lattice -4..4; the cone 3 steps from x0 = 1
+    # reaches -2..4, the sites -2, 0, 2, 4
+    masks = np.zeros((2, 4, 9), dtype=bool)
+    masks[1, 2, [2, 6, 7]] = True  # x = -2, 2 and 3 of map 1 at step 3
+    stack = MapStack(masks)
+    assert stack.cone_signs(1, 1, 3).shape == (2, 1, 4)
+    np.testing.assert_array_equal(stack.cone_signs(3, 1, 3)[:, 0],
+                                  [[1, 1, 1, 1], [-1, 1, -1, 1]])
+    assert stack.cone_signs(3, 1, 3).dtype == complex
+    assert stack.cone_signs(4, -4, 0).shape == (2, 1, 1)
     for step_index in (0, 5):
-        with pytest.raises(ValueError):
-            stack.step_signs(step_index, 4)
+        with pytest.raises(ValueError, match="step index"):
+            stack.cone_signs(step_index, 0, 2)
+    # cones that run past either edge of the table
+    for origin, t in ((1, 4), (-1, 4), (0, 5), (5, 0), (-5, 0)):
+        with pytest.raises(ValueError, match="sites wide"):
+            stack.cone_signs(1, origin, t)
 
 
 def test_json_round_trip():

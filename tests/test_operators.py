@@ -27,14 +27,12 @@ from dqwalk import (
     inner_product,
     new_two_particle_state,
     new_walker_state,
-    qfi_pure,
     step,
     step_with_derivative,
     support_radius,
     two_particle_step,
     two_particle_step_with_derivative,
 )
-from dqwalk.disorder import MapStack
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -83,31 +81,6 @@ def test_shift_raises_at_lattice_edge():
     s = new_walker_state(2, position=-2, coin=(0.0, 1.0))
     with pytest.raises(BoundaryError):
         apply_shift(s)
-
-
-def test_windowed_stacked_step_raises_at_lattice_edge():
-    # walker 1 of three, in the ensembles' (coin, site, walker) buffers, is
-    # planted on the edge site x = t_max; the window that reaches the edge
-    # refuses to step it, and no window may reach past the edge
-    t_max, n_walkers = 5, 3
-
-    def stack():
-        cells = np.zeros((2, 2 * t_max + 1, n_walkers), dtype=complex)
-        return WalkerState(t_max, cells.transpose(2, 1, 0)[:, None])
-
-    masks = MapStack(np.zeros((n_walkers, t_max, 2 * t_max + 1), dtype=bool))
-    ctx = StepContext(0.2, 1, masks)
-    for coin in (UP, DOWN):
-        for edge in (0, -1):
-            pair = DerivativePair(stack(), stack())
-            pair.psi.amplitudes[1, 0, edge, coin] = 1.0
-            with pytest.raises(BoundaryError):
-                step_with_derivative(pair.window(t_max), ctx,
-                                     out=DerivativePair(stack(), stack()).window(t_max))
-            with pytest.raises(BoundaryError):
-                step(pair.psi.window(t_max), ctx, out=stack().window(t_max))
-    with pytest.raises(BoundaryError):
-        stack().window(t_max + 1)
 
 
 def test_phase_acts_on_up_only():
@@ -219,43 +192,6 @@ def test_step_with_derivative_psi_component_bitwise():
         pair = step_with_derivative(pair, ctx)
         plain = step(plain, ctx)
         assert np.array_equal(pair.psi.amplitudes, plain.amplitudes)
-
-
-
-@pytest.mark.parametrize("order", [PHASE_FIRST, PHASE_LAST])
-def test_stacked_step_with_out_matches_one_map_steps(order):
-    # three maps, walkers started off the origin so the padding columns count
-    n, position = 6, 1
-    t_max = n + position
-    pmaps = [generate_map("dynamic", n, 0.5, seed=seed) for seed in (1, 2, 3)]
-    masks = np.zeros((3, n, 2 * t_max + 1), dtype=bool)
-    for b, pmap in enumerate(pmaps):
-        masks[b, :, position:position + 2 * n + 1] = pmap.pi_mask
-    stack = MapStack(masks)
-    s = new_walker_state(t_max, position, (INV_SQRT2, INV_SQRT2))
-    rows = np.repeat(s.amplitudes[None, None], 3, axis=0)
-
-    def stacked():
-        return WalkerState(t_max, np.zeros_like(rows))
-
-    cur = DerivativePair(WalkerState(t_max, rows.copy()), stacked())
-    nxt = DerivativePair(stacked(), stacked())
-    plain, plain_next = WalkerState(t_max, rows.copy()), stacked()
-    singles = [DerivativePair.initial(s) for _ in pmaps]
-    for t in range(1, n + 1):
-        step_with_derivative(cur, StepContext(0.4, t, stack, order), out=nxt)
-        step(plain, StepContext(0.4, t, stack, order), out=plain_next)
-        cur, nxt = nxt, cur
-        plain, plain_next = plain_next, plain
-        singles = [step_with_derivative(pair, StepContext(0.4, t, pmap, order))
-                   for pair, pmap in zip(singles, pmaps)]
-        values = qfi_pure(cur)
-        assert values.shape == (3, 1)
-        for b, pair in enumerate(singles):
-            assert np.array_equal(cur.psi.amplitudes[b, 0], pair.psi.amplitudes)
-            assert np.array_equal(cur.dpsi.amplitudes[b, 0], pair.dpsi.amplitudes)
-            assert np.array_equal(plain.amplitudes[b, 0], pair.psi.amplitudes)
-            assert values[b, 0] == qfi_pure(pair)
 
 
 def _fd_derivative(initial, pmap, phi, n_steps, order, h=1e-5):

@@ -58,6 +58,10 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
     phi=st.floats(-math.pi, math.pi),
     order=st.sampled_from(OPERATOR_ORDERS),
 )
+@example(kind="dynamic", p=0.5, seed=1, n_maps=3, n_steps=6, position=1,
+         theta=math.pi / 2, phi=0.4, order=OPERATOR_ORDERS[0])
+@example(kind="dynamic", p=0.5, seed=1, n_maps=3, n_steps=6, position=1,
+         theta=math.pi / 2, phi=0.4, order=OPERATOR_ORDERS[1])
 def test_cone_stacked_steps_equal_one_map_steps(
         kind, p, seed, n_maps, n_steps, position, theta, phi, order):
     # stacked steps on light-cone slots of (coin, slot, walker) buffers, as
