@@ -178,10 +178,17 @@ def _read_series_csv(path):
                     raise ConfigError(
                         f"{path}: line {lineno}: step {parts[0]!r} is not a whole number"
                     )
+                value = float(parts[1])
+                if not np.isfinite(value):
+                    raise ConfigError(
+                        f"{path}: line {lineno}: value {parts[1]!r} is not a finite number"
+                    )
                 steps.append(int(step))
-                values.append(float(parts[1]))
+                values.append(value)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except ConfigError:
+        raise
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"{path}: malformed series CSV: {exc}") from exc
     if not steps:
@@ -206,20 +213,25 @@ def _cmd_fit(args):
         digest = hashlib.sha256(fh.read()).hexdigest()
     steps = np.asarray(steps)
     values = np.asarray(values)
-    fit = fit_power_law(values, args.t_min, args.t_max, steps=steps)
+    try:
+        fit = fit_power_law(values, args.t_min, args.t_max, steps=steps)
+        alpha = None
+        if args.window is not None:
+            alpha = alpha_columns(
+                windowed_alpha(values, window=args.window, steps=steps))
+    except ValueError as exc:
+        # a series the range or window cannot serve, as for simulate's 'fit'
+        raise ConfigError(f"{args.input}: {exc}") from exc
     manifest = {
         "tool": {"name": "dqwalk", "version": __version__},
         "input": args.input,
         "input_sha256": digest,
         "fit": asdict(fit),
     }
-    alpha = None
-    if args.window is not None:
-        alpha = alpha_columns(windowed_alpha(values, window=args.window, steps=steps))
-        if args.out:
-            write_csv(args.out, manifest, alpha)
-            # status goes to stderr so stdout stays machine-readable
-            print(f"wrote {args.out}", file=sys.stderr)
+    if alpha is not None and args.out:
+        write_csv(args.out, manifest, alpha)
+        # status goes to stderr so stdout stays machine-readable
+        print(f"wrote {args.out}", file=sys.stderr)
     if args.format == "json":
         if alpha is not None:
             manifest["alpha_series"] = alpha

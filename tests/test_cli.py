@@ -204,7 +204,7 @@ def test_fit_command_rejects_unfittable_series(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("t,value\n1,1.0\n2,-3.0\n3,2.0\n4,4.0\n")
     rc = main(["fit", "--input", str(path), "--t-min", "1", "--t-max", "4"])
-    assert rc == 3
+    assert rc == 2
     assert "negative" in capsys.readouterr().err
 
 
@@ -269,6 +269,20 @@ def test_cli_argument_validation(tmp_path, capsys):
     rc = main(["fit", "--input", str(halves), "--t-min", "1", "--t-max", "4"])
     assert rc == 2
     assert "line 2: step '0.5'" in capsys.readouterr().err
+    # a non-finite value is named by its line, not fitted as a NaN floor
+    holed = tmp_path / "holed.csv"
+    holed.write_text("t,value\n" + "".join(
+        f"{t},{'nan' if t == 3 else t * t}\n" for t in range(1, 7)))
+    rc = main(["fit", "--input", str(holed), "--t-min", "1", "--t-max", "6"])
+    assert rc == 2
+    assert "line 4: value 'nan'" in capsys.readouterr().err
+    # a window longer than the series is an argument error too
+    short = tmp_path / "short.csv"
+    short.write_text("t,value\n" + "".join(f"{t},{t * t}.0\n" for t in range(1, 5)))
+    rc = main(["fit", "--input", str(short), "--t-min", "1", "--t-max", "4",
+               "--window", "9"])
+    assert rc == 2
+    assert "window 9 does not fit inside steps 1..4" in capsys.readouterr().err
 
 
 def _refuse_to_run(*args, **kwargs):
