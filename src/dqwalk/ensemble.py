@@ -78,6 +78,11 @@ INITIAL_KINDS = ("single",) + TWO_PARTICLE_KINDS
 #: summed, so they must not depend on scheduling.
 BLOCK_MAPS = 64
 
+#: bytes a run may allocate for one block's (n_steps, W, rows) bool mask
+#: table and the (n_maps, n_steps + 1) float64 QFI table together, so that
+#: a mistyped size is refused as a config instead of failing to allocate
+_MAX_RUN_BYTES = 2**30
+
 #: s in (a (x) b + s b (x) a) / sqrt2 for each two-walker initial kind
 _EXCHANGE_SIGN = {"separable": 0, "boson": 1, "fermion": -1}
 
@@ -148,6 +153,16 @@ class EnsembleConfig:
             raise ValueError("phi must be finite")
         if self.operator_order not in OPERATOR_ORDERS:
             raise ValueError(f"unknown operator order {self.operator_order!r}")
+        walkers = 1 if self.initial.kind == "single" else 2
+        rows = min(self.n_maps, BLOCK_MAPS) * walkers
+        size = (self.n_steps * (2 * self.t_max + 1) * rows
+                + 8 * self.n_maps * (self.n_steps + 1))
+        if size > _MAX_RUN_BYTES:
+            raise ValueError(
+                f"{self.n_steps} steps of {self.n_maps} maps from position "
+                f"{self.initial.position} need {size} bytes of mask and QFI "
+                f"tables, over the limit of {_MAX_RUN_BYTES}"
+            )
         if not (
             self.collect_qfi
             or self.collect_distribution

@@ -18,6 +18,7 @@ from dqwalk import (
     run_ensemble,
     split_seed,
 )
+from dqwalk.figures import FIGURES, PAPER_MAPS
 from dqwalk.operators import OPERATOR_ORDERS
 
 
@@ -71,6 +72,19 @@ def test_config_validation():
     with pytest.raises(ValueError):
         EnsembleConfig(kind="dynamic", p=0.5, n_steps=10, n_maps=5,
                        collect_qfi=False)
+
+
+def test_config_size_is_bounded():
+    # every preset, at paper scale and with two walkers, fits the limit
+    for _, params in FIGURES.values():
+        for kind in ("single", "boson"):
+            EnsembleConfig(kind="none", p=0.0, n_steps=params["n_steps"],
+                           n_maps=PAPER_MAPS, initial=InitialStateSpec(kind))
+    # mask and QFI tables past the limit, in each of the three sizes
+    for steps, maps, position in ((2**15, 1, 0), (1, 2**30, 0), (1, 1, 2**30)):
+        with pytest.raises(ValueError, match="over the limit"):
+            EnsembleConfig(kind="none", p=0.0, n_steps=steps, n_maps=maps,
+                           initial=InitialStateSpec(position=position))
 
 
 _BALANCED = (complex(2 ** -0.5), complex(2 ** -0.5))

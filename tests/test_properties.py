@@ -1,12 +1,13 @@
 """Property tests: the stacked light-cone step, the block kernel and the
-two-walker tensor step against one-map steps, and `simulate` on mutated
-configs.
+two-walker tensor step against one-map steps, the map JSON round trip,
+and `simulate` on mutated configs.
 
 Bounded example counts and deadlines keep the tier-1 run short.
 """
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -22,8 +23,11 @@ from dqwalk import (
     DerivativePair,
     EnsembleConfig,
     InitialStateSpec,
+    PhaseMap,
     StepContext,
     generate_map,
+    map_from_json,
+    map_to_json,
     new_two_particle_state,
     new_walker_state,
     position_distribution,
@@ -199,6 +203,29 @@ def test_tensor_steps_equal_product_of_one_walker_steps(
         assert np.max(np.abs(joint.dpsi.amplitudes - dpsi)) < 1e-12
 
 
+@settings(max_examples=60, deadline=2000)
+@given(
+    kind=st.sampled_from(KINDS),
+    semantics=st.sampled_from(SEMANTICS),
+    p=st.floats(0.0, 1.0),
+    n_steps=st.integers(1, 12),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_map_json_round_trip_is_exact(kind, semantics, p, n_steps, seed):
+    # through JSON text and back, every field and every mask bit survive
+    if kind == "none":
+        p = 0.0
+    pmap = generate_map(kind, n_steps, p, semantics, seed)
+    back = map_from_json(json.loads(json.dumps(map_to_json(pmap))))
+    for f in dataclasses.fields(PhaseMap):
+        got, want = getattr(back, f.name), getattr(pmap, f.name)
+        if f.name == "pi_mask":
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+        else:
+            assert type(got) is type(want) and got == want, f.name
+
+
 # Small valid configs, one per experiment: no draw below allocates more than
 # steps <= 7, maps <= 3, |position| <= 3.
 _BASE_CONFIGS = {
@@ -305,6 +332,9 @@ def _mutate(cfg, path, value):
     (("initial", "coin"), [0.707106781186, 0.707106781186])])
 @example(base="fit", flags=[], mutations=[(("fit",), {"t_min": 1, "t_max": 2})])
 @example(base="fit", flags=[], mutations=[(("fit", "window"), 50)])
+@example(base="qfi", flags=[], mutations=[(("steps",), 2**70)])
+@example(base="qfi", flags=[], mutations=[(("maps",), 2**70)])
+@example(base="qfi", flags=[], mutations=[(("initial", "position"), 2**70)])
 def test_simulate_exits_0_or_2_never_3(base, mutations, flags):
     # a config simulate cannot run is rejected as a config (2), before or
     # instead of failing at run time (3)
