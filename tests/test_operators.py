@@ -27,12 +27,15 @@ from dqwalk import (
     inner_product,
     new_two_particle_state,
     new_walker_state,
+    qfi_pure,
     step,
     step_with_derivative,
     support_radius,
     two_particle_step,
     two_particle_step_with_derivative,
 )
+from dqwalk.disorder import MapStack
+from dqwalk.states import ConeState
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -192,6 +195,45 @@ def test_step_with_derivative_psi_component_bitwise():
         pair = step_with_derivative(pair, ctx)
         plain = step(plain, ctx)
         assert np.array_equal(pair.psi.amplitudes, plain.amplitudes)
+
+
+@pytest.mark.parametrize("order", [PHASE_FIRST, PHASE_LAST])
+def test_stacked_step_with_out_matches_one_map_steps(order):
+    # three maps stacked on the light-cone slots the ensembles step, walkers
+    # started off the origin so the mask table's padding columns count
+    n, position = 6, 1
+    t_max = n + position
+    pmaps = [generate_map("dynamic", n, 0.5, seed=seed) for seed in (1, 2, 3)]
+    masks = np.zeros((3, n, 2 * t_max + 1), dtype=bool)
+    for b, pmap in enumerate(pmaps):
+        masks[b, :, position:position + 2 * n + 1] = pmap.pi_mask
+    stack = MapStack(masks)
+    s = new_walker_state(t_max, position, (INV_SQRT2, INV_SQRT2))
+
+    def cone(t, amplitudes=None):
+        if amplitudes is None:
+            amplitudes = np.zeros((3, 1, t + 1, 2), dtype=complex)
+        return ConeState(amplitudes, position)
+
+    start = np.repeat(s.amplitudes[None, None, [position + t_max]], 3, axis=0)
+    cur = DerivativePair(cone(0, start.copy()), cone(0))
+    plain = cone(0, start.copy())
+    singles = [DerivativePair.initial(s) for _ in pmaps]
+    for t in range(1, n + 1):
+        nxt, plain_next = DerivativePair(cone(t), cone(t)), cone(t)
+        step_with_derivative(cur, StepContext(0.4, t, stack, order), out=nxt)
+        step(plain, StepContext(0.4, t, stack, order), out=plain_next)
+        cur, plain = nxt, plain_next
+        singles = [step_with_derivative(pair, StepContext(0.4, t, pmap, order))
+                   for pair, pmap in zip(singles, pmaps)]
+        values = qfi_pure(cur)
+        assert values.shape == (3, 1)
+        rows = cur.psi.positions() + t_max
+        for b, pair in enumerate(singles):
+            assert np.array_equal(cur.psi.amplitudes[b, 0], pair.psi.amplitudes[rows])
+            assert np.array_equal(cur.dpsi.amplitudes[b, 0], pair.dpsi.amplitudes[rows])
+            assert np.array_equal(plain.amplitudes[b, 0], pair.psi.amplitudes[rows])
+            assert values[b, 0] == qfi_pure(pair)
 
 
 def _fd_derivative(initial, pmap, phi, n_steps, order, h=1e-5):
