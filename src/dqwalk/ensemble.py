@@ -25,6 +25,11 @@ order, whether the blocks ran serially or on a process pool, so the same
 config produces bit-identical aggregates no matter how the work was
 scheduled.
 
+Pool workers take whole blocks.  Every ensemble inside one `pool_scope`
+shares its pool: a `reproduce` preset opens one scope, so the command
+forks its workers once, at the first ensemble with blocks to share, and
+joins them once, when the preset ends, instead of once per ensemble.
+
 Two walkers share one map, and U (x) U is linear, so their joint state is
 exactly (a (x) b + s b (x) a) / sqrt2 with a = U|x,up>, b = U|x,down> and
 s = +1 for bosons, -1 for fermions (a (x) b alone for separable input).
@@ -40,6 +45,7 @@ checks (Omar, Paunkovic, Sheridan & Bose, PRA 74, 042304 (2006)).
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -361,13 +367,73 @@ def _variance_rows(dists, t_max):
     return dists @ (x * x) - means**2
 
 
+class _PoolScope:
+    """The process pool every ensemble inside one `pool_scope` shares."""
+
+    def __init__(self):
+        self.pool = None
+        self.size = 0
+
+    def get(self, workers):
+        """The pool, forked now, or re-forked if it has fewer than `workers`."""
+        if self.size < workers:
+            self.end()
+            import multiprocessing  # only a pool needs it; keeps start-up lean
+
+            self.pool = multiprocessing.Pool(processes=workers)
+            self.size = workers
+        return self.pool
+
+    def end(self, terminate=False):
+        """Close and join the pool, or stop its workers at once; then drop it."""
+        if self.pool is not None:
+            if terminate:
+                self.pool.terminate()
+            else:
+                self.pool.close()
+            self.pool.join()
+        self.pool, self.size = None, 0
+
+
+_scope = None
+
+
+@contextlib.contextmanager
+def pool_scope():
+    """Share one process pool between every `run_ensemble` call inside.
+
+    The pool is forked at the first call that needs one, with that call's
+    number of processes, so its workers run the code as it stood then; a
+    later call that needs more processes replaces it.  Leaving the scope
+    closes and joins the pool, so its workers have exited, and their CPU
+    time is reaped, by the time the scope ends; an exception terminates
+    them instead.  Inside an open scope, `pool_scope()` does nothing, and
+    `run_ensemble` outside any scope opens its own.
+    """
+    global _scope
+    if _scope is not None:
+        yield
+        return
+    _scope = scope = _PoolScope()
+    try:
+        yield
+    except BaseException:
+        scope.end(terminate=True)
+        raise
+    else:
+        scope.end()
+    finally:
+        _scope = None
+
+
 def run_ensemble(config, workers=None):
     """Run all members and aggregate.
 
-    workers = None or 1 runs in-process; larger values shard whole blocks
-    over a pool of at most one process per block.  Aggregation order is by
-    block, then member, either way, so results are bit-identical across
-    worker counts.
+    workers = None or 1, or a single block, runs in-process; otherwise
+    whole blocks are sharded over the process pool of the open
+    `pool_scope`, one opened for this call if none is.  Aggregation order
+    is by block, then member, either way, so results are bit-identical
+    across worker counts.
     """
     if workers is None:
         workers = 1
@@ -386,32 +452,26 @@ def run_ensemble(config, workers=None):
     dist_sum = np.zeros((n + 1, width)) if want_dist else None
     own_var_rows = np.empty((n_maps, n + 1)) if config.per_map_variance else None
 
-    if workers == 1:
-        results = map(_run_block, tasks)
-        pool = None
-    else:
-        import multiprocessing  # only a pool needs it; keeps start-up lean
-
-        pool = multiprocessing.Pool(processes=workers)
-        results = pool.imap(_run_block, tasks)
-    try:
-        # accumulate strictly in block order: scheduling cannot change bytes
-        for block, (qfi, dists, own_var) in enumerate(results):
-            rows = slice(block * BLOCK_MAPS, (block + 1) * BLOCK_MAPS)
-            if qfi_table is not None:
-                qfi_table[rows] = qfi
-            if dist_sum is not None:
-                dist_sum += dists
-            if own_var_rows is not None:
-                own_var_rows[rows] = own_var
-    except BaseException:
-        # a failed member or an interrupt must not wait for the queue to drain
-        if pool is not None:
-            pool.terminate()
-        raise
-    if pool is not None:
-        pool.close()
-        pool.join()
+    with pool_scope():
+        if workers == 1:
+            results = map(_run_block, tasks)
+        else:
+            results = _scope.get(workers).imap(_run_block, tasks)
+        try:
+            # accumulate strictly in block order: scheduling cannot change bytes
+            for block, (qfi, dists, own_var) in enumerate(results):
+                rows = slice(block * BLOCK_MAPS, (block + 1) * BLOCK_MAPS)
+                if qfi_table is not None:
+                    qfi_table[rows] = qfi
+                if dist_sum is not None:
+                    dist_sum += dists
+                if own_var_rows is not None:
+                    own_var_rows[rows] = own_var
+        except BaseException:
+            # a failed member or an interrupt must not wait for the queue to
+            # drain, nor leave a pool the rest of the scope would reuse
+            _scope.end(terminate=True)
+            raise
 
     out = EnsembleSeries(
         config=config,

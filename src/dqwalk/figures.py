@@ -15,7 +15,8 @@ from dataclasses import asdict, dataclass, field
 
 from .analysis import fit_power_law, windowed_alpha
 from .config import describe_ensemble
-from .ensemble import EnsembleConfig, InitialStateSpec, run_ensemble
+from .ensemble import EnsembleConfig, InitialStateSpec, pool_scope, run_ensemble
+from .errors import ConfigError
 from .output import (
     alpha_columns,
     build_manifest,
@@ -251,5 +252,29 @@ def reproduce_figure(name, out_dir, paper_scale=False, maps=None, seed=0,
     job = _Job(name, out_dir, paper_scale=paper_scale, maps=maps, seed=seed,
                fmt=fmt, workers=workers)
     panel, params = FIGURES[name]
-    job.emit_manifest(panel(job, **params))
+    _check_size(job, panel, params)
+    # one pool for all of the preset's ensembles, joined before the return
+    with pool_scope():
+        manifests = panel(job, **params)
+    job.emit_manifest(manifests)
     return job.result
+
+
+def _check_size(job, panel, params):
+    """Refuse a run `EnsembleConfig` would refuse, before any ensemble runs.
+
+    Its size limit grows with maps, steps and walkers, so the preset's
+    largest ensemble stands for all of them: its disordered map count (one
+    map for an ordered preset), with two walkers for the two-walker panels.
+    Raises ConfigError, since the caller's arguments are at fault.
+    """
+    p = params.get("p", 1.0)
+    walkers = "boson" if panel is _two_particle_panel else "single"
+    try:
+        EnsembleConfig(
+            kind=params.get("kind", "dynamic"), p=p, n_steps=params["n_steps"],
+            n_maps=job.n_maps(p), master_seed=job.seed,
+            initial=InitialStateSpec(kind=walkers),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc

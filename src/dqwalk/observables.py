@@ -7,18 +7,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrology import NORM_TOL, check_norms
-from .states import DOWN, UP, TwoParticleState, WalkerState
+from .states import DOWN, UP, ConeState, TwoParticleState, WalkerState, cone_positions
 
 
 @dataclass
 class PositionDistribution:
-    """Probabilities over lattice positions -t_max..t_max."""
+    """Probabilities over lattice positions -t_max..t_max.
+
+    With an `origin`, the probabilities are those of a light cone from
+    that site (`states.ConeState`): the last axis holds its slots.
+    """
 
     t_max: int
     probabilities: np.ndarray
+    origin: int = None
 
     def positions(self):
-        return np.arange(-self.t_max, self.t_max + 1)
+        """Sites matching the last axis of `probabilities`."""
+        if self.origin is None:
+            return np.arange(-self.t_max, self.t_max + 1)
+        return cone_positions(self.origin, self.probabilities.shape[-1] - 1)
 
 
 def position_distribution(state, particle=0):
@@ -30,7 +38,7 @@ def position_distribution(state, particle=0):
     (..., W, 2)) the probabilities have shape (..., W), one marginal per
     walker, and a RowCheckError names the first walker, in C order, whose
     norm^2 is off 1 by more than NORM_TOL.  For a `states.ConeState` the
-    last axis holds its slots, in the order of `ConeState.positions`.
+    last axis holds its slots, and `positions()` lists their sites.
     """
     weights = np.abs(state.amplitudes) ** 2
     if isinstance(state, TwoParticleState):
@@ -43,7 +51,8 @@ def position_distribution(state, particle=0):
     else:
         raise TypeError(f"unsupported state type {type(state).__name__}")
     check_norms(np.atleast_1d(probs.sum(axis=-1)).ravel())
-    return PositionDistribution(state.t_max, probs)
+    origin = state.origin if isinstance(state, ConeState) else None
+    return PositionDistribution(state.t_max, probs, origin)
 
 
 def position_variance(dist):

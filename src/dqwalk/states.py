@@ -107,7 +107,17 @@ class ConeState(WalkerState):
 
     def positions(self):
         """Lattice coordinates matching the slot axis of `amplitudes`."""
-        return self.origin - self.steps + 2 * np.arange(self.steps + 1)
+        return cone_positions(self.origin, self.steps)
+
+    def index_of(self, x):
+        """Slot of site x; ValueError unless x is one of `positions()`."""
+        k, off = divmod(x - self.origin + self.steps, 2)
+        if off or not 0 <= k <= self.steps:
+            raise ValueError(
+                f"position {x} is not on the light cone of {self.steps} steps "
+                f"from {self.origin}"
+            )
+        return k
 
 
 @dataclass
@@ -144,6 +154,11 @@ class TwoParticleState:
 
     def norm(self):
         return float(np.linalg.norm(self.amplitudes))
+
+
+def cone_positions(origin, steps):
+    """Sites origin - steps + 2k, k = 0..steps, of a light cone's slots."""
+    return origin - steps + 2 * np.arange(steps + 1)
 
 
 def coin_spinor(coin):
@@ -225,7 +240,11 @@ def exchange_residual(state):
 
 
 def support_radius(state):
-    """Largest |x| holding any nonzero amplitude; -1 for the zero state."""
+    """Largest |x| holding any nonzero amplitude; -1 for the zero state.
+
+    x is read from `state.positions()`, so a `ConeState` answers in sites,
+    not slots.
+    """
     if isinstance(state, TwoParticleState):
         occ = np.abs(state.amplitudes)
         occ1 = occ.sum(axis=(1, 2, 3))
@@ -235,4 +254,4 @@ def support_radius(state):
         hit = np.nonzero(np.abs(state.amplitudes).sum(axis=1) > 0)[0]
     if hit.size == 0:
         return -1
-    return int(max(abs(hit[0] - state.t_max), abs(hit[-1] - state.t_max)))
+    return int(np.abs(state.positions()[hit]).max())

@@ -336,6 +336,28 @@ def test_per_map_variance_false_is_accepted_anywhere(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
+@pytest.mark.parametrize("preset", ["fig2b", "fig4b", "fig6"])
+def test_reproduce_oversized_maps_exits_2_before_running(tmp_path, capsys,
+                                                         monkeypatch, preset):
+    monkeypatch.setattr("dqwalk.figures.run_ensemble", _refuse_to_run)
+    monkeypatch.setattr("dqwalk.twoparticle.run_ensemble", _refuse_to_run)
+    out = tmp_path / "o"
+    rc = main(["reproduce", preset, "--maps", "2000000000", "--workers", "1",
+               "--out", str(out)])
+    assert rc == 2
+    assert "over the limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reproduce_ordered_preset_runs_one_map_whatever_maps(tmp_path):
+    # --maps sizes the disordered runs only, so it cannot oversize fig2a
+    rc = main(["reproduce", "fig2a", "--maps", "2000000000", "--workers", "1",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "fig2a_manifest.json").read_text())
+    assert manifest["runs"][0]["config"]["maps"] == 1
+
+
 def test_cli_import_skips_network_and_pool_modules():
     # xml.sax.saxutils pulls in urllib.request and friends, and a pool is
     # only needed with several workers; neither belongs in every start-up

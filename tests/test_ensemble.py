@@ -18,6 +18,7 @@ from dqwalk import (
     run_ensemble,
     split_seed,
 )
+from dqwalk.ensemble import pool_scope
 from dqwalk.figures import FIGURES, PAPER_MAPS
 from dqwalk.operators import OPERATOR_ORDERS
 
@@ -308,6 +309,63 @@ def test_pooled_member_failure_surfaces_without_draining(monkeypatch):
     # draining the queue would take the other two blocks,
     # 2 x BLOCK_MAPS members x 5 s over 2 workers = BLOCK_MAPS x 5 s
     assert elapsed < 3.0
+
+
+def _three_block_config(master_seed):
+    return EnsembleConfig(kind="dynamic", p=0.5, n_steps=5,
+                          n_maps=3 * ensemble_mod.BLOCK_MAPS,
+                          master_seed=master_seed)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers must inherit the patched generate_map")
+def test_failed_member_drops_the_shared_pool(monkeypatch, pool_forks):
+    real = ensemble_mod.generate_map
+    bad_index = ensemble_mod.BLOCK_MAPS + 6  # in the second block
+    bad_seed = split_seed(5, bad_index)
+
+    def broken(kind, n_steps, p, semantics, seed):
+        if seed == bad_seed:
+            raise ValueError("synthetic failure")
+        return real(kind, n_steps, p, semantics, seed)
+
+    monkeypatch.setattr(ensemble_mod, "generate_map", broken)
+    good, bad = _three_block_config(4), _three_block_config(5)
+    with pool_scope():
+        first = run_ensemble(good, workers=2)
+        with pytest.raises(EnsembleMemberError) as info:
+            run_ensemble(bad, workers=2)
+        # the failure terminated and joined the pool's workers
+        assert multiprocessing.active_children() == []
+        again = run_ensemble(good, workers=2)
+    assert info.value.member_index == bad_index
+    assert info.value.member_seed == bad_seed
+    assert "synthetic failure" in str(info.value)
+    # the ensemble after the failure forked a pool of its own
+    assert pool_forks == [2, 2]
+    assert multiprocessing.active_children() == []
+    np.testing.assert_array_equal(first.qfi_mean, again.qfi_mean)
+
+
+def test_pool_scope_forks_once_and_joins_on_exit(pool_forks):
+    cfg = _three_block_config(4)
+    with pool_scope():
+        run_ensemble(cfg, workers=1)  # serial: no pool yet
+        assert pool_forks == []
+        with pool_scope():  # nested scopes share the outer pool
+            run_ensemble(cfg, workers=2)
+        assert pool_forks == [2] and multiprocessing.active_children()
+        run_ensemble(cfg, workers=2)
+        run_ensemble(cfg, workers=3)  # three blocks: a larger pool
+    assert pool_forks == [2, 3]
+    assert multiprocessing.active_children() == []
+    # an exception leaving the scope stops the workers
+    with pytest.raises(RuntimeError, match="after the ensemble"):
+        with pool_scope():
+            run_ensemble(cfg, workers=2)
+            raise RuntimeError("after the ensemble")
+    assert pool_forks == [2, 3, 2]
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("initial", ["single", "boson"])

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import pytest
 
@@ -42,6 +43,33 @@ def test_preset_csv_and_json_carry_the_same_series(preset, tmp_path):
         if not name.endswith(".csv"):
             assert (tmp_path / "csv" / name).read_bytes() == \
                 (tmp_path / "json" / name).read_bytes()
+
+
+@pytest.mark.parametrize("preset", ["fig5", "fig6"])
+def test_preset_shares_one_pool_and_bytes_across_workers(preset, tmp_path,
+                                                        pool_forks):
+    # 130 maps are three blocks, so two workers really share each ensemble
+    files = {}
+    for workers in (1, 2):
+        out = tmp_path / str(workers)
+        reproduce_figure(preset, str(out), maps=130, workers=workers)
+        # the four disordered ensembles share one pool, joined on return
+        assert pool_forks == ([] if workers == 1 else [2])
+        assert multiprocessing.active_children() == []
+        files[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert files[1] == files[2]
+
+
+@pytest.mark.parametrize("preset", sorted(FIGURES))
+def test_serial_preset_forks_no_pool(preset, tmp_path, pool_forks):
+    # 65 maps are two blocks, which --workers 2 would share out
+    reproduce_figure(preset, str(tmp_path), maps=65, workers=1)
+    assert pool_forks == []
+
+
+def test_single_block_ensembles_fork_no_pool(tmp_path, pool_forks):
+    reproduce_figure("fig4b", str(tmp_path), maps=2, workers=2)
+    assert pool_forks == []
 
 
 def test_reproduce_figure_rejects_zero_maps(tmp_path):

@@ -14,6 +14,7 @@ from dqwalk import (
     two_particle_step,
 )
 from dqwalk.errors import RowCheckError
+from dqwalk.states import ConeState
 
 
 def _evolve(state, pmap, n_steps, phi=0.0):
@@ -137,3 +138,19 @@ def test_ballistic_variance_growth_clean_walk():
             variances[t] = position_variance(position_distribution(state))
     ratio = variances[80] / variances[40]
     assert 3.5 < ratio < 4.5
+
+
+def test_cone_distribution_lists_the_cone_sites():
+    # the ordered walk two steps from x0 = 1, once on the lattice, once on
+    # its three light-cone slots (sites -1, 1, 3)
+    c = 1.0 / np.sqrt(2.0)
+    pmap = generate_map("none", 2, 0.0)
+    state = new_walker_state(3, position=1, coin=(c, c * 1j))
+    for t in (1, 2):
+        state = step(state, StepContext(0.0, t, pmap))
+    lattice = position_distribution(state)
+    cone = position_distribution(ConeState(state.amplitudes[2:7:2], 1))
+    np.testing.assert_array_equal(cone.positions(), [-1, 1, 3])
+    np.testing.assert_array_equal(cone.probabilities, lattice.probabilities[2:7:2])
+    assert position_variance(cone) == pytest.approx(position_variance(lattice),
+                                                    abs=1e-14)

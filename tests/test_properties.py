@@ -1,6 +1,6 @@
 """Property tests: the stacked light-cone step, the block kernel and the
 two-walker tensor step against one-map steps, the map JSON round trip,
-and `simulate` on mutated configs.
+`simulate` on mutated configs and `reproduce` on bad sizes and seeds.
 
 Bounded example counts and deadlines keep the tier-1 run short.
 """
@@ -43,6 +43,7 @@ from dqwalk.cli import main
 from dqwalk.config import EXPERIMENTS
 from dqwalk.disorder import KINDS, SEMANTICS, MapStack
 from dqwalk.ensemble import INITIAL_KINDS
+from dqwalk.figures import FIGURES
 from dqwalk.operators import OPERATOR_ORDERS
 from dqwalk.states import INV_SQRT2, TWO_PARTICLE_KINDS, ConeState
 
@@ -341,17 +342,45 @@ def test_simulate_exits_0_or_2_never_3(base, mutations, flags):
     cfg = copy.deepcopy(_BASE_CONFIGS[base])
     for path, value in mutations:
         _mutate(cfg, path, value)
+    rc, err = _main_in_tempdir(
+        ["simulate", "--config", "cfg.json", "--workers", "1"]
+        + [arg for flag in flags for arg in flag], cfg)
+    assert rc in (0, 2), f"exit {rc} for {cfg} {flags}: {err}"
+
+
+def _main_in_tempdir(argv, cfg=None):
+    """(exit code, stderr) of `main(argv)` run in a fresh temporary directory,
+    with `cfg`, if given, written there as cfg.json."""
     err = io.StringIO()
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        with open(os.path.join(tmp, "cfg.json"), "w") as fh:
-            json.dump(cfg, fh)
+        if cfg is not None:
+            with open(os.path.join(tmp, "cfg.json"), "w") as fh:
+                json.dump(cfg, fh)
         os.chdir(tmp)  # relative outputs, including the default ".", land here
         try:
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(err):
-                rc = main(["simulate", "--config", "cfg.json", "--workers", "1"]
-                          + [arg for flag in flags for arg in flag])
+                rc = main(argv)
         finally:
             os.chdir(cwd)
-    assert rc in (0, 2), f"exit {rc} for {cfg} {flags}: {err.getvalue()}"
+    return rc, err.getvalue()
+
+
+@settings(max_examples=15, deadline=10000)
+@given(
+    preset=st.sampled_from(sorted(FIGURES)),
+    maps=st.sampled_from([None, -1, 0, 1, 2]),
+    seed=st.sampled_from([-1, 0, 5, 2**64 - 1]),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+@example(preset="fig2b", maps=2_000_000_000, seed=0, fmt="csv")
+@example(preset="fig4c", maps=2**70, seed=0, fmt="json")
+def test_reproduce_exits_0_or_2_never_3(preset, maps, seed, fmt):
+    # desk scale only when --maps is absent and the preset is ordered
+    if maps is None and preset not in ("fig2a", "fig4a"):
+        maps = 1
+    flags = [] if maps is None else ["--maps", str(maps)]
+    rc, err = _main_in_tempdir(["reproduce", preset, "--seed", str(seed),
+                                "--format", fmt, "--workers", "1"] + flags)
+    assert rc in (0, 2), f"exit {rc} for {preset} {flags} seed {seed}: {err}"

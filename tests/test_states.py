@@ -14,6 +14,7 @@ from dqwalk import (
     new_walker_state,
     support_radius,
 )
+from dqwalk.states import ConeState
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -117,3 +118,28 @@ def test_support_radius():
     assert support_radius(WalkerState.zeros(3)) == -1
     tp = new_two_particle_state("boson", 5, position=2)
     assert support_radius(tp) == 2
+
+
+def _cone(origin, slots):
+    """A single walker t = len(slots) - 1 steps from origin, up-coin amplitudes."""
+    amplitudes = np.zeros((len(slots), 2), dtype=complex)
+    amplitudes[:, UP] = slots
+    return ConeState(amplitudes, origin)
+
+
+def test_cone_index_of_returns_the_slot():
+    cone = _cone(0, [0.0, 1.0, 0.0])  # t = 2: sites -2, 0, 2
+    assert [cone.index_of(x) for x in (-2, 0, 2)] == [0, 1, 2]
+    shifted = _cone(3, [0.0, 1.0, 0.0])  # sites 1, 3, 5
+    assert shifted.positions()[shifted.index_of(5)] == 5
+    # off parity or outside the cone: no slot holds the site
+    for x in (-1, 1, -4, 4):
+        with pytest.raises(ValueError, match="light cone"):
+            cone.index_of(x)
+
+
+def test_support_radius_reads_cone_sites():
+    assert support_radius(_cone(0, [0.0, 1.0, 0.0])) == 0
+    assert support_radius(_cone(3, [1.0, 0.0, 0.0])) == 1
+    assert support_radius(_cone(-1, [0.0, 0.0, 0.0, 1.0])) == 2
+    assert support_radius(_cone(0, [0.0, 0.0, 0.0])) == -1
