@@ -3,8 +3,9 @@
 A map assigns an extra phase of 0 or pi to every (step, position) cell of a
 walk of n_steps steps on the lattice -n_steps..n_steps.  Only the pi cells are
 stored (as a boolean mask of shape (n_steps, 2*n_steps + 1); row t-1 drives
-step t).  Static maps draw a single row and repeat it every step; dynamic maps
-draw every row independently; kind "none" is the clean walk.
+step t).  Static maps draw a single row, which drives every step: their mask
+is a read-only broadcast view of that one row.  Dynamic maps draw every row
+independently; kind "none" is the clean walk.
 
 Two sampling semantics are supported:
 
@@ -19,6 +20,13 @@ Two sampling semantics are supported:
 All sampling is driven by numpy's default_rng seeded with the map seed, so a
 (kind, p, n_steps, semantics, seed) tuple reproduces the identical map on any
 platform.
+
+At p = 1 every cell is selected, so bernoulli-uniform skips the selection
+draw: `Generator.random` takes one 64-bit PCG64 output per float64, and
+advancing the bit generator by the number of cells leaves it where that draw
+would (O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically
+Good Algorithms for Random Number Generation", HMC-CS-2014-0905).  The masks
+are the same bits as the plain draw's.
 """
 
 from __future__ import annotations
@@ -66,21 +74,33 @@ class PhaseMap:
 
 @dataclass(frozen=True, eq=False)
 class MapStack:
-    """The pi masks of B maps, to step B stacks of light-cone walkers at once.
+    """The disorder of B walker rows, laid out once for light-cone stacks.
 
-    masks has shape (B, n_steps, 2*t_max + 1) and is bool; masks[b, t-1] is
-    map b's row for step t on the lattice -t_max..t_max, with the columns
-    beyond the map's own lattice False, as in `PhaseMap.step_signs`.  The
-    ensembles pass the transposed view of an (n_steps, W, B) table, so
-    that the map axis is innermost in memory like their walkers, and read
-    it at the sites of their `states.ConeState` slots.
+    `ensemble._stack_masks` builds it once per ensemble block, with the row
+    axis innermost in memory like the block's walkers, in one of two
+    layouts; exactly one of `signs` and `cones` is given.
+
+      signs  static maps: complex (2*t_max + 1, B), row b's sign, +-1 + 0j,
+             at each site -t_max..t_max of the lattice, read by every step.
+      cones  dynamic maps: bool (n_steps, n_steps + 1, B).  cones[t-1, k] is
+             row b's pi cell of step t at site origin - (t - 1 + lag) + 2k,
+             the k-th site of the light cone t - 1 + lag steps from origin:
+             the cone step t's phase acts on, the input's for lag 0
+             (phase-first) and the output's for lag 1 (phase-last).
+
+    Sites beyond a map's own lattice carry no disorder, as in
+    `PhaseMap.step_signs`.
     """
 
-    masks: np.ndarray = field(repr=False)
+    n_steps: int
+    signs: np.ndarray = field(default=None, repr=False)
+    cones: np.ndarray = field(default=None, repr=False)
+    origin: int = 0
+    lag: int = 0
 
-    @property
-    def n_steps(self):
-        return self.masks.shape[1]
+    def __post_init__(self):
+        if (self.signs is None) == (self.cones is None):
+            raise ValueError("a MapStack holds either signs or cones")
 
     def cone_signs(self, step_index, origin, t):
         """Signs for step step_index at the t + 1 sites origin - t + 2k,
@@ -89,20 +109,31 @@ class MapStack:
         an axis that broadcasts over the walkers each map drives.  The
         signs are complex, +-1 + 0j, the values `PhaseMap.step_signs` takes
         on when multiplied into the phase factor, so the factor is formed
-        without a cast.
+        without a cast.  Static stacks return a strided view of their
+        signs; dynamic ones turn their step's contiguous slots into signs.
         """
         if not 1 <= step_index <= self.n_steps:
             raise ValueError(
                 f"step index {step_index} outside 1..{self.n_steps}"
             )
-        c = (self.masks.shape[2] - 1) // 2
         lo, hi = origin - t, origin + t
-        if lo < -c or hi > c:
+        if self.cones is None:
+            c = (self.signs.shape[0] - 1) // 2
+            if lo < -c or hi > c:
+                raise ValueError(
+                    f"signs are {2 * c + 1} sites wide, the cone reaches "
+                    f"{lo}..{hi}"
+                )
+            return self.signs[c + lo:c + hi + 1:2].T[:, None]
+        first = self.origin - (step_index - 1 + self.lag)
+        k, odd = divmod(lo - first, 2)
+        if odd or k < 0 or k + t > self.n_steps:
             raise ValueError(
-                f"masks are {self.masks.shape[2]} sites wide, the cone "
+                f"cones hold the sites {first}, {first + 2}, .., "
+                f"{first + 2 * self.n_steps} of step {step_index}, the cone "
                 f"reaches {lo}..{hi}"
             )
-        row = self.masks[:, step_index - 1, None, c + lo:c + hi + 1:2]
+        row = self.cones[step_index - 1, k:k + t + 1].T[:, None]
         return np.where(row, -1.0 + 0j, 1.0 + 0j)
 
 
@@ -131,23 +162,24 @@ def generate_map(kind, n_steps, p, semantics="bernoulli-uniform", seed=0):
         mask = np.zeros((n_steps, width), dtype=bool)
     elif semantics == "bernoulli-uniform":
         shape = (width,) if kind == "static" else (n_steps, width)
-        selected = rng.random(shape) < p
-        flips = rng.random(shape) < 0.5
-        mask = selected & flips
-        if kind == "static":
-            mask = np.tile(mask, (n_steps, 1))
-    else:
-        if kind == "static":
-            n_pi = math.floor(p * width)
-            row = np.zeros(width, dtype=bool)
-            row[rng.choice(width, size=n_pi, replace=False)] = True
-            mask = np.tile(row, (n_steps, 1))
+        if p == 1.0:
+            # every cell is selected; skip the draw (see the module docstring)
+            rng.bit_generator.advance(math.prod(shape))
+            mask = rng.random(shape) < 0.5
         else:
-            n_cells = n_steps * width
-            n_pi = math.floor(p * n_cells)
-            flat = np.zeros(n_cells, dtype=bool)
-            flat[rng.choice(n_cells, size=n_pi, replace=False)] = True
-            mask = flat.reshape(n_steps, width)
+            selected = rng.random(shape) < p
+            mask = selected & (rng.random(shape) < 0.5)
+    elif kind == "static":
+        mask = np.zeros(width, dtype=bool)
+        mask[rng.choice(width, size=math.floor(p * width), replace=False)] = True
+    else:
+        n_cells = n_steps * width
+        n_pi = math.floor(p * n_cells)
+        flat = np.zeros(n_cells, dtype=bool)
+        flat[rng.choice(n_cells, size=n_pi, replace=False)] = True
+        mask = flat.reshape(n_steps, width)
+    if kind == "static":
+        mask = np.broadcast_to(mask, (n_steps, width))
     return PhaseMap(kind, float(p), int(n_steps), semantics, int(seed), mask)
 
 

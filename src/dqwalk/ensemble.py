@@ -13,9 +13,13 @@ rows) buffers, coin, slot and walker.  The walker axis is innermost in
 memory and the slots of a step are contiguous, so each numpy operation of
 a step is one contiguous loop over only the cells that can be nonzero.
 The public layers see the buffers through transposed views, as
-`states.ConeState` stacks of shape (rows, 1, t + 1, 2) under a `MapStack`
-with one mask row per walker, and the kernel calls `step_with_derivative`
-(or `step`), `qfi_pure` and `position_distribution` once per block step.
+`states.ConeState` stacks of shape (rows, 1, t + 1, 2), and the kernel
+calls `step_with_derivative` (or `step`), `qfi_pure` and
+`position_distribution` once per block step.  The block draws its members'
+maps once, into a `MapStack` with one row per walker, the walker axis
+innermost as well: static maps as one row of complex signs across the
+lattice, which every step reads in place, and dynamic maps gathered into
+the cone coordinates of the slots each step's phase acts on.
 Every amplitude goes through the element-wise operations of the one-map
 step, and `qfi_pure` sums each walker's cells in an order fixed by those
 cells alone, skipping only exact zeros, so every member's series equals
@@ -84,9 +88,9 @@ INITIAL_KINDS = ("single",) + TWO_PARTICLE_KINDS
 #: summed, so they must not depend on scheduling.
 BLOCK_MAPS = 64
 
-#: bytes a run may allocate for one block's (n_steps, W, rows) bool mask
-#: table and the (n_maps, n_steps + 1) float64 QFI table together, so that
-#: a mistyped size is refused as a config instead of failing to allocate
+#: bytes a run may hold in its map, QFI and lattice tables together
+#: (`_table_bytes`), so that a mistyped size is refused as a config instead
+#: of failing to allocate
 _MAX_RUN_BYTES = 2**30
 
 #: s in (a (x) b + s b (x) a) / sqrt2 for each two-walker initial kind
@@ -159,15 +163,12 @@ class EnsembleConfig:
             raise ValueError("phi must be finite")
         if self.operator_order not in OPERATOR_ORDERS:
             raise ValueError(f"unknown operator order {self.operator_order!r}")
-        walkers = 1 if self.initial.kind == "single" else 2
-        rows = min(self.n_maps, BLOCK_MAPS) * walkers
-        size = (self.n_steps * (2 * self.t_max + 1) * rows
-                + 8 * self.n_maps * (self.n_steps + 1))
+        size = _table_bytes(self)
         if size > _MAX_RUN_BYTES:
             raise ValueError(
                 f"{self.n_steps} steps of {self.n_maps} maps from position "
-                f"{self.initial.position} need {size} bytes of mask and QFI "
-                f"tables, over the limit of {_MAX_RUN_BYTES}"
+                f"{self.initial.position} need {size} bytes of map, QFI and "
+                f"lattice tables, over the limit of {_MAX_RUN_BYTES}"
             )
         if not (
             self.collect_qfi
@@ -208,32 +209,73 @@ def _member_error(config, index, message):
     return EnsembleMemberError(index, split_seed(config.master_seed, index), message)
 
 
-def _stack_masks(config, members, walkers):
-    """The members' pi masks as one MapStack, one map per walker row.
-
-    The table is (n_steps, W, rows) bool, the walker axis innermost as in
-    the block's state buffers, and the MapStack holds its (rows, n_steps, W)
-    view, which the kernel reads at the light cone's sites
-    (`MapStack.cone_signs`).  Each member's map is repeated for each of its
-    walkers: signs broadcast over a walker axis of length 2 would make
-    every numpy inner loop that short.  A map covers -n_steps..n_steps; the columns beyond,
-    which only walkers started off the origin reach, stay False (no
-    disorder), as in `PhaseMap.step_signs`.
-    """
+def _table_bytes(config):
+    """Bytes of the largest tables a run of `config` allocates at once, from
+    above: one map's draw, one block's `_stack_masks` storage, the QFI
+    table, and the positions and distribution sum across the lattice."""
     n, t_max = config.n_steps, config.t_max
-    pad = t_max - n
-    table = np.zeros((n, 2 * t_max + 1, len(members) * walkers), dtype=bool)
-    for row, k in enumerate(members):
+    walkers = 1 if config.initial.kind == "single" else 2
+    rows = min(config.n_maps, BLOCK_MAPS) * walkers
+    cells = n * (2 * n + 1)
+    if config.kind == "dynamic":
+        # a float64 draw and its bool mask; the cones, gathered, then transposed
+        masks = 9 * cells + 2 * n * (n + 1) * rows
+    else:
+        # kind "none" draws an all-False table; bool rows, then complex signs
+        masks = (cells if config.kind == "none" else 0) + 17 * (2 * t_max + 1) * rows
+    return masks + 8 * config.n_maps * (n + 1) + 8 * (2 * t_max + 1) * (n + 2)
+
+
+def _stack_masks(config, members, walkers):
+    """The members' maps as one MapStack, built once per block, one map per
+    walker row.
+
+    Each member's map comes from one `generate_map` call and is repeated
+    for each of its walkers: signs broadcast over a walker axis of length 2
+    would make every numpy inner loop that short.  The row axis is
+    innermost, as in the block's state buffers, so `MapStack.cone_signs`
+    reads each step's cone as contiguous rows.
+
+    Static maps, and kind "none", whose rows are all alike, give one row of
+    complex signs per walker row across the lattice -t_max..t_max.  A map
+    covers -n_steps..n_steps; the columns beyond, which only walkers
+    started off the origin reach, get +1 (no disorder), as in
+    `PhaseMap.step_signs`.  Dynamic maps are gathered into cone
+    coordinates, (n_steps, n_steps + 1, rows) bool: step t's row holds the
+    cells at the sites its phase acts on, from x0 and the operator order,
+    and False beyond the map's lattice.
+    """
+    n, t_max, x0 = config.n_steps, config.t_max, config.initial.position
+    rows = len(members) * walkers
+
+    def draw(k):
         try:
-            pmap = generate_map(
+            return generate_map(
                 config.kind, n, config.p, config.semantics,
                 split_seed(config.master_seed, k),
-            )
+            ).pi_mask
         except Exception as exc:
             raise _member_error(config, k, str(exc)) from exc
-        cols = slice(row * walkers, (row + 1) * walkers)
-        table[:, pad:pad + 2 * n + 1, cols] = pmap.pi_mask[..., None]
-    return MapStack(table.transpose(2, 0, 1))
+
+    if config.kind != "dynamic":
+        pi = np.zeros((2 * t_max + 1, rows), dtype=bool)
+        pad = t_max - n
+        for row, k in enumerate(members):
+            pi[pad:pad + 2 * n + 1, row * walkers:(row + 1) * walkers] = (
+                draw(k)[0, :, None])
+        return MapStack(n, signs=np.where(pi, -1.0 + 0j, 1.0 + 0j))
+    # slot k of step t sits at x0 - (t - 1 + lag) + 2k (`MapStack`); a slot
+    # off the map's lattice reads some clipped cell, then is cleared
+    lag = int(config.operator_order != PHASE_FIRST)
+    t = np.arange(1, n + 1)[:, None]
+    col = n + x0 - (t - 1 + lag) + 2 * np.arange(n + 1)
+    cells = (t - 1) * (2 * n + 1) + col
+    cones = np.empty((rows, n, n + 1), dtype=bool)
+    for row, k in enumerate(members):
+        cones[row * walkers:(row + 1) * walkers] = draw(k).take(cells, mode="clip")
+    cones &= (col >= 0) & (col <= 2 * n)
+    return MapStack(n, cones=np.ascontiguousarray(cones.transpose(1, 2, 0)),
+                    origin=x0, lag=lag)
 
 
 def _run_block(args):

@@ -7,6 +7,8 @@ from dqwalk import (
     generate_map,
     map_from_json,
     map_to_json,
+    new_walker_state,
+    qfi_series,
 )
 from dqwalk.disorder import MapStack
 
@@ -111,23 +113,83 @@ def test_step_signs_values_and_alignment():
 
 
 def test_map_stack_step_index_is_checked():
-    # 2 maps of 4 steps on the lattice -4..4; the cone 3 steps from x0 = 1
-    # reaches -2..4, the sites -2, 0, 2, 4
-    masks = np.zeros((2, 4, 9), dtype=bool)
-    masks[1, 2, [2, 6, 7]] = True  # x = -2, 2 and 3 of map 1 at step 3
-    stack = MapStack(masks)
-    assert stack.cone_signs(1, 1, 3).shape == (2, 1, 4)
-    np.testing.assert_array_equal(stack.cone_signs(3, 1, 3)[:, 0],
-                                  [[1, 1, 1, 1], [-1, 1, -1, 1]])
-    assert stack.cone_signs(3, 1, 3).dtype == complex
-    assert stack.cone_signs(4, -4, 0).shape == (2, 1, 1)
-    for step_index in (0, 5):
-        with pytest.raises(ValueError, match="step index"):
-            stack.cone_signs(step_index, 0, 2)
+    # 2 maps of 4 steps from x0 = 1; the cone 3 steps from x0 reaches
+    # -2..4, the sites -2, 0, 2, 4
+    signs = np.ones((9, 2), dtype=complex)  # static: the lattice -4..4
+    signs[[2, 6, 7], 1] = -1  # x = -2, 2 and 3 of map 1
+    # dynamic, phase-last (lag 1): step 3 acts on the cone 3 steps from
+    # x0, slot k at x = -2 + 2k; x = 3 lies off that parity
+    cones = np.zeros((4, 5, 2), dtype=bool)
+    cones[2, [0, 2], 1] = True
+    static = MapStack(4, signs=signs)
+    dynamic = MapStack(4, cones=cones, origin=1, lag=1)
+    for stack in (static, dynamic):
+        assert stack.cone_signs(1, 1, 1).shape == (2, 1, 2)
+        np.testing.assert_array_equal(stack.cone_signs(3, 1, 3)[:, 0],
+                                      [[1, 1, 1, 1], [-1, 1, -1, 1]])
+        assert stack.cone_signs(3, 1, 3).dtype == complex
+        # a cone inside step 3's: the sites 0 and 2
+        np.testing.assert_array_equal(stack.cone_signs(3, 1, 1)[:, 0],
+                                      [[1, 1], [1, -1]])
+        for step_index in (0, 5):
+            with pytest.raises(ValueError, match="step index"):
+                stack.cone_signs(step_index, 1, 2)
+    # a static row is the same at every step, and read in place
+    np.testing.assert_array_equal(static.cone_signs(1, 1, 3),
+                                  static.cone_signs(3, 1, 3))
+    assert np.shares_memory(static.cone_signs(2, 0, 2), signs)
+    assert static.cone_signs(4, -4, 0).shape == (2, 1, 1)
+    # step 4 holds slot k at x = 1 - 4 + 2k, k = 0..4: -3..5; step 1 0..8
+    assert dynamic.cone_signs(4, 1, 4).shape == (2, 1, 5)
+    assert dynamic.cone_signs(4, -3, 0).shape == (2, 1, 1)
+    assert dynamic.cone_signs(1, 4, 4).shape == (2, 1, 5)
     # cones that run past either edge of the table
     for origin, t in ((1, 4), (-1, 4), (0, 5), (5, 0), (-5, 0)):
         with pytest.raises(ValueError, match="sites wide"):
-            stack.cone_signs(1, origin, t)
+            static.cone_signs(1, origin, t)
+    for step_index, origin, t in ((4, 1, 5), (4, -4, 1), (4, 6, 0), (1, 5, 4),
+                                  (1, -1, 0), (3, 0, 3)):
+        with pytest.raises(ValueError, match="cones hold the sites"):
+            dynamic.cone_signs(step_index, origin, t)
+    with pytest.raises(ValueError, match="either signs or cones"):
+        MapStack(4)
+    with pytest.raises(ValueError, match="either signs or cones"):
+        MapStack(4, signs=signs, cones=cones)
+
+
+@pytest.mark.parametrize("kind", ["static", "dynamic"])
+def test_p1_skips_the_selection_draw_bit_for_bit(kind):
+    # the shortcut rests on Generator.random taking one 64-bit output per
+    # float64; compare it with the plain draw across seeds and sizes
+    seeds = [0, 2**64 - 1, 2**63, 2**32 - 1] + list(range(1, 297))
+    for i, seed in enumerate(seeds):
+        n = 1 + i % 13
+        shape = (2 * n + 1,) if kind == "static" else (n, 2 * n + 1)
+        rng = np.random.default_rng(seed)
+        want = (rng.random(shape) < 1.0) & (rng.random(shape) < 0.5)
+        got = generate_map(kind, n, 1.0, seed=seed).pi_mask
+        np.testing.assert_array_equal(got, np.broadcast_to(want, (n, 2 * n + 1)))
+
+
+def test_static_mask_is_one_read_only_row():
+    m = generate_map("static", 6, 0.7, seed=3)
+    assert m.pi_mask.shape == (6, 13)
+    assert m.pi_mask.strides[0] == 0 and not m.pi_mask.flags.writeable
+    with pytest.raises(ValueError):
+        m.pi_mask[0, 0] = True
+    with pytest.raises(ValueError):
+        m.row(2)[0] = True
+    back = map_from_json(map_to_json(m))
+    np.testing.assert_array_equal(back.pi_mask, m.pi_mask)
+    assert disorder_fraction(m) == m.pi_mask[0].mean() > 0
+    np.testing.assert_array_equal(m.row(4), m.pi_mask[0])
+    np.testing.assert_array_equal(m.step_signs(5, 8)[2:-2], 1 - 2.0 * m.pi_mask[0])
+    # the one-map route reads it as it read the tiled table
+    tiled = PhaseMap(m.kind, m.p, m.n_steps, m.semantics, m.seed,
+                     np.tile(m.pi_mask[0], (6, 1)))
+    state = new_walker_state(6, coin=(0.6, 0.8j))
+    np.testing.assert_array_equal(qfi_series(state, m, 0.3, 6).values,
+                                  qfi_series(state, tiled, 0.3, 6).values)
 
 
 def test_json_round_trip():

@@ -88,6 +88,44 @@ def test_config_size_is_bounded():
                            initial=InitialStateSpec(position=position))
 
 
+@pytest.mark.parametrize("kind,p", [("none", 0.0), ("static", 0.6),
+                                    ("dynamic", 0.6), ("dynamic", 1.0)])
+@pytest.mark.parametrize("order", OPERATOR_ORDERS)
+@pytest.mark.parametrize("x0", [0, 3, -2])
+@pytest.mark.parametrize("initial", ["single", "boson"])
+def test_block_cone_signs_equal_one_map_step_signs(kind, p, order, x0, initial):
+    # the MapStack a block builds, read where the kernel reads it and at
+    # every slot it holds, against each member's own map; members 2..4 of
+    # the ensemble, each repeated for each of its walkers
+    n = 7
+    cfg = EnsembleConfig(kind=kind, p=p, n_steps=n, n_maps=5, master_seed=9,
+                         initial=InitialStateSpec(initial, position=x0),
+                         operator_order=order)
+    walkers = 1 if initial == "single" else 2
+    members = range(2, 5)
+    stack = ensemble_mod._stack_masks(cfg, members, walkers)
+    pmaps = [generate_map(kind, n, p, seed=split_seed(9, k)) for k in members]
+    lag = OPERATOR_ORDERS.index(order)
+    wide = cfg.t_max + 2 * n
+    for t in range(1, n + 1):
+        s = t - 1 + lag  # the cone step t's phase acts on
+        got = stack.cone_signs(t, x0, s)
+        assert got.shape == (3 * walkers, 1, s + 1) and got.dtype == complex
+        sites = x0 - s + 2 * np.arange(s + 1)
+        for row in range(3 * walkers):
+            want = pmaps[row // walkers].step_signs(t, cfg.t_max)
+            np.testing.assert_array_equal(got[row, 0], want[sites + cfg.t_max])
+        if kind == "dynamic":
+            # all n + 1 slots, and sites past the map's lattice carry +1
+            full = stack.cone_signs(t, x0 - s + n, n)
+            sites = x0 - s + 2 * np.arange(n + 1)
+            for row in range(3 * walkers):
+                want = pmaps[row // walkers].step_signs(t, wide)
+                np.testing.assert_array_equal(full[row, 0], want[sites + wide])
+        else:
+            assert np.shares_memory(got, stack.signs)
+
+
 _BALANCED = (complex(2 ** -0.5), complex(2 ** -0.5))
 
 _ORACLE_CASES = [

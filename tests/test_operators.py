@@ -17,6 +17,8 @@ from dqwalk import (
     UP,
     BoundaryError,
     DerivativePair,
+    EnsembleConfig,
+    InitialStateSpec,
     StepContext,
     WalkerState,
     apply_coin,
@@ -28,13 +30,14 @@ from dqwalk import (
     new_two_particle_state,
     new_walker_state,
     qfi_pure,
+    split_seed,
     step,
     step_with_derivative,
     support_radius,
     two_particle_step,
     two_particle_step_with_derivative,
 )
-from dqwalk.disorder import MapStack
+from dqwalk.ensemble import _stack_masks
 from dqwalk.states import ConeState
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -199,15 +202,16 @@ def test_step_with_derivative_psi_component_bitwise():
 
 @pytest.mark.parametrize("order", [PHASE_FIRST, PHASE_LAST])
 def test_stacked_step_with_out_matches_one_map_steps(order):
-    # three maps stacked on the light-cone slots the ensembles step, walkers
-    # started off the origin so the mask table's padding columns count
+    # three maps stacked as a block stacks them, on the light-cone slots the
+    # ensembles step; walkers started off the origin reach sites past the
+    # maps' lattice, so the cone table's cleared slots count
     n, position = 6, 1
     t_max = n + position
-    pmaps = [generate_map("dynamic", n, 0.5, seed=seed) for seed in (1, 2, 3)]
-    masks = np.zeros((3, n, 2 * t_max + 1), dtype=bool)
-    for b, pmap in enumerate(pmaps):
-        masks[b, :, position:position + 2 * n + 1] = pmap.pi_mask
-    stack = MapStack(masks)
+    cfg = EnsembleConfig(kind="dynamic", p=0.5, n_steps=n, n_maps=3, master_seed=1,
+                         initial=InitialStateSpec(position=position),
+                         operator_order=order)
+    stack = _stack_masks(cfg, range(3), 1)
+    pmaps = [generate_map("dynamic", n, 0.5, seed=split_seed(1, b)) for b in range(3)]
     s = new_walker_state(t_max, position, (INV_SQRT2, INV_SQRT2))
 
     def cone(t, amplitudes=None):

@@ -51,6 +51,23 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 
+def _map_stack(pmaps, t_max, origin, order):
+    """The MapStack the ensembles build for pmaps, in either layout, read
+    off each map's `PhaseMap.step_signs`."""
+    n = pmaps[0].n_steps
+    if pmaps[0].kind != "dynamic":
+        signs = np.stack([m.step_signs(1, t_max) for m in pmaps], axis=1)
+        return MapStack(n, signs=signs.astype(complex))
+    lag = OPERATOR_ORDERS.index(order)  # 0 phase-first, 1 phase-last
+    wide = t_max + 2 * n  # every slot's site lies on this lattice
+    cones = np.zeros((n, n + 1, len(pmaps)), dtype=bool)
+    for t in range(1, n + 1):
+        sites = origin - (t - 1 + lag) + 2 * np.arange(n + 1)
+        for b, m in enumerate(pmaps):
+            cones[t - 1, :, b] = m.step_signs(t, wide)[sites + wide] < 0
+    return MapStack(n, cones=cones, origin=origin, lag=lag)
+
+
 @settings(max_examples=40, deadline=2000)
 @given(
     kind=st.sampled_from(["none", "static", "dynamic"]),
@@ -76,14 +93,9 @@ def test_cone_stacked_steps_equal_one_map_steps(
     if kind == "none":
         p = 0.0
     t_max = abs(position) + n_steps
-    width = 2 * t_max + 1
     coin = (math.cos(theta / 2), np.exp(1j * phi) * math.sin(theta / 2))
     pmaps = [generate_map(kind, n_steps, p, seed=seed + b) for b in range(n_maps)]
-    table = np.zeros((n_steps, width, n_maps), dtype=bool)
-    pad = t_max - n_steps
-    for b, pmap in enumerate(pmaps):
-        table[:, pad:pad + 2 * n_steps + 1, b] = pmap.pi_mask
-    stack = MapStack(table.transpose(2, 0, 1))
+    stack = _map_stack(pmaps, t_max, position, order)
 
     # [psi, dpsi, plain psi] x [even steps, odd steps]
     bufs = np.zeros((3, 2, 2, n_steps + 1, n_maps), dtype=complex)
