@@ -90,6 +90,9 @@ class MapStack:
 
     Sites beyond a map's own lattice carry no disorder, as in
     `PhaseMap.step_signs`.
+
+    `cone_factor` forms the phase factors the steps multiply by in storage
+    the stack owns, so a block's step loop allocates none.
     """
 
     n_steps: int
@@ -97,6 +100,11 @@ class MapStack:
     cones: np.ndarray = field(default=None, repr=False)
     origin: int = 0
     lag: int = 0
+    #: [phi, (e^{i phi} * signs at the even sites, at the odd sites)] for
+    #: static stacks; [phi, (e^{i phi} * (1, -1), one step's buffer)] for
+    #: dynamic ones
+    _factor: list = field(default_factory=lambda: [None, None], init=False,
+                          repr=False)
 
     def __post_init__(self):
         if (self.signs is None) == (self.cones is None):
@@ -112,29 +120,77 @@ class MapStack:
         without a cast.  Static stacks return a strided view of their
         signs; dynamic ones turn their step's contiguous slots into signs.
         """
+        if self.cones is None:
+            i = self._static_column(step_index, origin, t)
+            return self.signs[i:i + 2 * t + 1:2].T[:, None]
+        cells = self._cone_cells(step_index, origin, t)
+        return np.where(cells, -1.0 + 0j, 1.0 + 0j).T[:, None]
+
+    def cone_factor(self, phi, step_index, origin, t):
+        """e^{i phi} * `cone_signs(step_index, origin, t)`: the up-component
+        multipliers e^{i(phi + dphi)} of step step_index on the cone, shape
+        (B, 1, t + 1), in storage the stack owns.
+
+        Both kinds form e^{i phi} * (+-1 + 0j) once per phi, with the
+        multiplication `cone_signs` would be multiplied by, so every
+        element has the bits of that product.  Static stacks keep the
+        product across the lattice, with the even and the odd sites apart,
+        and return a contiguous view of the cone.  Dynamic ones copy the
+        step's two values into one buffer of n_steps + 1 slots, so the
+        result holds until the next call.
+        """
+        cached = self._factor
+        if cached[1] is None or cached[0] != phi:
+            if self.cones is None:
+                factor = np.exp(1j * phi) * self.signs
+                table = (factor[0::2].copy(), factor[1::2].copy())
+            else:
+                table = (np.exp(1j * phi) * np.array([1.0 + 0j, -1.0 + 0j]),
+                         np.empty((self.n_steps + 1, self.cones.shape[-1]),
+                                  dtype=np.complex128))
+            cached[:] = [phi, table]
+        if self.cones is None:
+            i = self._static_column(step_index, origin, t)
+            return cached[1][i % 2][i // 2:i // 2 + t + 1].T[:, None]
+        (plus, minus), out = cached[1]
+        out = out[:t + 1]
+        out[...] = plus
+        np.putmask(out, self._cone_cells(step_index, origin, t), minus)
+        return out.T[:, None]
+
+    def _check_step(self, step_index):
         if not 1 <= step_index <= self.n_steps:
             raise ValueError(
                 f"step index {step_index} outside 1..{self.n_steps}"
             )
+
+    def _static_column(self, step_index, origin, t):
+        """Column of site origin - t in the static signs; ValueError unless
+        the step exists and the cone up to origin + t fits the lattice."""
+        self._check_step(step_index)
         lo, hi = origin - t, origin + t
-        if self.cones is None:
-            c = (self.signs.shape[0] - 1) // 2
-            if lo < -c or hi > c:
-                raise ValueError(
-                    f"signs are {2 * c + 1} sites wide, the cone reaches "
-                    f"{lo}..{hi}"
-                )
-            return self.signs[c + lo:c + hi + 1:2].T[:, None]
+        c = (len(self.signs) - 1) // 2
+        if lo < -c or hi > c:
+            raise ValueError(
+                f"signs are {2 * c + 1} sites wide, the cone reaches {lo}..{hi}"
+            )
+        return c + lo
+
+    def _cone_cells(self, step_index, origin, t):
+        """Dynamic stacks: the (t + 1, B) pi cells of step step_index at the
+        cone's sites, a contiguous view; ValueError if the step or the
+        cone is not in the table."""
+        self._check_step(step_index)
+        lo = origin - t
         first = self.origin - (step_index - 1 + self.lag)
         k, odd = divmod(lo - first, 2)
         if odd or k < 0 or k + t > self.n_steps:
             raise ValueError(
                 f"cones hold the sites {first}, {first + 2}, .., "
                 f"{first + 2 * self.n_steps} of step {step_index}, the cone "
-                f"reaches {lo}..{hi}"
+                f"reaches {lo}..{origin + t}"
             )
-        row = self.cones[step_index - 1, k:k + t + 1].T[:, None]
-        return np.where(row, -1.0 + 0j, 1.0 + 0j)
+        return self.cones[step_index - 1, k:k + t + 1]
 
 
 def validate_disorder(kind, n_steps, p, semantics):

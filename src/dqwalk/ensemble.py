@@ -8,18 +8,23 @@ accident, and the full ensemble is pinned by (config, master_seed) alone.
 Members run BLOCK_MAPS at a time through one block kernel, `_run_block`.
 After t steps from x0 a walker's amplitude sits only on the t + 1 sites
 x0 - t + 2k (Kempe, Contemp. Phys. 44, 307 (2003)), so a block holds psi
-and dpsi of all its walkers on those light-cone slots, in (2, n_steps + 1,
-rows) buffers, coin, slot and walker.  The walker axis is innermost in
-memory and the slots of a step are contiguous, so each numpy operation of
-a step is one contiguous loop over only the cells that can be nonzero.
-The public layers see the buffers through transposed views, as
-`states.ConeState` stacks of shape (rows, 1, t + 1, 2), and the kernel
-calls `step_with_derivative` (or `step`), `qfi_pure` and
-`position_distribution` once per block step.  The block draws its members'
-maps once, into a `MapStack` with one row per walker, the walker axis
-innermost as well: static maps as one row of complex signs across the
-lattice, which every step reads in place, and dynamic maps gathered into
-the cone coordinates of the slots each step's phase acts on.
+and dpsi of all its walkers on those light-cone slots, one (2, n_steps + 1,
+rows) buffer per state, coin, slot and walker, and steps each in place:
+step t reads slots 0..t-1 and writes slots 0..t of the same buffer.  A
+third buffer of that shape is the block's scratch, in which every step
+forms its products and the reductions their squares and residuals, so
+nothing of the block's size is allocated after the block starts.  The
+walker axis is innermost in memory and the slots of a step are
+contiguous, so each numpy operation of a step is one contiguous loop over
+only the cells that can be nonzero.  The public layers see the buffers
+through transposed views, as `states.ConeState` stacks of shape (rows, 1,
+t + 1, 2) that carry the scratch, and the kernel calls
+`step_with_derivative` (or `step`), `qfi_pure` and `position_distribution`
+once per block step.  The block draws its members' maps once, into a
+`MapStack` with one row per walker, the walker axis innermost as well:
+static maps as one row of complex signs across the lattice, multiplied by
+e^{i phi} once, and dynamic maps gathered into the cone coordinates of the
+slots each step's phase acts on.
 Every amplitude goes through the element-wise operations of the one-map
 step, and `qfi_pure` sums each walker's cells in an order fixed by those
 cells alone, skipping only exact zeros, so every member's series equals
@@ -57,7 +62,7 @@ import numpy as np
 
 from .disorder import MapStack, generate_map, validate_disorder
 from .errors import EnsembleMemberError, RowCheckError
-from .metrology import NEGATIVE_TOL, NORM_TOL, cell_inner, qfi_pure
+from .metrology import NEGATIVE_TOL, NORM_TOL, pair_inner, qfi_pure
 from .observables import position_distribution
 from .operators import (
     OPERATOR_ORDERS,
@@ -69,7 +74,6 @@ from .operators import (
 )
 from .states import (
     TWO_PARTICLE_KINDS,
-    UP,
     ConeState,
     coin_spinor,
     new_two_particle_state,
@@ -88,7 +92,7 @@ INITIAL_KINDS = ("single",) + TWO_PARTICLE_KINDS
 #: summed, so they must not depend on scheduling.
 BLOCK_MAPS = 64
 
-#: bytes a run may hold in its map, QFI and lattice tables together
+#: bytes a run may hold in its map, state, QFI and lattice tables together
 #: (`_table_bytes`), so that a mistyped size is refused as a config instead
 #: of failing to allocate
 _MAX_RUN_BYTES = 2**30
@@ -167,8 +171,8 @@ class EnsembleConfig:
         if size > _MAX_RUN_BYTES:
             raise ValueError(
                 f"{self.n_steps} steps of {self.n_maps} maps from position "
-                f"{self.initial.position} need {size} bytes of map, QFI and "
-                f"lattice tables, over the limit of {_MAX_RUN_BYTES}"
+                f"{self.initial.position} need {size} bytes of map, state, QFI "
+                f"and lattice tables, over the limit of {_MAX_RUN_BYTES}"
             )
         if not (
             self.collect_qfi
@@ -211,19 +215,25 @@ def _member_error(config, index, message):
 
 def _table_bytes(config):
     """Bytes of the largest tables a run of `config` allocates at once, from
-    above: one map's draw, one block's `_stack_masks` storage, the QFI
-    table, and the positions and distribution sum across the lattice."""
+    above: one map's draw, one block's `_stack_masks` storage and phase
+    factors, the block's state buffers, the QFI table, and the positions
+    and distribution sum across the lattice."""
     n, t_max = config.n_steps, config.t_max
     walkers = 1 if config.initial.kind == "single" else 2
     rows = min(config.n_maps, BLOCK_MAPS) * walkers
     cells = n * (2 * n + 1)
     if config.kind == "dynamic":
-        # a float64 draw and its bool mask; the cones, gathered, then transposed
-        masks = 9 * cells + 2 * n * (n + 1) * rows
+        # a float64 draw and its bool mask; the cones, gathered, then
+        # transposed; one step's complex factors
+        masks = 9 * cells + 2 * n * (n + 1) * rows + 16 * (n + 1) * rows
     else:
-        # kind "none" draws an all-False table; bool rows, then complex signs
-        masks = (cells if config.kind == "none" else 0) + 17 * (2 * t_max + 1) * rows
-    return masks + 8 * config.n_maps * (n + 1) + 8 * (2 * t_max + 1) * (n + 2)
+        # kind "none" draws an all-False table; bool rows, complex signs,
+        # then the signs times e^{i phi}
+        masks = (cells if config.kind == "none" else 0) + 33 * (2 * t_max + 1) * rows
+    # psi, the scratch and, with QFI, dpsi: (2, n + 1, rows) complex each
+    states = (3 if config.collect_qfi else 2) * 32 * (n + 1) * rows
+    return (masks + states + 8 * config.n_maps * (n + 1)
+            + 8 * (2 * t_max + 1) * (n + 2))
 
 
 def _stack_masks(config, members, walkers):
@@ -288,13 +298,19 @@ def _run_block(args):
     EnsembleMemberError with that member's index and seed.
 
     Light-cone slots (see the module docstring): step t reads slots 0..t-1
-    of one (2, n_steps + 1, rows) buffer and writes slots 0..t of the
-    other.  The two cells the shift leaves unwritten, up at slot 0 and down
-    at slot t, are zero: down at slot t was never written, and up at slot 0
-    only holds the t = 0 state, which is cleared before step 2 overwrites
-    that buffer.  Every element goes through the operations of
-    `step_with_derivative` in the same order, so it has the bits of the
-    one-map evolution.
+    of each state's (2, n_steps + 1, rows) buffer and writes slots 0..t of
+    the same buffer (`operators.cone_step`).  The two cells the shift
+    leaves unwritten, up at slot 0 and down at slot t, are zero: the step
+    clears up at slot 0, and down at slot t was never written, as no slot
+    is written before the step that reaches it.  Every element goes
+    through the operations of `step_with_derivative` in the same order, so
+    it has the bits of the one-map evolution.  The products of a step and
+    the squares and residuals of its reductions are formed in the block's
+    scratch, a third buffer of the same shape, which the ConeState stacks
+    carry to the layers; the marginals and the phase factors have storage
+    of their own.  A block of B members and w walkers each thus holds
+    (2 or 3) x 32 (n_steps + 1) B w bytes of states and scratch, fixed
+    when it starts.
 
     Rows equal `qfi_series`: it reduces every step over the full lattice,
     whose cells off the cone are exact zeros, and `qfi_pure` sums in an
@@ -329,23 +345,25 @@ def _run_block(args):
         member = members[exc.row // walkers]
         return _member_error(config, member, f"step {t}: {exc}")
 
-    # step t lives in buffer t % 2; one walker: the configured coin at x0;
-    # two walkers: a = |x0, up> and b = |x0, down> (see the module docstring)
-    psi = [np.zeros((2, n + 1, rows), dtype=np.complex128) for _ in range(2)]
+    # one walker: the configured coin at x0; two walkers: a = |x0, up> and
+    # b = |x0, down> (see the module docstring)
+    psi = np.zeros((2, n + 1, rows), dtype=np.complex128)
     coins = [spec.coin] if walkers == 1 else [(1.0, 0.0), (0.0, 1.0)]
     for j, coin in enumerate(coins):
-        psi[0][:, 0, j::walkers] = np.array(coin)[:, None]
+        psi[:, 0, j::walkers] = np.array(coin)[:, None]
     bufs = [psi]
     qfi = dpsi = dist_sum = own_var = marginals = None
     if config.collect_qfi:
-        dpsi = [np.zeros_like(b) for b in psi]
+        dpsi = np.zeros_like(psi)
         bufs.append(dpsi)
         qfi = np.empty((len(members), n + 1))
     evolve = step if qfi is None else step_with_derivative
+    scratch = np.empty_like(psi)
+    work = scratch.transpose(2, 1, 0)[:, None]
 
     def stack(s):
-        """Step s's walkers, slots 0..s of buffer s % 2, as ConeState stacks."""
-        cones = [ConeState(b[s % 2][:, :s + 1].transpose(2, 1, 0)[:, None], x0)
+        """Step s's walkers, slots 0..s of each buffer, as ConeState stacks."""
+        cones = [ConeState(b[:, :s + 1].transpose(2, 1, 0)[:, None], x0, work)
                  for b in bufs]
         return cones[0] if len(cones) == 1 else DerivativePair(*cones)
 
@@ -356,33 +374,32 @@ def _run_block(args):
     if dist_sum is not None or own_var is not None:
         marginals = np.zeros((len(members), width))
 
-    now = None
+    now = stack(0)
     for t in range(n + 1):
-        prev, now = now, stack(t)
         if t > 0:
-            if t == 2:
-                psi[0][UP, 0] = 0.0  # the t = 0 state, never overwritten
+            prev, now = now, stack(t)
             ctx = StepContext(config.phi, t, maps, config.operator_order)
             evolve(prev, ctx, out=now)
-        cells = psi[t % 2][:, :t + 1]
+        cells = psi[:, :t + 1]
         if walkers == 2:
-            a = cells[..., 0::2]
-            ab = np.abs(cell_inner(a, cells[..., 1::2]))
+            pairs = scratch[:, :t + 1]
+            ab = np.abs(pair_inner(cells, cells, pairs))
             check(ab, ab > NORM_TOL, f"|<a|b>| exceeds {NORM_TOL}")
         if qfi is not None:
             try:
-                values = qfi_pure(now).reshape(-1, walkers).sum(axis=1)
+                values = qfi_pure(now).reshape(-1, walkers)
+                values = values[:, 0] if walkers == 1 else values.sum(axis=1)
             except RowCheckError as exc:
                 raise failed(exc) from exc
             if sign:
-                db = dpsi[t % 2][:, :t + 1, 1::2]
-                values += 8 * sign * np.abs(cell_inner(a, db)) ** 2
+                a_db = pair_inner(cells, dpsi[:, :t + 1], pairs)
+                values += 8 * sign * np.abs(a_db) ** 2
             bound = (walkers * t) ** 2
             check(values,
                   (values < -NEGATIVE_TOL) | (values > bound * (1 + NORM_TOL)),
                   f"F outside [0, (n t)^2 = {bound}]")
             # the exchange term can leave an analytic zero as -1e-16 dust
-            qfi[:, t] = np.maximum(values, 0.0)
+            np.maximum(values, 0.0, out=qfi[:, t])
         if marginals is not None:
             try:
                 dist = position_distribution(now if qfi is None else now.psi)
@@ -393,11 +410,14 @@ def _run_block(args):
             # write step t's, x0 - t + 2k at column t_max + x0 - t + 2k
             lo = t_max + x0 - t
             marginals[:, lo + 1:lo + 2 * t:2] = 0.0
-            marginals[:, lo:lo + 2 * t + 1:2] = (
-                probs[:, 0] if sign == 0 else (probs[:, 0] + probs[:, 1]) / 2
-            )
+            sites = marginals[:, lo:lo + 2 * t + 1:2]
+            if sign == 0:
+                sites[...] = probs[:, 0]
+            else:
+                np.add(probs[:, 0], probs[:, 1], out=sites)
+                sites /= 2
             if dist_sum is not None:
-                dist_sum[t] = marginals.sum(axis=0)
+                marginals.sum(axis=0, out=dist_sum[t])
             if own_var is not None:
                 own_var[:, t] = _variance_rows(marginals, t_max)
     return qfi, dist_sum, own_var

@@ -11,7 +11,10 @@ loses enough digits to break sum rules that hold to 1e-12 in residual form.
 
 `qfi_rows` evaluates it for a stack of walkers held as (coin, site, walker)
 cells, the layout of the ensemble kernel's buffers, and `qfi_pure` applies
-it to one state or to a stack of walkers.  Each walker's sums add the two
+it to one state or to a stack of walkers.  Given work space of the stack's
+shape, as the ensembles give it through `states.ConeState.scratch`,
+`qfi_rows` forms its products, residuals and squares there and allocates
+nothing of the stack's size.  Each walker's sums add the two
 coins of a site and then the sites in order (`_site_sums`): the order is
 fixed by the walker's own cells, whatever the number of walkers or their
 memory layout, and exact zeros leave a sum unchanged.  So `qfi_series`,
@@ -37,7 +40,7 @@ from .operators import (
     two_particle_step,
     two_particle_step_with_derivative,
 )
-from .states import TwoParticleState, WalkerState, support_radius
+from .states import ConeState, TwoParticleState, WalkerState, support_radius
 
 NORM_TOL = 1e-9
 #: negative QFI beyond this magnitude means a broken caller, not rounding
@@ -75,15 +78,34 @@ def _site_sums(x):
     return np.add.reduce(np.add(x[0], x[1], out=x[0]), axis=0)
 
 
-def cell_inner(u, v):
+def cell_inner(u, v, out=None):
     """<u_r|v_r> for every walker r of two (2, N, R) complex cell stacks.
 
     Cells are (coin, site, walker), as the ensembles store their walkers;
-    the sum runs in `_site_sums` order.
+    the sum runs in `_site_sums` order.  The products are formed in `out`,
+    complex (2, N, R) work space with the walker axis contiguous, if given.
     """
-    prod = u.conj()
+    prod = np.conjugate(u, out=out)
     np.multiply(prod, v, out=prod)
     return _site_sums(prod.view(np.float64)).view(np.complex128)
+
+
+def pair_inner(u, v, out):
+    """<u_r|v_r+1> for every even r, one value per pair of neighbouring
+    walkers of two (2, N, R) complex cell stacks, with the bits of
+    `cell_inner` on the pairs' columns.
+
+    The products conj(u_r) v_r+1 are formed for every r, over whole coin
+    planes, in `out`, (2, N, R) work space laid out as u and v, each coin
+    plane contiguous: the columns of every other walker are strided, and
+    numpy copies short strided rows into buffers as large as the operands.
+    The products across pairs are formed as well, then dropped.
+    """
+    flat = out.reshape(2, -1)
+    prod = np.conjugate(u.reshape(2, -1)[:, :-1], out=flat[:, :-1])
+    np.multiply(prod, v.reshape(2, -1)[:, 1:], out=prod)
+    flat[:, -1] = 0.0
+    return _site_sums(out.view(np.float64)).view(np.complex128)[0::2]
 
 
 def _abs2_sums(squares):
@@ -108,7 +130,7 @@ def check_norms(norm2):
         )
 
 
-def qfi_rows(psi, dpsi):
+def qfi_rows(psi, dpsi, scratch=None):
     """QFI of every walker of stacked normalized pure states.
 
     psi and dpsi are complex (2, N, R) cell stacks, walker r being column r
@@ -116,12 +138,21 @@ def qfi_rows(psi, dpsi):
     the R values.  Raises RowCheckError naming the first walker whose norm^2
     is off 1 by more than NORM_TOL or whose QFI comes out below
     -NEGATIVE_TOL.
+
+    The squares of psi, the products of <psi|dpsi>, the residual and its
+    squares are formed one after another in `scratch`, complex (2, N, R)
+    work space laid out as psi, or in one new array if it is None.
     """
-    check_norms(_abs2_sums(np.square(psi.view(np.float64))))
-    residual = cell_inner(psi, dpsi) * psi
-    np.subtract(dpsi, residual, out=residual)
-    residual = residual.view(np.float64)
-    values = 4.0 * _abs2_sums(np.square(residual, out=residual))
+    work = np.empty_like(psi) if scratch is None else scratch
+    floats = work.view(np.float64)
+    check_norms(_abs2_sums(np.square(psi.view(np.float64), out=floats)))
+    # <psi|dpsi> * psi with the overlaps tiled over coin plane 1 first: the
+    # same products as the broadcast, in long contiguous loops
+    work[1] = cell_inner(psi, dpsi, out=work)
+    np.multiply(work[1], psi[0], out=work[0])
+    np.multiply(work[1], psi[1], out=work[1])
+    np.subtract(dpsi, work, out=work)
+    values = 4.0 * _abs2_sums(np.square(floats, out=floats))
     negative = values < -NEGATIVE_TOL
     if negative.any():
         row = _first(negative)
@@ -145,15 +176,19 @@ def qfi_pure(pair):
     For a stack of walkers (WalkerState amplitudes of shape (..., W, 2)) it
     returns one value per walker, an array of shape (...), and a
     RowCheckError counts the walkers in C order.  A two-walker tensor
-    counts as one walker on W*2*W sites.
+    counts as one walker on W*2*W sites.  A `ConeState` stack is reduced
+    in its work space (`ConeState.work`, `qfi_rows`).
     """
     psi, dpsi = pair.psi.amplitudes, pair.dpsi.amplitudes
+    scratch = None
+    if isinstance(pair.psi, ConeState):
+        scratch = _cells(pair.psi.work())
     if isinstance(pair.psi, WalkerState):
         lead = psi.shape[:-2]
     else:
         lead = ()
         psi, dpsi = psi.reshape(-1, 2), dpsi.reshape(-1, 2)
-    values = qfi_rows(_cells(psi), _cells(dpsi))
+    values = qfi_rows(_cells(psi), _cells(dpsi), scratch)
     return values.reshape(lead) if lead else float(values[0])
 
 

@@ -38,18 +38,23 @@ def position_distribution(state, particle=0):
     (..., W, 2)) the probabilities have shape (..., W), one marginal per
     walker, and a RowCheckError names the first walker, in C order, whose
     norm^2 is off 1 by more than NORM_TOL.  For a `states.ConeState` the
-    last axis holds its slots, and `positions()` lists their sites.
+    last axis holds its slots, and `positions()` lists their sites; the
+    probabilities are formed in its work space (`ConeState.work`), and so
+    hold until that is next written.
     """
-    weights = np.abs(state.amplitudes) ** 2
+    if not isinstance(state, (TwoParticleState, WalkerState)):
+        raise TypeError(f"unsupported state type {type(state).__name__}")
+    out = state.work(np.float64) if isinstance(state, ConeState) else None
+    weights = np.abs(state.amplitudes, out=out)
+    np.square(weights, out=weights)
     if isinstance(state, TwoParticleState):
         if particle not in (0, 1):
             raise ValueError("particle must be 0 or 1")
         axes = (1, 2, 3) if particle == 0 else (0, 1, 3)
         probs = weights.sum(axis=axes)
-    elif isinstance(state, WalkerState):
-        probs = weights[..., UP] + weights[..., DOWN]
     else:
-        raise TypeError(f"unsupported state type {type(state).__name__}")
+        probs = weights[..., UP]
+        probs += weights[..., DOWN]
     check_norms(np.atleast_1d(probs.sum(axis=-1)).ravel())
     origin = state.origin if isinstance(state, ConeState) else None
     return PositionDistribution(state.t_max, probs, origin)

@@ -65,14 +65,15 @@ class DerivativePair:
 
 def _phase_factor(ctx, state):
     """Complex up-component multiplier e^{i(phi + dphi(x))} at each site of
-    `state`: the slots of a `ConeState` under a `MapStack`, or the lattice
-    of any other state under a `PhaseMap`.
+    `state`: the slots of a `ConeState` under a `MapStack`, formed in the
+    stack's own storage (`MapStack.cone_factor`), or the lattice of any
+    other state under a `PhaseMap`.
     """
     if isinstance(state, ConeState):
-        signs = ctx.phase_map.cone_signs(ctx.step_index, state.origin, state.steps)
-    else:
-        signs = ctx.phase_map.step_signs(ctx.step_index, state.t_max)
-    return np.exp(1j * ctx.phi) * signs
+        return ctx.phase_map.cone_factor(ctx.phi, ctx.step_index, state.origin,
+                                         state.steps)
+    return np.exp(1j * ctx.phi) * ctx.phase_map.step_signs(ctx.step_index,
+                                                           state.t_max)
 
 
 def apply_phase(state, ctx):
@@ -121,12 +122,12 @@ def apply_shift(state):
 def step(state, ctx, out=None):
     """One full step of the walk on a single walker.
 
-    With `out`, the step is written into out in one fused pass
-    (`block_step`) and out is returned.  `state` may then be a `ConeState`
-    stack of t slots under a `MapStack`, and out the ConeState of its
-    t + 1 slots one step on; this is how ensembles step their walkers.
-    A lattice walker under a `PhaseMap` steps into a WalkerState of its
-    own shape.  Both routes give the same bits.
+    With `out`, `state` is a `ConeState` stack of t slots under a
+    `MapStack` and out the ConeState of its t + 1 slots one step on; the
+    step is written into out (`cone_step`) and out is returned.  out may
+    extend the memory of `state` by one slot, so that a stack steps in
+    place; this is how ensembles step their walkers.  Both routes give
+    the same bits.
     """
     if out is not None:
         _fused_step(state, None, ctx, out, None)
@@ -145,9 +146,9 @@ def step_with_derivative(pair, ctx, out=None):
         phase-first:  dpsi' = S C (dP psi + P dpsi)
         phase-last:   dpsi' = dP S C psi + P S C dpsi
 
-    With `out`, a DerivativePair of states shaped as for `step` (the
-    ensembles pass `ConeState` stacks under a `MapStack`), the step is
-    written into out through `block_step`, as for `step`.
+    With `out`, a DerivativePair of `ConeState` stacks shaped as for
+    `step`, each of which may extend the memory of its input, the step is
+    written into out through `cone_step`, as for `step`.
     """
     psi, dpsi = pair.psi, pair.dpsi
     if out is not None:
@@ -169,14 +170,18 @@ def step_with_derivative(pair, ctx, out=None):
 
 
 def _fused_step(psi, dpsi, ctx, psi_out, dpsi_out):
-    """The `out` route of `step*`: `block_step` on the states' amplitudes,
+    """The `out` route of `step*`: `cone_step` on the states' amplitudes,
     with the phase taken at the sites it acts on, those of the input for
-    phase-first and of the output for phase-last.
+    phase-first and of the output for phase-last, and out's work space
+    (`ConeState.work`).
     """
+    if not isinstance(psi_out, ConeState):
+        raise TypeError("out must be a ConeState one slot longer than the input")
     sites = psi if ctx.order == PHASE_FIRST else psi_out
-    block_step(psi.amplitudes, None if dpsi is None else dpsi.amplitudes,
-               _phase_factor(ctx, sites), ctx.order, psi_out.amplitudes,
-               None if dpsi_out is None else dpsi_out.amplitudes)
+    cone_step(psi.amplitudes, None if dpsi is None else dpsi.amplitudes,
+              _phase_factor(ctx, sites), ctx.order, psi_out.amplitudes,
+              None if dpsi_out is None else dpsi_out.amplitudes,
+              psi_out.work())
 
 
 def _coin_shift(up, down, out):
@@ -198,6 +203,75 @@ def _coin_shift(up, down, out):
     out_down *= INV_SQRT2
 
 
+def _cone_coin_shift(up, down, out, tmp):
+    """Balanced coin, then the shift onto light-cone slots, of (up, down),
+    shape (..., t), into out, shape (..., t + 1, 2): up moves one slot and
+    down stays, as in `_coin_shift`, with the same operations.
+
+    down may be out's own down cells, and up out's up cells one slot back,
+    as in a step in place; tmp, t slots of work space that shares memory
+    with neither, holds up + down until up has been read.  Of the two
+    cells the shift leaves empty, up at slot 0 is cleared; down at slot t
+    is not written, so it must hold zero.
+    """
+    t = up.shape[-1]
+    np.add(up, down, out=tmp)
+    out_down = out[..., :t, DOWN]
+    np.subtract(up, down, out=out_down)
+    out_down *= INV_SQRT2
+    np.multiply(tmp, INV_SQRT2, out=out[..., 1:, UP])
+    out[..., 0, UP] = 0.0
+
+
+def cone_step(psi, dpsi, factor, order, psi_out, dpsi_out, work):
+    """One step of stacked single-walker rows on light-cone slots, on bare
+    arrays, in place or not.
+
+    psi and dpsi hold t slots, shape (..., t, 2), one walker per leading
+    index; dpsi is None to evolve psi alone.  psi_out (and dpsi_out) hold
+    the t + 1 slots one step on, (..., t + 1, 2), and may be the same
+    memory as their input with one more slot: psi = psi_out[..., :t, :]
+    steps a stack in place.  `factor` is as for `block_step`.  work is
+    complex work space of shape (..., s, 2), s >= t + 1, that shares no
+    memory with the states: its two coin planes hold the phased up
+    component and the coin sums.  Of the two cells the shift leaves
+    empty, up at slot 0 of the outputs is cleared, and down at slot t must
+    be zero, as it is where a stack steps in place: no step writes a slot
+    before it reaches it.
+
+    Every amplitude goes through the operations of `block_step` in the
+    same order, so the two agree bit for bit where the arrays are laid out
+    alike: numpy's complex multiply rounds some short strided loops
+    differently, so the ensembles keep every coin plane, of the states and
+    of work, slot-major with the rows innermost.  The order of the writes
+    keeps every input cell until its last read: in phase-first order
+    dpsi, which reads psi, steps first.
+    """
+    t = psi.shape[-2]
+    plane_a, plane_b = work[..., :t + 1, 0], work[..., :t + 1, 1]
+    up, down = psi[..., UP], psi[..., DOWN]
+    if order == PHASE_FIRST:
+        a, b = plane_a[..., :t], plane_b[..., :t]
+        if dpsi is not None:
+            np.multiply(1j, factor, out=b)
+            np.multiply(up, b, out=a)
+            np.multiply(dpsi[..., UP], factor, out=b)
+            a += b
+            _cone_coin_shift(a, dpsi[..., DOWN], dpsi_out, b)
+        np.multiply(up, factor, out=a)
+        _cone_coin_shift(a, down, psi_out, b)
+        return
+    _cone_coin_shift(up, down, psi_out, plane_a[..., :t])
+    if dpsi is not None:
+        _cone_coin_shift(dpsi[..., UP], dpsi[..., DOWN], dpsi_out,
+                         plane_a[..., :t])
+        out_up = dpsi_out[..., UP]
+        out_up *= factor
+        np.multiply(1j, factor, out=plane_b)
+        out_up += np.multiply(psi_out[..., UP], plane_b, out=plane_b)
+    psi_out[..., UP] *= factor
+
+
 def block_step(psi, dpsi, factor, order, psi_out, dpsi_out):
     """One step of stacked single-walker rows, on bare arrays.
 
@@ -207,9 +281,12 @@ def block_step(psi, dpsi, factor, order, psi_out, dpsi_out):
     on light-cone slots (`_coin_shift`).  `factor` holds each row's
     up-component multipliers e^{i(phi + dphi(t, x))} at the sites the
     phase acts on, the input's for phase-first and the output's for
-    phase-last, and broadcasts against them.  The step is written into
-    psi_out (and dpsi_out), which must be distinct from the inputs and zero
-    in the two cells the shift leaves empty.
+    phase-last, and broadcasts against them.  The step is written out of
+    place: psi_out (and dpsi_out) must be distinct from the inputs, and
+    zero in the two cells the shift leaves empty.  The two-walker tensor
+    step (`_joint_step`) uses the lattice form; the slot form is the
+    reference the tests hold `cone_step` to, which steps the ensembles'
+    slots in place through one buffer per state.
 
     Every amplitude goes through the operations of `step_with_derivative`
     in the same order, so each row agrees with it bit for bit.  On a

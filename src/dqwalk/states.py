@@ -87,10 +87,19 @@ class ConeState(WalkerState):
     of such walkers (`step`/`step_with_derivative` with `out`) and reduce
     them with `qfi_pure` and `position_distribution`, whose sums then skip
     only exact zeros.
+
+    `scratch`, if given, is complex work space of shape (..., s, 2),
+    s >= t + 1, distinct from every state it is used with.  A step into
+    this state and the reductions of it form their temporaries in its
+    first t + 1 slots (`work`) instead of allocating them.  An ensemble
+    block gives all of its states one such array, laid out as their
+    buffers are, so that numpy iterates a state and its work space alike
+    and never copies either into buffers of its own.
     """
 
     t_max: int = field(init=False)
     origin: int = 0
+    scratch: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         shape = self.amplitudes.shape
@@ -98,7 +107,31 @@ class ConeState(WalkerState):
             raise ValueError(
                 f"amplitude array has shape {shape}, expected (..., t + 1, 2)"
             )
+        if self.scratch is not None and (
+                self.scratch.shape[:-2] != shape[:-2]
+                or self.scratch.shape[-1] != 2
+                or self.scratch.shape[-2] < shape[-2]):
+            raise ValueError(
+                f"scratch of shape {self.scratch.shape} cannot hold "
+                f"amplitudes of shape {shape}"
+            )
         self.t_max = abs(self.origin) + self.steps
+
+    def work(self, dtype=np.complex128):
+        """Work space shaped like the amplitudes, of complex or float64
+        `dtype`, with undefined contents: the first t + 1 slots of each
+        coin plane of `scratch`, or a new array laid out as an ensemble
+        block's, coin planes of slots with the first leading axis innermost.
+        Float work takes the front half of each plane, so it is laid out in
+        planes as well.
+        """
+        if self.scratch is None:
+            return np.empty(self.amplitudes.shape[::-1], dtype).T
+        planes = self.scratch.T
+        if dtype != np.complex128:
+            flat = planes.reshape(2, -1).view(dtype)
+            planes = flat[:, :planes[0].size].reshape(planes.shape)
+        return planes[:, :self.amplitudes.shape[-2]].T
 
     @property
     def steps(self):

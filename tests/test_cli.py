@@ -8,6 +8,7 @@ import pytest
 
 from dqwalk import fit_power_law
 from dqwalk.cli import main
+from dqwalk.figures import FIGURES
 
 
 def _write_config(tmp_path, name="cfg.json", **overrides):
@@ -345,6 +346,28 @@ def test_reproduce_oversized_maps_exits_2_before_running(tmp_path, capsys,
     rc = main(["reproduce", preset, "--maps", "2000000000", "--workers", "1",
                "--out", str(out)])
     assert rc == 2
+    assert "over the limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_state_buffers_past_the_size_limit_exit_2(tmp_path, capsys,
+                                                  monkeypatch):
+    # 7900 two-walker steps of a 64-map block: the map, QFI and lattice
+    # tables fit 2**30 bytes, the block's state buffers push them past it
+    monkeypatch.setattr("dqwalk.cli.run_ensemble", _refuse_to_run)
+    monkeypatch.setattr("dqwalk.figures.run_ensemble", _refuse_to_run)
+    monkeypatch.setattr("dqwalk.twoparticle.run_ensemble", _refuse_to_run)
+    cfg = _write_config(tmp_path, experiment="two-particle", steps=7900,
+                        maps=64, disorder={"kind": "static", "p": 1.0},
+                        initial={"kind": "boson"})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "over the limit" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    panel, params = FIGURES["fig4b"]
+    monkeypatch.setitem(FIGURES, "fig4b", (panel, dict(params, n_steps=7900)))
+    out = tmp_path / "r"
+    assert main(["reproduce", "fig4b", "--maps", "64", "--workers", "1",
+                 "--out", str(out)]) == 2
     assert "over the limit" in capsys.readouterr().err
     assert not out.exists()
 

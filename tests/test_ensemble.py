@@ -1,6 +1,7 @@
 import multiprocessing
 import pickle
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,22 @@ def test_config_size_is_bounded():
         with pytest.raises(ValueError, match="over the limit"):
             EnsembleConfig(kind="none", p=0.0, n_steps=steps, n_maps=maps,
                            initial=InitialStateSpec(position=position))
+
+
+def test_state_buffers_count_toward_the_size_limit():
+    # 7900 steps of a full two-walker block: the map, QFI and lattice
+    # tables take about 1.04e9 bytes, under 2**30; a block's psi, dpsi and
+    # scratch, (2, 7901, 128) complex each, add about 9.7e7 more
+    boson = InitialStateSpec(kind="boson")
+    with pytest.raises(ValueError, match="over the limit"):
+        EnsembleConfig(kind="static", p=1.0, n_steps=7900, n_maps=64,
+                       initial=boson)
+    with pytest.raises(ValueError, match="over the limit"):
+        EnsembleConfig(kind="static", p=1.0, n_steps=7900, n_maps=64,
+                       initial=boson, collect_qfi=False,
+                       collect_distribution=True)
+    # a one-map run of the same length still fits
+    EnsembleConfig(kind="static", p=1.0, n_steps=7900, n_maps=1)
 
 
 @pytest.mark.parametrize("kind,p", [("none", 0.0), ("static", 0.6),
@@ -242,6 +259,49 @@ def test_block_steps_stay_in_the_light_cone(monkeypatch, collect_qfi, order,
     monkeypatch.setattr(ensemble_mod, "step", watch(ensemble_mod.step))
     ensemble_mod._run_block((cfg, 0))
     assert steps == list(range(1, n + 1))
+
+
+@pytest.mark.parametrize("layer,cfg", [
+    ("qfi_pure", EnsembleConfig(kind="static", p=1.0, n_steps=100, n_maps=64)),
+    ("qfi_pure", EnsembleConfig(
+        kind="dynamic", p=0.6, n_steps=100, n_maps=64,
+        operator_order=OPERATOR_ORDERS[1], initial=InitialStateSpec("boson"))),
+    ("position_distribution", EnsembleConfig(
+        kind="dynamic", p=1.0, n_steps=100, n_maps=64, collect_qfi=False,
+        collect_distribution=True, per_map_variance=True,
+        initial=InitialStateSpec(coin=_BALANCED))),
+    ("position_distribution", EnsembleConfig(
+        kind="static", p=0.5, n_steps=100, n_maps=64, collect_qfi=False,
+        collect_variance=True,
+        initial=InitialStateSpec(position=3, coin=_BALANCED))),
+], ids=["fig3", "boson-phase-last", "distribution-dynamic",
+        "variance-static-offcentre"])
+def test_block_steps_allocate_nothing_of_block_size(monkeypatch, layer, cfg):
+    # the peak of traced memory between two calls of the layer, so over
+    # one step and its reductions; the light cone grows every step, so a
+    # temporary of the cone's size (the squares of psi alone are 2 x 101 x
+    # 64 x 16 bytes at fig3's last step) would pass the level of step 1
+    real = getattr(ensemble_mod, layer)
+    peaks = []
+
+    def record(*args, **kwargs):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble_mod, layer, record)
+    tracemalloc.start()
+    try:
+        ensemble_mod._run_block((cfg, 0))
+    finally:
+        tracemalloc.stop()
+    rows = cfg.n_maps * (1 if cfg.initial.kind == "single" else 2)
+    plane = (cfg.n_steps + 1) * rows * 16
+    assert len(peaks) == cfg.n_steps + 1
+    assert max(peaks[2:]) < peaks[1] + plane
+    # step 1 also forms a static block's phase factors, once; from step 2
+    # on, the peak may grow only by objects far smaller than the cone
+    assert max(peaks[2:]) < peaks[2] + plane // 4
 
 
 def test_rerun_is_bit_identical():
@@ -415,8 +475,8 @@ def test_qfi_above_heisenberg_bound_fails_the_member(monkeypatch, initial):
     planted_call = (n_steps + 1) + 5
     calls = []
 
-    def planted(psi, dpsi):
-        values = real(psi, dpsi)
+    def planted(psi, dpsi, scratch=None):
+        values = real(psi, dpsi, scratch)
         if len(calls) == planted_call:
             values[2 * walkers] = 1e6
         calls.append(None)

@@ -1,5 +1,6 @@
 """Property tests: the stacked light-cone step, the block kernel and the
-two-walker tensor step against one-map steps, the map JSON round trip,
+two-walker tensor step against one-map steps, the in-place cone step
+against the out-of-place one, the map JSON round trip,
 `simulate` on mutated configs and `reproduce` on bad sizes and seeds.
 
 Bounded example counts and deadlines keep the tier-1 run short.
@@ -19,6 +20,7 @@ import pytest
 
 import dqwalk.ensemble as ensemble_mod
 from dqwalk import (
+    DOWN,
     UP,
     DerivativePair,
     EnsembleConfig,
@@ -44,7 +46,7 @@ from dqwalk.config import EXPERIMENTS
 from dqwalk.disorder import KINDS, SEMANTICS, MapStack
 from dqwalk.ensemble import INITIAL_KINDS
 from dqwalk.figures import FIGURES
-from dqwalk.operators import OPERATOR_ORDERS
+from dqwalk.operators import OPERATOR_ORDERS, block_step, cone_step
 from dqwalk.states import INV_SQRT2, TWO_PARTICLE_KINDS, ConeState
 
 pytest.importorskip("hypothesis")
@@ -131,6 +133,56 @@ def test_cone_stacked_steps_equal_one_map_steps(
                                       want.amplitudes[sites + t_max])
                 assert not want.amplitudes[off_cone].any()
             assert values[b, 0] == qfi_pure(pair)
+
+
+@settings(max_examples=80, deadline=2000)
+@given(
+    t=st.integers(1, 12),
+    spare=st.integers(0, 3),
+    rows=st.integers(1, 5),
+    order=st.sampled_from(OPERATOR_ORDERS),
+    with_dpsi=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_in_place_cone_step_equals_block_step(t, spare, rows, order,
+                                              with_dpsi, seed):
+    # a stack of t slots stepped in place, one buffer per state as the
+    # ensembles hold them, against out-of-place `block_step` into fresh
+    # buffers: every bit of slots 0..t, zero signs included, and zeros in
+    # up at slot 0 and beyond slot t.  Every array is laid out as in the
+    # ensembles, coin planes of slots with the rows innermost: numpy's
+    # complex multiply rounds some short strided loops differently.
+    rng = np.random.default_rng(seed)
+    n = t + spare  # the buffers hold n + 1 slots
+
+    def buffer():
+        b = np.zeros((2, n + 1, rows), dtype=complex)
+        b[:, :t] = (rng.standard_normal((2, t, rows))
+                    + 1j * rng.standard_normal((2, t, rows)))
+        b[UP, 0] = 0.0  # the two cells no step writes
+        b[DOWN, t - 1] = 0.0
+        return b
+
+    def cone(b, s):
+        return b[:, :s].transpose(2, 1, 0)[:, None]
+
+    bufs = [buffer()] + ([buffer()] if with_dpsi else [])
+    sites = t + (order != OPERATOR_ORDERS[0])  # the input's or the output's
+    factor = np.exp(1j * rng.uniform(-math.pi, math.pi, (sites, rows)))
+    factor = (factor * rng.choice([-1.0, 1.0], (sites, rows))).T[:, None]
+    outs = [np.zeros((2, t + 1, rows), dtype=complex) for _ in bufs]
+    block_step(cone(bufs[0], t), cone(bufs[1], t) if with_dpsi else None,
+               factor, order, cone(outs[0], t + 1),
+               cone(outs[1], t + 1) if with_dpsi else None)
+    work = np.full((2, n + 1, rows), np.nan + 1j * np.nan)  # never read
+    cone_step(cone(bufs[0], t), cone(bufs[1], t) if with_dpsi else None,
+              factor, order, cone(bufs[0], t + 1),
+              cone(bufs[1], t + 1) if with_dpsi else None, cone(work, n + 1))
+    for b, out in zip(bufs, outs):
+        got = np.ascontiguousarray(b[:, :t + 1])
+        assert np.array_equal(got.view(np.uint64), out.view(np.uint64))
+        assert not b[UP, 0].any()
+        assert not b[:, t + 1:].any()
 
 
 @settings(max_examples=40, deadline=5000)
