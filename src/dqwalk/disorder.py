@@ -76,8 +76,8 @@ class PhaseMap:
 class MapStack:
     """The disorder of B walker rows, laid out once for light-cone stacks.
 
-    `ensemble._stack_masks` builds it once per ensemble block, with the row
-    axis innermost in memory like the block's walkers, in one of two
+    `ensemble._stack_masks` builds it once per ensemble kernel call, with
+    the row axis innermost in memory like the call's walkers, in one of two
     layouts; exactly one of `signs` and `cones` is given.
 
       signs  static maps: complex (2*t_max + 1, B), row b's sign, +-1 + 0j,
@@ -92,7 +92,7 @@ class MapStack:
     `PhaseMap.step_signs`.
 
     `cone_factor` forms the phase factors the steps multiply by in storage
-    the stack owns, so a block's step loop allocates none.
+    the stack owns, so a kernel call's step loop allocates none.
     """
 
     n_steps: int
@@ -142,8 +142,10 @@ class MapStack:
         cached = self._factor
         if cached[1] is None or cached[0] != phi:
             if self.cones is None:
-                factor = np.exp(1j * phi) * self.signs
-                table = (factor[0::2].copy(), factor[1::2].copy())
+                # the even and the odd sites apart, without a full-lattice
+                # product in between
+                e = np.exp(1j * phi)
+                table = (e * self.signs[0::2], e * self.signs[1::2])
             else:
                 table = (np.exp(1j * phi) * np.array([1.0 + 0j, -1.0 + 0j]),
                          np.empty((self.n_steps + 1, self.cones.shape[-1]),

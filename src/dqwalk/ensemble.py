@@ -5,36 +5,40 @@ the master seed by the SplitMix64 finalizer.  That derivation is a bijection
 on 64-bit words for a fixed master seed, so members never share a map by
 accident, and the full ensemble is pinned by (config, master_seed) alone.
 
-Members run BLOCK_MAPS at a time through one block kernel, `_run_block`.
-After t steps from x0 a walker's amplitude sits only on the t + 1 sites
-x0 - t + 2k (Kempe, Contemp. Phys. 44, 307 (2003)), so a block holds psi
-and dpsi of all its walkers on those light-cone slots, one (2, n_steps + 1,
-rows) buffer per state, coin, slot and walker, and steps each in place:
-step t reads slots 0..t-1 and writes slots 0..t of the same buffer.  A
-third buffer of that shape is the block's scratch, in which every step
-forms its products and the reductions their squares and residuals, so
-nothing of the block's size is allocated after the block starts.  The
+Members are summed in fixed blocks of BLOCK_MAPS, and evolved in kernel
+calls of up to CALL_BLOCKS whole blocks, through one block kernel,
+`_run_block`.  After t steps from x0 a walker's amplitude sits only on the
+t + 1 sites x0 - t + 2k (Kempe, Contemp. Phys. 44, 307 (2003)), so a call
+holds psi and dpsi of all its walkers on those light-cone slots, one (2,
+n_steps + 1, rows) buffer per state, coin, slot and walker, and steps each
+in place: step t reads slots 0..t-1 and writes slots 0..t of the same
+buffer.  A third buffer of that shape is the call's scratch, in which every
+step forms its products and the reductions their squares and residuals, so
+nothing of the call's size is allocated after the call starts.  The
 walker axis is innermost in memory and the slots of a step are
 contiguous, so each numpy operation of a step is one contiguous loop over
 only the cells that can be nonzero.  The public layers see the buffers
 through transposed views, as `states.ConeState` stacks of shape (rows, 1,
 t + 1, 2) that carry the scratch, and the kernel calls
 `step_with_derivative` (or `step`), `qfi_pure` and `position_distribution`
-once per block step.  The block draws its members' maps once, into a
-`MapStack` with one row per walker, the walker axis innermost as well:
-static maps as one row of complex signs across the lattice, multiplied by
-e^{i phi} once, and dynamic maps gathered into the cone coordinates of the
-slots each step's phase acts on.
+once per step of a call, whatever its number of blocks.  The call draws its
+members' maps once, into a `MapStack` with one row per walker, the walker
+axis innermost as well: static maps as one row of complex signs across the
+lattice, multiplied by e^{i phi} once, and dynamic maps gathered into the
+cone coordinates of the slots each step's phase acts on.
 Every amplitude goes through the element-wise operations of the one-map
 step, and `qfi_pure` sums each walker's cells in an order fixed by those
 cells alone, skipping only exact zeros, so every member's series equals
-the one-map `qfi_series` bit for bit.  Block boundaries follow from the
-member index alone, and block results are accumulated strictly in block
-order, whether the blocks ran serially or on a process pool, so the same
-config produces bit-identical aggregates no matter how the work was
-scheduled.
+the one-map `qfi_series` bit for bit, in a call of any size.  The
+distribution sums and the own variances are formed block by block, with
+the calls a block of BLOCK_MAPS members alone would make; block boundaries
+follow from the member index alone, and block sums are accumulated
+strictly in block order, whether the blocks ran in one call or several,
+serially or on a process pool.  So the same config produces bit-identical
+aggregates no matter how the blocks were laid out into calls or how the
+calls were scheduled.
 
-Pool workers take whole blocks.  Every ensemble inside one `pool_scope`
+Pool workers take whole calls.  Every ensemble inside one `pool_scope`
 shares its pool: a `reproduce` preset opens one scope, so the command
 forks its workers once, at the first ensemble with blocks to share, and
 joins them once, when the preset ends, instead of once per ensemble.
@@ -87,10 +91,16 @@ _MASK64 = (1 << 64) - 1
 
 INITIAL_KINDS = ("single",) + TWO_PARTICLE_KINDS
 
-#: members one kernel call evolves together.  A constant, never derived from
-#: the worker count: block boundaries set the order in which aggregates are
-#: summed, so they must not depend on scheduling.
+#: members whose distribution sum and own variances are formed together.  A
+#: constant, never derived from the worker count: block boundaries set the
+#: order in which aggregates are summed, so they must not depend on
+#: scheduling.
 BLOCK_MAPS = 64
+
+#: most whole blocks one kernel call evolves together.  Calls only share out
+#: the steps; their layout may follow the worker count (`_call_blocks`)
+#: without moving a bit of the output.
+CALL_BLOCKS = 4
 
 #: bytes a run may hold in its map, state, QFI and lattice tables together
 #: (`_table_bytes`), so that a mistyped size is refused as a config instead
@@ -215,12 +225,15 @@ def _member_error(config, index, message):
 
 def _table_bytes(config):
     """Bytes of the largest tables a run of `config` allocates at once, from
-    above: one map's draw, one block's `_stack_masks` storage and phase
-    factors, the block's state buffers, the QFI table, and the positions
-    and distribution sum across the lattice."""
+    above: one map's draw; the largest kernel call's `_stack_masks` storage
+    and phase factors, state buffers, and member marginals and block
+    distribution sums; the QFI table; and the positions and distribution
+    sum across the lattice."""
     n, t_max = config.n_steps, config.t_max
+    width = 2 * t_max + 1
     walkers = 1 if config.initial.kind == "single" else 2
-    rows = min(config.n_maps, BLOCK_MAPS) * walkers
+    maps = min(config.n_maps, CALL_BLOCKS * BLOCK_MAPS)
+    rows = maps * walkers
     cells = n * (2 * n + 1)
     if config.kind == "dynamic":
         # a float64 draw and its bool mask; the cones, gathered, then
@@ -229,21 +242,26 @@ def _table_bytes(config):
     else:
         # kind "none" draws an all-False table; bool rows, complex signs,
         # then the signs times e^{i phi}
-        masks = (cells if config.kind == "none" else 0) + 33 * (2 * t_max + 1) * rows
+        masks = (cells if config.kind == "none" else 0) + 33 * width * rows
     # psi, the scratch and, with QFI, dpsi: (2, n + 1, rows) complex each
     states = (3 if config.collect_qfi else 2) * 32 * (n + 1) * rows
-    return (masks + states + 8 * config.n_maps * (n + 1)
-            + 8 * (2 * t_max + 1) * (n + 2))
+    marginals = 0
+    if (config.collect_distribution or config.collect_variance
+            or config.per_map_variance):
+        # each member's marginal and each block's sum, (n + 1, width)
+        marginals = 8 * width * (maps + -(-maps // BLOCK_MAPS) * (n + 1))
+    return (masks + states + marginals + 8 * config.n_maps * (n + 1)
+            + 8 * width * (n + 2))
 
 
 def _stack_masks(config, members, walkers):
-    """The members' maps as one MapStack, built once per block, one map per
-    walker row.
+    """The members' maps as one MapStack, built once per kernel call, one
+    map per walker row.
 
     Each member's map comes from one `generate_map` call and is repeated
     for each of its walkers: signs broadcast over a walker axis of length 2
     would make every numpy inner loop that short.  The row axis is
-    innermost, as in the block's state buffers, so `MapStack.cone_signs`
+    innermost, as in the call's state buffers, so `MapStack.cone_signs`
     reads each step's cone as contiguous rows.
 
     Static maps, and kind "none", whose rows are all alike, give one row of
@@ -288,14 +306,27 @@ def _stack_masks(config, members, walkers):
                     origin=x0, lag=lag)
 
 
-def _run_block(args):
-    """Evolve one block of members; returns (qfi, distribution sum, own variance).
+def _call_blocks(n_blocks, workers):
+    """The kernel calls of an ensemble of n_blocks blocks, as ranges of
+    block indices: contiguous runs of whole blocks, at most CALL_BLOCKS
+    each and at least min(workers, n_blocks) of them, their lengths as
+    even as their number allows, longer calls first."""
+    n_calls = max(-(-n_blocks // CALL_BLOCKS), min(workers, n_blocks))
+    size, extra = divmod(n_blocks, n_calls)
+    ends = [k * size + min(k, extra) for k in range(n_calls + 1)]
+    return [range(a, b) for a, b in zip(ends, ends[1:])]
 
-    qfi and own variance hold one row per member, the distribution sum is
-    the member-order sum of the block's marginals; each is None unless
-    collected.  Runs in worker processes, so it must stay top-level
-    picklable.  A failure on one member's map or state raises
-    EnsembleMemberError with that member's index and seed.
+
+def _run_block(args):
+    """Evolve the members of a run of whole blocks in one kernel call;
+    returns (qfi, distribution sums, own variance).
+
+    args is (config, blocks), blocks a range of block indices.  qfi and
+    own variance hold one row per member of the call, the distribution
+    sums one (n_steps + 1, W) member-order sum of the marginals per block;
+    each is None unless collected.  Runs in worker processes, so it must
+    stay top-level picklable.  A failure on one member's map or state
+    raises EnsembleMemberError with that member's index and seed.
 
     Light-cone slots (see the module docstring): step t reads slots 0..t-1
     of each state's (2, n_steps + 1, rows) buffer and writes slots 0..t of
@@ -305,12 +336,12 @@ def _run_block(args):
     is written before the step that reaches it.  Every element goes
     through the operations of `step_with_derivative` in the same order, so
     it has the bits of the one-map evolution.  The products of a step and
-    the squares and residuals of its reductions are formed in the block's
+    the squares and residuals of its reductions are formed in the call's
     scratch, a third buffer of the same shape, which the ConeState stacks
-    carry to the layers; the marginals and the phase factors have storage
-    of their own.  A block of B members and w walkers each thus holds
-    (2 or 3) x 32 (n_steps + 1) B w bytes of states and scratch, fixed
-    when it starts.
+    carry to the layers; the marginals, the block sums and the phase
+    factors have storage of their own.  A call of B members and w walkers
+    each thus holds (2 or 3) x 32 (n_steps + 1) B w bytes of states and
+    scratch, fixed when it starts.
 
     Rows equal `qfi_series`: it reduces every step over the full lattice,
     whose cells off the cone are exact zeros, and `qfi_pure` sums in an
@@ -318,14 +349,21 @@ def _run_block(args):
     neither the skipped zeros, the number of walkers nor the memory order
     changes a bit.  The marginals are kept on the full lattice, with the
     previous step's sites zeroed, so they too equal the one-map ones.
+    Each block's distribution sum and own variances come from that
+    block's rows of the marginals alone, with the calls a call of that
+    one block makes, so a block's results do not depend on the call that
+    evolved it.
 
     Every step checks the norms, 0 <= F(t) <= (n t)^2 for n walkers (each
     step's phase generator is a sum of n spin-up projectors) and, for two
-    walkers, |<a|b>| <= NORM_TOL, which the product form relies on.
+    walkers, |<a|b>| <= NORM_TOL, which the product form relies on.  Each
+    check is written to fail on NaN.
     """
-    config, block = args
-    start = block * BLOCK_MAPS
-    members = range(start, min(start + BLOCK_MAPS, config.n_maps))
+    config, blocks = args
+    members = range(blocks.start * BLOCK_MAPS,
+                    min(blocks.stop * BLOCK_MAPS, config.n_maps))
+    # each block's rows of the call's member tables
+    spans = [slice(k, k + BLOCK_MAPS) for k in range(0, len(members), BLOCK_MAPS)]
     n, t_max = config.n_steps, config.t_max
     width = 2 * t_max + 1
     spec = config.initial
@@ -352,7 +390,7 @@ def _run_block(args):
     for j, coin in enumerate(coins):
         psi[:, 0, j::walkers] = np.array(coin)[:, None]
     bufs = [psi]
-    qfi = dpsi = dist_sum = own_var = marginals = None
+    qfi = dpsi = dist_sums = own_var = marginals = None
     if config.collect_qfi:
         dpsi = np.zeros_like(psi)
         bufs.append(dpsi)
@@ -368,10 +406,10 @@ def _run_block(args):
         return cones[0] if len(cones) == 1 else DerivativePair(*cones)
 
     if config.collect_distribution or config.collect_variance:
-        dist_sum = np.empty((n + 1, width))
+        dist_sums = np.empty((len(spans), n + 1, width))
     if config.per_map_variance:
         own_var = np.empty((len(members), n + 1))
-    if dist_sum is not None or own_var is not None:
+    if dist_sums is not None or own_var is not None:
         marginals = np.zeros((len(members), width))
 
     now = stack(0)
@@ -384,7 +422,7 @@ def _run_block(args):
         if walkers == 2:
             pairs = scratch[:, :t + 1]
             ab = np.abs(pair_inner(cells, cells, pairs))
-            check(ab, ab > NORM_TOL, f"|<a|b>| exceeds {NORM_TOL}")
+            check(ab, ~(ab <= NORM_TOL), f"|<a|b>| exceeds {NORM_TOL}")
         if qfi is not None:
             try:
                 values = qfi_pure(now).reshape(-1, walkers)
@@ -396,7 +434,8 @@ def _run_block(args):
                 values += 8 * sign * np.abs(a_db) ** 2
             bound = (walkers * t) ** 2
             check(values,
-                  (values < -NEGATIVE_TOL) | (values > bound * (1 + NORM_TOL)),
+                  ~((values >= -NEGATIVE_TOL)
+                    & (values <= bound * (1 + NORM_TOL))),
                   f"F outside [0, (n t)^2 = {bound}]")
             # the exchange term can leave an analytic zero as -1e-16 dust
             np.maximum(values, 0.0, out=qfi[:, t])
@@ -416,11 +455,12 @@ def _run_block(args):
             else:
                 np.add(probs[:, 0], probs[:, 1], out=sites)
                 sites /= 2
-            if dist_sum is not None:
-                marginals.sum(axis=0, out=dist_sum[t])
-            if own_var is not None:
-                own_var[:, t] = _variance_rows(marginals, t_max)
-    return qfi, dist_sum, own_var
+            for i, span in enumerate(spans):
+                if dist_sums is not None:
+                    marginals[span].sum(axis=0, out=dist_sums[i, t])
+                if own_var is not None:
+                    own_var[span, t] = _variance_rows(marginals[span], t_max)
+    return qfi, dist_sums, own_var
 
 
 def _variance_rows(dists, t_max):
@@ -492,10 +532,11 @@ def run_ensemble(config, workers=None):
     """Run all members and aggregate.
 
     workers = None or 1, or a single block, runs in-process; otherwise
-    whole blocks are sharded over the process pool of the open
-    `pool_scope`, one opened for this call if none is.  Aggregation order
-    is by block, then member, either way, so results are bit-identical
-    across worker counts.
+    the kernel calls, runs of whole blocks laid out by `_call_blocks`, are
+    sharded over the process pool of the open `pool_scope`, one opened for
+    this call if none is.  Aggregation order is by block, then member,
+    either way, so results are bit-identical across worker counts and
+    call layouts.
     """
     if workers is None:
         workers = 1
@@ -504,8 +545,9 @@ def run_ensemble(config, workers=None):
     n_maps = config.n_maps
     n_blocks = -(-n_maps // BLOCK_MAPS)
     workers = min(workers, n_blocks)
+    calls = _call_blocks(n_blocks, workers)
 
-    tasks = ((config, block) for block in range(n_blocks))
+    tasks = ((config, blocks) for blocks in calls)
     n = config.n_steps
     width = 2 * config.t_max + 1
 
@@ -520,13 +562,15 @@ def run_ensemble(config, workers=None):
         else:
             results = _scope.get(workers).imap(_run_block, tasks)
         try:
-            # accumulate strictly in block order: scheduling cannot change bytes
-            for block, (qfi, dists, own_var) in enumerate(results):
-                rows = slice(block * BLOCK_MAPS, (block + 1) * BLOCK_MAPS)
+            # accumulate strictly in block order: neither the calls' layout
+            # nor their scheduling can change bytes
+            for blocks, (qfi, dists, own_var) in zip(calls, results):
+                rows = slice(blocks.start * BLOCK_MAPS, blocks.stop * BLOCK_MAPS)
                 if qfi_table is not None:
                     qfi_table[rows] = qfi
                 if dist_sum is not None:
-                    dist_sum += dists
+                    for block_sum in dists:
+                        dist_sum += block_sum
                 if own_var_rows is not None:
                     own_var_rows[rows] = own_var
         except BaseException:

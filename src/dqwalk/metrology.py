@@ -120,9 +120,9 @@ def _first(bad):
 
 def check_norms(norm2):
     """Raise RowCheckError naming the first walker whose norm^2, one entry
-    of the 1-D `norm2`, is off 1 by more than NORM_TOL.
+    of the 1-D `norm2`, is off 1 by more than NORM_TOL or is NaN.
     """
-    off = np.abs(norm2 - 1.0) > NORM_TOL
+    off = ~(np.abs(norm2 - 1.0) <= NORM_TOL)  # true for NaN as well
     if off.any():
         row = _first(off)
         raise RowCheckError(
@@ -137,7 +137,7 @@ def qfi_rows(psi, dpsi, scratch=None):
     (see `cell_inner`), with the walker axis contiguous in memory.  Returns
     the R values.  Raises RowCheckError naming the first walker whose norm^2
     is off 1 by more than NORM_TOL or whose QFI comes out below
-    -NEGATIVE_TOL.
+    -NEGATIVE_TOL, either of them NaN included.
 
     The squares of psi, the products of <psi|dpsi>, the residual and its
     squares are formed one after another in `scratch`, complex (2, N, R)
@@ -153,10 +153,10 @@ def qfi_rows(psi, dpsi, scratch=None):
     np.multiply(work[1], psi[1], out=work[1])
     np.subtract(dpsi, work, out=work)
     values = 4.0 * _abs2_sums(np.square(floats, out=floats))
-    negative = values < -NEGATIVE_TOL
+    negative = ~(values >= -NEGATIVE_TOL)
     if negative.any():
         row = _first(negative)
-        raise RowCheckError(row, f"QFI evaluated to {values[row]!r} < 0")
+        raise RowCheckError(row, f"QFI evaluated to {values[row]!r}, not >= 0")
     return np.maximum(values, 0.0)
 
 

@@ -92,7 +92,7 @@ class ConeState(WalkerState):
     s >= t + 1, distinct from every state it is used with.  A step into
     this state and the reductions of it form their temporaries in its
     first t + 1 slots (`work`) instead of allocating them.  An ensemble
-    block gives all of its states one such array, laid out as their
+    kernel call gives all of its states one such array, laid out as their
     buffers are, so that numpy iterates a state and its work space alike
     and never copies either into buffers of its own.
     """
@@ -121,7 +121,7 @@ class ConeState(WalkerState):
         """Work space shaped like the amplitudes, of complex or float64
         `dtype`, with undefined contents: the first t + 1 slots of each
         coin plane of `scratch`, or a new array laid out as an ensemble
-        block's, coin planes of slots with the first leading axis innermost.
+        kernel call's, coin planes of slots with the first leading axis innermost.
         Float work takes the front half of each plane, so it is laid out in
         planes as well.
         """

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import dqwalk.ensemble as ensemble_mod
 from dqwalk import fit_power_law
 from dqwalk.cli import main
 from dqwalk.figures import FIGURES
@@ -370,6 +371,24 @@ def test_state_buffers_past_the_size_limit_exit_2(tmp_path, capsys,
                  "--out", str(out)]) == 2
     assert "over the limit" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_kernel_call_past_the_size_limit_exits_2(tmp_path, capsys,
+                                                monkeypatch):
+    # 7500 steps of CALL_BLOCKS full blocks fit 2**30 bytes at 64 rows;
+    # one kernel call holds CALL_BLOCKS x 64 rows, and they do not
+    monkeypatch.setattr("dqwalk.cli.run_ensemble", _refuse_to_run)
+    maps = ensemble_mod.CALL_BLOCKS * ensemble_mod.BLOCK_MAPS
+    cfg = _write_config(tmp_path, steps=7500, maps=maps,
+                        disorder={"kind": "static", "p": 1.0})
+    with monkeypatch.context() as one_block_calls:
+        one_block_calls.setattr(ensemble_mod, "CALL_BLOCKS", 1)
+        # it fits, so it reaches the ensemble, which this test refuses
+        main(["simulate", "--config", cfg, "--out", str(tmp_path / "a")])
+        assert "reached the ensemble" in capsys.readouterr().err
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "over the limit" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_reproduce_ordered_preset_runs_one_map_whatever_maps(tmp_path):

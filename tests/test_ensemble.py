@@ -1,3 +1,4 @@
+import dataclasses
 import multiprocessing
 import pickle
 import time
@@ -105,6 +106,17 @@ def test_state_buffers_count_toward_the_size_limit():
     EnsembleConfig(kind="static", p=1.0, n_steps=7900, n_maps=1)
 
 
+def test_size_limit_prices_the_largest_kernel_call(monkeypatch):
+    # 7500 steps of CALL_BLOCKS full blocks: the tables fit 2**30 bytes
+    # at 64 rows, but not at the CALL_BLOCKS x 64 rows one call holds
+    maps = ensemble_mod.CALL_BLOCKS * ensemble_mod.BLOCK_MAPS
+    assert ensemble_mod.CALL_BLOCKS > 1
+    with pytest.raises(ValueError, match="over the limit"):
+        EnsembleConfig(kind="static", p=1.0, n_steps=7500, n_maps=maps)
+    monkeypatch.setattr(ensemble_mod, "CALL_BLOCKS", 1)
+    EnsembleConfig(kind="static", p=1.0, n_steps=7500, n_maps=maps)
+
+
 @pytest.mark.parametrize("kind,p", [("none", 0.0), ("static", 0.6),
                                     ("dynamic", 0.6), ("dynamic", 1.0)])
 @pytest.mark.parametrize("order", OPERATOR_ORDERS)
@@ -157,11 +169,17 @@ _ORACLE_CASES = [
 
 
 def _member_qfi_rows(cfg):
-    """Every member's QFI row from the block kernel, in member order."""
+    """Every member's QFI row from the block kernel, in member order: from
+    one kernel call per block, and from one call of every block, which
+    must agree bit for bit."""
     n_blocks = -(-cfg.n_maps // ensemble_mod.BLOCK_MAPS)
-    return np.concatenate(
-        [ensemble_mod._run_block((cfg, b))[0] for b in range(n_blocks)]
+    rows = np.concatenate(
+        [ensemble_mod._run_block((cfg, range(b, b + 1)))[0]
+         for b in range(n_blocks)]
     )
+    np.testing.assert_array_equal(
+        ensemble_mod._run_block((cfg, range(n_blocks)))[0], rows)
+    return rows
 
 
 @pytest.mark.parametrize("kind,p,order,initial", _ORACLE_CASES)
@@ -205,7 +223,7 @@ def test_rows_match_qfi_series_at_fig3_size(order, initial):
         cfg = EnsembleConfig(kind="static", p=1.0, n_steps=n, n_maps=n_maps,
                              master_seed=8, phi=0.3, initial=initial,
                              operator_order=order)
-        rows = ensemble_mod._run_block((cfg, 0))[0]
+        rows = ensemble_mod._run_block((cfg, range(1)))[0]
         for k, row in enumerate(rows):
             if k not in expected:
                 pmap = generate_map("static", n, 1.0, seed=split_seed(8, k))
@@ -257,7 +275,7 @@ def test_block_steps_stay_in_the_light_cone(monkeypatch, collect_qfi, order,
     monkeypatch.setattr(ensemble_mod, "step_with_derivative",
                         watch(ensemble_mod.step_with_derivative))
     monkeypatch.setattr(ensemble_mod, "step", watch(ensemble_mod.step))
-    ensemble_mod._run_block((cfg, 0))
+    ensemble_mod._run_block((cfg, range(1)))
     assert steps == list(range(1, n + 1))
 
 
@@ -292,7 +310,7 @@ def test_block_steps_allocate_nothing_of_block_size(monkeypatch, layer, cfg):
     monkeypatch.setattr(ensemble_mod, layer, record)
     tracemalloc.start()
     try:
-        ensemble_mod._run_block((cfg, 0))
+        ensemble_mod._run_block((cfg, range(1)))
     finally:
         tracemalloc.stop()
     rows = cfg.n_maps * (1 if cfg.initial.kind == "single" else 2)
@@ -329,6 +347,67 @@ def test_worker_count_does_not_change_results():
         np.testing.assert_array_equal(serial.distribution, pooled.distribution)
         np.testing.assert_array_equal(serial.variance_per_map,
                                       pooled.variance_per_map)
+
+
+@pytest.mark.parametrize("n_blocks", range(1, 12))
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_call_blocks_lay_out_whole_blocks_evenly(n_blocks, workers):
+    calls = ensemble_mod._call_blocks(n_blocks, workers)
+    assert [b for call in calls for b in call] == list(range(n_blocks))
+    sizes = [len(call) for call in calls]
+    assert max(sizes) <= ensemble_mod.CALL_BLOCKS
+    assert max(sizes) - min(sizes) <= 1 and sizes == sorted(sizes, reverse=True)
+    assert len(calls) >= min(workers, n_blocks)
+    # no more calls than the cap and the worker count need
+    assert len(calls) == max(-(-n_blocks // ensemble_mod.CALL_BLOCKS),
+                             min(workers, n_blocks))
+
+
+_LAYOUT_CASES = {
+    "dynamic-distribution-offcentre": EnsembleConfig(
+        kind="dynamic", p=0.6, n_steps=30, n_maps=1, master_seed=21,
+        collect_qfi=False, collect_distribution=True, collect_variance=True,
+        per_map_variance=True,
+        initial=InitialStateSpec(position=3, coin=_BALANCED)),
+    "static-qfi-distribution": EnsembleConfig(
+        kind="static", p=0.7, n_steps=30, n_maps=1, master_seed=22,
+        phi=0.4, collect_distribution=True),
+    "boson-phase-last": EnsembleConfig(
+        kind="dynamic", p=0.8, n_steps=30, n_maps=1, master_seed=23,
+        operator_order=OPERATOR_ORDERS[1], initial=InitialStateSpec("boson"),
+        collect_distribution=True),
+    "fermion": EnsembleConfig(
+        kind="static", p=1.0, n_steps=30, n_maps=1, master_seed=24,
+        initial=InitialStateSpec("fermion"), collect_distribution=True),
+}
+
+
+def _bits(series):
+    """Every array of an EnsembleSeries as uint64 bits, None where absent."""
+    return {name: None if value is None else np.asarray(value).view(np.uint64)
+            for name, value in vars(series).items() if name != "config"}
+
+
+@pytest.mark.parametrize("case", _LAYOUT_CASES)
+def test_call_layout_never_moves_a_bit(monkeypatch, case):
+    # four blocks, the last partial: one-block calls, the default calls
+    # and the calls of two workers must give the same bits, array by array
+    cfg = dataclasses.replace(_LAYOUT_CASES[case],
+                              n_maps=3 * ensemble_mod.BLOCK_MAPS + 5)
+    assert ensemble_mod.CALL_BLOCKS > 1
+    default = _bits(run_ensemble(cfg, workers=1))
+    pooled = _bits(run_ensemble(cfg, workers=2))
+    monkeypatch.setattr(ensemble_mod, "CALL_BLOCKS", 1)
+    assert len(ensemble_mod._call_blocks(4, 1)) == 4
+    single = _bits(run_ensemble(cfg, workers=1))
+    for name, bits in single.items():
+        for other in (default, pooled):
+            if bits is None:
+                assert other[name] is None, name
+            else:
+                np.testing.assert_array_equal(other[name], bits, err_msg=name)
+    # every case sums distributions by block, the layout-sensitive step
+    assert single["distribution"] is not None
 
 
 def test_single_map_stderr_is_zero():
@@ -404,8 +483,8 @@ def test_pooled_member_failure_surfaces_without_draining(monkeypatch):
     assert info.value.member_index == 0
     assert info.value.member_seed == bad_seed
     assert "synthetic failure" in str(info.value)
-    # draining the queue would take the other two blocks,
-    # 2 x BLOCK_MAPS members x 5 s over 2 workers = BLOCK_MAPS x 5 s
+    # draining the queue would take the other call's block,
+    # BLOCK_MAPS members x 5 s
     assert elapsed < 3.0
 
 
@@ -466,32 +545,98 @@ def test_pool_scope_forks_once_and_joins_on_exit(pool_forks):
     assert multiprocessing.active_children() == []
 
 
+def _call_rows(monkeypatch):
+    """Wrap the kernel, run serially, so that row_of(member, walkers) gives
+    the first walker row of `member` in the kernel call now running, or
+    None if that call does not hold it."""
+    real = ensemble_mod._run_block
+    running = {}
+
+    def run(args):
+        config, blocks = args
+        running["members"] = range(
+            blocks.start * ensemble_mod.BLOCK_MAPS,
+            min(blocks.stop * ensemble_mod.BLOCK_MAPS, config.n_maps))
+        return real(args)
+
+    def row_of(member, walkers):
+        members = running["members"]
+        return (member - members.start) * walkers if member in members else None
+
+    monkeypatch.setattr(ensemble_mod, "_run_block", run)
+    return row_of
+
+
 @pytest.mark.parametrize("initial", ["single", "boson"])
 def test_qfi_above_heisenberg_bound_fails_the_member(monkeypatch, initial):
-    # plant F > (n t)^2 on the third member of the second block at step 5
+    # plant F > (n t)^2, or a NaN F, on the third member of the second
+    # block at step 5, wherever the call layout puts that member's row
     real = metrology_mod.qfi_rows
-    n_steps = 8
     walkers = 1 if initial == "single" else 2
-    planted_call = (n_steps + 1) + 5
-    calls = []
+    member = ensemble_mod.BLOCK_MAPS + 2
+    row_of = _call_rows(monkeypatch)
+    planted_value = None
 
     def planted(psi, dpsi, scratch=None):
         values = real(psi, dpsi, scratch)
-        if len(calls) == planted_call:
-            values[2 * walkers] = 1e6
-        calls.append(None)
+        row = row_of(member, walkers)
+        if psi.shape[1] == 5 + 1 and row is not None:  # step 5's t + 1 slots
+            values[row] = planted_value
         return values
 
     monkeypatch.setattr(metrology_mod, "qfi_rows", planted)
-    cfg = EnsembleConfig(kind="static", p=1.0, n_steps=n_steps,
+    cfg = EnsembleConfig(kind="static", p=1.0, n_steps=8,
                          n_maps=ensemble_mod.BLOCK_MAPS + 4, master_seed=11,
                          initial=InitialStateSpec(kind=initial))
+    for cap in (1, ensemble_mod.CALL_BLOCKS):
+        for planted_value in (1e6, np.nan):
+            with monkeypatch.context() as layout:
+                layout.setattr(ensemble_mod, "CALL_BLOCKS", cap)
+                with pytest.raises(EnsembleMemberError) as info:
+                    run_ensemble(cfg)
+            assert info.value.member_index == member
+            assert info.value.member_seed == split_seed(11, member)
+            assert "step 5" in str(info.value) and "outside" in str(info.value)
+
+
+@pytest.mark.parametrize("initial,collect,state", [
+    ("single", "qfi", "psi"),
+    ("single", "qfi", "dpsi"),
+    ("single", "distribution", "psi"),
+    ("boson", "qfi", "dpsi"),
+    ("boson", "distribution", "psi"),
+])
+def test_nan_amplitude_fails_its_member(monkeypatch, initial, collect, state):
+    # a NaN compares False with every bound, so each check must be written
+    # to fail on it: the norms (psi), the QFI (dpsi) and |<a|b>| (boson psi)
+    monkeypatch.setattr(ensemble_mod, "CALL_BLOCKS", 4)
+    n_blocks = 4
+    cfg = EnsembleConfig(kind="dynamic", p=0.5, n_steps=8,
+                         n_maps=(n_blocks - 1) * ensemble_mod.BLOCK_MAPS + 5,
+                         master_seed=13, collect_qfi=collect == "qfi",
+                         collect_distribution=collect == "distribution",
+                         initial=InitialStateSpec(kind=initial))
+    # one kernel call of four blocks; the member sits in the third
+    assert ensemble_mod._call_blocks(n_blocks, 1) == [range(n_blocks)]
+    member = 2 * ensemble_mod.BLOCK_MAPS + 3
+    walkers = 1 if initial == "single" else 2
+    row_of = _call_rows(monkeypatch)
+    layer = "step_with_derivative" if collect == "qfi" else "step"
+    real = getattr(ensemble_mod, layer)
+
+    def planted(prev, ctx, out):
+        real(prev, ctx, out=out)
+        if ctx.step_index == 5:
+            cone = getattr(out, state) if collect == "qfi" else out
+            cone.amplitudes[row_of(member, walkers) + walkers - 1, 0, 2, UP] = np.nan
+        return out
+
+    monkeypatch.setattr(ensemble_mod, layer, planted)
     with pytest.raises(EnsembleMemberError) as info:
         run_ensemble(cfg)
-    member = ensemble_mod.BLOCK_MAPS + 2
     assert info.value.member_index == member
-    assert info.value.member_seed == split_seed(11, member)
-    assert "step 5" in str(info.value) and "outside" in str(info.value)
+    assert info.value.member_seed == split_seed(13, member)
+    assert "step 5" in str(info.value) and "nan" in str(info.value)
 
 
 def test_member_error_survives_pickling():

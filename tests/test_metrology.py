@@ -14,6 +14,8 @@ from dqwalk import (
     qfi_pure,
     qfi_series,
 )
+from dqwalk.errors import RowCheckError
+from dqwalk.metrology import check_norms, qfi_rows
 
 
 def _random_pair(seed, t_max=6):
@@ -127,3 +129,19 @@ def test_bound_improves_with_information_and_trials():
     f1, f2 = 3.0, 12.0
     assert cramer_rao_bound(f2, 5) < cramer_rao_bound(f1, 5)
     assert cramer_rao_bound(f1, 50) < cramer_rao_bound(f1, 5)
+
+
+def test_nan_fails_the_norm_and_qfi_checks():
+    # a comparison with NaN is False, so each check is written to fail on it
+    with pytest.raises(RowCheckError, match="nan") as info:
+        check_norms(np.array([1.0, np.nan, 1.0]))
+    assert info.value.row == 1
+    # normalized walkers, one with a NaN derivative: the norms pass, the
+    # QFI of that walker is NaN
+    psi = np.zeros((2, 3, 3), dtype=np.complex128)
+    psi[0, 1] = 1.0
+    dpsi = np.zeros_like(psi)
+    dpsi[1, 2, 2] = np.nan
+    with pytest.raises(RowCheckError, match="nan") as info:
+        qfi_rows(psi, dpsi)
+    assert info.value.row == 2

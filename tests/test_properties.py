@@ -212,7 +212,7 @@ def test_block_rows_equal_one_map_series(
     cfg = EnsembleConfig(kind=kind, p=p, n_steps=n_steps, n_maps=n_maps,
                          master_seed=seed, phi=phi, initial=spec,
                          operator_order=order, collect_distribution=True)
-    qfi, dist_sum, _ = ensemble_mod._run_block((cfg, 0))
+    qfi, (dist_sum,), _ = ensemble_mod._run_block((cfg, range(1)))
     same = (np.testing.assert_array_equal if single else
             lambda a, b: np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12))
     for k in range(n_maps):

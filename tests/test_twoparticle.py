@@ -76,7 +76,7 @@ def test_single_walker_rows_match_tensor_evolution(statistics, kind, p, order):
                          master_seed=5, phi=phi, operator_order=order,
                          initial=InitialStateSpec(kind=statistics),
                          collect_distribution=True)
-    qfi, dist_sum, _ = ensemble_mod._run_block((cfg, 0))
+    qfi, (dist_sum,), _ = ensemble_mod._run_block((cfg, range(1)))
     reference_dist = np.zeros_like(dist_sum)
     for k in range(n_maps):
         pmap = generate_map(kind, n_steps, p, seed=split_seed(5, k))
