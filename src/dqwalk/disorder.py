@@ -74,14 +74,16 @@ class PhaseMap:
 
 @dataclass(frozen=True, eq=False)
 class MapStack:
-    """The disorder of B walker rows, laid out once for light-cone stacks.
+    """The disorder of B walker rows at one phi, laid out once for
+    light-cone stacks.
 
     `ensemble._stack_masks` builds it once per ensemble kernel call, with
     the row axis innermost in memory like the call's walkers, in one of two
-    layouts; exactly one of `signs` and `cones` is given.
+    layouts; exactly one of `pi` and `cones` is given.
 
-      signs  static maps: complex (2*t_max + 1, B), row b's sign, +-1 + 0j,
-             at each site -t_max..t_max of the lattice, read by every step.
+      pi     static maps and kind "none": bool (2*t_max + 1, B), row b's pi
+             cell at each site -t_max..t_max of the lattice, read by every
+             step.
       cones  dynamic maps: bool (n_steps, n_steps + 1, B).  cones[t-1, k] is
              row b's pi cell of step t at site origin - (t - 1 + lag) + 2k,
              the k-th site of the light cone t - 1 + lag steps from origin:
@@ -91,70 +93,52 @@ class MapStack:
     Sites beyond a map's own lattice carry no disorder, as in
     `PhaseMap.step_signs`.
 
-    `cone_factor` forms the phase factors the steps multiply by in storage
-    the stack owns, so a kernel call's step loop allocates none.
+    The stack forms e^{i phi} * (+1 + 0j) and e^{i phi} * (-1 + 0j) once
+    and selects between them by the pi cells, so every phase factor has
+    the bits of e^{i phi} times `PhaseMap.step_signs`, in storage the
+    stack owns: a kernel call's step loop allocates none.  A static stack
+    selects once, across the lattice, with the even and the odd sites
+    apart; a dynamic one selects each step's cone into one buffer of
+    n_steps + 1 slots (`cone_factor`).
     """
 
     n_steps: int
-    signs: np.ndarray = field(default=None, repr=False)
+    phi: float
+    pi: np.ndarray = field(default=None, repr=False)
     cones: np.ndarray = field(default=None, repr=False)
     origin: int = 0
     lag: int = 0
-    #: [phi, (e^{i phi} * signs at the even sites, at the odd sites)] for
-    #: static stacks; [phi, (e^{i phi} * (1, -1), one step's buffer)] for
-    #: dynamic ones
-    _factor: list = field(default_factory=lambda: [None, None], init=False,
-                          repr=False)
+    #: static stacks: (the factors at the even sites, at the odd sites);
+    #: dynamic ones: (e^{i phi} * (1, -1), one step's buffer)
+    factors: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        if (self.signs is None) == (self.cones is None):
-            raise ValueError("a MapStack holds either signs or cones")
+        if (self.pi is None) == (self.cones is None):
+            raise ValueError("a MapStack holds either pi or cones")
+        plus, minus = np.exp(1j * self.phi) * np.array([1.0 + 0j, -1.0 + 0j])
+        if self.cones is None:
+            factors = tuple(np.where(self.pi[s::2], minus, plus) for s in (0, 1))
+        else:
+            factors = ((plus, minus),
+                       np.empty((self.n_steps + 1, self.cones.shape[-1]),
+                                dtype=np.complex128))
+        object.__setattr__(self, "factors", factors)
 
-    def cone_signs(self, step_index, origin, t):
-        """Signs for step step_index at the t + 1 sites origin - t + 2k,
-        k = 0..t, of the light cone t steps from origin
-        (`states.ConeState`), shape (B, 1, t + 1): one row per map, with
-        an axis that broadcasts over the walkers each map drives.  The
-        signs are complex, +-1 + 0j, the values `PhaseMap.step_signs` takes
-        on when multiplied into the phase factor, so the factor is formed
-        without a cast.  Static stacks return a strided view of their
-        signs; dynamic ones turn their step's contiguous slots into signs.
+    def cone_factor(self, step_index, origin, t):
+        """The up-component multipliers e^{i(phi + dphi)} of step
+        step_index at the t + 1 sites origin - t + 2k, k = 0..t, of the
+        light cone t steps from origin (`states.ConeState`), shape
+        (B, 1, t + 1): one row per map, with an axis that broadcasts over
+        the walkers each map drives.
+
+        Static stacks return a contiguous view of their factors; dynamic
+        ones select the step's cells into their one buffer, so the result
+        holds until the next call.
         """
         if self.cones is None:
             i = self._static_column(step_index, origin, t)
-            return self.signs[i:i + 2 * t + 1:2].T[:, None]
-        cells = self._cone_cells(step_index, origin, t)
-        return np.where(cells, -1.0 + 0j, 1.0 + 0j).T[:, None]
-
-    def cone_factor(self, phi, step_index, origin, t):
-        """e^{i phi} * `cone_signs(step_index, origin, t)`: the up-component
-        multipliers e^{i(phi + dphi)} of step step_index on the cone, shape
-        (B, 1, t + 1), in storage the stack owns.
-
-        Both kinds form e^{i phi} * (+-1 + 0j) once per phi, with the
-        multiplication `cone_signs` would be multiplied by, so every
-        element has the bits of that product.  Static stacks keep the
-        product across the lattice, with the even and the odd sites apart,
-        and return a contiguous view of the cone.  Dynamic ones copy the
-        step's two values into one buffer of n_steps + 1 slots, so the
-        result holds until the next call.
-        """
-        cached = self._factor
-        if cached[1] is None or cached[0] != phi:
-            if self.cones is None:
-                # the even and the odd sites apart, without a full-lattice
-                # product in between
-                e = np.exp(1j * phi)
-                table = (e * self.signs[0::2], e * self.signs[1::2])
-            else:
-                table = (np.exp(1j * phi) * np.array([1.0 + 0j, -1.0 + 0j]),
-                         np.empty((self.n_steps + 1, self.cones.shape[-1]),
-                                  dtype=np.complex128))
-            cached[:] = [phi, table]
-        if self.cones is None:
-            i = self._static_column(step_index, origin, t)
-            return cached[1][i % 2][i // 2:i // 2 + t + 1].T[:, None]
-        (plus, minus), out = cached[1]
+            return self.factors[i % 2][i // 2:i // 2 + t + 1].T[:, None]
+        (plus, minus), out = self.factors
         out = out[:t + 1]
         out[...] = plus
         np.putmask(out, self._cone_cells(step_index, origin, t), minus)
@@ -167,14 +151,14 @@ class MapStack:
             )
 
     def _static_column(self, step_index, origin, t):
-        """Column of site origin - t in the static signs; ValueError unless
+        """Column of site origin - t in the static table; ValueError unless
         the step exists and the cone up to origin + t fits the lattice."""
         self._check_step(step_index)
         lo, hi = origin - t, origin + t
-        c = (len(self.signs) - 1) // 2
+        c = (len(self.pi) - 1) // 2
         if lo < -c or hi > c:
             raise ValueError(
-                f"signs are {2 * c + 1} sites wide, the cone reaches {lo}..{hi}"
+                f"pi is {2 * c + 1} sites wide, the cone reaches {lo}..{hi}"
             )
         return c + lo
 

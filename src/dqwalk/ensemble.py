@@ -23,9 +23,9 @@ t + 1, 2) that carry the scratch, and the kernel calls
 `step_with_derivative` (or `step`), `qfi_pure` and `position_distribution`
 once per step of a call, whatever its number of blocks.  The call draws its
 members' maps once, into a `MapStack` with one row per walker, the walker
-axis innermost as well: static maps as one row of complex signs across the
-lattice, multiplied by e^{i phi} once, and dynamic maps gathered into the
-cone coordinates of the slots each step's phase acts on.
+axis innermost as well: static maps as one row of pi cells across the
+lattice, turned into phase factors at phi once, and dynamic maps gathered
+into the cone coordinates of the slots each step's phase acts on.
 Every amplitude goes through the element-wise operations of the one-map
 step, and `qfi_pure` sums each walker's cells in an order fixed by those
 cells alone, skipping only exact zeros, so every member's series equals
@@ -224,11 +224,16 @@ def _member_error(config, index, message):
 
 
 def _table_bytes(config):
-    """Bytes of the largest tables a run of `config` allocates at once, from
-    above: one map's draw; the largest kernel call's `_stack_masks` storage
-    and phase factors, state buffers, and member marginals and block
-    distribution sums; the QFI table; and the positions and distribution
-    sum across the lattice."""
+    """Bytes of the tables a run of `config` holds at once, from above.
+
+    One map's draw; the largest kernel call's `_stack_masks` storage and
+    phase factors, state buffers and member marginals; that call's result
+    rows and block sums twice, as `run_ensemble` holds the previous call's
+    until the next one returns; the run's member seeds, QFI table with
+    the temporary its `std` forms, and own-variance table; the positions
+    and distribution sum across the lattice; and the buffers numpy's
+    ufuncs iterate strided operands through, np.getbufsize() elements
+    for each of up to three complex operands."""
     n, t_max = config.n_steps, config.t_max
     width = 2 * t_max + 1
     walkers = 1 if config.initial.kind == "single" else 2
@@ -236,22 +241,28 @@ def _table_bytes(config):
     rows = maps * walkers
     cells = n * (2 * n + 1)
     if config.kind == "dynamic":
-        # a float64 draw and its bool mask; the cones, gathered, then
+        # a float64 draw beside two bool masks; the cones, gathered, then
         # transposed; one step's complex factors
-        masks = 9 * cells + 2 * n * (n + 1) * rows + 16 * (n + 1) * rows
+        masks = 10 * cells + 2 * n * (n + 1) * rows + 16 * (n + 1) * rows
     else:
-        # kind "none" draws an all-False table; bool rows, complex signs,
-        # then the signs times e^{i phi}
-        masks = (cells if config.kind == "none" else 0) + 33 * width * rows
+        # kind "none" draws an all-False table; bool rows, then the phase
+        # factors at the even and at the odd sites
+        masks = (cells if config.kind == "none" else 0) + 17 * width * rows
     # psi, the scratch and, with QFI, dpsi: (2, n + 1, rows) complex each
     states = (3 if config.collect_qfi else 2) * 32 * (n + 1) * rows
-    marginals = 0
-    if (config.collect_distribution or config.collect_variance
-            or config.per_map_variance):
-        # each member's marginal and each block's sum, (n + 1, width)
-        marginals = 8 * width * (maps + -(-maps // BLOCK_MAPS) * (n + 1))
-    return (masks + states + marginals + 8 * config.n_maps * (n + 1)
-            + 8 * width * (n + 2))
+    # each member's QFI and own-variance rows, where collected
+    member_rows = (n + 1) * (config.collect_qfi + config.per_map_variance)
+    results = member_rows * maps
+    want_dist = config.collect_distribution or config.collect_variance
+    # each member's marginal, (width,)
+    marginals = 8 * width * maps if want_dist or config.per_map_variance else 0
+    if want_dist:
+        # each block's sum, (n + 1, width)
+        results += -(-maps // BLOCK_MAPS) * (n + 1) * width
+    # each member's seed and rows, and its row of the QFI's std temporary
+    run = config.n_maps * (1 + member_rows + (n + 1) * config.collect_qfi)
+    return (masks + states + marginals + 8 * (2 * results + run)
+            + 8 * width * (n + 2) + 3 * 16 * np.getbufsize())
 
 
 def _stack_masks(config, members, walkers):
@@ -259,15 +270,16 @@ def _stack_masks(config, members, walkers):
     map per walker row.
 
     Each member's map comes from one `generate_map` call and is repeated
-    for each of its walkers: signs broadcast over a walker axis of length 2
-    would make every numpy inner loop that short.  The row axis is
-    innermost, as in the call's state buffers, so `MapStack.cone_signs`
-    reads each step's cone as contiguous rows.
+    for each of its walkers: factors broadcast over a walker axis of
+    length 2 would make every numpy inner loop that short.  The row axis
+    is innermost, as in the call's state buffers, so
+    `MapStack.cone_factor` reads each step's cone as contiguous rows.
 
     Static maps, and kind "none", whose rows are all alike, give one row of
-    complex signs per walker row across the lattice -t_max..t_max.  A map
-    covers -n_steps..n_steps; the columns beyond, which only walkers
-    started off the origin reach, get +1 (no disorder), as in
+    pi cells per walker row across the lattice -t_max..t_max, (W, rows)
+    bool; the stack turns it into phase factors at `config.phi` once.  A
+    map covers -n_steps..n_steps; the columns beyond, which only walkers
+    started off the origin reach, are False (no disorder), as in
     `PhaseMap.step_signs`.  Dynamic maps are gathered into cone
     coordinates, (n_steps, n_steps + 1, rows) bool: step t's row holds the
     cells at the sites its phase acts on, from x0 and the operator order,
@@ -291,7 +303,7 @@ def _stack_masks(config, members, walkers):
         for row, k in enumerate(members):
             pi[pad:pad + 2 * n + 1, row * walkers:(row + 1) * walkers] = (
                 draw(k)[0, :, None])
-        return MapStack(n, signs=np.where(pi, -1.0 + 0j, 1.0 + 0j))
+        return MapStack(n, config.phi, pi=pi)
     # slot k of step t sits at x0 - (t - 1 + lag) + 2k (`MapStack`); a slot
     # off the map's lattice reads some clipped cell, then is cleared
     lag = int(config.operator_order != PHASE_FIRST)
@@ -302,7 +314,8 @@ def _stack_masks(config, members, walkers):
     for row, k in enumerate(members):
         cones[row * walkers:(row + 1) * walkers] = draw(k).take(cells, mode="clip")
     cones &= (col >= 0) & (col <= 2 * n)
-    return MapStack(n, cones=np.ascontiguousarray(cones.transpose(1, 2, 0)),
+    return MapStack(n, config.phi,
+                    cones=np.ascontiguousarray(cones.transpose(1, 2, 0)),
                     origin=x0, lag=lag)
 
 
@@ -581,9 +594,9 @@ def run_ensemble(config, workers=None):
 
     out = EnsembleSeries(
         config=config,
-        member_seeds=np.array(
-            [split_seed(config.master_seed, k) for k in range(n_maps)],
-            dtype=np.uint64,
+        member_seeds=np.fromiter(
+            (split_seed(config.master_seed, k) for k in range(n_maps)),
+            dtype=np.uint64, count=n_maps,
         ),
         steps=np.arange(n + 1),
         positions=np.arange(-config.t_max, config.t_max + 1),

@@ -68,10 +68,18 @@ def _phase_factor(ctx, state):
     `state`: the slots of a `ConeState` under a `MapStack`, formed in the
     stack's own storage (`MapStack.cone_factor`), or the lattice of any
     other state under a `PhaseMap`.
+
+    A `MapStack` forms its factors at its own phi, so a step at another
+    phi raises ValueError.
     """
     if isinstance(state, ConeState):
-        return ctx.phase_map.cone_factor(ctx.phi, ctx.step_index, state.origin,
-                                         state.steps)
+        stack = ctx.phase_map
+        if ctx.phi != stack.phi:
+            raise ValueError(
+                f"step at phi = {ctx.phi!r} under a map stack formed at "
+                f"phi = {stack.phi!r}"
+            )
+        return stack.cone_factor(ctx.step_index, state.origin, state.steps)
     return np.exp(1j * ctx.phi) * ctx.phase_map.step_signs(ctx.step_index,
                                                            state.t_max)
 
@@ -80,8 +88,8 @@ def apply_phase(state, ctx):
     """P: multiply the up component at x by e^{i(phi + dphi(t, x))}."""
     a = state.amplitudes
     out = np.empty_like(a)
-    out[:, UP] = a[:, UP] * _phase_factor(ctx, state)
-    out[:, DOWN] = a[:, DOWN]
+    out[..., UP] = a[..., UP] * _phase_factor(ctx, state)
+    out[..., DOWN] = a[..., DOWN]
     return WalkerState(state.t_max, out)
 
 
@@ -89,7 +97,7 @@ def apply_phase_derivative(state, ctx):
     """dP/dphi: i * e^{i(phi + dphi)} on the up component, zero on down."""
     a = state.amplitudes
     out = np.zeros_like(a)
-    out[:, UP] = a[:, UP] * (1j * _phase_factor(ctx, state))
+    out[..., UP] = a[..., UP] * (1j * _phase_factor(ctx, state))
     return WalkerState(state.t_max, out)
 
 
@@ -97,30 +105,31 @@ def apply_coin(state):
     """Balanced coin: up -> (up+down)/sqrt2, down -> (up-down)/sqrt2."""
     a = state.amplitudes
     out = np.empty_like(a)
-    out[:, UP] = (a[:, UP] + a[:, DOWN]) * INV_SQRT2
-    out[:, DOWN] = (a[:, UP] - a[:, DOWN]) * INV_SQRT2
+    out[..., UP] = (a[..., UP] + a[..., DOWN]) * INV_SQRT2
+    out[..., DOWN] = (a[..., UP] - a[..., DOWN]) * INV_SQRT2
     return WalkerState(state.t_max, out)
 
 
 def apply_shift(state):
     """Coin-conditioned translation: up moves to x+1, down to x-1.
 
-    Raises BoundaryError if any amplitude would cross the lattice edge, since
-    a silent wrap or truncation would corrupt every later step.
+    Raises BoundaryError if any walker's amplitude would cross the lattice
+    edge, since a silent wrap or truncation would corrupt every later step.
     """
     a = state.amplitudes
-    if a[-1, UP] != 0 or a[0, DOWN] != 0:
+    if a[..., -1, UP].any() or a[..., 0, DOWN].any():
         raise BoundaryError(
             f"walker support reached the lattice edge (t_max = {state.t_max})"
         )
     out = np.zeros_like(a)
-    out[1:, UP] = a[:-1, UP]
-    out[:-1, DOWN] = a[1:, DOWN]
+    out[..., 1:, UP] = a[..., :-1, UP]
+    out[..., :-1, DOWN] = a[..., 1:, DOWN]
     return WalkerState(state.t_max, out)
 
 
 def step(state, ctx, out=None):
-    """One full step of the walk on a single walker.
+    """One full step of the walk on a single walker, or on each walker of
+    a stack of shape (..., W, 2) alike.
 
     With `out`, `state` is a `ConeState` stack of t slots under a
     `MapStack` and out the ConeState of its t + 1 slots one step on; the
@@ -185,21 +194,16 @@ def _fused_step(psi, dpsi, ctx, psi_out, dpsi_out):
 
 
 def _coin_shift(up, down, out):
-    """Balanced coin, then shift, of (up, down), shape (..., N), into
-    out, shape (..., M, 2).
-
-    The shift follows from the shapes.  On a lattice (M = N) up moves one
-    site right and down one site left.  On light-cone slots (M = N + 1;
-    slot k of step t is site x0 - t + 2k, `states.ConeState`) up moves one
-    slot and down stays.  Up at slot 0 and down at slot M-1 of `out` are
-    the cells the shift leaves empty; they are never written.
+    """Balanced coin, then the shift onto light-cone slots, of (up, down),
+    shape (..., t), into out, shape (..., t + 1, 2): slot k of step t is
+    site x0 - t + 2k (`states.ConeState`), so up moves one slot and down
+    stays.  Up at slot 0 and down at slot t of `out` are the cells the
+    shift leaves empty; they are never written.
     """
-    m = out.shape[-2] - 1
-    lo = up.shape[-1] - m  # 1 on a lattice, 0 on slots
     out_up, out_down = out[..., 1:, UP], out[..., :-1, DOWN]
-    np.add(up[..., :m], down[..., :m], out=out_up)
+    np.add(up, down, out=out_up)
     out_up *= INV_SQRT2
-    np.subtract(up[..., lo:], down[..., lo:], out=out_down)
+    np.subtract(up, down, out=out_down)
     out_down *= INV_SQRT2
 
 
@@ -273,30 +277,20 @@ def cone_step(psi, dpsi, factor, order, psi_out, dpsi_out, work):
 
 
 def block_step(psi, dpsi, factor, order, psi_out, dpsi_out):
-    """One step of stacked single-walker rows, on bare arrays.
+    """One step of stacked single-walker rows on light-cone slots, on bare
+    arrays, out of place: the reference the tests hold `cone_step` to.
 
-    psi and dpsi have shape (..., N, 2), one walker per leading index; dpsi
-    is None to evolve psi alone.  psi_out (and dpsi_out) have shape
-    (..., N, 2) for walkers on a lattice and (..., N + 1, 2) for walkers
-    on light-cone slots (`_coin_shift`).  `factor` holds each row's
-    up-component multipliers e^{i(phi + dphi(t, x))} at the sites the
-    phase acts on, the input's for phase-first and the output's for
-    phase-last, and broadcasts against them.  The step is written out of
-    place: psi_out (and dpsi_out) must be distinct from the inputs, and
-    zero in the two cells the shift leaves empty.  The two-walker tensor
-    step (`_joint_step`) uses the lattice form; the slot form is the
-    reference the tests hold `cone_step` to, which steps the ensembles'
-    slots in place through one buffer per state.
+    psi and dpsi have shape (..., t, 2), one walker per leading index;
+    dpsi is None to evolve psi alone.  psi_out (and dpsi_out) have shape
+    (..., t + 1, 2) (`_coin_shift`), are distinct from the inputs, and
+    are zero in the two cells the shift leaves empty.  `factor` holds each
+    row's up-component multipliers e^{i(phi + dphi(t, x))} at the sites
+    the phase acts on, the input's for phase-first and the output's for
+    phase-last, and broadcasts against them.
 
     Every amplitude goes through the operations of `step_with_derivative`
-    in the same order, so each row agrees with it bit for bit.  On a
-    lattice, raises BoundaryError if any row's support touches the edge.
+    in the same order, so each row agrees with it bit for bit.
     """
-    if psi_out.shape[-2] == psi.shape[-2] and (
-            psi[..., 0, :].any() or psi[..., -1, :].any()):
-        raise BoundaryError(
-            f"walker support reached the lattice edge (W = {psi.shape[-2]})"
-        )
     up, down = psi[..., UP], psi[..., DOWN]
     if order == PHASE_FIRST:
         if dpsi is not None:
@@ -318,53 +312,40 @@ def block_step(psi, dpsi, factor, order, psi_out, dpsi_out):
 # the same phi.  A (W, 2, W, 2) tensor is a stack of walkers for either
 # particle: particle 2 is its trailing (W, 2) axes as they stand, particle 1
 # the trailing axes of the view a.transpose(2, 3, 0, 1).  So the joint step is
-# `block_step` on particle 1's view, then on particle 2's, and the factor's
-# (W,) row broadcasts against (..., W) in both.
+# the single-walker step on particle 1's view, then on particle 2's, and the
+# factor's (W,) row broadcasts against (..., W) in both.
 
 
-def _swap(a):
-    """View of a joint tensor with particle 1's (W, 2) axes trailing."""
-    return None if a is None else a.transpose(2, 3, 0, 1)
-
-
-def _joint_step(state, dpsi, ctx):
-    """U (x) U on the (W, 2, W, 2) amplitudes of `state`, and on dpsi
-    unless it is None.
-    """
-    psi = state.amplitudes
-    factor = _phase_factor(ctx, state)
-    mid, out = np.zeros_like(psi), np.zeros_like(psi)
-    dmid = dout = None
-    if dpsi is not None:
-        dmid, dout = np.zeros_like(dpsi), np.zeros_like(dpsi)
-    block_step(_swap(psi), _swap(dpsi), factor, ctx.order, _swap(mid), _swap(dmid))
-    block_step(mid, dmid, factor, ctx.order, out, dout)
-    return out, dout
+def _swap(state):
+    """The walkers of the other particle: a joint tensor's view with its
+    leading (W, 2) axes trailing, as a stack of walkers."""
+    return WalkerState(state.t_max, state.amplitudes.transpose(2, 3, 0, 1))
 
 
 def two_particle_step(state, ctx):
     """One joint step: the single-walker step for particle 1, then for 2.
 
-    Both go through `block_step`, which raises BoundaryError if either
-    particle has amplitude on an edge site.
+    `apply_shift` raises BoundaryError if either particle's amplitude
+    would cross an edge.
     """
-    a, _ = _joint_step(state, None, ctx)
+    a = step(_swap(step(_swap(state), ctx)), ctx).amplitudes
     return TwoParticleState(state.t_max, a, state.symmetry)
 
 
 def two_particle_step_with_derivative(pair, ctx):
     """Advance a joint (psi, dpsi) pair one step.
 
-    (psi, dpsi) goes through `block_step` for particle 1, then for particle
-    2, so with U1, U2 the per-particle steps the product rule
+    (psi, dpsi) goes through `step_with_derivative` for particle 1, then
+    for particle 2, so with U1, U2 the per-particle steps the product rule
 
         dpsi' = U2 dU1 psi + dU2 U1 psi + U2 U1 dpsi
 
     holds by construction, and psi' is `two_particle_step`'s bit for bit.
     """
-    psi = pair.psi
-    a, da = _joint_step(psi, pair.dpsi.amplitudes, ctx)
-    return DerivativePair(
-        TwoParticleState(psi.t_max, a, psi.symmetry),
-        TwoParticleState(psi.t_max, da, psi.symmetry),
-    )
+    def swap(p):
+        return DerivativePair(_swap(p.psi), _swap(p.dpsi))
+
+    out = step_with_derivative(swap(step_with_derivative(swap(pair), ctx)), ctx)
+    t_max, symmetry = pair.psi.t_max, pair.psi.symmetry
+    return DerivativePair(TwoParticleState(t_max, out.psi.amplitudes, symmetry),
+                          TwoParticleState(t_max, out.dpsi.amplitudes, symmetry))

@@ -40,8 +40,9 @@ class WalkerState:
     t_max is the capacity in steps: a walker started at the origin can take at
     most t_max steps before its light cone reaches the array edge.  The
     amplitudes may also be a stack of shape (..., W, 2), one walker per
-    leading index, which `qfi_pure` and `position_distribution` treat
-    walker by walker.  Stacks are stepped only on their light cones
+    leading index, which `step`, `qfi_pure` and `position_distribution`
+    treat walker by walker: a two-walker tensor is such a stack for either
+    particle.  The ensembles step their stacks on the light cones alone
     (`ConeState`).
     """
 

@@ -117,42 +117,99 @@ def test_size_limit_prices_the_largest_kernel_call(monkeypatch):
     EnsembleConfig(kind="static", p=1.0, n_steps=7500, n_maps=maps)
 
 
+_COLLECT = {
+    "qfi": {},
+    "distribution": {"collect_qfi": False, "collect_distribution": True,
+                     "collect_variance": True},
+    "qfi-own-variance": {"per_map_variance": True},
+}
+
+
+def _traced_peak(cfg):
+    """Peak bytes traced over a run of cfg, after a warm-up run of two of
+    its maps."""
+    run_ensemble(dataclasses.replace(cfg, n_maps=2))
+    tracemalloc.start()
+    try:
+        run_ensemble(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind,p", [("none", 0.0), ("static", 0.6),
+                                    ("dynamic", 0.6)])
+@pytest.mark.parametrize("initial", ["single", "boson"])
+@pytest.mark.parametrize("collect", _COLLECT)
+@pytest.mark.parametrize("x0", [0, 3])
+def test_size_rule_bounds_the_traced_peak(kind, p, initial, collect, x0):
+    # two kernel calls, the last block partial
+    blocks = ensemble_mod.CALL_BLOCKS + 1
+    cfg = EnsembleConfig(kind=kind, p=p, n_steps=10,
+                         n_maps=(blocks - 1) * ensemble_mod.BLOCK_MAPS + 5,
+                         initial=InitialStateSpec(initial, position=x0),
+                         **_COLLECT[collect])
+    assert len(ensemble_mod._call_blocks(blocks, 1)) == 2
+    assert _traced_peak(cfg) <= ensemble_mod._table_bytes(cfg)
+
+
+def test_size_rule_bounds_the_traced_peak_of_many_short_rows(monkeypatch):
+    # the run's own tables (seeds, QFI and the temporary its std forms)
+    # set the peak when maps far outnumber steps.  Kind "none" draws the
+    # same all-False map for every seed, so one draw serves every member
+    clean = generate_map("none", 3, 0.0)
+    monkeypatch.setattr(ensemble_mod, "generate_map", lambda *args: clean)
+    cfg = EnsembleConfig(kind="none", p=0.0, n_steps=3, n_maps=20000)
+    assert _traced_peak(cfg) <= ensemble_mod._table_bytes(cfg)
+
+
 @pytest.mark.parametrize("kind,p", [("none", 0.0), ("static", 0.6),
                                     ("dynamic", 0.6), ("dynamic", 1.0)])
 @pytest.mark.parametrize("order", OPERATOR_ORDERS)
 @pytest.mark.parametrize("x0", [0, 3, -2])
 @pytest.mark.parametrize("initial", ["single", "boson"])
 def test_block_cone_signs_equal_one_map_step_signs(kind, p, order, x0, initial):
-    # the MapStack a block builds, read where the kernel reads it and at
-    # every slot it holds, against each member's own map; members 2..4 of
-    # the ensemble, each repeated for each of its walkers
-    n = 7
+    # the phase factors of the MapStack a block builds, read where the
+    # kernel reads them and at every slot the stack holds, against
+    # e^{i phi} times each member's own map's signs, bit for bit; members
+    # 2..4 of the ensemble, each repeated for each of its walkers
+    n, phi = 7, 0.3
     cfg = EnsembleConfig(kind=kind, p=p, n_steps=n, n_maps=5, master_seed=9,
-                         initial=InitialStateSpec(initial, position=x0),
+                         phi=phi, initial=InitialStateSpec(initial, position=x0),
                          operator_order=order)
     walkers = 1 if initial == "single" else 2
     members = range(2, 5)
     stack = ensemble_mod._stack_masks(cfg, members, walkers)
+    assert stack.phi == phi
     pmaps = [generate_map(kind, n, p, seed=split_seed(9, k)) for k in members]
     lag = OPERATOR_ORDERS.index(order)
     wide = cfg.t_max + 2 * n
+    e = np.exp(1j * phi)
+
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
     for t in range(1, n + 1):
         s = t - 1 + lag  # the cone step t's phase acts on
-        got = stack.cone_signs(t, x0, s)
+        got = stack.cone_factor(t, x0, s)
         assert got.shape == (3 * walkers, 1, s + 1) and got.dtype == complex
         sites = x0 - s + 2 * np.arange(s + 1)
         for row in range(3 * walkers):
-            want = pmaps[row // walkers].step_signs(t, cfg.t_max)
-            np.testing.assert_array_equal(got[row, 0], want[sites + cfg.t_max])
+            want = e * pmaps[row // walkers].step_signs(t, cfg.t_max)
+            np.testing.assert_array_equal(bits(got[row, 0]),
+                                          bits(want[sites + cfg.t_max]))
         if kind == "dynamic":
             # all n + 1 slots, and sites past the map's lattice carry +1
-            full = stack.cone_signs(t, x0 - s + n, n)
+            full = stack.cone_factor(t, x0 - s + n, n)
             sites = x0 - s + 2 * np.arange(n + 1)
             for row in range(3 * walkers):
-                want = pmaps[row // walkers].step_signs(t, wide)
-                np.testing.assert_array_equal(full[row, 0], want[sites + wide])
+                want = e * pmaps[row // walkers].step_signs(t, wide)
+                np.testing.assert_array_equal(bits(full[row, 0]),
+                                              bits(want[sites + wide]))
         else:
-            assert np.shares_memory(got, stack.signs)
+            # read in place from the even-site or the odd-site factors
+            parity = (cfg.t_max + x0 - s) % 2
+            assert np.shares_memory(got, stack.factors[parity])
 
 
 _BALANCED = (complex(2 ** -0.5), complex(2 ** -0.5))
@@ -317,8 +374,8 @@ def test_block_steps_allocate_nothing_of_block_size(monkeypatch, layer, cfg):
     plane = (cfg.n_steps + 1) * rows * 16
     assert len(peaks) == cfg.n_steps + 1
     assert max(peaks[2:]) < peaks[1] + plane
-    # step 1 also forms a static block's phase factors, once; from step 2
-    # on, the peak may grow only by objects far smaller than the cone
+    # from step 2 on, the peak may grow only by objects far smaller than
+    # the cone
     assert max(peaks[2:]) < peaks[2] + plane // 4
 
 
@@ -334,19 +391,22 @@ def test_rerun_is_bit_identical():
 
 
 def test_worker_count_does_not_change_results():
-    # four blocks, so every pool size below gets more than one of them
-    cfg = EnsembleConfig(kind="dynamic", p=0.5, n_steps=18,
-                         n_maps=3 * ensemble_mod.BLOCK_MAPS + 5,
-                         master_seed=3, collect_distribution=True,
-                         per_map_variance=True)
-    serial = run_ensemble(cfg, workers=1)
-    for workers in (2, 3):
-        pooled = run_ensemble(cfg, workers=workers)
-        np.testing.assert_array_equal(serial.qfi_mean, pooled.qfi_mean)
-        np.testing.assert_array_equal(serial.qfi_stderr, pooled.qfi_stderr)
-        np.testing.assert_array_equal(serial.distribution, pooled.distribution)
-        np.testing.assert_array_equal(serial.variance_per_map,
-                                      pooled.variance_per_map)
+    # four blocks, so every pool size below gets more than one of them; at
+    # phi = 0.3 each worker forms its calls' phase factors at that phi
+    for kind, phi in (("dynamic", 0.0), ("dynamic", 0.3), ("static", 0.0),
+                      ("static", 0.3)):
+        cfg = EnsembleConfig(kind=kind, p=0.5, n_steps=18,
+                             n_maps=3 * ensemble_mod.BLOCK_MAPS + 5,
+                             master_seed=3, phi=phi, collect_distribution=True,
+                             per_map_variance=True)
+        serial = run_ensemble(cfg, workers=1)
+        for workers in (2, 3):
+            pooled = run_ensemble(cfg, workers=workers)
+            for name in ("qfi_mean", "qfi_stderr", "distribution",
+                         "variance_per_map"):
+                np.testing.assert_array_equal(
+                    getattr(serial, name), getattr(pooled, name),
+                    err_msg=f"{kind} phi={phi} workers={workers} {name}")
 
 
 @pytest.mark.parametrize("n_blocks", range(1, 12))

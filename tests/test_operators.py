@@ -208,7 +208,7 @@ def test_stacked_step_with_out_matches_one_map_steps(order):
     n, position = 6, 1
     t_max = n + position
     cfg = EnsembleConfig(kind="dynamic", p=0.5, n_steps=n, n_maps=3, master_seed=1,
-                         initial=InitialStateSpec(position=position),
+                         phi=0.4, initial=InitialStateSpec(position=position),
                          operator_order=order)
     stack = _stack_masks(cfg, range(3), 1)
     pmaps = [generate_map("dynamic", n, 0.5, seed=split_seed(1, b)) for b in range(3)]
@@ -238,6 +238,62 @@ def test_stacked_step_with_out_matches_one_map_steps(order):
             assert np.array_equal(cur.dpsi.amplitudes[b, 0], pair.dpsi.amplitudes[rows])
             assert np.array_equal(plain.amplitudes[b, 0], pair.psi.amplitudes[rows])
             assert values[b, 0] == qfi_pure(pair)
+
+
+@pytest.mark.parametrize("order", [PHASE_FIRST, PHASE_LAST])
+def test_walker_stack_steps_equal_separate_steps_bitwise(order):
+    # a (B, W, 2) stack of walkers, stepped as one state, against B
+    # one-walker steps: the two-walker tensor step rests on this
+    rng = np.random.default_rng(5)
+    pmap = generate_map("dynamic", 6, 0.7, seed=8)
+    a = rng.normal(size=(4, 13, 2)) + 1j * rng.normal(size=(4, 13, 2))
+    a[:, [0, 1, -2, -1]] = 0  # room for two steps
+    a /= np.linalg.norm(a, axis=(1, 2), keepdims=True)
+    da = rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape)
+    da[:, [0, 1, -2, -1]] = 0
+    pair = DerivativePair(WalkerState(6, a), WalkerState(6, da))
+    plain = WalkerState(6, a)
+    ones = [DerivativePair(WalkerState(6, a[b]), WalkerState(6, da[b]))
+            for b in range(4)]
+    for t in (1, 2):
+        ctx = _ctx(phi=0.3, t=t, pmap=pmap, order=order)
+        pair, plain = step_with_derivative(pair, ctx), step(plain, ctx)
+        ones = [step_with_derivative(one, ctx) for one in ones]
+        for b, one in enumerate(ones):
+            for got, want in ((pair.psi, one.psi), (pair.dpsi, one.dpsi),
+                              (plain, one.psi)):
+                assert np.array_equal(got.amplitudes[b].view(np.uint64),
+                                      want.amplitudes.view(np.uint64))
+    # a walker that touches an edge stops the whole stack
+    ctx = _ctx(t=1, pmap=pmap, order=order)
+    for edge in (0, -1):
+        for coin in (UP, DOWN):
+            edged = WalkerState(6, np.zeros((4, 13, 2), dtype=complex))
+            edged.amplitudes[:, 6, UP] = 1.0
+            edged.amplitudes[2, 6, UP] = 0.0
+            edged.amplitudes[2, edge, coin] = 1.0
+            with pytest.raises(BoundaryError):
+                step(edged, ctx)
+            with pytest.raises(BoundaryError):
+                step_with_derivative(DerivativePair.initial(edged), ctx)
+
+
+def test_map_stack_steps_only_at_its_own_phi():
+    # a MapStack forms its phase factors at its phi once; a step at any
+    # other phi must not read them
+    cfg = EnsembleConfig(kind="static", p=0.6, n_steps=4, n_maps=2, phi=0.3)
+    stack = _stack_masks(cfg, range(2), 1)
+    start = np.zeros((2, 1, 1, 2), dtype=complex)
+    start[..., UP] = 1.0
+    out = ConeState(np.zeros((2, 1, 2, 2), dtype=complex))
+    step(ConeState(start), StepContext(0.3, 1, stack), out=out)
+    with pytest.raises(ValueError, match="phi = 0.0 under a map stack formed at phi = 0.3"):
+        step(ConeState(start), StepContext(0.0, 1, stack), out=out)
+    with pytest.raises(ValueError, match="map stack formed at"):
+        step_with_derivative(
+            DerivativePair(ConeState(start), ConeState(np.zeros_like(start))),
+            StepContext(0.4, 1, stack),
+            out=DerivativePair(out, ConeState(np.zeros_like(out.amplitudes))))
 
 
 def _fd_derivative(initial, pmap, phi, n_steps, order, h=1e-5):

@@ -53,13 +53,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 
-def _map_stack(pmaps, t_max, origin, order):
-    """The MapStack the ensembles build for pmaps, in either layout, read
-    off each map's `PhaseMap.step_signs`."""
+def _map_stack(pmaps, t_max, origin, order, phi):
+    """The MapStack the ensembles build for pmaps at phi, in either layout,
+    read off each map's `PhaseMap.step_signs`."""
     n = pmaps[0].n_steps
     if pmaps[0].kind != "dynamic":
         signs = np.stack([m.step_signs(1, t_max) for m in pmaps], axis=1)
-        return MapStack(n, signs=signs.astype(complex))
+        return MapStack(n, phi, pi=signs < 0)
     lag = OPERATOR_ORDERS.index(order)  # 0 phase-first, 1 phase-last
     wide = t_max + 2 * n  # every slot's site lies on this lattice
     cones = np.zeros((n, n + 1, len(pmaps)), dtype=bool)
@@ -67,7 +67,7 @@ def _map_stack(pmaps, t_max, origin, order):
         sites = origin - (t - 1 + lag) + 2 * np.arange(n + 1)
         for b, m in enumerate(pmaps):
             cones[t - 1, :, b] = m.step_signs(t, wide)[sites + wide] < 0
-    return MapStack(n, cones=cones, origin=origin, lag=lag)
+    return MapStack(n, phi, cones=cones, origin=origin, lag=lag)
 
 
 @settings(max_examples=40, deadline=2000)
@@ -97,7 +97,7 @@ def test_cone_stacked_steps_equal_one_map_steps(
     t_max = abs(position) + n_steps
     coin = (math.cos(theta / 2), np.exp(1j * phi) * math.sin(theta / 2))
     pmaps = [generate_map(kind, n_steps, p, seed=seed + b) for b in range(n_maps)]
-    stack = _map_stack(pmaps, t_max, position, order)
+    stack = _map_stack(pmaps, t_max, position, order, phi)
 
     # [psi, dpsi, plain psi] x [even steps, odd steps]
     bufs = np.zeros((3, 2, 2, n_steps + 1, n_maps), dtype=complex)
