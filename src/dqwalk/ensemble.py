@@ -54,6 +54,17 @@ rebuilds the joint QFI and marginal from them:
 
 both exact while <a|b> = 0, which the evolution conserves and every step
 checks (Omar, Paunkovic, Sheridan & Bose, PRA 74, 042304 (2006)).
+
+The kernel returns each walker row's own QFI, and for two walkers each
+member's |<a|db>|^2, and `run_ensemble` forms the run's F from those rows
+(`_qfi_table`).  So one evolution of a and b holds every statistic's F,
+and the single-walker F of |x0, up> and |x0, down> besides; each step
+checks all of them.  A `pool_scope` keeps the rows of its latest
+evolution, and a later QFI-only run over the same maps whose walkers'
+rows are kept is built from them: a two-walker preset draws and evolves
+each map once for its five series.  Each value is formed from the same
+rows by the same operations either way, so a run built from kept rows
+has the bits of one that evolves.
 """
 
 from __future__ import annotations
@@ -109,6 +120,9 @@ _MAX_RUN_BYTES = 2**30
 
 #: s in (a (x) b + s b (x) a) / sqrt2 for each two-walker initial kind
 _EXCHANGE_SIGN = {"separable": 0, "boson": 1, "fermion": -1}
+
+#: the coins of a = |x0, up> and b = |x0, down>, a two-walker member's rows
+_PAIR_COINS = (coin_spinor((1, 0)), coin_spinor((0, 1)))
 
 
 def split_seed(master_seed, index):
@@ -228,9 +242,10 @@ def _table_bytes(config):
 
     One map's draw; the largest kernel call's `_stack_masks` storage and
     phase factors, state buffers and member marginals; that call's result
-    rows and block sums twice, as `run_ensemble` holds the previous call's
-    until the next one returns; the run's member seeds, QFI table with
-    the temporary its `std` forms, and own-variance table; the positions
+    rows and block sums, which `run_ensemble` releases before the next
+    call runs; the run's member seeds, the per-walker QFI and |<a|db>|^2
+    rows the scope keeps, its QFI table with the temporary its `std` (or
+    the exchange term) forms, and its own-variance table; the positions
     and distribution sum across the lattice; and the buffers numpy's
     ufuncs iterate strided operands through, np.getbufsize() elements
     for each of up to three complex operands."""
@@ -250,8 +265,10 @@ def _table_bytes(config):
         masks = (cells if config.kind == "none" else 0) + 17 * width * rows
     # psi, the scratch and, with QFI, dpsi: (2, n + 1, rows) complex each
     states = (3 if config.collect_qfi else 2) * 32 * (n + 1) * rows
-    # each member's QFI and own-variance rows, where collected
-    member_rows = (n + 1) * (config.collect_qfi + config.per_map_variance)
+    # each member's per-walker QFI, |<a|db>|^2 and own-variance rows,
+    # where collected
+    qfi_rows = (walkers + (walkers == 2)) * config.collect_qfi
+    member_rows = (n + 1) * (qfi_rows + config.per_map_variance)
     results = member_rows * maps
     want_dist = config.collect_distribution or config.collect_variance
     # each member's marginal, (width,)
@@ -259,9 +276,10 @@ def _table_bytes(config):
     if want_dist:
         # each block's sum, (n + 1, width)
         results += -(-maps // BLOCK_MAPS) * (n + 1) * width
-    # each member's seed and rows, and its row of the QFI's std temporary
-    run = config.n_maps * (1 + member_rows + (n + 1) * config.collect_qfi)
-    return (masks + states + marginals + 8 * (2 * results + run)
+    # each member's seed and rows, and its rows of the QFI table and of
+    # the temporary its std forms
+    run = config.n_maps * (1 + member_rows + 2 * (n + 1) * config.collect_qfi)
+    return (masks + states + marginals + 8 * (results + run)
             + 8 * width * (n + 2) + 3 * 16 * np.getbufsize())
 
 
@@ -332,12 +350,15 @@ def _call_blocks(n_blocks, workers):
 
 def _run_block(args):
     """Evolve the members of a run of whole blocks in one kernel call;
-    returns (qfi, distribution sums, own variance).
+    returns (qfi, exchange, distribution sums, own variance).
 
-    args is (config, blocks), blocks a range of block indices.  qfi and
-    own variance hold one row per member of the call, the distribution
-    sums one (n_steps + 1, W) member-order sum of the marginals per block;
-    each is None unless collected.  Runs in worker processes, so it must
+    args is (config, blocks), blocks a range of block indices.  qfi holds
+    one QFI row per walker row of the call, the walkers of a member next
+    to each other; exchange, for two walkers, one |<a|db>|^2 row per
+    member, from which `_qfi_table` forms every exchange statistic's F.
+    Own variance holds one row per member, the distribution sums one
+    (n_steps + 1, W) member-order sum of the marginals per block; each is
+    None unless collected.  Runs in worker processes, so it must
     stay top-level picklable.  A failure on one member's map or state
     raises EnsembleMemberError with that member's index and seed.
 
@@ -367,10 +388,12 @@ def _run_block(args):
     one block makes, so a block's results do not depend on the call that
     evolved it.
 
-    Every step checks the norms, 0 <= F(t) <= (n t)^2 for n walkers (each
-    step's phase generator is a sum of n spin-up projectors) and, for two
-    walkers, |<a|b>| <= NORM_TOL, which the product form relies on.  Each
-    check is written to fail on NaN.
+    Every step checks the norms, 0 <= F(t) <= t^2 for every walker row
+    (the phase generator of t steps is a sum of t spin-up projectors) and,
+    for two walkers, |<a|b>| <= NORM_TOL, which the product form relies
+    on, and the fermion F >= 0 and the boson F <= (2t)^2, so that one
+    evolution checks every statistic it can serve.  Each check is written
+    to fail on NaN.
     """
     config, blocks = args
     members = range(blocks.start * BLOCK_MAPS,
@@ -387,10 +410,13 @@ def _run_block(args):
     maps = _stack_masks(config, members, walkers)
 
     def check(values, bad, what):
+        """Fail the member of the first bad entry, one per walker row or
+        one per member."""
         if bad.any():
             row = int(np.flatnonzero(bad)[0])
             message = f"step {t}: {what}: {values[row]!r}"
-            raise _member_error(config, members[row], message)
+            member = members[row // (len(values) // len(members))]
+            raise _member_error(config, member, message)
 
     def failed(exc):
         member = members[exc.row // walkers]
@@ -399,15 +425,16 @@ def _run_block(args):
     # one walker: the configured coin at x0; two walkers: a = |x0, up> and
     # b = |x0, down> (see the module docstring)
     psi = np.zeros((2, n + 1, rows), dtype=np.complex128)
-    coins = [spec.coin] if walkers == 1 else [(1.0, 0.0), (0.0, 1.0)]
-    for j, coin in enumerate(coins):
+    for j, coin in enumerate(_walker_coins(spec)):
         psi[:, 0, j::walkers] = np.array(coin)[:, None]
     bufs = [psi]
-    qfi = dpsi = dist_sums = own_var = marginals = None
+    qfi = exchange = dpsi = dist_sums = own_var = marginals = None
     if config.collect_qfi:
         dpsi = np.zeros_like(psi)
         bufs.append(dpsi)
-        qfi = np.empty((len(members), n + 1))
+        qfi = np.empty((rows, n + 1))
+        if walkers == 2:
+            exchange = np.empty((len(members), n + 1))
     evolve = step if qfi is None else step_with_derivative
     scratch = np.empty_like(psi)
     work = scratch.transpose(2, 1, 0)[:, None]
@@ -438,20 +465,28 @@ def _run_block(args):
             check(ab, ~(ab <= NORM_TOL), f"|<a|b>| exceeds {NORM_TOL}")
         if qfi is not None:
             try:
-                values = qfi_pure(now).reshape(-1, walkers)
-                values = values[:, 0] if walkers == 1 else values.sum(axis=1)
+                values = qfi_pure(now).reshape(-1)
             except RowCheckError as exc:
                 raise failed(exc) from exc
-            if sign:
-                a_db = pair_inner(cells, dpsi[:, :t + 1], pairs)
-                values += 8 * sign * np.abs(a_db) ** 2
-            bound = (walkers * t) ** 2
+            bound = t * t
             check(values,
                   ~((values >= -NEGATIVE_TOL)
                     & (values <= bound * (1 + NORM_TOL))),
-                  f"F outside [0, (n t)^2 = {bound}]")
-            # the exchange term can leave an analytic zero as -1e-16 dust
+                  f"F outside [0, t^2 = {bound}]")
             np.maximum(values, 0.0, out=qfi[:, t])
+            if exchange is not None:
+                # |<a|db>|^2, and every statistic's F from the rows as
+                # `_qfi_table` forms it, held to [0, (2t)^2]: the
+                # separable F lies between the fermion and the boson one
+                a_db = pair_inner(cells, dpsi[:, :t + 1], pairs)
+                exchange[:, t] = np.abs(a_db) ** 2
+                both = qfi[0::2, t] + qfi[1::2, t]
+                swap = 8 * exchange[:, t]
+                fermion, boson = both - swap, both + swap
+                check(fermion, ~(fermion >= -NEGATIVE_TOL),
+                      "fermion F outside [0, (2t)^2]")
+                check(boson, ~(boson <= 4 * bound * (1 + NORM_TOL)),
+                      f"boson F outside [0, (2t)^2 = {4 * bound}]")
         if marginals is not None:
             try:
                 dist = position_distribution(now if qfi is None else now.psi)
@@ -473,7 +508,7 @@ def _run_block(args):
                     marginals[span].sum(axis=0, out=dist_sums[i, t])
                 if own_var is not None:
                     own_var[span, t] = _variance_rows(marginals[span], t_max)
-    return qfi, dist_sums, own_var
+    return qfi, exchange, dist_sums, own_var
 
 
 def _variance_rows(dists, t_max):
@@ -482,12 +517,49 @@ def _variance_rows(dists, t_max):
     return dists @ (x * x) - means**2
 
 
+def _walker_coins(spec):
+    """The coin each walker row of a member starts in at x0: the configured
+    one, or a = |x0, up> and b = |x0, down> for two walkers."""
+    return (spec.coin,) if spec.kind == "single" else _PAIR_COINS
+
+
+def _row_keys(config):
+    """A key for each (n_maps, n_steps + 1) table of rows a run of `config`
+    forms its QFI from: each walker's QFI, by the coin it starts in, then,
+    for two walkers, |<a|db>|^2.  A key holds every field that fixes its
+    rows, floats by repr: 0.0 and -0.0 compare equal, yet may form
+    different bits."""
+    maps = (config.kind, repr(config.p), config.n_steps, config.n_maps,
+            config.master_seed, repr(config.phi), config.semantics,
+            config.operator_order, config.initial.position)
+    coins = _walker_coins(config.initial)
+    return ([maps + (repr(coin),) for coin in coins]
+            + [maps + ("exchange",)] * (len(coins) == 2))
+
+
+def _qfi_table(config, tables):
+    """Each member's F, (n_maps, n_steps + 1), from the run's row tables in
+    `_row_keys` order: F_c for one walker, F_a + F_b + 8 s |<a|db>|^2 for
+    two (see the module docstring)."""
+    if config.initial.kind == "single":
+        return tables[0]
+    f_a, f_b, exchange = tables
+    table = f_a + f_b
+    sign = _EXCHANGE_SIGN[config.initial.kind]
+    if sign:
+        table += 8 * sign * exchange
+    # the exchange term can leave an analytic zero as -1e-16 dust
+    return np.maximum(table, 0.0, out=table)
+
+
 class _PoolScope:
-    """The process pool every ensemble inside one `pool_scope` shares."""
+    """What every ensemble inside one `pool_scope` shares: the process pool,
+    and the QFI rows of the scope's latest evolution."""
 
     def __init__(self):
         self.pool = None
         self.size = 0
+        self.kept = {}
 
     def get(self, workers):
         """The pool, forked now, or re-forked if it has fewer than `workers`."""
@@ -499,8 +571,20 @@ class _PoolScope:
             self.size = workers
         return self.pool
 
+    def served(self, config):
+        """The kept row tables a run of `config` is built from, or None if
+        it must evolve: it collects distributions or variances, or a table
+        it needs is not kept."""
+        keys = _row_keys(config)
+        if (config.collect_distribution or config.collect_variance
+                or config.per_map_variance
+                or not all(key in self.kept for key in keys)):
+            return None
+        return [self.kept[key] for key in keys]
+
     def end(self, terminate=False):
-        """Close and join the pool, or stop its workers at once; then drop it."""
+        """Close and join the pool, or stop its workers at once and drop the
+        kept rows; then drop the pool."""
         if self.pool is not None:
             if terminate:
                 self.pool.terminate()
@@ -508,6 +592,8 @@ class _PoolScope:
                 self.pool.close()
             self.pool.join()
         self.pool, self.size = None, 0
+        if terminate:
+            self.kept = {}
 
 
 _scope = None
@@ -515,7 +601,8 @@ _scope = None
 
 @contextlib.contextmanager
 def pool_scope():
-    """Share one process pool between every `run_ensemble` call inside.
+    """Share one process pool, and the latest evolution's QFI rows, between
+    every `run_ensemble` call inside.
 
     The pool is forked at the first call that needs one, with that call's
     number of processes, so its workers run the code as it stood then; a
@@ -524,6 +611,16 @@ def pool_scope():
     time is reaped, by the time the scope ends; an exception terminates
     them instead.  Inside an open scope, `pool_scope()` does nothing, and
     `run_ensemble` outside any scope opens its own.
+
+    Every evolution drops the rows the scope kept, and one that collects
+    the QFI keeps its own: each walker's QFI rows and, for two walkers,
+    the |<a|db>|^2 rows.  A later QFI-only run over the same maps, from the
+    same x0 and at the same phi and operator order, whose walkers' rows
+    are all kept, is built from them without drawing a map or taking a
+    step: one two-walker evolution serves the separable, boson and
+    fermion runs and the single-walker runs from |x0, up> and |x0, down>,
+    with the bits each would evolve.  The rows live as long as the scope;
+    a failure drops them.
     """
     global _scope
     if _scope is not None:
@@ -541,6 +638,52 @@ def pool_scope():
         _scope = None
 
 
+def _evolve(config, workers):
+    """Evolve every member of `config` in the kernel calls `_call_blocks`
+    lays out, in-process or on the scope's pool; returns the run's (QFI row
+    tables in `_row_keys` order, distribution sum, own-variance rows), each
+    None unless collected, and keeps the QFI row tables in the scope."""
+    # a scope holds one evolution's rows: drop them before this one's exist
+    _scope.kept = {}
+    n_maps, n = config.n_maps, config.n_steps
+    n_blocks = -(-n_maps // BLOCK_MAPS)
+    workers = min(workers, n_blocks)
+    calls = _call_blocks(n_blocks, workers)
+    tasks = ((config, blocks) for blocks in calls)
+    walkers = len(_walker_coins(config.initial))
+
+    tables = dist_sum = own_var_rows = None
+    if config.collect_qfi:
+        tables = [np.empty((n_maps, n + 1)) for _ in _row_keys(config)]
+    if config.collect_distribution or config.collect_variance:
+        dist_sum = np.zeros((n + 1, 2 * config.t_max + 1))
+    if config.per_map_variance:
+        own_var_rows = np.empty((n_maps, n + 1))
+
+    if workers == 1:
+        results = map(_run_block, tasks)
+    else:
+        results = _scope.get(workers).imap(_run_block, tasks)
+    # accumulate strictly in block order: neither the calls' layout nor
+    # their scheduling can change bytes
+    for blocks in calls:
+        qfi, pairs, dists, own_var = next(results)
+        members = slice(blocks.start * BLOCK_MAPS, blocks.stop * BLOCK_MAPS)
+        if tables is not None:
+            for j, table in enumerate(tables):
+                table[members] = qfi[j::walkers] if j < walkers else pairs
+        if dist_sum is not None:
+            for k in range(len(dists)):
+                dist_sum += dists[k]
+        if own_var_rows is not None:
+            own_var_rows[members] = own_var
+        # release this call's results before the next call runs
+        del qfi, pairs, dists, own_var
+    if tables is not None:
+        _scope.kept = dict(zip(_row_keys(config), tables))
+    return tables, dist_sum, own_var_rows
+
+
 def run_ensemble(config, workers=None):
     """Run all members and aggregate.
 
@@ -549,46 +692,23 @@ def run_ensemble(config, workers=None):
     sharded over the process pool of the open `pool_scope`, one opened for
     this call if none is.  Aggregation order is by block, then member,
     either way, so results are bit-identical across worker counts and
-    call layouts.
+    call layouts.  Inside a scope, a QFI-only run may instead be built
+    from the rows the scope kept (`pool_scope`), with the same bits.
     """
     if workers is None:
         workers = 1
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    n_maps = config.n_maps
-    n_blocks = -(-n_maps // BLOCK_MAPS)
-    workers = min(workers, n_blocks)
-    calls = _call_blocks(n_blocks, workers)
-
-    tasks = ((config, blocks) for blocks in calls)
-    n = config.n_steps
-    width = 2 * config.t_max + 1
-
-    qfi_table = np.empty((n_maps, n + 1)) if config.collect_qfi else None
-    want_dist = config.collect_distribution or config.collect_variance
-    dist_sum = np.zeros((n + 1, width)) if want_dist else None
-    own_var_rows = np.empty((n_maps, n + 1)) if config.per_map_variance else None
-
+    n_maps, n = config.n_maps, config.n_steps
+    dist_sum = own_var_rows = None
     with pool_scope():
-        if workers == 1:
-            results = map(_run_block, tasks)
-        else:
-            results = _scope.get(workers).imap(_run_block, tasks)
         try:
-            # accumulate strictly in block order: neither the calls' layout
-            # nor their scheduling can change bytes
-            for blocks, (qfi, dists, own_var) in zip(calls, results):
-                rows = slice(blocks.start * BLOCK_MAPS, blocks.stop * BLOCK_MAPS)
-                if qfi_table is not None:
-                    qfi_table[rows] = qfi
-                if dist_sum is not None:
-                    for block_sum in dists:
-                        dist_sum += block_sum
-                if own_var_rows is not None:
-                    own_var_rows[rows] = own_var
+            tables = _scope.served(config)
+            if tables is None:
+                tables, dist_sum, own_var_rows = _evolve(config, workers)
         except BaseException:
             # a failed member or an interrupt must not wait for the queue to
-            # drain, nor leave a pool the rest of the scope would reuse
+            # drain, nor leave a pool or rows the rest of the scope would reuse
             _scope.end(terminate=True)
             raise
 
@@ -601,7 +721,8 @@ def run_ensemble(config, workers=None):
         steps=np.arange(n + 1),
         positions=np.arange(-config.t_max, config.t_max + 1),
     )
-    if qfi_table is not None:
+    if tables is not None:
+        qfi_table = _qfi_table(config, tables)
         out.qfi_mean = qfi_table.mean(axis=0)
         if n_maps > 1:
             out.qfi_stderr = qfi_table.std(axis=0, ddof=1) / math.sqrt(n_maps)

@@ -9,7 +9,9 @@ rebuilds the joint QFI from them.  This is exact linearity, not an
 approximation, and the tests hold it to the full (W, 2, W, 2) tensor
 evolution.  For separable inputs the joint QFI must equal the sum of the two
 single-walker QFIs map by map; `separable_reference` computes that sum through
-two independent single-walker ensembles so the identity stays checkable.
+two single-walker ensembles.  Inside one `pool_scope`, as in a `reproduce`
+preset, all of these ensembles are built from one evolution of a and b per
+map (`dqwalk.ensemble`).
 """
 
 from __future__ import annotations
@@ -71,7 +73,10 @@ def separable_reference(experiment, workers=None):
 
     Uses the experiment's master seed, so member k sees the identical phase
     map in the single-walker runs and in the joint run; for separable inputs
-    the joint QFI should reproduce this sum to rounding accuracy.
+    the joint QFI should reproduce this sum to rounding accuracy.  It is an
+    independent check of that only outside a `pool_scope`: inside one, after
+    a joint run over the same maps, both single-walker ensembles are built
+    from the rows that run evolved.
     """
     total = None
     for coin in ((1.0, 0.0), (0.0, 1.0)):

@@ -125,10 +125,12 @@ _COLLECT = {
 }
 
 
-def _traced_peak(cfg):
+def _traced_peak(cfg, kept=None):
     """Peak bytes traced over a run of cfg, after a warm-up run of two of
-    its maps."""
+    its maps and, if given, an untraced run of `kept`."""
     run_ensemble(dataclasses.replace(cfg, n_maps=2))
+    if kept is not None:
+        run_ensemble(kept)
     tracemalloc.start()
     try:
         run_ensemble(cfg)
@@ -139,18 +141,28 @@ def _traced_peak(cfg):
 
 @pytest.mark.parametrize("kind,p", [("none", 0.0), ("static", 0.6),
                                     ("dynamic", 0.6)])
-@pytest.mark.parametrize("initial", ["single", "boson"])
+@pytest.mark.parametrize("initial", ["single", "boson", "boson-in-scope"])
 @pytest.mark.parametrize("collect", _COLLECT)
 @pytest.mark.parametrize("x0", [0, 3])
 def test_size_rule_bounds_the_traced_peak(kind, p, initial, collect, x0):
-    # two kernel calls, the last block partial
+    # two kernel calls, the last block partial.  "boson-in-scope" runs the
+    # boson ensemble inside a pool_scope in which a separable run over the
+    # same maps has left its rows kept: a QFI-only run is built from them,
+    # any other evolves in their place
     blocks = ensemble_mod.CALL_BLOCKS + 1
+    walkers = InitialStateSpec(initial.split("-")[0], position=x0)
     cfg = EnsembleConfig(kind=kind, p=p, n_steps=10,
                          n_maps=(blocks - 1) * ensemble_mod.BLOCK_MAPS + 5,
-                         initial=InitialStateSpec(initial, position=x0),
-                         **_COLLECT[collect])
+                         initial=walkers, **_COLLECT[collect])
     assert len(ensemble_mod._call_blocks(blocks, 1)) == 2
-    assert _traced_peak(cfg) <= ensemble_mod._table_bytes(cfg)
+    kept = None
+    if initial == "boson-in-scope":
+        kept = dataclasses.replace(
+            cfg, initial=InitialStateSpec("separable", position=x0),
+            collect_qfi=True, collect_distribution=False,
+            collect_variance=False, per_map_variance=False)
+    with pool_scope():
+        assert _traced_peak(cfg, kept) <= ensemble_mod._table_bytes(cfg)
 
 
 def test_size_rule_bounds_the_traced_peak_of_many_short_rows(monkeypatch):
@@ -585,21 +597,25 @@ def test_failed_member_drops_the_shared_pool(monkeypatch, pool_forks):
 
 
 def test_pool_scope_forks_once_and_joins_on_exit(pool_forks):
-    cfg = _three_block_config(4)
+    # a seed of its own for every run, so that each one evolves: a rerun of
+    # a QFI-only config would be served from the rows the scope kept
+    seeds = iter(range(4, 10))
     with pool_scope():
-        run_ensemble(cfg, workers=1)  # serial: no pool yet
+        # serial: no pool yet
+        run_ensemble(_three_block_config(next(seeds)), workers=1)
         assert pool_forks == []
         with pool_scope():  # nested scopes share the outer pool
-            run_ensemble(cfg, workers=2)
+            run_ensemble(_three_block_config(next(seeds)), workers=2)
         assert pool_forks == [2] and multiprocessing.active_children()
-        run_ensemble(cfg, workers=2)
-        run_ensemble(cfg, workers=3)  # three blocks: a larger pool
+        run_ensemble(_three_block_config(next(seeds)), workers=2)
+        # three blocks: a larger pool
+        run_ensemble(_three_block_config(next(seeds)), workers=3)
     assert pool_forks == [2, 3]
     assert multiprocessing.active_children() == []
     # an exception leaving the scope stops the workers
     with pytest.raises(RuntimeError, match="after the ensemble"):
         with pool_scope():
-            run_ensemble(cfg, workers=2)
+            run_ensemble(_three_block_config(next(seeds)), workers=2)
             raise RuntimeError("after the ensemble")
     assert pool_forks == [2, 3, 2]
     assert multiprocessing.active_children() == []
@@ -723,3 +739,162 @@ def test_initial_state_spec_checks_the_coin_norm():
         InitialStateSpec(coin=(float("nan"), 0.0))
     spec = InitialStateSpec(coin=(2 ** -0.5, 2 ** -0.5))
     assert spec.build(3).norm() == pytest.approx(1.0, abs=1e-15)
+
+
+def _map_draws(monkeypatch):
+    """Count the maps drawn from here on: the list of their seeds."""
+    real = ensemble_mod.generate_map
+    seeds = []
+
+    def counted(kind, n_steps, p, semantics, seed):
+        seeds.append(seed)
+        return real(kind, n_steps, p, semantics, seed)
+
+    monkeypatch.setattr(ensemble_mod, "generate_map", counted)
+    return seeds
+
+
+# two full blocks and a partial one, at phi != 0 and off the origin
+_SHARED = EnsembleConfig(kind="dynamic", p=0.6, n_steps=12,
+                         n_maps=2 * ensemble_mod.BLOCK_MAPS + 5,
+                         master_seed=31, phi=0.3,
+                         initial=InitialStateSpec("separable", position=2))
+
+
+def _with_initial(cfg, kind, coin=(1.0, 0.0)):
+    return dataclasses.replace(
+        cfg, initial=InitialStateSpec(kind, position=cfg.initial.position,
+                                      coin=coin))
+
+
+def _assert_same_bits(got, want, label=""):
+    """Two `_bits` dicts hold the same arrays bit for bit, None alike."""
+    for name, bits in want.items():
+        if bits is None:
+            assert got[name] is None, f"{label} {name}"
+        else:
+            np.testing.assert_array_equal(got[name], bits,
+                                          err_msg=f"{label} {name}")
+
+
+def _five_series(cfg):
+    """The configs of a two-walker preset panel's five series over cfg's
+    maps: the three statistics and the single walkers |x0, up>, |x0, down>."""
+    pairs = [_with_initial(cfg, kind)
+             for kind in ("separable", "boson", "fermion")]
+    return pairs + [_with_initial(cfg, "single", coin)
+                    for coin in ((1.0, 0.0), (0.0, 1.0))]
+
+
+@pytest.mark.parametrize("first", ["separable", "boson", "fermion"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_evolution_serves_all_five_series(monkeypatch, first, workers):
+    # whichever statistic runs first evolves a and b once per map; the
+    # other four series are built from its rows, with the bits each run
+    # made outside any scope has
+    configs = _five_series(_SHARED)
+    configs.sort(key=lambda cfg: cfg.initial.kind != first)
+    alone = [_bits(run_ensemble(cfg, workers=workers)) for cfg in configs]
+    draws = _map_draws(monkeypatch)
+    with pool_scope():
+        shared = [_bits(run_ensemble(cfg, workers=workers)) for cfg in configs]
+    if workers == 1:  # pool workers draw in their own processes
+        assert len(draws) == _SHARED.n_maps
+    for cfg, want, got in zip(configs, alone, shared):
+        _assert_same_bits(got, want, cfg.initial)
+
+
+def test_outside_a_scope_every_run_evolves(monkeypatch):
+    cfg = dataclasses.replace(_SHARED, n_maps=3)
+    draws = _map_draws(monkeypatch)
+    for other in _five_series(cfg):
+        run_ensemble(other)
+    assert len(draws) == 5 * cfg.n_maps
+    assert ensemble_mod._scope is None
+
+
+_KEY_CHANGES = {
+    "phi": {"phi": 0.5},
+    "seed": {"master_seed": 32},
+    "order": {"operator_order": OPERATOR_ORDERS[1]},
+    "x0": {"initial": InitialStateSpec("separable", position=-1)},
+    "p": {"p": 0.7},
+    "kind": {"kind": "static"},
+    "n_steps": {"n_steps": 11},
+    "n_maps": {"n_maps": _SHARED.n_maps - 1},
+    "semantics": {"semantics": "exact-pi-fraction"},
+    "coin": {"initial": InitialStateSpec(position=2, coin=_BALANCED)},
+}
+
+
+@pytest.mark.parametrize("field", _KEY_CHANGES)
+def test_a_run_differing_in_one_key_field_evolves(monkeypatch, field):
+    # a two-walker evolution is kept; a run that differs from it in one
+    # field that fixes the rows evolves its own maps, and equals its run
+    # made outside any scope, while an unchanged rerun is served
+    other = dataclasses.replace(_SHARED, **_KEY_CHANGES[field])
+    assert other != _SHARED
+    want = _bits(run_ensemble(other))
+    draws = _map_draws(monkeypatch)
+    with pool_scope():
+        run_ensemble(_SHARED)
+        assert len(draws) == _SHARED.n_maps
+        run_ensemble(_SHARED)
+        assert len(draws) == _SHARED.n_maps
+        got = _bits(run_ensemble(other))
+        assert len(draws) == _SHARED.n_maps + other.n_maps
+    _assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("collect", [
+    {"collect_distribution": True},
+    {"collect_variance": True},
+    {"per_map_variance": True},
+])
+def test_runs_collecting_distributions_or_variances_always_evolve(
+        monkeypatch, collect):
+    boson = dataclasses.replace(_with_initial(_SHARED, "boson"), **collect)
+    want = _bits(run_ensemble(boson))
+    draws = _map_draws(monkeypatch)
+    with pool_scope():
+        run_ensemble(_SHARED)
+        got = _bits(run_ensemble(boson))
+        assert len(draws) == 2 * _SHARED.n_maps
+        # its own QFI rows are kept in place of the separable run's
+        run_ensemble(_with_initial(_SHARED, "fermion"))
+        assert len(draws) == 2 * _SHARED.n_maps
+    _assert_same_bits(got, want)
+
+
+def test_failure_drops_the_kept_rows():
+    with pool_scope():
+        run_ensemble(_SHARED)
+        assert len(ensemble_mod._scope.kept) == 3
+        ensemble_mod._scope.end(terminate=True)
+        assert ensemble_mod._scope.kept == {}
+
+
+def test_fermion_floor_fails_the_separable_run(monkeypatch):
+    # F_a = F_b = 0 planted on the third member of the second block at
+    # step 5: the separable F of 0 is in range, but the fermion F that the
+    # same rows serve, -8 |<a|db>|^2, is not
+    real = metrology_mod.qfi_rows
+    member = ensemble_mod.BLOCK_MAPS + 2
+    row_of = _call_rows(monkeypatch)
+
+    def planted(psi, dpsi, scratch=None):
+        values = real(psi, dpsi, scratch)
+        row = row_of(member, 2)
+        if psi.shape[1] == 5 + 1 and row is not None:  # step 5's t + 1 slots
+            values[row:row + 2] = 0.0
+        return values
+
+    monkeypatch.setattr(metrology_mod, "qfi_rows", planted)
+    cfg = EnsembleConfig(kind="static", p=1.0, n_steps=8,
+                         n_maps=ensemble_mod.BLOCK_MAPS + 4, master_seed=11,
+                         initial=InitialStateSpec("separable"))
+    with pytest.raises(EnsembleMemberError) as info:
+        run_ensemble(cfg)
+    assert info.value.member_index == member
+    assert info.value.member_seed == split_seed(11, member)
+    assert "step 5" in str(info.value) and "fermion" in str(info.value)

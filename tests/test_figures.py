@@ -3,6 +3,7 @@ import multiprocessing
 
 import pytest
 
+import dqwalk.ensemble as ensemble_mod
 from dqwalk.cli import main
 from dqwalk.figures import FIGURES, reproduce_figure
 
@@ -70,6 +71,21 @@ def test_serial_preset_forks_no_pool(preset, tmp_path, pool_forks):
 def test_single_block_ensembles_fork_no_pool(tmp_path, pool_forks):
     reproduce_figure("fig4b", str(tmp_path), maps=2, workers=2)
     assert pool_forks == []
+
+
+def test_two_walker_preset_draws_each_map_once(tmp_path, monkeypatch):
+    # the separable ensemble evolves a and b for every map; the boson and
+    # fermion ensembles and the single-walker sum are built from its rows
+    real = ensemble_mod.generate_map
+    seeds = []
+
+    def counted(*args):
+        seeds.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(ensemble_mod, "generate_map", counted)
+    reproduce_figure("fig4b", str(tmp_path), maps=70, workers=1)
+    assert len(seeds) == 70 and len(set(seeds)) == 70
 
 
 def test_reproduce_figure_rejects_zero_maps(tmp_path):

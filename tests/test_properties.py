@@ -201,8 +201,9 @@ def test_in_place_cone_step_equals_block_step(t, spare, rows, order,
 def test_block_rows_equal_one_map_series(
         kind, p, seed, n_maps, n_steps, position, theta, phi, order, initial):
     # the block kernel against the one-map route, member by member: QFI
-    # rows and, for one map, the distribution; bit for bit for one walker,
-    # to rounding for two, whose one-map route is the joint tensor
+    # rows, as `run_ensemble` forms them from the walkers' rows, and, for
+    # one map, the distribution; bit for bit for one walker, to rounding
+    # for two, whose one-map route is the joint tensor
     if kind == "none":
         p = 0.0
     single = initial == "single"
@@ -212,7 +213,9 @@ def test_block_rows_equal_one_map_series(
     cfg = EnsembleConfig(kind=kind, p=p, n_steps=n_steps, n_maps=n_maps,
                          master_seed=seed, phi=phi, initial=spec,
                          operator_order=order, collect_distribution=True)
-    qfi, (dist_sum,), _ = ensemble_mod._run_block((cfg, range(1)))
+    rows, exchange, (dist_sum,), _ = ensemble_mod._run_block((cfg, range(1)))
+    tables = [rows] if single else [rows[0::2], rows[1::2], exchange]
+    qfi = ensemble_mod._qfi_table(cfg, tables)
     same = (np.testing.assert_array_equal if single else
             lambda a, b: np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12))
     for k in range(n_maps):

@@ -69,14 +69,16 @@ def test_exchange_symmetry_preserved_by_disordered_evolution(statistics):
 @pytest.mark.parametrize("kind,p", [("static", 1.0), ("dynamic", 0.8)])
 @pytest.mark.parametrize("statistics", ["separable", "boson", "fermion"])
 def test_single_walker_rows_match_tensor_evolution(statistics, kind, p, order):
-    # the ensemble rebuilds the joint state from a = U|x,up>, b = U|x,down>;
+    # the ensemble rebuilds the joint QFI from the QFI rows of a = U|x,up>
+    # and b = U|x,down> and their |<a|db>|^2 rows, as `run_ensemble` does;
     # the full (W, 2, W, 2) tensor evolution is the reference
     n_steps, phi, n_maps = 10, 0.4, 3
     cfg = EnsembleConfig(kind=kind, p=p, n_steps=n_steps, n_maps=n_maps,
                          master_seed=5, phi=phi, operator_order=order,
                          initial=InitialStateSpec(kind=statistics),
                          collect_distribution=True)
-    qfi, (dist_sum,), _ = ensemble_mod._run_block((cfg, range(1)))
+    rows, exchange, (dist_sum,), _ = ensemble_mod._run_block((cfg, range(1)))
+    qfi = ensemble_mod._qfi_table(cfg, [rows[0::2], rows[1::2], exchange])
     reference_dist = np.zeros_like(dist_sum)
     for k in range(n_maps):
         pmap = generate_map(kind, n_steps, p, seed=split_seed(5, k))
