@@ -74,21 +74,21 @@ class PhaseMap:
 
 @dataclass(frozen=True, eq=False)
 class MapStack:
-    """The disorder of B walker rows at one phi, laid out once for
-    light-cone stacks.
+    """The disorder of B walker rows at one phi, laid out once for the
+    light-cone stacks of one ensemble kernel call.
 
-    `ensemble._stack_masks` builds it once per ensemble kernel call, with
-    the row axis innermost in memory like the call's walkers, in one of two
-    layouts; exactly one of `pi` and `cones` is given.
+    `ensemble._stack_masks` builds it once per kernel call, for walkers
+    that leave `origin` and take up to n_steps steps, with the row axis
+    innermost in memory like the call's walkers.  Step t's phase acts on
+    the s + 1 sites origin - s + 2k, k = 0..s, of the light cone s = t - 1
+    + lag steps from origin: the input's for lag 0 (phase-first) and the
+    output's for lag 1 (phase-last).  Exactly one of two layouts is given:
 
       pi     static maps and kind "none": bool (2*t_max + 1, B), row b's pi
              cell at each site -t_max..t_max of the lattice, read by every
              step.
       cones  dynamic maps: bool (n_steps, n_steps + 1, B).  cones[t-1, k] is
-             row b's pi cell of step t at site origin - (t - 1 + lag) + 2k,
-             the k-th site of the light cone t - 1 + lag steps from origin:
-             the cone step t's phase acts on, the input's for lag 0
-             (phase-first) and the output's for lag 1 (phase-last).
+             row b's pi cell of step t at site origin - s + 2k.
 
     Sites beyond a map's own lattice carry no disorder, as in
     `PhaseMap.step_signs`.
@@ -124,59 +124,26 @@ class MapStack:
                                 dtype=np.complex128))
         object.__setattr__(self, "factors", factors)
 
-    def cone_factor(self, step_index, origin, t):
+    def cone_factor(self, step_index):
         """The up-component multipliers e^{i(phi + dphi)} of step
-        step_index at the t + 1 sites origin - t + 2k, k = 0..t, of the
-        light cone t steps from origin (`states.ConeState`), shape
-        (B, 1, t + 1): one row per map, with an axis that broadcasts over
-        the walkers each map drives.
+        step_index, 1..n_steps, at the s + 1 sites origin - s + 2k of the
+        cone it acts on, s = step_index - 1 + lag (`states.ConeState`),
+        shape (B, 1, s + 1): one row per map, with an axis that broadcasts
+        over the walkers each map drives.
 
-        Static stacks return a contiguous view of their factors; dynamic
-        ones select the step's cells into their one buffer, so the result
-        holds until the next call.
+        Static stacks return a contiguous view of their even-site or
+        odd-site factors; dynamic ones select the step's cells into their
+        one buffer, so the result holds until the next call.
         """
+        s = step_index - 1 + self.lag
         if self.cones is None:
-            i = self._static_column(step_index, origin, t)
-            return self.factors[i % 2][i // 2:i // 2 + t + 1].T[:, None]
+            i = (len(self.pi) - 1) // 2 + self.origin - s
+            return self.factors[i % 2][i // 2:i // 2 + s + 1].T[:, None]
         (plus, minus), out = self.factors
-        out = out[:t + 1]
+        out = out[:s + 1]
         out[...] = plus
-        np.putmask(out, self._cone_cells(step_index, origin, t), minus)
+        np.putmask(out, self.cones[step_index - 1, :s + 1], minus)
         return out.T[:, None]
-
-    def _check_step(self, step_index):
-        if not 1 <= step_index <= self.n_steps:
-            raise ValueError(
-                f"step index {step_index} outside 1..{self.n_steps}"
-            )
-
-    def _static_column(self, step_index, origin, t):
-        """Column of site origin - t in the static table; ValueError unless
-        the step exists and the cone up to origin + t fits the lattice."""
-        self._check_step(step_index)
-        lo, hi = origin - t, origin + t
-        c = (len(self.pi) - 1) // 2
-        if lo < -c or hi > c:
-            raise ValueError(
-                f"pi is {2 * c + 1} sites wide, the cone reaches {lo}..{hi}"
-            )
-        return c + lo
-
-    def _cone_cells(self, step_index, origin, t):
-        """Dynamic stacks: the (t + 1, B) pi cells of step step_index at the
-        cone's sites, a contiguous view; ValueError if the step or the
-        cone is not in the table."""
-        self._check_step(step_index)
-        lo = origin - t
-        first = self.origin - (step_index - 1 + self.lag)
-        k, odd = divmod(lo - first, 2)
-        if odd or k < 0 or k + t > self.n_steps:
-            raise ValueError(
-                f"cones hold the sites {first}, {first + 2}, .., "
-                f"{first + 2 * self.n_steps} of step {step_index}, the cone "
-                f"reaches {lo}..{origin + t}"
-            )
-        return self.cones[step_index - 1, k:k + t + 1]
 
 
 def validate_disorder(kind, n_steps, p, semantics):

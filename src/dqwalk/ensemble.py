@@ -292,6 +292,9 @@ def _stack_masks(config, members, walkers):
     length 2 would make every numpy inner loop that short.  The row axis
     is innermost, as in the call's state buffers, so
     `MapStack.cone_factor` reads each step's cone as contiguous rows.
+    Every stack is built for the call's walkers alone: its origin is x0,
+    and its lag, 0 for phase-first and 1 for phase-last, fixes the cone
+    each step's phase acts on.
 
     Static maps, and kind "none", whose rows are all alike, give one row of
     pi cells per walker row across the lattice -t_max..t_max, (W, rows)
@@ -300,11 +303,12 @@ def _stack_masks(config, members, walkers):
     started off the origin reach, are False (no disorder), as in
     `PhaseMap.step_signs`.  Dynamic maps are gathered into cone
     coordinates, (n_steps, n_steps + 1, rows) bool: step t's row holds the
-    cells at the sites its phase acts on, from x0 and the operator order,
-    and False beyond the map's lattice.
+    cells at the sites its phase acts on, and False beyond the map's
+    lattice.
     """
     n, t_max, x0 = config.n_steps, config.t_max, config.initial.position
     rows = len(members) * walkers
+    lag = int(config.operator_order != PHASE_FIRST)
 
     def draw(k):
         try:
@@ -321,10 +325,9 @@ def _stack_masks(config, members, walkers):
         for row, k in enumerate(members):
             pi[pad:pad + 2 * n + 1, row * walkers:(row + 1) * walkers] = (
                 draw(k)[0, :, None])
-        return MapStack(n, config.phi, pi=pi)
+        return MapStack(n, config.phi, pi=pi, origin=x0, lag=lag)
     # slot k of step t sits at x0 - (t - 1 + lag) + 2k (`MapStack`); a slot
     # off the map's lattice reads some clipped cell, then is cleared
-    lag = int(config.operator_order != PHASE_FIRST)
     t = np.arange(1, n + 1)[:, None]
     col = n + x0 - (t - 1 + lag) + 2 * np.arange(n + 1)
     cells = (t - 1) * (2 * n + 1) + col
@@ -369,13 +372,13 @@ def _run_block(args):
     clears up at slot 0, and down at slot t was never written, as no slot
     is written before the step that reaches it.  Every element goes
     through the operations of `step_with_derivative` in the same order, so
-    it has the bits of the one-map evolution.  The products of a step and
-    the squares and residuals of its reductions are formed in the call's
-    scratch, a third buffer of the same shape, which the ConeState stacks
-    carry to the layers; the marginals, the block sums and the phase
-    factors have storage of their own.  A call of B members and w walkers
-    each thus holds (2 or 3) x 32 (n_steps + 1) B w bytes of states and
-    scratch, fixed when it starts.
+    it has the bits of the one-map evolution.  The products of a step,
+    the squares and residuals of its reductions and two walkers' pair
+    means are formed in the call's scratch, a third buffer of the same
+    shape, which the ConeState stacks carry to the layers; the marginals,
+    the block sums and the phase factors have storage of their own.  A
+    call of B members and w walkers each thus holds (2 or 3) x 32
+    (n_steps + 1) B w bytes of states and scratch, fixed when it starts.
 
     Rows equal `qfi_series`: it reduces every step over the full lattice,
     whose cells off the cone are exact zeros, and `qfi_pure` sums in an
@@ -451,6 +454,9 @@ def _run_block(args):
         own_var = np.empty((len(members), n + 1))
     if dist_sums is not None or own_var is not None:
         marginals = np.zeros((len(members), width))
+        # the back half of the scratch's coin plane 1, which float work
+        # space (`ConeState.work`) leaves alone
+        pair_means = scratch[1].reshape(-1).view(np.float64)[(n + 1) * rows:]
 
     now = stack(0)
     for t in range(n + 1):
@@ -501,8 +507,13 @@ def _run_block(args):
             if sign == 0:
                 sites[...] = probs[:, 0]
             else:
-                np.add(probs[:, 0], probs[:, 1], out=sites)
-                sites /= 2
+                # the pairs' means in the walkers' (t + 1, rows) layout:
+                # numpy would buffer the strided operands of `sites`
+                plane = dist.probabilities[:, 0].T
+                means = pair_means[:(t + 1) * len(members)].reshape(t + 1, -1)
+                np.add(plane[:, 0::2], plane[:, 1::2], out=means)
+                means /= 2
+                sites[...] = means.T
             for i, span in enumerate(spans):
                 if dist_sums is not None:
                     marginals[span].sum(axis=0, out=dist_sums[i, t])

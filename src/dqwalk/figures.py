@@ -4,7 +4,10 @@ Each preset runs one reference panel end to end: build the ensemble, write
 the data files (with embedded manifests), fit the scaling exponents that the
 panel is about, and render an SVG.  Disordered presets default to 1000 maps,
 which reproduces every exponent well inside its stated tolerance on a laptop;
---paper-scale raises that to the full 10000-map ensembles.
+--paper-scale raises that to the full 10000-map ensembles.  A panel builds
+the config of every ensemble it runs before the first one runs, so a size
+`EnsembleConfig` refuses stops the preset as a ConfigError before any
+ensemble has run or any file is written.
 """
 
 from __future__ import annotations
@@ -62,13 +65,11 @@ class _Job:
             return 1
         return self.scale if self.maps_override is None else self.maps_override
 
-    def run(self, kind, p, n_steps, **collect):
-        """One single-walker ensemble at this job's size, seed and workers."""
-        cfg = EnsembleConfig(
-            kind=kind, p=p, n_steps=n_steps, n_maps=self.n_maps(p),
-            master_seed=self.seed, **collect,
-        )
-        return cfg, run_ensemble(cfg, workers=self.workers)
+    def config(self, kind, p, n_steps, **collect):
+        """One single-walker ensemble at this job's size and seed."""
+        return _refused(EnsembleConfig, kind=kind, p=p, n_steps=n_steps,
+                        n_maps=self.n_maps(p), master_seed=self.seed,
+                        **collect)
 
     def path(self, suffix):
         return os.path.join(self.out_dir, f"{self.name}_{suffix}")
@@ -89,6 +90,15 @@ class _Job:
         self.result.files.append(path)
 
 
+def _refused(build, *args, **kwargs):
+    """build(*args, **kwargs), its ValueError raised as ConfigError: a
+    config a preset cannot run is the caller's arguments at fault."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _label(kind, p):
     return f"{kind} p={p:g}" if p > 0 else "ordered"
 
@@ -98,7 +108,8 @@ def _slug(kind, p):
 
 
 def _single_qfi_panel(job, kind, p, n_steps, fit_range):
-    cfg, series = job.run(kind, p, n_steps)
+    cfg = job.config(kind, p, n_steps)
+    series = run_ensemble(cfg, workers=job.workers)
     fit = fit_power_law(series.qfi_mean, *fit_range)
     job.result.fits["qfi"] = fit
     desc = describe_ensemble(cfg, "qfi", fit={"t_min": fit_range[0], "t_max": fit_range[1]})
@@ -114,7 +125,8 @@ def _single_qfi_panel(job, kind, p, n_steps, fit_range):
 
 
 def _alpha_panel(job, kind, p, n_steps, window):
-    cfg, series = job.run(kind, p, n_steps)
+    cfg = job.config(kind, p, n_steps)
+    series = run_ensemble(cfg, workers=job.workers)
     alpha = windowed_alpha(series.qfi_mean, window=window)
     desc = describe_ensemble(cfg, "qfi")
     manifest = build_manifest(desc, figure=job.name, window=window)
@@ -136,11 +148,13 @@ def _alpha_panel(job, kind, p, n_steps, window):
 def _two_particle_panel(job, kind, p, n_steps):
     manifests = []
     curves = []
-    n_maps = job.n_maps(p)
-    for statistics in ("separable", "boson", "fermion"):
-        exp = TwoParticleExperiment(
-            statistics, kind, p, n_steps, n_maps, master_seed=job.seed,
-        )
+    experiments = [
+        _refused(TwoParticleExperiment, statistics, kind, p, n_steps,
+                 job.n_maps(p), master_seed=job.seed)
+        for statistics in ("separable", "boson", "fermion")
+    ]
+    for exp in experiments:
+        statistics = exp.statistics
         series = run_two_particle(exp, workers=job.workers)
         desc = describe_ensemble(series.config, "two-particle")
         manifest = build_manifest(desc, figure=job.name, statistics=statistics)
@@ -167,13 +181,18 @@ _SCAN = (
 )
 
 
+def _scan(job, n_steps, **collect):
+    """(kind, p, config) of each panel of a scan, all built up front."""
+    return [(kind, p, job.config(kind, p, n_steps, collect_qfi=False,
+                                 initial=InitialStateSpec(coin=_BALANCED),
+                                 **collect))
+            for kind, p in _SCAN]
+
+
 def _distribution_panels(job, n_steps):
     manifests = []
-    for kind, p in _SCAN:
-        cfg, series = job.run(
-            kind, p, n_steps, initial=InitialStateSpec(coin=_BALANCED),
-            collect_qfi=False, collect_distribution=True,
-        )
+    for kind, p, cfg in _scan(job, n_steps, collect_distribution=True):
+        series = run_ensemble(cfg, workers=job.workers)
         desc = describe_ensemble(cfg, "distribution")
         manifest = build_manifest(desc, figure=job.name)
         slug = _slug(kind, p)
@@ -192,11 +211,8 @@ def _distribution_panels(job, n_steps):
 def _variance_panels(job, n_steps):
     manifests = []
     curves = {"static": [], "dynamic": []}
-    for kind, p in _SCAN:
-        cfg, series = job.run(
-            kind, p, n_steps, initial=InitialStateSpec(coin=_BALANCED),
-            collect_qfi=False, collect_variance=True,
-        )
+    for kind, p, cfg in _scan(job, n_steps, collect_variance=True):
+        series = run_ensemble(cfg, workers=job.workers)
         fit = fit_power_law(series.variance, 10, n_steps)
         desc = describe_ensemble(cfg, "variance")
         manifest = build_manifest(desc, figure=job.name, fit=asdict(fit))
@@ -252,29 +268,9 @@ def reproduce_figure(name, out_dir, paper_scale=False, maps=None, seed=0,
     job = _Job(name, out_dir, paper_scale=paper_scale, maps=maps, seed=seed,
                fmt=fmt, workers=workers)
     panel, params = FIGURES[name]
-    _check_size(job, panel, params)
     # one pool for all of the preset's ensembles, joined before the return
     with pool_scope():
         manifests = panel(job, **params)
     job.emit_manifest(manifests)
     return job.result
 
-
-def _check_size(job, panel, params):
-    """Refuse a run `EnsembleConfig` would refuse, before any ensemble runs.
-
-    Its size limit grows with maps, steps and walkers, so the preset's
-    largest ensemble stands for all of them: its disordered map count (one
-    map for an ordered preset), with two walkers for the two-walker panels.
-    Raises ConfigError, since the caller's arguments are at fault.
-    """
-    p = params.get("p", 1.0)
-    walkers = "boson" if panel is _two_particle_panel else "single"
-    try:
-        EnsembleConfig(
-            kind=params.get("kind", "dynamic"), p=p, n_steps=params["n_steps"],
-            n_maps=job.n_maps(p), master_seed=job.seed,
-            initial=InitialStateSpec(kind=walkers),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc

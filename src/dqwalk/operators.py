@@ -69,8 +69,11 @@ def _phase_factor(ctx, state):
     stack's own storage (`MapStack.cone_factor`), or the lattice of any
     other state under a `PhaseMap`.
 
-    A `MapStack` forms its factors at its own phi, so a step at another
-    phi raises ValueError.
+    A `MapStack` serves the one cone each step acts on, s = step_index -
+    1 + lag steps from its origin, at its own phi; a step at another phi,
+    or on a cone of another origin or length, raises ValueError.  That
+    includes a stack built for the other operator order, whose cones are
+    one step off.
     """
     if isinstance(state, ConeState):
         stack = ctx.phase_map
@@ -79,7 +82,14 @@ def _phase_factor(ctx, state):
                 f"step at phi = {ctx.phi!r} under a map stack formed at "
                 f"phi = {stack.phi!r}"
             )
-        return stack.cone_factor(ctx.step_index, state.origin, state.steps)
+        s = ctx.step_index - 1 + stack.lag
+        if (state.origin, state.steps) != (stack.origin, s):
+            raise ValueError(
+                f"step {ctx.step_index} under a map stack acts on the cone "
+                f"{s} steps from {stack.origin}, not {state.steps} steps "
+                f"from {state.origin}"
+            )
+        return stack.cone_factor(ctx.step_index)
     return np.exp(1j * ctx.phi) * ctx.phase_map.step_signs(ctx.step_index,
                                                            state.t_max)
 
@@ -131,12 +141,12 @@ def step(state, ctx, out=None):
     """One full step of the walk on a single walker, or on each walker of
     a stack of shape (..., W, 2) alike.
 
-    With `out`, `state` is a `ConeState` stack of t slots under a
-    `MapStack` and out the ConeState of its t + 1 slots one step on; the
-    step is written into out (`cone_step`) and out is returned.  out may
-    extend the memory of `state` by one slot, so that a stack steps in
-    place; this is how ensembles step their walkers.  Both routes give
-    the same bits.
+    With `out`, `state` is a `ConeState` stack of t = ctx.step_index
+    slots from the origin of the `MapStack` ctx holds, and out the
+    ConeState of its t + 1 slots one step on; the step is written into
+    out (`cone_step`) and out is returned.  out may extend the memory of
+    `state` by one slot, so that a stack steps in place; this is how
+    ensembles step their walkers.  Both routes give the same bits.
     """
     if out is not None:
         _fused_step(state, None, ctx, out, None)

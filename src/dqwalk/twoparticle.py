@@ -45,6 +45,9 @@ class TwoParticleExperiment:
             raise ValueError(
                 f"statistics must be one of {TWO_PARTICLE_KINDS}, got {self.statistics!r}"
             )
+        # refuse now what the joint run's EnsembleConfig refuses; it bounds
+        # the single-walker runs of `separable_reference` over the same maps
+        self._ensemble_config(InitialStateSpec(kind=self.statistics))
 
     def _ensemble_config(self, initial, collect_distribution=False):
         return EnsembleConfig(

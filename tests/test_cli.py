@@ -351,6 +351,20 @@ def test_reproduce_oversized_maps_exits_2_before_running(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("preset, maps", [("fig5", "1000000"),
+                                          ("fig6", "500000")])
+def test_reproduce_sizes_the_ensembles_it_runs(tmp_path, capsys, monkeypatch,
+                                               preset, maps):
+    # fig5 and fig6 collect no QFI: their largest ensembles need 11 and
+    # 13 MB at these sizes, a single-walker QFI run of as many maps over
+    # 2**30 bytes
+    monkeypatch.setattr("dqwalk.figures.run_ensemble", _refuse_to_run)
+    rc = main(["reproduce", preset, "--maps", maps, "--workers", "1",
+               "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert "reached the ensemble" in capsys.readouterr().err
+
+
 def test_state_buffers_past_the_size_limit_exit_2(tmp_path, capsys,
                                                   monkeypatch):
     # 7900 two-walker steps of a 64-map block: the map, QFI and lattice

@@ -11,6 +11,7 @@ from dqwalk import (
     qfi_series,
 )
 from dqwalk.disorder import MapStack
+from dqwalk.operators import StepContext
 
 
 def test_same_seed_same_map():
@@ -117,53 +118,43 @@ def _bits(a):
 
 
 def test_map_stack_step_index_is_checked():
-    # 2 maps of 4 steps from x0 = 1; the cone 3 steps from x0 reaches
-    # -2..4, the sites -2, 0, 2, 4
+    # 2 maps of 4 steps from x0 = 1 in phase-last order (lag 1): step t
+    # acts on the cone t steps from x0, so step 3 on the sites -2, 0, 2, 4
     phi = 0.3
     e = np.exp(1j * phi)
     pi = np.zeros((9, 2), dtype=bool)  # static: the lattice -4..4
     pi[[2, 6, 7], 1] = True  # x = -2, 2 and 3 of map 1
-    # dynamic, phase-last (lag 1): step 3 acts on the cone 3 steps from
-    # x0, slot k at x = -2 + 2k; x = 3 lies off that parity
+    # dynamic: step 3's slot k at x = -2 + 2k; x = 3 lies off that parity
     cones = np.zeros((4, 5, 2), dtype=bool)
     cones[2, [0, 2], 1] = True
-    static = MapStack(4, phi, pi=pi)
+    cones[0, [1, 2], 1] = True  # step 1: x = 2, and 4 past its cone
+    static = MapStack(4, phi, pi=pi, origin=1, lag=1)
     dynamic = MapStack(4, phi, cones=cones, origin=1, lag=1)
     for stack in (static, dynamic):
-        assert stack.cone_factor(1, 1, 1).shape == (2, 1, 2)
+        assert stack.cone_factor(1).shape == (2, 1, 2)
         # e^{i phi} times the signs, as the one-map step forms its factor
-        got = stack.cone_factor(3, 1, 3)
+        got = stack.cone_factor(3)
         assert got.dtype == complex
         np.testing.assert_array_equal(
             _bits(got[:, 0]), _bits(e * np.array([[1.0, 1, 1, 1], [-1, 1, -1, 1]])))
-        # a cone inside step 3's: the sites 0 and 2
+        # step 1's cone: the sites 0 and 2
         np.testing.assert_array_equal(
-            _bits(stack.cone_factor(3, 1, 1)[:, 0]),
+            _bits(stack.cone_factor(1)[:, 0]),
             _bits(e * np.array([[1.0, 1], [1, -1]])))
+        # the steps a stack serves are those of its StepContext
         for step_index in (0, 5):
             with pytest.raises(ValueError, match="step index"):
-                stack.cone_factor(step_index, 1, 2)
+                StepContext(phi, step_index, stack)
     # a static row is the same at every step, and read in place from the
     # even-site and the odd-site factors
-    np.testing.assert_array_equal(static.cone_factor(1, 1, 3),
-                                  static.cone_factor(3, 1, 3))
-    assert np.shares_memory(static.cone_factor(2, 0, 2), static.factors[0])
-    assert np.shares_memory(static.cone_factor(2, 1, 2), static.factors[1])
-    assert static.cone_factor(4, -4, 0).shape == (2, 1, 1)
+    np.testing.assert_array_equal(static.cone_factor(1),
+                                  static.cone_factor(3)[:, :, 1:3])
+    assert np.shares_memory(static.cone_factor(3), static.factors[0])
+    assert np.shares_memory(static.cone_factor(2), static.factors[1])
     # a dynamic step is selected into the stack's one buffer
-    assert np.shares_memory(dynamic.cone_factor(2, 1, 2), dynamic.factors[1])
-    # step 4 holds slot k at x = 1 - 4 + 2k, k = 0..4: -3..5; step 1 0..8
-    assert dynamic.cone_factor(4, 1, 4).shape == (2, 1, 5)
-    assert dynamic.cone_factor(4, -3, 0).shape == (2, 1, 1)
-    assert dynamic.cone_factor(1, 4, 4).shape == (2, 1, 5)
-    # cones that run past either edge of the table
-    for origin, t in ((1, 4), (-1, 4), (0, 5), (5, 0), (-5, 0)):
-        with pytest.raises(ValueError, match="sites wide"):
-            static.cone_factor(1, origin, t)
-    for step_index, origin, t in ((4, 1, 5), (4, -4, 1), (4, 6, 0), (1, 5, 4),
-                                  (1, -1, 0), (3, 0, 3)):
-        with pytest.raises(ValueError, match="cones hold the sites"):
-            dynamic.cone_factor(step_index, origin, t)
+    assert np.shares_memory(dynamic.cone_factor(2), dynamic.factors[1])
+    # step 4 holds slot k at x = 1 - 4 + 2k, k = 0..4: -3..5
+    assert dynamic.cone_factor(4).shape == (2, 1, 5)
     with pytest.raises(ValueError, match="either pi or cones"):
         MapStack(4, phi)
     with pytest.raises(ValueError, match="either pi or cones"):

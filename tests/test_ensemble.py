@@ -175,6 +175,43 @@ def test_size_rule_bounds_the_traced_peak_of_many_short_rows(monkeypatch):
     assert _traced_peak(cfg) <= ensemble_mod._table_bytes(cfg)
 
 
+@pytest.mark.parametrize("initial", ["single", "boson", "fermion"])
+def test_marginal_update_allocates_no_ufunc_buffers(monkeypatch, initial):
+    # a call of 256 members and 30 steps; from each step's marginals to
+    # the next step.  The pair means of two walkers' marginals, formed on
+    # the strided operands of the member table, went through numpy's
+    # buffered iterator: about 190 KB a step, 3 operands x 7936 float64
+    call = ensemble_mod.CALL_BLOCKS * ensemble_mod.BLOCK_MAPS
+    cfg = EnsembleConfig(kind="static", p=0.6, n_steps=30, n_maps=call,
+                         phi=0.3, initial=InitialStateSpec(initial, position=1),
+                         collect_qfi=False, collect_distribution=True)
+    real_marginals = ensemble_mod.position_distribution
+    real_step = ensemble_mod.step
+    traced = []
+
+    def marginals(state):
+        dist = real_marginals(state)
+        traced.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return dist
+
+    def step(*args, **kwargs):
+        if traced:
+            traced[-1] = tracemalloc.get_traced_memory()[1] - traced[-1]
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble_mod, "position_distribution", marginals)
+    monkeypatch.setattr(ensemble_mod, "step", step)
+    tracemalloc.start()
+    try:
+        ensemble_mod._run_block((cfg, range(ensemble_mod.CALL_BLOCKS)))
+    finally:
+        tracemalloc.stop()
+    # the last step's marginals are followed by no step
+    assert len(traced) == cfg.n_steps + 1
+    assert max(traced[:-1]) < 16 * 1024
+
+
 @pytest.mark.parametrize("kind,p", [("none", 0.0), ("static", 0.6),
                                     ("dynamic", 0.6), ("dynamic", 1.0)])
 @pytest.mark.parametrize("order", OPERATOR_ORDERS)
@@ -182,9 +219,9 @@ def test_size_rule_bounds_the_traced_peak_of_many_short_rows(monkeypatch):
 @pytest.mark.parametrize("initial", ["single", "boson"])
 def test_block_cone_signs_equal_one_map_step_signs(kind, p, order, x0, initial):
     # the phase factors of the MapStack a block builds, read where the
-    # kernel reads them and at every slot the stack holds, against
-    # e^{i phi} times each member's own map's signs, bit for bit; members
-    # 2..4 of the ensemble, each repeated for each of its walkers
+    # kernel reads them, and its cones table at every slot it holds,
+    # against e^{i phi} times each member's own map's signs, bit for bit;
+    # members 2..4 of the ensemble, each repeated for each of its walkers
     n, phi = 7, 0.3
     cfg = EnsembleConfig(kind=kind, p=p, n_steps=n, n_maps=5, master_seed=9,
                          phi=phi, initial=InitialStateSpec(initial, position=x0),
@@ -192,9 +229,9 @@ def test_block_cone_signs_equal_one_map_step_signs(kind, p, order, x0, initial):
     walkers = 1 if initial == "single" else 2
     members = range(2, 5)
     stack = ensemble_mod._stack_masks(cfg, members, walkers)
-    assert stack.phi == phi
-    pmaps = [generate_map(kind, n, p, seed=split_seed(9, k)) for k in members]
     lag = OPERATOR_ORDERS.index(order)
+    assert (stack.phi, stack.origin, stack.lag) == (phi, x0, lag)
+    pmaps = [generate_map(kind, n, p, seed=split_seed(9, k)) for k in members]
     wide = cfg.t_max + 2 * n
     e = np.exp(1j * phi)
 
@@ -203,21 +240,23 @@ def test_block_cone_signs_equal_one_map_step_signs(kind, p, order, x0, initial):
 
     for t in range(1, n + 1):
         s = t - 1 + lag  # the cone step t's phase acts on
-        got = stack.cone_factor(t, x0, s)
+        got = stack.cone_factor(t)
         assert got.shape == (3 * walkers, 1, s + 1) and got.dtype == complex
+        # from x0 != 0 the cone reaches past the map's lattice, where
+        # step_signs carries +1
         sites = x0 - s + 2 * np.arange(s + 1)
         for row in range(3 * walkers):
             want = e * pmaps[row // walkers].step_signs(t, cfg.t_max)
             np.testing.assert_array_equal(bits(got[row, 0]),
                                           bits(want[sites + cfg.t_max]))
         if kind == "dynamic":
-            # all n + 1 slots, and sites past the map's lattice carry +1
-            full = stack.cone_factor(t, x0 - s + n, n)
+            # all n + 1 slots of the table, and sites past the map's
+            # lattice hold no pi cell
             sites = x0 - s + 2 * np.arange(n + 1)
             for row in range(3 * walkers):
-                want = e * pmaps[row // walkers].step_signs(t, wide)
-                np.testing.assert_array_equal(bits(full[row, 0]),
-                                              bits(want[sites + wide]))
+                want = pmaps[row // walkers].step_signs(t, wide)[sites + wide]
+                np.testing.assert_array_equal(stack.cones[t - 1, :, row],
+                                              want < 0)
         else:
             # read in place from the even-site or the odd-site factors
             parity = (cfg.t_max + x0 - s) % 2

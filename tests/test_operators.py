@@ -296,6 +296,44 @@ def test_map_stack_steps_only_at_its_own_phi():
             out=DerivativePair(out, ConeState(np.zeros_like(out.amplitudes))))
 
 
+@pytest.mark.parametrize("kind,p", [("none", 0.0), ("static", 0.6),
+                                    ("dynamic", 0.6)])
+@pytest.mark.parametrize("order", [PHASE_FIRST, PHASE_LAST])
+def test_map_stack_steps_only_its_own_cones(kind, p, order):
+    # a MapStack serves the one cone each step of its kernel call acts
+    # on; walkers from another origin or one slot off, or a step in the
+    # operator order the stack was not built for, must not read it
+    cfg = EnsembleConfig(kind=kind, p=p, n_steps=4, n_maps=2, phi=0.3,
+                         initial=InitialStateSpec(position=1),
+                         operator_order=order)
+    stack = _stack_masks(cfg, range(2), 1)
+    other = PHASE_LAST if order == PHASE_FIRST else PHASE_FIRST
+
+    def routes(slots, origin):
+        """`step` and `step_with_derivative` from `slots` slots at origin
+        into one slot more, by their `out` routes."""
+        def state(n):
+            amplitudes = np.zeros((2, 1, n, 2), dtype=complex)
+            amplitudes[:, 0, 0, UP] = 1.0
+            return ConeState(amplitudes, origin)
+
+        return (
+            lambda ctx: step(state(slots), ctx, out=state(slots + 1)),
+            lambda ctx: step_with_derivative(
+                DerivativePair(state(slots), state(slots)), ctx,
+                out=DerivativePair(state(slots + 1), state(slots + 1))),
+        )
+
+    ctx = StepContext(0.3, 2, stack, order)
+    for route in routes(2, 1):
+        route(ctx)
+    for (slots, origin), wrong in (((2, 0), ctx), ((3, 1), ctx),
+                                   ((2, 1), StepContext(0.3, 2, stack, other))):
+        for route in routes(slots, origin):
+            with pytest.raises(ValueError, match="acts on the cone"):
+                route(wrong)
+
+
 def _fd_derivative(initial, pmap, phi, n_steps, order, h=1e-5):
     def evolve(phi_value):
         s = initial

@@ -57,10 +57,10 @@ def _map_stack(pmaps, t_max, origin, order, phi):
     """The MapStack the ensembles build for pmaps at phi, in either layout,
     read off each map's `PhaseMap.step_signs`."""
     n = pmaps[0].n_steps
+    lag = OPERATOR_ORDERS.index(order)  # 0 phase-first, 1 phase-last
     if pmaps[0].kind != "dynamic":
         signs = np.stack([m.step_signs(1, t_max) for m in pmaps], axis=1)
-        return MapStack(n, phi, pi=signs < 0)
-    lag = OPERATOR_ORDERS.index(order)  # 0 phase-first, 1 phase-last
+        return MapStack(n, phi, pi=signs < 0, origin=origin, lag=lag)
     wide = t_max + 2 * n  # every slot's site lies on this lattice
     cones = np.zeros((n, n + 1, len(pmaps)), dtype=bool)
     for t in range(1, n + 1):
