@@ -68,11 +68,9 @@ def _is_number(value):
 
 
 def _coin_amp(value, name):
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(
-        isinstance(v, (int, float)) for v in value
-    ):
+    if isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)):
         return complex(value[0], value[1])
     raise ConfigError(f"'{name}' must be a number or a [re, im] pair")
 

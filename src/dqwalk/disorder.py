@@ -75,14 +75,15 @@ class PhaseMap:
 @dataclass(frozen=True, eq=False)
 class MapStack:
     """The disorder of B walker rows at one phi, laid out once for the
-    light-cone stacks of one ensemble kernel call.
+    light-cone cells of one ensemble kernel call.
 
     `ensemble._stack_masks` builds it once per kernel call, for walkers
     that leave `origin` and take up to n_steps steps, with the row axis
-    innermost in memory like the call's walkers.  Step t's phase acts on
-    the s + 1 sites origin - s + 2k, k = 0..s, of the light cone s = t - 1
-    + lag steps from origin: the input's for lag 0 (phase-first) and the
-    output's for lag 1 (phase-last).  Exactly one of two layouts is given:
+    innermost in memory like the call's (coin, slot, row) cells
+    (`states.ConeStack`).  Step t's phase acts on the s + 1 sites origin -
+    s + 2k, k = 0..s, of the light cone s = t - 1 + lag steps from origin:
+    the input's for lag 0 (phase-first) and the output's for lag 1
+    (phase-last).  Exactly one of two layouts is given:
 
       pi     static maps and kind "none": bool (2*t_max + 1, B), row b's pi
              cell at each site -t_max..t_max of the lattice, read by every
@@ -127,9 +128,9 @@ class MapStack:
     def cone_factor(self, step_index):
         """The up-component multipliers e^{i(phi + dphi)} of step
         step_index, 1..n_steps, at the s + 1 sites origin - s + 2k of the
-        cone it acts on, s = step_index - 1 + lag (`states.ConeState`),
-        shape (B, 1, s + 1): one row per map, with an axis that broadcasts
-        over the walkers each map drives.
+        cone it acts on, s = step_index - 1 + lag, as (slot, row) cells of
+        shape (s + 1, B), which broadcast against one coin plane of the
+        walkers' cells (`states.ConeStack`).
 
         Static stacks return a contiguous view of their even-site or
         odd-site factors; dynamic ones select the step's cells into their
@@ -138,12 +139,12 @@ class MapStack:
         s = step_index - 1 + self.lag
         if self.cones is None:
             i = (len(self.pi) - 1) // 2 + self.origin - s
-            return self.factors[i % 2][i // 2:i // 2 + s + 1].T[:, None]
+            return self.factors[i % 2][i // 2:i // 2 + s + 1]
         (plus, minus), out = self.factors
         out = out[:s + 1]
         out[...] = plus
         np.putmask(out, self.cones[step_index - 1, :s + 1], minus)
-        return out.T[:, None]
+        return out
 
 
 def validate_disorder(kind, n_steps, p, semantics):

@@ -17,13 +17,13 @@ step forms its products and the reductions their squares and residuals, so
 nothing of the call's size is allocated after the call starts.  The
 walker axis is innermost in memory and the slots of a step are
 contiguous, so each numpy operation of a step is one contiguous loop over
-only the cells that can be nonzero.  The public layers see the buffers
-through transposed views, as `states.ConeState` stacks of shape (rows, 1,
-t + 1, 2) that carry the scratch, and the kernel calls
+only the cells that can be nonzero.  Each step hands the public layers
+slots 0..t of the buffers as they are, (coin, slot, row) cells, in one
+`states.ConeStack` that carries the scratch, and the kernel calls
 `step_with_derivative` (or `step`), `qfi_pure` and `position_distribution`
-once per step of a call, whatever its number of blocks.  The call draws its
-members' maps once, into a `MapStack` with one row per walker, the walker
-axis innermost as well: static maps as one row of pi cells across the
+on it once per step of a call, whatever its number of blocks.  The call
+draws its members' maps once, into a `MapStack` with one row per walker,
+the walker axis innermost as well: static maps as one row of pi cells across the
 lattice, turned into phase factors at phi once, and dynamic maps gathered
 into the cone coordinates of the slots each step's phase acts on.
 Every amplitude goes through the element-wise operations of the one-map
@@ -82,14 +82,13 @@ from .observables import position_distribution
 from .operators import (
     OPERATOR_ORDERS,
     PHASE_FIRST,
-    DerivativePair,
     StepContext,
     step,
     step_with_derivative,
 )
 from .states import (
     TWO_PARTICLE_KINDS,
-    ConeState,
+    ConeStack,
     coin_spinor,
     new_two_particle_state,
     new_walker_state,
@@ -129,10 +128,14 @@ def split_seed(master_seed, index):
     """Child seed for ensemble member `index` (SplitMix64 output function).
 
     For a fixed master seed the map index -> child is injective over the full
-    64-bit index range, so distinct members cannot collide.
+    64-bit index range, so distinct members cannot collide.  Master seeds
+    are 64-bit words: one of 2**64 or more would alias the seed it is
+    congruent to, so it raises ValueError.
     """
     if master_seed < 0 or index < 0:
         raise ValueError("master_seed and index must be nonnegative")
+    if master_seed > _MASK64:
+        raise ValueError(f"master_seed {master_seed} is not below 2**64")
     z = (int(master_seed) + (index + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * _MIX_B) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX_C) & _MASK64
@@ -187,6 +190,8 @@ class EnsembleConfig:
             raise ValueError("n_maps must be >= 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
+        if self.master_seed > _MASK64:
+            raise ValueError(f"master_seed {self.master_seed} is not below 2**64")
         if not math.isfinite(self.phi):
             raise ValueError("phi must be finite")
         if self.operator_order not in OPERATOR_ORDERS:
@@ -375,8 +380,9 @@ def _run_block(args):
     it has the bits of the one-map evolution.  The products of a step,
     the squares and residuals of its reductions and two walkers' pair
     means are formed in the call's scratch, a third buffer of the same
-    shape, which the ConeState stacks carry to the layers; the marginals,
-    the block sums and the phase factors have storage of their own.  A
+    shape, which each step's ConeStack carries to the layers; the
+    marginals, the block sums and the phase factors have storage of their
+    own.  A
     call of B members and w walkers each thus holds (2 or 3) x 32
     (n_steps + 1) B w bytes of states and scratch, fixed when it starts.
 
@@ -430,23 +436,14 @@ def _run_block(args):
     psi = np.zeros((2, n + 1, rows), dtype=np.complex128)
     for j, coin in enumerate(_walker_coins(spec)):
         psi[:, 0, j::walkers] = np.array(coin)[:, None]
-    bufs = [psi]
     qfi = exchange = dpsi = dist_sums = own_var = marginals = None
     if config.collect_qfi:
         dpsi = np.zeros_like(psi)
-        bufs.append(dpsi)
         qfi = np.empty((rows, n + 1))
         if walkers == 2:
             exchange = np.empty((len(members), n + 1))
     evolve = step if qfi is None else step_with_derivative
     scratch = np.empty_like(psi)
-    work = scratch.transpose(2, 1, 0)[:, None]
-
-    def stack(s):
-        """Step s's walkers, slots 0..s of each buffer, as ConeState stacks."""
-        cones = [ConeState(b[:, :s + 1].transpose(2, 1, 0)[:, None], x0, work)
-                 for b in bufs]
-        return cones[0] if len(cones) == 1 else DerivativePair(*cones)
 
     if config.collect_distribution or config.collect_variance:
         dist_sums = np.empty((len(spans), n + 1, width))
@@ -455,23 +452,25 @@ def _run_block(args):
     if dist_sums is not None or own_var is not None:
         marginals = np.zeros((len(members), width))
         # the back half of the scratch's coin plane 1, which float work
-        # space (`ConeState.work`) leaves alone
+        # space (`ConeStack.work`) leaves alone
         pair_means = scratch[1].reshape(-1).view(np.float64)[(n + 1) * rows:]
 
-    now = stack(0)
     for t in range(n + 1):
+        # step t's walkers: slots 0..t of each buffer
+        cells = psi[:, :t + 1]
+        now = ConeStack(cells, None if dpsi is None else dpsi[:, :t + 1], x0,
+                        scratch)
         if t > 0:
-            prev, now = now, stack(t)
             ctx = StepContext(config.phi, t, maps, config.operator_order)
             evolve(prev, ctx, out=now)
-        cells = psi[:, :t + 1]
+        prev = now
         if walkers == 2:
             pairs = scratch[:, :t + 1]
             ab = np.abs(pair_inner(cells, cells, pairs))
             check(ab, ~(ab <= NORM_TOL), f"|<a|b>| exceeds {NORM_TOL}")
         if qfi is not None:
             try:
-                values = qfi_pure(now).reshape(-1)
+                values = qfi_pure(now)
             except RowCheckError as exc:
                 raise failed(exc) from exc
             bound = t * t
@@ -484,7 +483,7 @@ def _run_block(args):
                 # |<a|db>|^2, and every statistic's F from the rows as
                 # `_qfi_table` forms it, held to [0, (2t)^2]: the
                 # separable F lies between the fermion and the boson one
-                a_db = pair_inner(cells, dpsi[:, :t + 1], pairs)
+                a_db = pair_inner(cells, now.dpsi, pairs)
                 exchange[:, t] = np.abs(a_db) ** 2
                 both = qfi[0::2, t] + qfi[1::2, t]
                 swap = 8 * exchange[:, t]
@@ -495,23 +494,21 @@ def _run_block(args):
                       f"boson F outside [0, (2t)^2 = {4 * bound}]")
         if marginals is not None:
             try:
-                dist = position_distribution(now if qfi is None else now.psi)
+                probs = position_distribution(now).probabilities
             except RowCheckError as exc:
                 raise failed(exc) from exc
-            probs = dist.probabilities.reshape(len(members), walkers, -1)
             # full-lattice member marginals: zero step t-1's sites, then
             # write step t's, x0 - t + 2k at column t_max + x0 - t + 2k
             lo = t_max + x0 - t
             marginals[:, lo + 1:lo + 2 * t:2] = 0.0
             sites = marginals[:, lo:lo + 2 * t + 1:2]
             if sign == 0:
-                sites[...] = probs[:, 0]
+                sites[...] = probs[:, ::walkers].T
             else:
                 # the pairs' means in the walkers' (t + 1, rows) layout:
                 # numpy would buffer the strided operands of `sites`
-                plane = dist.probabilities[:, 0].T
                 means = pair_means[:(t + 1) * len(members)].reshape(t + 1, -1)
-                np.add(plane[:, 0::2], plane[:, 1::2], out=means)
+                np.add(probs[:, 0::2], probs[:, 1::2], out=means)
                 means /= 2
                 sites[...] = means.T
             for i, span in enumerate(spans):

@@ -11,16 +11,17 @@ loses enough digits to break sum rules that hold to 1e-12 in residual form.
 
 `qfi_rows` evaluates it for a stack of walkers held as (coin, site, walker)
 cells, the layout of the ensemble kernel's buffers, and `qfi_pure` applies
-it to one state or to a stack of walkers.  Given work space of the stack's
-shape, as the ensembles give it through `states.ConeState.scratch`,
-`qfi_rows` forms its products, residuals and squares there and allocates
-nothing of the stack's size.  Each walker's sums add the two
-coins of a site and then the sites in order (`_site_sums`): the order is
-fixed by the walker's own cells, whatever the number of walkers or their
-memory layout, and exact zeros leave a sum unchanged.  So `qfi_series`,
+it to one state, to a stack of walkers or to a `states.ConeStack`.  Given
+work space of the cells' shape, as the ensembles give it through
+`states.ConeStack.scratch`, `qfi_rows` forms its products, residuals and
+squares there and allocates nothing of the stack's size.  Each walker's
+sums add the two coins of a site and then the sites in order
+(`_site_sums`): the order is fixed by the walker's own cells, whatever
+the number of walkers or their memory layout, and exact zeros leave a sum
+unchanged.  So `qfi_series`,
 which reduces a walker over its full lattice, and the ensemble kernel,
 which reduces only the t + 1 light-cone sites a walker can occupy after t
-steps (`states.ConeState`), agree bit for bit.
+steps (`states.ConeStack`), agree bit for bit.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .operators import (
     two_particle_step,
     two_particle_step_with_derivative,
 )
-from .states import ConeState, TwoParticleState, WalkerState, support_radius
+from .states import ConeStack, TwoParticleState, WalkerState, support_radius
 
 NORM_TOL = 1e-9
 #: negative QFI beyond this magnitude means a broken caller, not rounding
@@ -176,19 +177,19 @@ def qfi_pure(pair):
     For a stack of walkers (WalkerState amplitudes of shape (..., W, 2)) it
     returns one value per walker, an array of shape (...), and a
     RowCheckError counts the walkers in C order.  A two-walker tensor
-    counts as one walker on W*2*W sites.  A `ConeState` stack is reduced
-    in its work space (`ConeState.work`, `qfi_rows`).
+    counts as one walker on W*2*W sites.  A `ConeStack`, which holds its
+    own dpsi, gives one value per row, shape (rows,), reduced in its work
+    space (`ConeStack.work`, `qfi_rows`).
     """
+    if isinstance(pair, ConeStack):
+        return qfi_rows(pair.psi, pair.dpsi, pair.work())
     psi, dpsi = pair.psi.amplitudes, pair.dpsi.amplitudes
-    scratch = None
-    if isinstance(pair.psi, ConeState):
-        scratch = _cells(pair.psi.work())
     if isinstance(pair.psi, WalkerState):
         lead = psi.shape[:-2]
     else:
         lead = ()
         psi, dpsi = psi.reshape(-1, 2), dpsi.reshape(-1, 2)
-    values = qfi_rows(_cells(psi), _cells(dpsi), scratch)
+    values = qfi_rows(_cells(psi), _cells(dpsi))
     return values.reshape(lead) if lead else float(values[0])
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrology import NORM_TOL, check_norms
-from .states import DOWN, UP, ConeState, TwoParticleState, WalkerState, cone_positions
+from .states import DOWN, UP, ConeStack, TwoParticleState, WalkerState, cone_positions
 
 
 @dataclass
@@ -15,7 +15,7 @@ class PositionDistribution:
     """Probabilities over lattice positions -t_max..t_max.
 
     With an `origin`, the probabilities are those of a light cone from
-    that site (`states.ConeState`): the last axis holds its slots.
+    that site (`states.ConeStack`), (slot, row): axis 0 holds its slots.
     """
 
     t_max: int
@@ -23,10 +23,11 @@ class PositionDistribution:
     origin: int = None
 
     def positions(self):
-        """Sites matching the last axis of `probabilities`."""
+        """Sites matching the last axis of `probabilities`, or axis 0 of a
+        light cone's."""
         if self.origin is None:
             return np.arange(-self.t_max, self.t_max + 1)
-        return cone_positions(self.origin, self.probabilities.shape[-1] - 1)
+        return cone_positions(self.origin, len(self.probabilities) - 1)
 
 
 def position_distribution(state, particle=0):
@@ -37,15 +38,22 @@ def position_distribution(state, particle=0):
     both.  For a stack of walkers (WalkerState amplitudes of shape
     (..., W, 2)) the probabilities have shape (..., W), one marginal per
     walker, and a RowCheckError names the first walker, in C order, whose
-    norm^2 is off 1 by more than NORM_TOL.  For a `states.ConeState` the
-    last axis holds its slots, and `positions()` lists their sites; the
-    probabilities are formed in its work space (`ConeState.work`), and so
-    hold until that is next written.
+    norm^2 is off 1 by more than NORM_TOL.  For a `states.ConeStack` the
+    probabilities of its psi are (slot, row) cells, shape (t + 1, rows),
+    and `positions()` lists the slots' sites; they are formed in its work
+    space (`ConeStack.work`), and so hold until that is next written.
     """
+    if isinstance(state, ConeStack):
+        weights = np.abs(state.psi, out=state.work(np.float64))
+        np.square(weights, out=weights)
+        probs = weights[UP]
+        probs += weights[DOWN]
+        check_norms(probs.sum(axis=0))
+        return PositionDistribution(abs(state.origin) + state.steps, probs,
+                                    state.origin)
     if not isinstance(state, (TwoParticleState, WalkerState)):
         raise TypeError(f"unsupported state type {type(state).__name__}")
-    out = state.work(np.float64) if isinstance(state, ConeState) else None
-    weights = np.abs(state.amplitudes, out=out)
+    weights = np.abs(state.amplitudes)
     np.square(weights, out=weights)
     if isinstance(state, TwoParticleState):
         if particle not in (0, 1):
@@ -56,8 +64,7 @@ def position_distribution(state, particle=0):
         probs = weights[..., UP]
         probs += weights[..., DOWN]
     check_norms(np.atleast_1d(probs.sum(axis=-1)).ravel())
-    origin = state.origin if isinstance(state, ConeState) else None
-    return PositionDistribution(state.t_max, probs, origin)
+    return PositionDistribution(state.t_max, probs)
 
 
 def position_variance(dist):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .disorder import PhaseMap
 from .errors import BoundaryError
-from .states import DOWN, INV_SQRT2, UP, ConeState, TwoParticleState, WalkerState
+from .states import DOWN, INV_SQRT2, UP, ConeStack, TwoParticleState, WalkerState
 
 PHASE_FIRST = "phase-first"
 PHASE_LAST = "phase-last"
@@ -65,17 +65,17 @@ class DerivativePair:
 
 def _phase_factor(ctx, state):
     """Complex up-component multiplier e^{i(phi + dphi(x))} at each site of
-    `state`: the slots of a `ConeState` under a `MapStack`, formed in the
-    stack's own storage (`MapStack.cone_factor`), or the lattice of any
-    other state under a `PhaseMap`.
+    `state`: the (slot, row) cells of a `ConeStack` under a `MapStack`,
+    formed in the map stack's own storage (`MapStack.cone_factor`), or the
+    lattice of any other state under a `PhaseMap`.
 
     A `MapStack` serves the one cone each step acts on, s = step_index -
     1 + lag steps from its origin, at its own phi; a step at another phi,
     or on a cone of another origin or length, raises ValueError.  That
-    includes a stack built for the other operator order, whose cones are
-    one step off.
+    includes a map stack built for the other operator order, whose cones
+    are one step off.
     """
-    if isinstance(state, ConeState):
+    if isinstance(state, ConeStack):
         stack = ctx.phase_map
         if ctx.phi != stack.phi:
             raise ValueError(
@@ -141,15 +141,16 @@ def step(state, ctx, out=None):
     """One full step of the walk on a single walker, or on each walker of
     a stack of shape (..., W, 2) alike.
 
-    With `out`, `state` is a `ConeState` stack of t = ctx.step_index
+    With `out`, `state` is a `ConeStack` of psi alone, t = ctx.step_index
     slots from the origin of the `MapStack` ctx holds, and out the
-    ConeState of its t + 1 slots one step on; the step is written into
-    out (`cone_step`) and out is returned.  out may extend the memory of
-    `state` by one slot, so that a stack steps in place; this is how
-    ensembles step their walkers.  Both routes give the same bits.
+    ConeStack of its t + 1 slots one step on; the step is written into out
+    (`cone_step`)
+    and out is returned.  out's cells may extend the memory of `state`'s
+    by one slot, so that a stack steps in place; this is how ensembles
+    step their walkers.  Both routes give the same bits.
     """
     if out is not None:
-        _fused_step(state, None, ctx, out, None)
+        _fused_step(state, ctx, out)
         return out
     if ctx.order == PHASE_FIRST:
         return apply_shift(apply_coin(apply_phase(state, ctx)))
@@ -165,14 +166,14 @@ def step_with_derivative(pair, ctx, out=None):
         phase-first:  dpsi' = S C (dP psi + P dpsi)
         phase-last:   dpsi' = dP S C psi + P S C dpsi
 
-    With `out`, a DerivativePair of `ConeState` stacks shaped as for
-    `step`, each of which may extend the memory of its input, the step is
-    written into out through `cone_step`, as for `step`.
+    With `out`, pair and out are `ConeStack`s shaped as for `step`, each
+    with its dpsi, and the step of both is written into out through
+    `cone_step`, as for `step`.
     """
-    psi, dpsi = pair.psi, pair.dpsi
     if out is not None:
-        _fused_step(psi, dpsi, ctx, out.psi, out.dpsi)
+        _fused_step(pair, ctx, out)
         return out
+    psi, dpsi = pair.psi, pair.dpsi
     if ctx.order == PHASE_FIRST:
         psi_next = apply_shift(apply_coin(apply_phase(psi, ctx)))
         mixed = apply_phase_derivative(psi, ctx)
@@ -188,29 +189,30 @@ def step_with_derivative(pair, ctx, out=None):
     return DerivativePair(psi_next, dpsi_next)
 
 
-def _fused_step(psi, dpsi, ctx, psi_out, dpsi_out):
-    """The `out` route of `step*`: `cone_step` on the states' amplitudes,
-    with the phase taken at the sites it acts on, those of the input for
-    phase-first and of the output for phase-last, and out's work space
-    (`ConeState.work`).
+def _fused_step(stack, ctx, out):
+    """The `out` route of `step*`: `cone_step` on the stacks' cells, psi
+    and, where the stacks hold it, dpsi, with the phase taken at the sites
+    it acts on, those of the input for phase-first and of the output for
+    phase-last, and out's work space (`ConeStack.work`).
     """
-    if not isinstance(psi_out, ConeState):
-        raise TypeError("out must be a ConeState one slot longer than the input")
-    sites = psi if ctx.order == PHASE_FIRST else psi_out
-    cone_step(psi.amplitudes, None if dpsi is None else dpsi.amplitudes,
-              _phase_factor(ctx, sites), ctx.order, psi_out.amplitudes,
-              None if dpsi_out is None else dpsi_out.amplitudes,
-              psi_out.work())
+    if not isinstance(out, ConeStack):
+        raise TypeError("out must be a ConeStack one slot longer than the input")
+    if (stack.dpsi is None) != (out.dpsi is None):
+        raise ValueError("a stack with dpsi steps into one with dpsi, and "
+                         "one without into one without")
+    sites = stack if ctx.order == PHASE_FIRST else out
+    cone_step(stack.psi, stack.dpsi, _phase_factor(ctx, sites), ctx.order,
+              out.psi, out.dpsi, out.work())
 
 
 def _coin_shift(up, down, out):
     """Balanced coin, then the shift onto light-cone slots, of (up, down),
-    shape (..., t), into out, shape (..., t + 1, 2): slot k of step t is
-    site x0 - t + 2k (`states.ConeState`), so up moves one slot and down
-    stays.  Up at slot 0 and down at slot t of `out` are the cells the
-    shift leaves empty; they are never written.
+    shape (t, ...), into out, (coin, slot, ...) cells of shape (2, t + 1,
+    ...): slot k of step t is site x0 - t + 2k (`states.ConeStack`), so up
+    moves one slot and down stays.  Up at slot 0 and down at slot t of
+    `out` are the cells the shift leaves empty; they are never written.
     """
-    out_up, out_down = out[..., 1:, UP], out[..., :-1, DOWN]
+    out_up, out_down = out[UP, 1:], out[DOWN, :-1]
     np.add(up, down, out=out_up)
     out_up *= INV_SQRT2
     np.subtract(up, down, out=out_down)
@@ -219,8 +221,8 @@ def _coin_shift(up, down, out):
 
 def _cone_coin_shift(up, down, out, tmp):
     """Balanced coin, then the shift onto light-cone slots, of (up, down),
-    shape (..., t), into out, shape (..., t + 1, 2): up moves one slot and
-    down stays, as in `_coin_shift`, with the same operations.
+    shape (t, ...), into out, cells of shape (2, t + 1, ...): up moves one
+    slot and down stays, as in `_coin_shift`, with the same operations.
 
     down may be out's own down cells, and up out's up cells one slot back,
     as in a step in place; tmp, t slots of work space that shares memory
@@ -228,30 +230,30 @@ def _cone_coin_shift(up, down, out, tmp):
     cells the shift leaves empty, up at slot 0 is cleared; down at slot t
     is not written, so it must hold zero.
     """
-    t = up.shape[-1]
+    t = len(up)
     np.add(up, down, out=tmp)
-    out_down = out[..., :t, DOWN]
+    out_down = out[DOWN, :t]
     np.subtract(up, down, out=out_down)
     out_down *= INV_SQRT2
-    np.multiply(tmp, INV_SQRT2, out=out[..., 1:, UP])
-    out[..., 0, UP] = 0.0
+    np.multiply(tmp, INV_SQRT2, out=out[UP, 1:])
+    out[UP, 0] = 0.0
 
 
 def cone_step(psi, dpsi, factor, order, psi_out, dpsi_out, work):
     """One step of stacked single-walker rows on light-cone slots, on bare
     arrays, in place or not.
 
-    psi and dpsi hold t slots, shape (..., t, 2), one walker per leading
-    index; dpsi is None to evolve psi alone.  psi_out (and dpsi_out) hold
-    the t + 1 slots one step on, (..., t + 1, 2), and may be the same
-    memory as their input with one more slot: psi = psi_out[..., :t, :]
-    steps a stack in place.  `factor` is as for `block_step`.  work is
-    complex work space of shape (..., s, 2), s >= t + 1, that shares no
-    memory with the states: its two coin planes hold the phased up
-    component and the coin sums.  Of the two cells the shift leaves
-    empty, up at slot 0 of the outputs is cleared, and down at slot t must
-    be zero, as it is where a stack steps in place: no step writes a slot
-    before it reaches it.
+    psi and dpsi are (coin, slot, row) cells of t slots, shape (2, t,
+    ...), one walker per row; dpsi is None to evolve psi alone.  psi_out
+    (and dpsi_out) hold the t + 1 slots one step on, (2, t + 1, ...), and
+    may be the same memory as their input with one more slot: psi =
+    psi_out[:, :t] steps a stack in place.  `factor` is as for
+    `block_step`.  work is complex work space of shape (2, s, ...), s >=
+    t + 1, that shares no memory with the states: its two coin planes hold
+    the phased up component and the coin sums.  Of the two cells the shift
+    leaves empty, up at slot 0 of the outputs is cleared, and down at slot
+    t must be zero, as it is where a stack steps in place: no step writes
+    a slot before it reaches it.
 
     Every amplitude goes through the operations of `block_step` in the
     same order, so the two agree bit for bit where the arrays are laid out
@@ -261,59 +263,59 @@ def cone_step(psi, dpsi, factor, order, psi_out, dpsi_out, work):
     keeps every input cell until its last read: in phase-first order
     dpsi, which reads psi, steps first.
     """
-    t = psi.shape[-2]
-    plane_a, plane_b = work[..., :t + 1, 0], work[..., :t + 1, 1]
-    up, down = psi[..., UP], psi[..., DOWN]
+    t = psi.shape[1]
+    plane_a, plane_b = work[0, :t + 1], work[1, :t + 1]
+    up, down = psi[UP], psi[DOWN]
     if order == PHASE_FIRST:
-        a, b = plane_a[..., :t], plane_b[..., :t]
+        a, b = plane_a[:t], plane_b[:t]
         if dpsi is not None:
             np.multiply(1j, factor, out=b)
             np.multiply(up, b, out=a)
-            np.multiply(dpsi[..., UP], factor, out=b)
+            np.multiply(dpsi[UP], factor, out=b)
             a += b
-            _cone_coin_shift(a, dpsi[..., DOWN], dpsi_out, b)
+            _cone_coin_shift(a, dpsi[DOWN], dpsi_out, b)
         np.multiply(up, factor, out=a)
         _cone_coin_shift(a, down, psi_out, b)
         return
-    _cone_coin_shift(up, down, psi_out, plane_a[..., :t])
+    _cone_coin_shift(up, down, psi_out, plane_a[:t])
     if dpsi is not None:
-        _cone_coin_shift(dpsi[..., UP], dpsi[..., DOWN], dpsi_out,
-                         plane_a[..., :t])
-        out_up = dpsi_out[..., UP]
+        _cone_coin_shift(dpsi[UP], dpsi[DOWN], dpsi_out, plane_a[:t])
+        out_up = dpsi_out[UP]
         out_up *= factor
         np.multiply(1j, factor, out=plane_b)
-        out_up += np.multiply(psi_out[..., UP], plane_b, out=plane_b)
-    psi_out[..., UP] *= factor
+        out_up += np.multiply(psi_out[UP], plane_b, out=plane_b)
+    psi_out[UP] *= factor
 
 
 def block_step(psi, dpsi, factor, order, psi_out, dpsi_out):
     """One step of stacked single-walker rows on light-cone slots, on bare
     arrays, out of place: the reference the tests hold `cone_step` to.
 
-    psi and dpsi have shape (..., t, 2), one walker per leading index;
-    dpsi is None to evolve psi alone.  psi_out (and dpsi_out) have shape
-    (..., t + 1, 2) (`_coin_shift`), are distinct from the inputs, and
-    are zero in the two cells the shift leaves empty.  `factor` holds each
-    row's up-component multipliers e^{i(phi + dphi(t, x))} at the sites
-    the phase acts on, the input's for phase-first and the output's for
-    phase-last, and broadcasts against them.
+    psi and dpsi are (coin, slot, row) cells of shape (2, t, ...), one
+    walker per row; dpsi is None to evolve psi alone.  psi_out (and
+    dpsi_out) have shape (2, t + 1, ...) (`_coin_shift`), are distinct
+    from the inputs, and are zero in the two cells the shift leaves empty.
+    `factor` holds each row's up-component multipliers e^{i(phi + dphi(t,
+    x))} at the (slot, row) sites the phase acts on, the input's for
+    phase-first and the output's for phase-last, and broadcasts against
+    one coin plane of them.
 
     Every amplitude goes through the operations of `step_with_derivative`
     in the same order, so each row agrees with it bit for bit.
     """
-    up, down = psi[..., UP], psi[..., DOWN]
+    up, down = psi[UP], psi[DOWN]
     if order == PHASE_FIRST:
         if dpsi is not None:
-            mixed_up = up * (1j * factor) + dpsi[..., UP] * factor
-            _coin_shift(mixed_up, dpsi[..., DOWN], dpsi_out)
+            mixed_up = up * (1j * factor) + dpsi[UP] * factor
+            _coin_shift(mixed_up, dpsi[DOWN], dpsi_out)
         _coin_shift(up * factor, down, psi_out)
         return
     _coin_shift(up, down, psi_out)
     if dpsi is not None:
-        _coin_shift(dpsi[..., UP], dpsi[..., DOWN], dpsi_out)
-        dpsi_out[..., UP] *= factor
-        dpsi_out[..., UP] += psi_out[..., UP] * (1j * factor)
-    psi_out[..., UP] *= factor
+        _coin_shift(dpsi[UP], dpsi[DOWN], dpsi_out)
+        dpsi_out[UP] *= factor
+        dpsi_out[UP] += psi_out[UP] * (1j * factor)
+    psi_out[UP] *= factor
 
 
 # -- two-walker evolution ----------------------------------------------------

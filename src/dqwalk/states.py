@@ -42,8 +42,8 @@ class WalkerState:
     amplitudes may also be a stack of shape (..., W, 2), one walker per
     leading index, which `step`, `qfi_pure` and `position_distribution`
     treat walker by walker: a two-walker tensor is such a stack for either
-    particle.  The ensembles step their stacks on the light cones alone
-    (`ConeState`).
+    particle.  The ensembles step their walkers on the light cones alone
+    (`ConeStack`).
     """
 
     t_max: int
@@ -77,81 +77,71 @@ class WalkerState:
 
 
 @dataclass
-class ConeState(WalkerState):
-    """Walkers `steps` steps after leaving `origin`, held on their light cone.
+class ConeStack:
+    """Rows of walkers t steps after leaving `origin`, held on their light
+    cone as (coin, slot, row) cells.
 
     After t steps from x0 a walker's amplitude sits only on the t + 1
     sites x0 - t + 2k, k = 0..t (Kempe, Contemp. Phys. 44, 307 (2003)).
-    The amplitudes have shape (..., t + 1, 2) and slot k holds the site
-    x0 - t + 2k, so t = 0 is one slot at x0.  t_max = |x0| + t is the
-    half-width of the lattice the cone spans.  The ensembles step stacks
-    of such walkers (`step`/`step_with_derivative` with `out`) and reduce
-    them with `qfi_pure` and `position_distribution`, whose sums then skip
-    only exact zeros.
+    psi, and dpsi if given, are complex cells of shape (2, t + 1, rows):
+    slot k holds the site x0 - t + 2k, so t = 0 is one slot at x0, and
+    row r is one walker.  The ensembles hold slots 0..t of their kernel
+    call's buffers this way, step them (`step`/`step_with_derivative` with
+    `out`) and reduce them (`qfi_pure`, `position_distribution`), whose
+    sums then skip only exact zeros.
 
-    `scratch`, if given, is complex work space of shape (..., s, 2),
-    s >= t + 1, distinct from every state it is used with.  A step into
-    this state and the reductions of it form their temporaries in its
-    first t + 1 slots (`work`) instead of allocating them.  An ensemble
-    kernel call gives all of its states one such array, laid out as their
-    buffers are, so that numpy iterates a state and its work space alike
-    and never copies either into buffers of its own.
+    `scratch`, if given, is complex work space of shape (2, s, rows),
+    s >= t + 1, each coin plane contiguous and distinct from every stack
+    it is used with.  A step into this stack and the reductions of it
+    form their temporaries in its first t + 1 slots (`work`) instead of
+    allocating them; the call's buffers and its scratch are laid out
+    alike, so numpy iterates them together and never copies either into
+    buffers of its own.
     """
 
-    t_max: int = field(init=False)
+    psi: np.ndarray
+    dpsi: np.ndarray = None
     origin: int = 0
     scratch: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        shape = self.amplitudes.shape
-        if len(shape) < 2 or shape[-1] != 2 or shape[-2] < 1:
+        shape = self.psi.shape
+        if len(shape) != 3 or shape[0] != 2 or shape[1] < 1:
+            raise ValueError(f"cells of shape {shape}, expected (2, t + 1, rows)")
+        if self.dpsi is not None and self.dpsi.shape != shape:
             raise ValueError(
-                f"amplitude array has shape {shape}, expected (..., t + 1, 2)"
+                f"dpsi of shape {self.dpsi.shape} beside psi of shape {shape}"
             )
         if self.scratch is not None and (
-                self.scratch.shape[:-2] != shape[:-2]
-                or self.scratch.shape[-1] != 2
-                or self.scratch.shape[-2] < shape[-2]):
+                self.scratch.ndim != 3 or self.scratch.shape[::2] != shape[::2]
+                or self.scratch.shape[1] < shape[1]):
             raise ValueError(
-                f"scratch of shape {self.scratch.shape} cannot hold "
-                f"amplitudes of shape {shape}"
+                f"scratch of shape {self.scratch.shape} cannot hold cells of "
+                f"shape {shape}"
             )
-        self.t_max = abs(self.origin) + self.steps
-
-    def work(self, dtype=np.complex128):
-        """Work space shaped like the amplitudes, of complex or float64
-        `dtype`, with undefined contents: the first t + 1 slots of each
-        coin plane of `scratch`, or a new array laid out as an ensemble
-        kernel call's, coin planes of slots with the first leading axis innermost.
-        Float work takes the front half of each plane, so it is laid out in
-        planes as well.
-        """
-        if self.scratch is None:
-            return np.empty(self.amplitudes.shape[::-1], dtype).T
-        planes = self.scratch.T
-        if dtype != np.complex128:
-            flat = planes.reshape(2, -1).view(dtype)
-            planes = flat[:, :planes[0].size].reshape(planes.shape)
-        return planes[:, :self.amplitudes.shape[-2]].T
 
     @property
     def steps(self):
         """t, the steps taken since the walkers left the origin."""
-        return self.amplitudes.shape[-2] - 1
+        return self.psi.shape[1] - 1
 
     def positions(self):
-        """Lattice coordinates matching the slot axis of `amplitudes`."""
+        """Lattice coordinates matching the slot axis of the cells."""
         return cone_positions(self.origin, self.steps)
 
-    def index_of(self, x):
-        """Slot of site x; ValueError unless x is one of `positions()`."""
-        k, off = divmod(x - self.origin + self.steps, 2)
-        if off or not 0 <= k <= self.steps:
-            raise ValueError(
-                f"position {x} is not on the light cone of {self.steps} steps "
-                f"from {self.origin}"
-            )
-        return k
+    def work(self, dtype=np.complex128):
+        """Work space shaped like the cells, (2, t + 1, rows), of complex or
+        float64 `dtype`, with undefined contents: the first t + 1 slots of
+        `scratch`, or a new array.  Float work takes the front half of each
+        coin plane of `scratch`, so it is laid out in planes as well.
+        """
+        if self.scratch is None:
+            return np.empty(self.psi.shape, dtype)
+        planes = self.scratch
+        if dtype != np.complex128:
+            flat = planes.reshape(2, -1).view(dtype)
+            planes = flat[:, :planes[0].size].reshape(planes.shape)
+        return planes[:, :self.psi.shape[1]]
 
 
 @dataclass
@@ -274,11 +264,7 @@ def exchange_residual(state):
 
 
 def support_radius(state):
-    """Largest |x| holding any nonzero amplitude; -1 for the zero state.
-
-    x is read from `state.positions()`, so a `ConeState` answers in sites,
-    not slots.
-    """
+    """Largest |x| holding any nonzero amplitude; -1 for the zero state."""
     if isinstance(state, TwoParticleState):
         occ = np.abs(state.amplitudes)
         occ1 = occ.sum(axis=(1, 2, 3))

@@ -285,6 +285,35 @@ def test_cli_argument_validation(tmp_path, capsys):
                "--window", "9"])
     assert rc == 2
     assert "window 9 does not fit inside steps 1..4" in capsys.readouterr().err
+    # booleans are not coin amplitudes, alone or in a [re, im] pair
+    for i, coin in ((0, [True, False]), (0, [[True, False], 0]),
+                    (1, [1, [0, False]])):
+        cfg = _write_config(tmp_path, initial={"coin": coin})
+        rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"'initial.coin[{i}]'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "reproduce"])
+def test_seeds_are_64_bit_words(tmp_path, capsys, command):
+    # seed 2**64 would draw seed 0's maps under another manifest: both
+    # commands refuse it before writing anything, and run at 2**64 - 1
+    cfg = _write_config(tmp_path, steps=4, maps=2)
+    for seed, rc in ((2**64, 2), (2**70, 2), (2**64 - 1, 0)):
+        out = tmp_path / f"o{seed}"
+        if command == "simulate":
+            argv, manifest = ["simulate", "--config", cfg], "run_manifest.json"
+        else:
+            argv = ["reproduce", "fig2b", "--maps", "2", "--workers", "1"]
+            manifest = "fig2b_manifest.json"
+        assert main(argv + ["--seed", str(seed), "--out", str(out)]) == rc
+        err = capsys.readouterr().err
+        if rc:
+            assert "not below 2**64" in err
+            assert not out.exists()
+        else:
+            assert (out / manifest).exists()
 
 
 def _refuse_to_run(*args, **kwargs):

@@ -131,16 +131,17 @@ def test_map_stack_step_index_is_checked():
     static = MapStack(4, phi, pi=pi, origin=1, lag=1)
     dynamic = MapStack(4, phi, cones=cones, origin=1, lag=1)
     for stack in (static, dynamic):
-        assert stack.cone_factor(1).shape == (2, 1, 2)
-        # e^{i phi} times the signs, as the one-map step forms its factor
+        assert stack.cone_factor(1).shape == (2, 2)
+        # e^{i phi} times the signs, as the one-map step forms its factor,
+        # (slot, map) cells
         got = stack.cone_factor(3)
         assert got.dtype == complex
         np.testing.assert_array_equal(
-            _bits(got[:, 0]), _bits(e * np.array([[1.0, 1, 1, 1], [-1, 1, -1, 1]])))
+            _bits(got), _bits(e * np.array([[1.0, 1, 1, 1], [-1, 1, -1, 1]]).T))
         # step 1's cone: the sites 0 and 2
         np.testing.assert_array_equal(
-            _bits(stack.cone_factor(1)[:, 0]),
-            _bits(e * np.array([[1.0, 1], [1, -1]])))
+            _bits(stack.cone_factor(1)),
+            _bits(e * np.array([[1.0, 1], [1, -1]]).T))
         # the steps a stack serves are those of its StepContext
         for step_index in (0, 5):
             with pytest.raises(ValueError, match="step index"):
@@ -148,13 +149,13 @@ def test_map_stack_step_index_is_checked():
     # a static row is the same at every step, and read in place from the
     # even-site and the odd-site factors
     np.testing.assert_array_equal(static.cone_factor(1),
-                                  static.cone_factor(3)[:, :, 1:3])
+                                  static.cone_factor(3)[1:3])
     assert np.shares_memory(static.cone_factor(3), static.factors[0])
     assert np.shares_memory(static.cone_factor(2), static.factors[1])
     # a dynamic step is selected into the stack's one buffer
     assert np.shares_memory(dynamic.cone_factor(2), dynamic.factors[1])
     # step 4 holds slot k at x = 1 - 4 + 2k, k = 0..4: -3..5
-    assert dynamic.cone_factor(4).shape == (2, 1, 5)
+    assert dynamic.cone_factor(4).shape == (5, 2)
     with pytest.raises(ValueError, match="either pi or cones"):
         MapStack(4, phi)
     with pytest.raises(ValueError, match="either pi or cones"):

@@ -44,6 +44,15 @@ def test_split_seed_range_and_validation():
         split_seed(-1, 0)
     with pytest.raises(ValueError):
         split_seed(0, -1)
+    # master seeds are 64-bit words: 2**64 would draw seed 0's maps
+    for seed in (2**64, 2**64 + 5, 2**70):
+        with pytest.raises(ValueError, match="not below 2\\*\\*64"):
+            split_seed(seed, 0)
+        with pytest.raises(ValueError, match="not below 2\\*\\*64"):
+            EnsembleConfig(kind="none", p=0.0, n_steps=3, n_maps=1,
+                           master_seed=seed)
+    assert EnsembleConfig(kind="none", p=0.0, n_steps=3, n_maps=1,
+                          master_seed=2**64 - 1).master_seed == 2**64 - 1
 
 
 def test_initial_state_spec_builds_states():
@@ -241,13 +250,13 @@ def test_block_cone_signs_equal_one_map_step_signs(kind, p, order, x0, initial):
     for t in range(1, n + 1):
         s = t - 1 + lag  # the cone step t's phase acts on
         got = stack.cone_factor(t)
-        assert got.shape == (3 * walkers, 1, s + 1) and got.dtype == complex
+        assert got.shape == (s + 1, 3 * walkers) and got.dtype == complex
         # from x0 != 0 the cone reaches past the map's lattice, where
         # step_signs carries +1
         sites = x0 - s + 2 * np.arange(s + 1)
         for row in range(3 * walkers):
             want = e * pmaps[row // walkers].step_signs(t, cfg.t_max)
-            np.testing.assert_array_equal(bits(got[row, 0]),
+            np.testing.assert_array_equal(bits(got[:, row]),
                                           bits(want[sites + cfg.t_max]))
         if kind == "dynamic":
             # all n + 1 slots of the table, and sites past the map's
@@ -365,17 +374,20 @@ def test_block_steps_stay_in_the_light_cone(monkeypatch, collect_qfi, order,
         def stepped(state, ctx, out):
             real(state, ctx, out=out)
             t = ctx.step_index
-            outs = [out.psi, out.dpsi] if collect_qfi else [out]
-            for cone in outs:
-                assert cone.amplitudes.shape == (rows, 1, t + 1, 2)
-                assert cone.t_max == abs(position) + t
-                np.testing.assert_array_equal(
-                    cone.positions(), position - t + 2 * np.arange(t + 1))
-                assert not cone.amplitudes[..., 0, UP].any()
-                assert not cone.amplitudes[..., t, DOWN].any()
-                cells = cone.amplitudes.base  # (coin, slot, walker) buffer
-                assert cells.shape == (2, n + 1, rows)
-                assert not cells[:, t + 1:].any()
+            assert (out.steps, out.origin) == (t, position)
+            np.testing.assert_array_equal(
+                out.positions(), position - t + 2 * np.arange(t + 1))
+            assert (out.dpsi is not None) == collect_qfi
+            outs = [out.psi, out.dpsi] if collect_qfi else [out.psi]
+            for cells in outs:
+                assert cells.shape == (2, t + 1, rows)
+                assert not cells[UP, 0].any()
+                assert not cells[DOWN, t].any()
+                buf = cells.base  # the call's (coin, slot, walker) buffer
+                assert buf.shape == (2, n + 1, rows)
+                assert np.shares_memory(buf, state.psi if cells is out.psi
+                                        else state.dpsi)
+                assert not buf[:, t + 1:].any()
             steps.append(t)
             return out
         return stepped
@@ -385,6 +397,30 @@ def test_block_steps_stay_in_the_light_cone(monkeypatch, collect_qfi, order,
     monkeypatch.setattr(ensemble_mod, "step", watch(ensemble_mod.step))
     ensemble_mod._run_block((cfg, range(1)))
     assert steps == list(range(1, n + 1))
+
+
+@pytest.mark.parametrize("initial,collect", [
+    ("single", {}), ("boson", {"collect_distribution": True}),
+    ("single", {"collect_qfi": False, "per_map_variance": True}),
+])
+def test_kernel_builds_one_cone_stack_per_step(monkeypatch, initial, collect):
+    # each step hands every layer the same one ConeStack: slots 0..t of the
+    # call's buffers, with dpsi where the QFI is collected
+    built = []
+
+    class Counted(ensemble_mod.ConeStack):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append(self)
+
+    monkeypatch.setattr(ensemble_mod, "ConeStack", Counted)
+    n = 9
+    cfg = EnsembleConfig(kind="dynamic", p=0.6, n_steps=n, n_maps=70,
+                         initial=InitialStateSpec(initial), **collect)
+    ensemble_mod._run_block((cfg, range(2)))
+    assert [stack.steps for stack in built] == list(range(n + 1))
+    assert {stack.dpsi is None for stack in built} == {not cfg.collect_qfi}
+    assert len({id(stack.scratch) for stack in built}) == 1
 
 
 @pytest.mark.parametrize("layer,cfg", [
@@ -742,8 +778,7 @@ def test_nan_amplitude_fails_its_member(monkeypatch, initial, collect, state):
     def planted(prev, ctx, out):
         real(prev, ctx, out=out)
         if ctx.step_index == 5:
-            cone = getattr(out, state) if collect == "qfi" else out
-            cone.amplitudes[row_of(member, walkers) + walkers - 1, 0, 2, UP] = np.nan
+            getattr(out, state)[UP, 2, row_of(member, walkers) + walkers - 1] = np.nan
         return out
 
     monkeypatch.setattr(ensemble_mod, layer, planted)

@@ -14,7 +14,7 @@ from dqwalk import (
     two_particle_step,
 )
 from dqwalk.errors import RowCheckError
-from dqwalk.states import ConeState
+from dqwalk.states import ConeStack
 
 
 def _evolve(state, pmap, n_steps, phi=0.0):
@@ -149,8 +149,13 @@ def test_cone_distribution_lists_the_cone_sites():
     for t in (1, 2):
         state = step(state, StepContext(0.0, t, pmap))
     lattice = position_distribution(state)
-    cone = position_distribution(ConeState(state.amplitudes[2:7:2], 1))
+    # (coin, slot, row) cells of one row
+    cells = state.amplitudes[2:7:2].T[:, :, None]
+    cone = position_distribution(ConeStack(cells, origin=1))
+    assert cone.probabilities.shape == (3, 1) and cone.t_max == 3
     np.testing.assert_array_equal(cone.positions(), [-1, 1, 3])
-    np.testing.assert_array_equal(cone.probabilities, lattice.probabilities[2:7:2])
-    assert position_variance(cone) == pytest.approx(position_variance(lattice),
-                                                    abs=1e-14)
+    np.testing.assert_array_equal(cone.probabilities[:, 0],
+                                  lattice.probabilities[2:7:2])
+    row = PositionDistribution(cone.t_max, cone.probabilities[:, 0], 1)
+    assert position_variance(row) == pytest.approx(position_variance(lattice),
+                                                   abs=1e-14)

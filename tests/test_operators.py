@@ -38,7 +38,7 @@ from dqwalk import (
     two_particle_step_with_derivative,
 )
 from dqwalk.ensemble import _stack_masks
-from dqwalk.states import ConeState
+from dqwalk.states import ConeStack
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -214,30 +214,30 @@ def test_stacked_step_with_out_matches_one_map_steps(order):
     pmaps = [generate_map("dynamic", n, 0.5, seed=split_seed(1, b)) for b in range(3)]
     s = new_walker_state(t_max, position, (INV_SQRT2, INV_SQRT2))
 
-    def cone(t, amplitudes=None):
-        if amplitudes is None:
-            amplitudes = np.zeros((3, 1, t + 1, 2), dtype=complex)
-        return ConeState(amplitudes, position)
+    def cells(t):
+        return np.zeros((2, t + 1, 3), dtype=complex)
 
-    start = np.repeat(s.amplitudes[None, None, [position + t_max]], 3, axis=0)
-    cur = DerivativePair(cone(0, start.copy()), cone(0))
-    plain = cone(0, start.copy())
+    start = np.repeat(s.amplitudes[position + t_max][:, None, None], 3, axis=2)
+    cur = ConeStack(start.copy(), cells(0), position)
+    plain = ConeStack(start.copy(), origin=position)
     singles = [DerivativePair.initial(s) for _ in pmaps]
     for t in range(1, n + 1):
-        nxt, plain_next = DerivativePair(cone(t), cone(t)), cone(t)
+        nxt = ConeStack(cells(t), cells(t), position)
+        plain_next = ConeStack(cells(t), origin=position)
         step_with_derivative(cur, StepContext(0.4, t, stack, order), out=nxt)
         step(plain, StepContext(0.4, t, stack, order), out=plain_next)
         cur, plain = nxt, plain_next
         singles = [step_with_derivative(pair, StepContext(0.4, t, pmap, order))
                    for pair, pmap in zip(singles, pmaps)]
         values = qfi_pure(cur)
-        assert values.shape == (3, 1)
-        rows = cur.psi.positions() + t_max
+        assert cur.psi.shape == cur.dpsi.shape == (2, t + 1, 3)
+        assert values.shape == (3,)
+        rows = cur.positions() + t_max
         for b, pair in enumerate(singles):
-            assert np.array_equal(cur.psi.amplitudes[b, 0], pair.psi.amplitudes[rows])
-            assert np.array_equal(cur.dpsi.amplitudes[b, 0], pair.dpsi.amplitudes[rows])
-            assert np.array_equal(plain.amplitudes[b, 0], pair.psi.amplitudes[rows])
-            assert values[b, 0] == qfi_pure(pair)
+            assert np.array_equal(cur.psi[:, :, b].T, pair.psi.amplitudes[rows])
+            assert np.array_equal(cur.dpsi[:, :, b].T, pair.dpsi.amplitudes[rows])
+            assert np.array_equal(plain.psi[:, :, b].T, pair.psi.amplitudes[rows])
+            assert values[b] == qfi_pure(pair)
 
 
 @pytest.mark.parametrize("order", [PHASE_FIRST, PHASE_LAST])
@@ -283,17 +283,16 @@ def test_map_stack_steps_only_at_its_own_phi():
     # other phi must not read them
     cfg = EnsembleConfig(kind="static", p=0.6, n_steps=4, n_maps=2, phi=0.3)
     stack = _stack_masks(cfg, range(2), 1)
-    start = np.zeros((2, 1, 1, 2), dtype=complex)
-    start[..., UP] = 1.0
-    out = ConeState(np.zeros((2, 1, 2, 2), dtype=complex))
-    step(ConeState(start), StepContext(0.3, 1, stack), out=out)
+    start = np.zeros((2, 1, 2), dtype=complex)
+    start[UP] = 1.0
+    out = ConeStack(np.zeros((2, 2, 2), dtype=complex))
+    step(ConeStack(start), StepContext(0.3, 1, stack), out=out)
     with pytest.raises(ValueError, match="phi = 0.0 under a map stack formed at phi = 0.3"):
-        step(ConeState(start), StepContext(0.0, 1, stack), out=out)
+        step(ConeStack(start), StepContext(0.0, 1, stack), out=out)
     with pytest.raises(ValueError, match="map stack formed at"):
         step_with_derivative(
-            DerivativePair(ConeState(start), ConeState(np.zeros_like(start))),
-            StepContext(0.4, 1, stack),
-            out=DerivativePair(out, ConeState(np.zeros_like(out.amplitudes))))
+            ConeStack(start, np.zeros_like(start)), StepContext(0.4, 1, stack),
+            out=ConeStack(out.psi, np.zeros_like(out.psi)))
 
 
 @pytest.mark.parametrize("kind,p", [("none", 0.0), ("static", 0.6),
@@ -312,16 +311,17 @@ def test_map_stack_steps_only_its_own_cones(kind, p, order):
     def routes(slots, origin):
         """`step` and `step_with_derivative` from `slots` slots at origin
         into one slot more, by their `out` routes."""
-        def state(n):
-            amplitudes = np.zeros((2, 1, n, 2), dtype=complex)
-            amplitudes[:, 0, 0, UP] = 1.0
-            return ConeState(amplitudes, origin)
+        def cells(n):
+            c = np.zeros((2, n, 2), dtype=complex)
+            c[UP, 0] = 1.0
+            return c
 
         return (
-            lambda ctx: step(state(slots), ctx, out=state(slots + 1)),
+            lambda ctx: step(ConeStack(cells(slots), origin=origin), ctx,
+                             out=ConeStack(cells(slots + 1), origin=origin)),
             lambda ctx: step_with_derivative(
-                DerivativePair(state(slots), state(slots)), ctx,
-                out=DerivativePair(state(slots + 1), state(slots + 1))),
+                ConeStack(cells(slots), cells(slots), origin), ctx,
+                out=ConeStack(cells(slots + 1), cells(slots + 1), origin)),
         )
 
     ctx = StepContext(0.3, 2, stack, order)
@@ -332,6 +332,32 @@ def test_map_stack_steps_only_its_own_cones(kind, p, order):
         for route in routes(slots, origin):
             with pytest.raises(ValueError, match="acts on the cone"):
                 route(wrong)
+
+
+def test_out_route_takes_cone_stacks_only():
+    # `out` names the ConeStack a step is written into: a walker state, a
+    # DerivativePair or bare cells there are caller errors, and a stack
+    # with dpsi steps into one with dpsi, one without into one without
+    cfg = EnsembleConfig(kind="static", p=0.6, n_steps=4, n_maps=2, phi=0.3)
+    stack = _stack_masks(cfg, range(2), 1)
+    ctx = StepContext(0.3, 1, stack)
+
+    def cells(n):
+        c = np.zeros((2, n, 2), dtype=complex)
+        c[UP, 0] = 1.0
+        return c
+
+    walker = WalkerState(1, np.zeros((3, 2), dtype=complex))
+    for out in (walker, DerivativePair(walker, walker), cells(2)):
+        with pytest.raises(TypeError, match="out must be a ConeStack"):
+            step(ConeStack(cells(1)), ctx, out=out)
+        with pytest.raises(TypeError, match="out must be a ConeStack"):
+            step_with_derivative(ConeStack(cells(1), cells(1)), ctx, out=out)
+    with pytest.raises(ValueError, match="with dpsi steps into one with dpsi"):
+        step(ConeStack(cells(1)), ctx, out=ConeStack(cells(2), cells(2)))
+    with pytest.raises(ValueError, match="with dpsi steps into one with dpsi"):
+        step_with_derivative(ConeStack(cells(1), cells(1)), ctx,
+                             out=ConeStack(cells(2)))
 
 
 def _fd_derivative(initial, pmap, phi, n_steps, order, h=1e-5):

@@ -47,7 +47,7 @@ from dqwalk.disorder import KINDS, SEMANTICS, MapStack
 from dqwalk.ensemble import INITIAL_KINDS
 from dqwalk.figures import FIGURES
 from dqwalk.operators import OPERATOR_ORDERS, block_step, cone_step
-from dqwalk.states import INV_SQRT2, TWO_PARTICLE_KINDS, ConeState
+from dqwalk.states import INV_SQRT2, TWO_PARTICLE_KINDS, ConeStack
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -104,9 +104,8 @@ def test_cone_stacked_steps_equal_one_map_steps(
     bufs[0::2, 0, :, 0] = np.array(coin)[:, None]
 
     def cones(t):
-        psi, dpsi, plain = (ConeState(b[t % 2, :, :t + 1].transpose(2, 1, 0)[:, None],
-                                      position) for b in bufs)
-        return DerivativePair(psi, dpsi), plain
+        psi, dpsi, plain = (b[t % 2, :, :t + 1] for b in bufs)
+        return ConeStack(psi, dpsi, position), ConeStack(plain, origin=position)
 
     start = new_walker_state(t_max, position, coin)
     cur, plain = cones(0)
@@ -123,16 +122,17 @@ def test_cone_stacked_steps_equal_one_map_steps(
         singles = [step_with_derivative(pair, StepContext(phi, t, pmap, order))
                    for pair, pmap in zip(singles, pmaps)]
         values = qfi_pure(cur)
-        sites = cur.psi.positions()
+        assert values.shape == (n_maps,)
+        sites = cur.positions()
         np.testing.assert_array_equal(sites, position - t + 2 * np.arange(t + 1))
         off_cone = ~np.isin(x, sites)
         for b, pair in enumerate(singles):
             for got, want in ((cur.psi, pair.psi), (cur.dpsi, pair.dpsi),
-                              (plain, pair.psi)):
-                assert np.array_equal(got.amplitudes[b, 0],
+                              (plain.psi, pair.psi)):
+                assert np.array_equal(got[:, :, b].T,
                                       want.amplitudes[sites + t_max])
                 assert not want.amplitudes[off_cone].any()
-            assert values[b, 0] == qfi_pure(pair)
+            assert values[b] == qfi_pure(pair)
 
 
 @settings(max_examples=80, deadline=2000)
@@ -163,21 +163,17 @@ def test_in_place_cone_step_equals_block_step(t, spare, rows, order,
         b[DOWN, t - 1] = 0.0
         return b
 
-    def cone(b, s):
-        return b[:, :s].transpose(2, 1, 0)[:, None]
-
     bufs = [buffer()] + ([buffer()] if with_dpsi else [])
     sites = t + (order != OPERATOR_ORDERS[0])  # the input's or the output's
     factor = np.exp(1j * rng.uniform(-math.pi, math.pi, (sites, rows)))
-    factor = (factor * rng.choice([-1.0, 1.0], (sites, rows))).T[:, None]
+    factor = factor * rng.choice([-1.0, 1.0], (sites, rows))
     outs = [np.zeros((2, t + 1, rows), dtype=complex) for _ in bufs]
-    block_step(cone(bufs[0], t), cone(bufs[1], t) if with_dpsi else None,
-               factor, order, cone(outs[0], t + 1),
-               cone(outs[1], t + 1) if with_dpsi else None)
+    block_step(bufs[0][:, :t], bufs[1][:, :t] if with_dpsi else None,
+               factor, order, outs[0], outs[1] if with_dpsi else None)
     work = np.full((2, n + 1, rows), np.nan + 1j * np.nan)  # never read
-    cone_step(cone(bufs[0], t), cone(bufs[1], t) if with_dpsi else None,
-              factor, order, cone(bufs[0], t + 1),
-              cone(bufs[1], t + 1) if with_dpsi else None, cone(work, n + 1))
+    cone_step(bufs[0][:, :t], bufs[1][:, :t] if with_dpsi else None,
+              factor, order, bufs[0][:, :t + 1],
+              bufs[1][:, :t + 1] if with_dpsi else None, work)
     for b, out in zip(bufs, outs):
         got = np.ascontiguousarray(b[:, :t + 1])
         assert np.array_equal(got.view(np.uint64), out.view(np.uint64))

@@ -14,7 +14,7 @@ from dqwalk import (
     new_walker_state,
     support_radius,
 )
-from dqwalk.states import ConeState
+from dqwalk.states import ConeStack
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -120,26 +120,32 @@ def test_support_radius():
     assert support_radius(tp) == 2
 
 
-def _cone(origin, slots):
-    """A single walker t = len(slots) - 1 steps from origin, up-coin amplitudes."""
-    amplitudes = np.zeros((len(slots), 2), dtype=complex)
-    amplitudes[:, UP] = slots
-    return ConeState(amplitudes, origin)
-
-
-def test_cone_index_of_returns_the_slot():
-    cone = _cone(0, [0.0, 1.0, 0.0])  # t = 2: sites -2, 0, 2
-    assert [cone.index_of(x) for x in (-2, 0, 2)] == [0, 1, 2]
-    shifted = _cone(3, [0.0, 1.0, 0.0])  # sites 1, 3, 5
-    assert shifted.positions()[shifted.index_of(5)] == 5
-    # off parity or outside the cone: no slot holds the site
-    for x in (-1, 1, -4, 4):
-        with pytest.raises(ValueError, match="light cone"):
-            cone.index_of(x)
-
-
-def test_support_radius_reads_cone_sites():
-    assert support_radius(_cone(0, [0.0, 1.0, 0.0])) == 0
-    assert support_radius(_cone(3, [1.0, 0.0, 0.0])) == 1
-    assert support_radius(_cone(-1, [0.0, 0.0, 0.0, 1.0])) == 2
-    assert support_radius(_cone(0, [0.0, 0.0, 0.0])) == -1
+def test_cone_stack_checks_its_cells():
+    # (coin, slot, row) cells of t + 1 slots, a dpsi of their shape, and
+    # scratch of as many rows and at least t + 1 slots
+    cells = np.zeros((2, 3, 4), dtype=complex)  # t = 2, 4 rows
+    for shape in [(3, 3, 4), (1, 3, 4), (2, 0, 4), (2, 3), (2, 3, 4, 1),
+                  (4, 1, 3, 2)]:
+        with pytest.raises(ValueError, match=r"expected \(2, t \+ 1, rows\)"):
+            ConeStack(np.zeros(shape, dtype=complex))
+    for shape in [(2, 2, 4), (2, 4, 4), (2, 3, 5), (3, 4)]:
+        with pytest.raises(ValueError, match="dpsi of shape"):
+            ConeStack(cells, np.zeros(shape, dtype=complex))
+    for shape in [(2, 2, 4), (2, 3, 5), (2, 3, 3), (1, 3, 4), (2, 3), (2, 3, 4, 1)]:
+        with pytest.raises(ValueError, match="cannot hold"):
+            ConeStack(cells, scratch=np.zeros(shape, dtype=complex))
+    scratch = np.zeros((2, 5, 4), dtype=complex)
+    stack = ConeStack(cells, np.zeros_like(cells), 3, scratch)
+    assert stack.steps == 2
+    np.testing.assert_array_equal(stack.positions(), [1, 3, 5])
+    # work space: the first t + 1 slots of the scratch; float work the
+    # front half of each of its coin planes
+    work = stack.work()
+    assert work.shape == (2, 3, 4) and work.dtype == complex
+    assert np.shares_memory(work, scratch[:, :3])
+    floats = stack.work(np.float64)
+    assert floats.shape == (2, 3, 4) and floats.dtype == np.float64
+    halves = scratch.reshape(2, -1).view(np.float64)
+    assert np.shares_memory(floats, halves[:, :20])
+    assert not np.shares_memory(floats, halves[:, 20:])
+    assert ConeStack(cells).work().shape == (2, 3, 4)
