@@ -65,13 +65,23 @@ rows are kept is built from them: a two-walker preset draws and evolves
 each map once for its five series.  Each value is formed from the same
 rows by the same operations either way, so a run built from kept rows
 has the bits of one that evolves.
+
+The distribution and variance scans run configs that differ in their
+disorder (kind, p) alone, and draw every member's maps from the same
+child seed.  `share_maps` announces such a map family to the scope, and
+the first run of one of its configs evolves them all: each kernel call
+draws a member's bernoulli-uniform uniforms once, takes every config's
+pi mask from that one draw, bit for bit the `generate_map` mask
+(`_family_masks`), and evolves the configs one after another through
+`_run_block`.  The scope keeps the other configs' runs, block sums added
+in block order, and serves each later run of one of them from them.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -239,7 +249,10 @@ class EnsembleSeries:
 
 
 def _member_error(config, index, message):
-    return EnsembleMemberError(index, split_seed(config.master_seed, index), message)
+    """Member `index` of `config` failed: the error names its config's
+    disorder, as a run of a map family evolves several configs at once."""
+    return EnsembleMemberError(index, split_seed(config.master_seed, index),
+                               f"{config.kind} p={config.p:g}: {message}")
 
 
 def _table_bytes(config):
@@ -288,18 +301,66 @@ def _table_bytes(config):
             + 8 * width * (n + 2) + 3 * 16 * np.getbufsize())
 
 
-def _stack_masks(config, members, walkers):
-    """The members' maps as one MapStack, built once per kernel call, one
-    map per walker row.
+def _map_masks(family, seed):
+    """The pi mask of the one config of `family` at map seed `seed`, from
+    `generate_map`, the one-map definition."""
+    (config,) = family
+    yield generate_map(config.kind, config.n_steps, config.p,
+                       config.semantics, seed).pi_mask
 
-    Each member's map comes from one `generate_map` call and is repeated
-    for each of its walkers: factors broadcast over a walker axis of
-    length 2 would make every numpy inner loop that short.  The row axis
-    is innermost, as in the call's state buffers, so
-    `MapStack.cone_factor` reads each step's cone as contiguous rows.
-    Every stack is built for the call's walkers alone: its origin is x0,
-    and its lag, 0 for phase-first and 1 for phase-last, fixes the cone
-    each step's phase acts on.
+
+def _family_masks(family, seed):
+    """Each config's `generate_map` pi mask at map seed `seed`, in `family`
+    order, from one draw: the configs differ in (kind, p) alone, and draw
+    static or dynamic bernoulli-uniform maps.
+
+    `generate_map` draws the selections of a map's N cells (N = 2 n_steps
+    + 1 for static maps, n_steps (2 n_steps + 1) for dynamic ones), then
+    the halves, from one PCG64 stream, and at p = 1 advances the stream
+    past the selections instead (see `disorder`).  So with U the first 2N
+    uniforms of the stream, the mask is (U[:N] < p) & (U[N:2N] < 0.5), or
+    U[N:2N] < 0.5 at p = 1, and one draw of the largest config's 2N
+    uniforms gives every config's mask bit for bit."""
+    n = family[0].n_steps
+    width = 2 * n + 1
+    cells = width * (n if any(c.kind == "dynamic" for c in family) else 1)
+    draw = np.random.default_rng(seed).random(2 * cells)
+    for config in family:
+        size = width * (n if config.kind == "dynamic" else 1)
+        mask = draw[size:2 * size] < 0.5
+        if config.p != 1.0:
+            mask = (draw[:size] < config.p) & mask
+        yield (mask.reshape(n, width) if config.kind == "dynamic"
+               else np.broadcast_to(mask, (n, width)))
+
+
+def _stack_masks(config, members, walkers):
+    """The members' maps of a lone config as one MapStack, each drawn by
+    `generate_map` (`_map_stacks`)."""
+    (stack,) = _map_stacks((config,), members, walkers, _map_masks)
+    return stack
+
+
+def _map_stacks(family, members, walkers, masks):
+    """The members' maps of each config of `family`, one MapStack per
+    config in `family` order, built once per kernel call, one map per
+    walker row.
+
+    The configs differ in (kind, p) alone.  masks(family, seed) yields
+    each config's pi mask at one member's map seed, in `family` order:
+    `_map_masks` for a lone config, `_family_masks` for a map family,
+    which draws each member once for all of them.  A failure naming one
+    config's mask fails the member in that config, and a member's masks
+    are dropped once its cells are taken.  Every member is drawn at the
+    first stack taken; each stack is formed as it is taken.
+
+    Each member's map is repeated for each of its walkers: factors
+    broadcast over a walker axis of length 2 would make every numpy inner
+    loop that short.  The row axis is innermost, as in the call's state
+    buffers, so `MapStack.cone_factor` reads each step's cone as
+    contiguous rows.  Every stack is built for the call's walkers alone:
+    its origin is x0, and its lag, 0 for phase-first and 1 for
+    phase-last, fixes the cone each step's phase acts on.
 
     Static maps, and kind "none", whose rows are all alike, give one row of
     pi cells per walker row across the lattice -t_max..t_max, (W, rows)
@@ -311,38 +372,41 @@ def _stack_masks(config, members, walkers):
     cells at the sites its phase acts on, and False beyond the map's
     lattice.
     """
+    config = family[0]
     n, t_max, x0 = config.n_steps, config.t_max, config.initial.position
     rows = len(members) * walkers
     lag = int(config.operator_order != PHASE_FIRST)
-
-    def draw(k):
-        try:
-            return generate_map(
-                config.kind, n, config.p, config.semantics,
-                split_seed(config.master_seed, k),
-            ).pi_mask
-        except Exception as exc:
-            raise _member_error(config, k, str(exc)) from exc
-
-    if config.kind != "dynamic":
-        pi = np.zeros((2 * t_max + 1, rows), dtype=bool)
-        pad = t_max - n
-        for row, k in enumerate(members):
-            pi[pad:pad + 2 * n + 1, row * walkers:(row + 1) * walkers] = (
-                draw(k)[0, :, None])
-        return MapStack(n, config.phi, pi=pi, origin=x0, lag=lag)
+    pad = t_max - n
     # slot k of step t sits at x0 - (t - 1 + lag) + 2k (`MapStack`); a slot
     # off the map's lattice reads some clipped cell, then is cleared
     t = np.arange(1, n + 1)[:, None]
     col = n + x0 - (t - 1 + lag) + 2 * np.arange(n + 1)
     cells = (t - 1) * (2 * n + 1) + col
-    cones = np.empty((rows, n, n + 1), dtype=bool)
+    tables = [np.empty((rows, n, n + 1), dtype=bool) if cfg.kind == "dynamic"
+              else np.zeros((2 * t_max + 1, rows), dtype=bool)
+              for cfg in family]
     for row, k in enumerate(members):
-        cones[row * walkers:(row + 1) * walkers] = draw(k).take(cells, mode="clip")
-    cones &= (col >= 0) & (col <= 2 * n)
-    return MapStack(n, config.phi,
-                    cones=np.ascontiguousarray(cones.transpose(1, 2, 0)),
-                    origin=x0, lag=lag)
+        drawn = masks(family, split_seed(config.master_seed, k))
+        walker_rows = slice(row * walkers, (row + 1) * walkers)
+        for cfg, table in zip(family, tables):
+            try:
+                mask = next(drawn)
+            except Exception as exc:
+                raise _member_error(cfg, k, str(exc)) from exc
+            if cfg.kind == "dynamic":
+                table[walker_rows] = mask.take(cells, mode="clip")
+            else:
+                table[pad:pad + 2 * n + 1, walker_rows] = mask[0, :, None]
+    # a stack's phase factors and transposed cones exist only from when
+    # its config's evolution takes it
+    for cfg in family:
+        table = tables.pop(0)
+        if cfg.kind != "dynamic":
+            yield MapStack(n, cfg.phi, pi=table, origin=x0, lag=lag)
+            continue
+        table &= (col >= 0) & (col <= 2 * n)
+        table = np.ascontiguousarray(table.transpose(1, 2, 0))
+        yield MapStack(n, cfg.phi, cones=table, origin=x0, lag=lag)
 
 
 def _call_blocks(n_blocks, workers):
@@ -356,11 +420,38 @@ def _call_blocks(n_blocks, workers):
     return [range(a, b) for a, b in zip(ends, ends[1:])]
 
 
-def _run_block(args):
+def _call_members(config, blocks):
+    """The members of a kernel call of the range `blocks` of block indices."""
+    return range(blocks.start * BLOCK_MAPS,
+                 min(blocks.stop * BLOCK_MAPS, config.n_maps))
+
+
+def _run_family(args):
+    """Evolve the members of a run of whole blocks of every config of a map
+    family in one kernel call each; returns each config's `_run_block`
+    results, in family order.
+
+    args is (family, blocks): configs that differ in (kind, p) alone, and
+    a range of block indices.  The call draws each member's map once for
+    every config (`_family_masks`), builds each config's MapStack from
+    that draw, then evolves the configs one after another, each through
+    `_run_block`, so each has the bits of its lone call.  Runs in worker
+    processes, so it must stay top-level picklable.
+    """
+    family, blocks = args
+    walkers = len(_walker_coins(family[0].initial))
+    stacks = _map_stacks(family, _call_members(family[0], blocks), walkers,
+                         _family_masks)
+    return [_run_block((config, blocks), next(stacks)) for config in family]
+
+
+def _run_block(args, maps=None):
     """Evolve the members of a run of whole blocks in one kernel call;
     returns (qfi, exchange, distribution sums, own variance).
 
-    args is (config, blocks), blocks a range of block indices.  qfi holds
+    args is (config, blocks), blocks a range of block indices; maps is the
+    call's MapStack, drawn here with `generate_map` unless a map family's
+    call passes the one it drew (`_run_family`).  qfi holds
     one QFI row per walker row of the call, the walkers of a member next
     to each other; exchange, for two walkers, one |<a|db>|^2 row per
     member, from which `_qfi_table` forms every exchange statistic's F.
@@ -405,8 +496,7 @@ def _run_block(args):
     to fail on NaN.
     """
     config, blocks = args
-    members = range(blocks.start * BLOCK_MAPS,
-                    min(blocks.stop * BLOCK_MAPS, config.n_maps))
+    members = _call_members(config, blocks)
     # each block's rows of the call's member tables
     spans = [slice(k, k + BLOCK_MAPS) for k in range(0, len(members), BLOCK_MAPS)]
     n, t_max = config.n_steps, config.t_max
@@ -416,7 +506,8 @@ def _run_block(args):
     walkers = 1 if spec.kind == "single" else 2
     sign = _EXCHANGE_SIGN.get(spec.kind, 0)
     rows = len(members) * walkers
-    maps = _stack_masks(config, members, walkers)
+    if maps is None:
+        maps = _stack_masks(config, members, walkers)
 
     def check(values, bad, what):
         """Fail the member of the first bad entry, one per walker row or
@@ -560,14 +651,25 @@ def _qfi_table(config, tables):
     return np.maximum(table, 0.0, out=table)
 
 
+def _map_key(config):
+    """Every field of `config` but (kind, p), floats by repr (see
+    `_row_keys`): configs with one key draw their maps from the same
+    member seeds, on the same lattice, and evolve from the same walkers."""
+    return tuple(repr(getattr(config, f.name)) for f in fields(config)
+                 if f.name not in ("kind", "p"))
+
+
 class _PoolScope:
     """What every ensemble inside one `pool_scope` shares: the process pool,
-    and the QFI rows of the scope's latest evolution."""
+    the announced map families, and the results of the scope's latest
+    evolution: its QFI rows, and the runs of its family's other configs."""
 
     def __init__(self):
         self.pool = None
         self.size = 0
         self.kept = {}
+        self.families = {}
+        self.results = {}
 
     def get(self, workers):
         """The pool, forked now, or re-forked if it has fewer than `workers`."""
@@ -579,20 +681,33 @@ class _PoolScope:
             self.size = workers
         return self.pool
 
+    def family(self, config):
+        """The announced family of `config`, `config` first, or `config`
+        alone; the family is no longer announced once it evolves."""
+        family = self.families.get(repr(config), ())
+        for other in family:
+            del self.families[repr(other)]
+        return (config,) + tuple(c for c in family if repr(c) != repr(config))
+
     def served(self, config):
-        """The kept row tables a run of `config` is built from, or None if
-        it must evolve: it collects distributions or variances, or a table
-        it needs is not kept."""
+        """The kept run of `config`, (QFI row tables in `_row_keys` order,
+        distribution sum, own-variance rows): the one its family's
+        evolution formed, or one built from kept QFI rows.  None if it
+        must evolve: it is in no family evolved and not yet served, and it
+        collects distributions or variances, or a table it needs is not
+        kept."""
+        if repr(config) in self.results:
+            return self.results.pop(repr(config))
         keys = _row_keys(config)
         if (config.collect_distribution or config.collect_variance
                 or config.per_map_variance
                 or not all(key in self.kept for key in keys)):
             return None
-        return [self.kept[key] for key in keys]
+        return [self.kept[key] for key in keys], None, None
 
     def end(self, terminate=False):
-        """Close and join the pool, or stop its workers at once and drop the
-        kept rows; then drop the pool."""
+        """Close and join the pool, or stop its workers at once and drop
+        every kept result and announced family; then drop the pool."""
         if self.pool is not None:
             if terminate:
                 self.pool.terminate()
@@ -601,7 +716,7 @@ class _PoolScope:
             self.pool.join()
         self.pool, self.size = None, 0
         if terminate:
-            self.kept = {}
+            self.kept, self.families, self.results = {}, {}, {}
 
 
 _scope = None
@@ -609,8 +724,8 @@ _scope = None
 
 @contextlib.contextmanager
 def pool_scope():
-    """Share one process pool, and the latest evolution's QFI rows, between
-    every `run_ensemble` call inside.
+    """Share one process pool, the latest evolution's results and the
+    announced map families between every `run_ensemble` call inside.
 
     The pool is forked at the first call that needs one, with that call's
     number of processes, so its workers run the code as it stood then; a
@@ -620,15 +735,22 @@ def pool_scope():
     them instead.  Inside an open scope, `pool_scope()` does nothing, and
     `run_ensemble` outside any scope opens its own.
 
-    Every evolution drops the rows the scope kept, and one that collects
-    the QFI keeps its own: each walker's QFI rows and, for two walkers,
-    the |<a|db>|^2 rows.  A later QFI-only run over the same maps, from the
-    same x0 and at the same phi and operator order, whose walkers' rows
-    are all kept, is built from them without drawing a map or taking a
-    step: one two-walker evolution serves the separable, boson and
-    fermion runs and the single-walker runs from |x0, up> and |x0, down>,
-    with the bits each would evolve.  The rows live as long as the scope;
-    a failure drops them.
+    Every evolution drops the results the scope kept, and one that
+    collects the QFI keeps its own rows: each walker's QFI rows and, for
+    two walkers, the |<a|db>|^2 rows.  A later QFI-only run over the same
+    maps, from the same x0 and at the same phi and operator order, whose
+    walkers' rows are all kept, is built from them without drawing a map
+    or taking a step: one two-walker evolution serves the separable, boson
+    and fermion runs and the single-walker runs from |x0, up> and |x0,
+    down>, with the bits each would evolve.
+
+    `share_maps` announces map families: configs that differ in (kind, p)
+    alone.  The first run of a family's config evolves every config of
+    the family from one map draw per member (`_run_family`) and keeps the
+    others' runs, distribution sums and own-variance rows included, block
+    sums added in block order as ever; each later run of one of them is
+    served its kept run once, with the bits it would evolve.  The results
+    live as long as the scope; a failure drops them, and the families.
     """
     global _scope
     if _scope is not None:
@@ -646,50 +768,87 @@ def pool_scope():
         _scope = None
 
 
+def share_maps(configs):
+    """Announce to the open `pool_scope` the map families among `configs`,
+    so that the first run of one of a family's configs evolves them all
+    from one map draw per member; outside a scope, do nothing.
+
+    A family is two or more configs that differ in (kind, p) alone and
+    draw static or dynamic bernoulli-uniform maps, whose summed
+    `_table_bytes` stays within the run limit: its kernel calls hold every
+    config's map stack at once, and its run every config's results.  Every
+    other config, a family over that limit included, runs alone.  Every
+    config's run has the bits it has alone either way.
+    """
+    if _scope is None:
+        return
+    groups = {}
+    for config in configs:
+        if config.kind != "none" and config.semantics == "bernoulli-uniform":
+            groups.setdefault(_map_key(config), {})[repr(config)] = config
+    for group in groups.values():
+        family = tuple(group.values())
+        if len(family) > 1 and sum(map(_table_bytes, family)) <= _MAX_RUN_BYTES:
+            _scope.families.update(dict.fromkeys(group, family))
+
+
 def _evolve(config, workers):
-    """Evolve every member of `config` in the kernel calls `_call_blocks`
-    lays out, in-process or on the scope's pool; returns the run's (QFI row
-    tables in `_row_keys` order, distribution sum, own-variance rows), each
-    None unless collected, and keeps the QFI row tables in the scope."""
-    # a scope holds one evolution's rows: drop them before this one's exist
-    _scope.kept = {}
+    """Evolve every member of `config`, and of every other config of its
+    announced family, in the kernel calls `_call_blocks` lays out,
+    in-process or on the scope's pool; returns the run of `config`, (QFI
+    row tables in `_row_keys` order, distribution sum, own-variance rows),
+    each None unless collected.  Keeps the family's other runs, and every
+    run's QFI row tables, in the scope."""
+    # a scope holds one evolution's results: drop them before this one's exist
+    _scope.kept, _scope.results = {}, {}
+    family = _scope.family(config)
     n_maps, n = config.n_maps, config.n_steps
     n_blocks = -(-n_maps // BLOCK_MAPS)
     workers = min(workers, n_blocks)
     calls = _call_blocks(n_blocks, workers)
-    tasks = ((config, blocks) for blocks in calls)
+    if len(family) == 1:
+        task, tasks = _run_block, ((config, blocks) for blocks in calls)
+    else:
+        task, tasks = _run_family, ((family, blocks) for blocks in calls)
     walkers = len(_walker_coins(config.initial))
 
-    tables = dist_sum = own_var_rows = None
-    if config.collect_qfi:
-        tables = [np.empty((n_maps, n + 1)) for _ in _row_keys(config)]
-    if config.collect_distribution or config.collect_variance:
-        dist_sum = np.zeros((n + 1, 2 * config.t_max + 1))
-    if config.per_map_variance:
-        own_var_rows = np.empty((n_maps, n + 1))
+    runs = []
+    for cfg in family:
+        tables = dist_sum = own_var_rows = None
+        if cfg.collect_qfi:
+            tables = [np.empty((n_maps, n + 1)) for _ in _row_keys(cfg)]
+        if cfg.collect_distribution or cfg.collect_variance:
+            dist_sum = np.zeros((n + 1, 2 * cfg.t_max + 1))
+        if cfg.per_map_variance:
+            own_var_rows = np.empty((n_maps, n + 1))
+        runs.append((tables, dist_sum, own_var_rows))
 
     if workers == 1:
-        results = map(_run_block, tasks)
+        results = map(task, tasks)
     else:
-        results = _scope.get(workers).imap(_run_block, tasks)
+        results = _scope.get(workers).imap(task, tasks)
     # accumulate strictly in block order: neither the calls' layout nor
     # their scheduling can change bytes
     for blocks in calls:
-        qfi, pairs, dists, own_var = next(results)
+        called = next(results)
         members = slice(blocks.start * BLOCK_MAPS, blocks.stop * BLOCK_MAPS)
-        if tables is not None:
-            for j, table in enumerate(tables):
-                table[members] = qfi[j::walkers] if j < walkers else pairs
-        if dist_sum is not None:
-            for k in range(len(dists)):
-                dist_sum += dists[k]
-        if own_var_rows is not None:
-            own_var_rows[members] = own_var
+        for (tables, dist_sum, own_var_rows), (qfi, pairs, dists, own_var) in zip(
+                runs, [called] if len(family) == 1 else called):
+            if tables is not None:
+                for j, table in enumerate(tables):
+                    table[members] = qfi[j::walkers] if j < walkers else pairs
+            if dist_sum is not None:
+                for k in range(len(dists)):
+                    dist_sum += dists[k]
+            if own_var_rows is not None:
+                own_var_rows[members] = own_var
         # release this call's results before the next call runs
-        del qfi, pairs, dists, own_var
-    if tables is not None:
-        _scope.kept = dict(zip(_row_keys(config), tables))
-    return tables, dist_sum, own_var_rows
+        del called, qfi, pairs, dists, own_var
+    for cfg, (tables, _, _) in zip(family, runs):
+        if tables is not None:
+            _scope.kept.update(zip(_row_keys(cfg), tables))
+    _scope.results = {repr(cfg): run for cfg, run in zip(family[1:], runs[1:])}
+    return runs[0]
 
 
 def run_ensemble(config, workers=None):
@@ -701,19 +860,21 @@ def run_ensemble(config, workers=None):
     this call if none is.  Aggregation order is by block, then member,
     either way, so results are bit-identical across worker counts and
     call layouts.  Inside a scope, a QFI-only run may instead be built
-    from the rows the scope kept (`pool_scope`), with the same bits.
+    from the rows the scope kept, a run of an announced map family
+    evolves the whole family, and a later run of the family is served the
+    run that evolution kept (`pool_scope`), all with the same bits.
     """
     if workers is None:
         workers = 1
     if workers < 1:
         raise ValueError("workers must be >= 1")
     n_maps, n = config.n_maps, config.n_steps
-    dist_sum = own_var_rows = None
     with pool_scope():
         try:
-            tables = _scope.served(config)
-            if tables is None:
-                tables, dist_sum, own_var_rows = _evolve(config, workers)
+            run = _scope.served(config)
+            if run is None:
+                run = _evolve(config, workers)
+            tables, dist_sum, own_var_rows = run
         except BaseException:
             # a failed member or an interrupt must not wait for the queue to
             # drain, nor leave a pool or rows the rest of the scope would reuse

@@ -18,7 +18,13 @@ from dataclasses import asdict, dataclass, field
 
 from .analysis import fit_power_law, windowed_alpha
 from .config import describe_ensemble
-from .ensemble import EnsembleConfig, InitialStateSpec, pool_scope, run_ensemble
+from .ensemble import (
+    EnsembleConfig,
+    InitialStateSpec,
+    pool_scope,
+    run_ensemble,
+    share_maps,
+)
 from .errors import ConfigError
 from .output import (
     alpha_columns,
@@ -182,11 +188,16 @@ _SCAN = (
 
 
 def _scan(job, n_steps, **collect):
-    """(kind, p, config) of each panel of a scan, all built up front."""
-    return [(kind, p, job.config(kind, p, n_steps, collect_qfi=False,
-                                 initial=InitialStateSpec(coin=_BALANCED),
-                                 **collect))
-            for kind, p in _SCAN]
+    """(kind, p, config) of each panel of a scan, all built up front.  The
+    disordered panels' configs differ in (kind, p) alone, so they are
+    announced as one map family: the first of them to run evolves all
+    four from one map draw per member (`share_maps`)."""
+    panels = [(kind, p, job.config(kind, p, n_steps, collect_qfi=False,
+                                   initial=InitialStateSpec(coin=_BALANCED),
+                                   **collect))
+              for kind, p in _SCAN]
+    share_maps([cfg for _, _, cfg in panels])
+    return panels
 
 
 def _distribution_panels(job, n_steps):

@@ -59,8 +59,20 @@ def csv_text(manifest, columns):
     that were computed.
     """
     lines = [f"# manifest: {canonical_json(manifest)}", ",".join(columns)]
-    lines.extend(",".join(map(_cell, row)) for row in zip(*columns.values()))
+    lines.extend(map(",".join, zip(*map(_column_cells, columns.values()))))
     return "\n".join(lines) + "\n"
+
+
+def _column_cells(values):
+    """Each value's `_cell`, formatted a column at a time as the rows are
+    joined: `str` for a column of ints alone, `float.__repr__` for one of
+    floats alone (no bool, no subclass), and `_cell` for any other."""
+    types = set(map(type, values))
+    if types <= {int}:
+        return map(str, values)
+    if types == {float}:
+        return map(float.__repr__, values)
+    return map(_cell, values)
 
 
 def write_csv(path, manifest, columns):

@@ -972,3 +972,216 @@ def test_fermion_floor_fails_the_separable_run(monkeypatch):
     assert info.value.member_index == member
     assert info.value.member_seed == split_seed(11, member)
     assert "step 5" in str(info.value) and "fermion" in str(info.value)
+
+
+# the four disordered panels of a scan: one map family
+_PANELS = (("static", 0.1), ("static", 1.0), ("dynamic", 0.1), ("dynamic", 1.0))
+
+
+def _family(cfg):
+    return [dataclasses.replace(cfg, kind=kind, p=p) for kind, p in _PANELS]
+
+
+@pytest.mark.parametrize("n_steps", [1, 5, 50])
+@pytest.mark.parametrize("kinds", [("static", "dynamic"), ("static",),
+                                   ("dynamic",)])
+def test_family_masks_equal_generate_map(n_steps, kinds):
+    # every config's mask of one family draw, held to its own map, bit for
+    # bit; a family of static maps alone draws only their 2 (2n + 1) cells
+    family = [EnsembleConfig(kind=kind, p=p, n_steps=n_steps, n_maps=1)
+              for kind in kinds for p in (0.0, 0.1, 0.5, 1.0)]
+    for k in range(100):
+        seed = split_seed(17, k)
+        masks = list(ensemble_mod._family_masks(family, seed))
+        assert len(masks) == len(family)
+        for cfg, mask in zip(family, masks):
+            want = generate_map(cfg.kind, n_steps, cfg.p, seed=seed).pi_mask
+            assert mask.shape == want.shape and mask.dtype == bool
+            np.testing.assert_array_equal(mask, want,
+                                          err_msg=f"{cfg.kind} {cfg.p} {k}")
+
+
+def _family_draws(monkeypatch):
+    """Count the family draws from here on: the list of their seeds."""
+    real = ensemble_mod._family_masks
+    seeds = []
+
+    def counted(family, seed):
+        seeds.append(seed)
+        return real(family, seed)
+
+    monkeypatch.setattr(ensemble_mod, "_family_masks", counted)
+    return seeds
+
+
+def _scan_config(order=OPERATOR_ORDERS[0], initial="single"):
+    # three blocks, the last partial, at phi != 0 and off the origin, with
+    # every output collected
+    coin = _BALANCED if initial == "single" else (1.0, 0.0)
+    return EnsembleConfig(kind="static", p=0.1, n_steps=12,
+                          n_maps=2 * ensemble_mod.BLOCK_MAPS + 2,
+                          master_seed=23, phi=0.3,
+                          initial=InitialStateSpec(initial, position=-3,
+                                                   coin=coin),
+                          collect_distribution=True, collect_variance=True,
+                          per_map_variance=True, operator_order=order)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("order", OPERATOR_ORDERS)
+@pytest.mark.parametrize("initial", ["single", "boson"])
+def test_served_family_runs_equal_lone_runs(monkeypatch, workers, order,
+                                            initial):
+    # the first run evolves all four configs from one draw per member; the
+    # other three are served, and every run has its lone run's bits
+    family = _family(_scan_config(order, initial))
+    alone = [_bits(run_ensemble(cfg, workers=workers)) for cfg in family]
+    draws = _map_draws(monkeypatch)
+    family_draws = _family_draws(monkeypatch)
+    with pool_scope():
+        ensemble_mod.share_maps(family)
+        shared = [_bits(run_ensemble(cfg, workers=workers)) for cfg in family]
+        assert ensemble_mod._scope.results == {}
+    assert draws == []
+    if workers == 1:  # pool workers draw in their own processes
+        n_maps = family[0].n_maps
+        assert family_draws == [split_seed(23, k) for k in range(n_maps)]
+    for cfg, want, got in zip(family, alone, shared):
+        _assert_same_bits(got, want, (cfg.kind, cfg.p))
+
+
+def test_a_family_config_runs_once_from_the_family():
+    # a served run is not served again: a rerun evolves alone, as does a
+    # config announced in no family
+    family = _family(dataclasses.replace(_scan_config(), n_maps=3))
+    want = _bits(run_ensemble(family[1]))
+    with pool_scope():
+        ensemble_mod.share_maps(family)
+        run_ensemble(family[0])
+        assert set(ensemble_mod._scope.results) == {repr(c) for c in family[1:]}
+        assert ensemble_mod._scope.families == {}
+        _assert_same_bits(_bits(run_ensemble(family[1])), want)
+        _assert_same_bits(_bits(run_ensemble(family[1])), want)
+        # the rerun evolved, and dropped the family's other runs
+        assert ensemble_mod._scope.results == {}
+
+
+_FAMILY_CHANGES = {
+    "phi": {"phi": 0.5},
+    "phi-sign": {"phi": -0.0},
+    "seed": {"master_seed": 24},
+    "order": {"operator_order": OPERATOR_ORDERS[1]},
+    "x0": {"initial": InitialStateSpec(position=-2, coin=_BALANCED)},
+    "coin": {"initial": InitialStateSpec(position=-3)},
+    "n_steps": {"n_steps": 11},
+    "n_maps": {"n_maps": 2 * ensemble_mod.BLOCK_MAPS + 1},
+    "semantics": {"semantics": "exact-pi-fraction"},
+    "collect": {"per_map_variance": False},
+}
+
+
+@pytest.mark.parametrize("field", _FAMILY_CHANGES)
+def test_a_config_differing_in_another_field_runs_alone(monkeypatch, field):
+    # announced beside a family, it draws its own maps with generate_map,
+    # and the family still draws once per member for its four configs
+    cfg = _scan_config()
+    if field == "phi-sign":
+        cfg = dataclasses.replace(cfg, phi=0.0)
+    family = _family(cfg)
+    other = dataclasses.replace(family[3], **_FAMILY_CHANGES[field])
+    assert ensemble_mod._map_key(other) != ensemble_mod._map_key(family[3])
+    want = _bits(run_ensemble(other))
+    draws = _map_draws(monkeypatch)
+    family_draws = _family_draws(monkeypatch)
+    with pool_scope():
+        ensemble_mod.share_maps(family + [other])
+        assert len(ensemble_mod._scope.families) == len(family)
+        got = _bits(run_ensemble(other))
+        assert len(draws) == other.n_maps and family_draws == []
+        for member in family:
+            run_ensemble(member)
+    assert len(draws) == other.n_maps
+    assert len(family_draws) == cfg.n_maps
+    _assert_same_bits(got, want)
+
+
+def test_an_oversized_family_runs_each_config_alone(monkeypatch):
+    # each config fits the limit, their sum does not
+    family = _family(dataclasses.replace(_scan_config(), n_maps=5))
+    sizes = [ensemble_mod._table_bytes(cfg) for cfg in family]
+    monkeypatch.setattr(ensemble_mod, "_MAX_RUN_BYTES", sum(sizes) - 1)
+    assert max(sizes) <= ensemble_mod._MAX_RUN_BYTES
+    want = [_bits(run_ensemble(cfg)) for cfg in family]
+    draws = _map_draws(monkeypatch)
+    family_draws = _family_draws(monkeypatch)
+    with pool_scope():
+        ensemble_mod.share_maps(family)
+        assert ensemble_mod._scope.families == {}
+        got = [_bits(run_ensemble(cfg)) for cfg in family]
+    assert len(draws) == 4 * 5 and family_draws == []
+    for a, b in zip(got, want):
+        _assert_same_bits(a, b)
+
+
+def test_share_maps_outside_a_scope_does_nothing(monkeypatch):
+    family = _family(dataclasses.replace(_scan_config(), n_maps=2))
+    ensemble_mod.share_maps(family)
+    draws = _map_draws(monkeypatch)
+    for cfg in family:
+        run_ensemble(cfg)
+    assert len(draws) == 4 * 2
+
+
+@pytest.mark.parametrize("bad", range(len(_PANELS)))
+def test_family_member_failure_names_its_config(monkeypatch, bad):
+    # member 70 fails in one config; the first run of the family raises it,
+    # names that config, and drops what the scope kept
+    real = ensemble_mod._family_masks
+    family = _family(_scan_config())
+    index = ensemble_mod.BLOCK_MAPS + 6
+    bad_seed = split_seed(23, index)
+
+    def broken(configs, seed):
+        for cfg, mask in zip(configs, real(configs, seed)):
+            if seed == bad_seed and cfg == family[bad]:
+                raise ValueError("synthetic failure")
+            yield mask
+
+    monkeypatch.setattr(ensemble_mod, "_family_masks", broken)
+    with pool_scope():
+        ensemble_mod.share_maps(family)
+        with pytest.raises(EnsembleMemberError) as info:
+            run_ensemble(family[0])
+        scope = ensemble_mod._scope
+        assert (scope.pool, scope.kept, scope.families, scope.results) == (
+            None, {}, {}, {})
+    assert info.value.member_index == index
+    assert info.value.member_seed == bad_seed
+    kind, p = _PANELS[bad]
+    assert f"{kind} p={p:g}: synthetic failure" in str(info.value)
+
+
+@pytest.mark.parametrize("collect", _COLLECT)
+def test_size_rule_bounds_the_traced_peak_of_a_map_family(collect):
+    # a family's first run, two kernel calls, off the origin: it holds
+    # every config's stack in a call and every config's results after it,
+    # within the sum of the configs' limits
+    blocks = ensemble_mod.CALL_BLOCKS + 1
+    base = EnsembleConfig(kind="static", p=0.1, n_steps=10,
+                          n_maps=(blocks - 1) * ensemble_mod.BLOCK_MAPS + 5,
+                          initial=InitialStateSpec(position=3),
+                          **_COLLECT[collect])
+    family = _family(base)
+    with pool_scope():
+        warm = _family(dataclasses.replace(base, n_maps=2))
+        ensemble_mod.share_maps(warm)
+        for cfg in warm:
+            run_ensemble(cfg)
+        ensemble_mod.share_maps(family)
+        tracemalloc.start()
+        try:
+            run_ensemble(family[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= sum(map(ensemble_mod._table_bytes, family))

@@ -88,6 +88,30 @@ def test_two_walker_preset_draws_each_map_once(tmp_path, monkeypatch):
     assert len(seeds) == 70 and len(set(seeds)) == 70
 
 
+@pytest.mark.parametrize("preset", ["fig5", "fig6"])
+def test_scan_draws_each_map_once_for_its_four_disorder_panels(
+        preset, tmp_path, monkeypatch):
+    # the ordered panel draws its one map with generate_map; the first
+    # disordered panel draws each member once for all four (`share_maps`)
+    real_map, real_family = ensemble_mod.generate_map, ensemble_mod._family_masks
+    maps, families = [], []
+
+    def counted_map(*args):
+        maps.append(args[-1])
+        return real_map(*args)
+
+    def counted_family(family, seed):
+        families.append((len(family), seed))
+        return real_family(family, seed)
+
+    monkeypatch.setattr(ensemble_mod, "generate_map", counted_map)
+    monkeypatch.setattr(ensemble_mod, "_family_masks", counted_family)
+    reproduce_figure(preset, str(tmp_path), maps=70, workers=1)
+    assert len(maps) == 1
+    assert [size for size, _ in families] == [4] * 70
+    assert len({seed for _, seed in families}) == 70
+
+
 def test_reproduce_figure_rejects_zero_maps(tmp_path):
     with pytest.raises(ValueError, match="n_maps"):
         reproduce_figure("fig2b", str(tmp_path), maps=0, workers=1)
