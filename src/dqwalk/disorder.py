@@ -77,7 +77,7 @@ class MapStack:
     """The disorder of B walker rows at one phi, laid out once for the
     light-cone cells of one ensemble kernel call.
 
-    `ensemble._stack_masks` builds it once per kernel call, for walkers
+    `ensemble._map_stacks` builds it once per kernel call, for walkers
     that leave `origin` and take up to n_steps steps, with the row axis
     innermost in memory like the call's (coin, slot, row) cells
     (`states.ConeStack`).  Step t's phase acts on the s + 1 sites origin -
@@ -167,10 +167,12 @@ def generate_map(kind, n_steps, p, semantics="bernoulli-uniform", seed=0):
     """Draw a phase map.  See the module docstring for the sampling rules."""
     validate_disorder(kind, n_steps, p, semantics)
     width = 2 * n_steps + 1
-    rng = np.random.default_rng(seed)
     if kind == "none":
-        mask = np.zeros((n_steps, width), dtype=bool)
-    elif semantics == "bernoulli-uniform":
+        # no draw: numpy 2 imports numpy.random at its first use
+        return PhaseMap(kind, float(p), int(n_steps), semantics, int(seed),
+                        np.zeros((n_steps, width), dtype=bool))
+    rng = np.random.default_rng(seed)
+    if semantics == "bernoulli-uniform":
         shape = (width,) if kind == "static" else (n_steps, width)
         if p == 1.0:
             # every cell is selected; skip the draw (see the module docstring)

@@ -22,10 +22,11 @@ slots 0..t of the buffers as they are, (coin, slot, row) cells, in one
 `states.ConeStack` that carries the scratch, and the kernel calls
 `step_with_derivative` (or `step`), `qfi_pure` and `position_distribution`
 on it once per step of a call, whatever its number of blocks.  The call
-draws its members' maps once, into a `MapStack` with one row per walker,
-the walker axis innermost as well: static maps as one row of pi cells across the
-lattice, turned into phase factors at phi once, and dynamic maps gathered
-into the cone coordinates of the slots each step's phase acts on.
+draws each member's map once (`_family_masks`), into a `MapStack` with one
+row per walker, the walker axis innermost as well: static maps as one row
+of pi cells across the lattice, turned into phase factors at phi once,
+and dynamic maps gathered into the cone coordinates of the slots each
+step's phase acts on.
 Every amplitude goes through the element-wise operations of the one-map
 step, and `qfi_pure` sums each walker's cells in an order fixed by those
 cells alone, skipping only exact zeros, so every member's series equals
@@ -66,15 +67,19 @@ each map once for its five series.  Each value is formed from the same
 rows by the same operations either way, so a run built from kept rows
 has the bits of one that evolves.
 
-The distribution and variance scans run configs that differ in their
-disorder (kind, p) alone, and draw every member's maps from the same
-child seed.  `share_maps` announces such a map family to the scope, and
-the first run of one of its configs evolves them all: each kernel call
-draws a member's bernoulli-uniform uniforms once, takes every config's
-pi mask from that one draw, bit for bit the `generate_map` mask
+Every kernel call evolves a map family (`_run_family`): configs that
+differ in their disorder (kind, p) alone, and so draw every member's
+maps from the same child seed; a lone config is the family of one.  The
+call draws a member's bernoulli-uniform uniforms once, takes every
+config's pi mask from that one draw, bit for bit the `generate_map` mask
 (`_family_masks`), and evolves the configs one after another through
-`_run_block`.  The scope keeps the other configs' runs, block sums added
-in block order, and serves each later run of one of them from them.
+`_run_block`.  Kind "none" and exact-pi-fraction maps, whose configs
+always run alone, are drawn by `generate_map` itself.  The distribution
+and variance scans run four disordered configs of one family:
+`share_maps` announces it to the scope, the first run of one of its
+configs evolves them all, and the scope keeps the other configs' runs,
+block sums added in block order, and serves each later run of one of
+them from them.
 """
 
 from __future__ import annotations
@@ -258,29 +263,39 @@ def _member_error(config, index, message):
 def _table_bytes(config):
     """Bytes of the tables a run of `config` holds at once, from above.
 
-    One map's draw; the largest kernel call's `_stack_masks` storage and
-    phase factors, state buffers and member marginals; that call's result
-    rows and block sums, which `run_ensemble` releases before the next
-    call runs; the run's member seeds, the per-walker QFI and |<a|db>|^2
-    rows the scope keeps, its QFI table with the temporary its `std` (or
-    the exchange term) forms, and its own-variance table; the positions
-    and distribution sum across the lattice; and the buffers numpy's
-    ufuncs iterate strided operands through, np.getbufsize() elements
-    for each of up to three complex operands."""
+    One member's draw (`_family_masks`); the largest kernel call's map
+    stack storage and phase factors, state buffers and member marginals;
+    that call's result rows and block sums, which `run_ensemble` releases
+    before the next call runs; the run's member seeds, the per-walker QFI
+    and |<a|db>|^2 rows the scope keeps, its QFI table with the temporary
+    its `std` (or the exchange term) forms, and its own-variance table;
+    the positions and distribution sum across the lattice; and the
+    buffers numpy's ufuncs iterate strided operands through,
+    np.getbufsize() elements for each of up to three complex operands."""
     n, t_max = config.n_steps, config.t_max
     width = 2 * t_max + 1
     walkers = 1 if config.initial.kind == "single" else 2
     maps = min(config.n_maps, CALL_BLOCKS * BLOCK_MAPS)
     rows = maps * walkers
-    cells = n * (2 * n + 1)
-    if config.kind == "dynamic":
-        # a float64 draw beside two bool masks; the cones, gathered, then
-        # transposed; one step's complex factors
-        masks = 10 * cells + 2 * n * (n + 1) * rows + 16 * (n + 1) * rows
+    # the map's N cells: a static map's row, a dynamic map's table
+    cells = (2 * n + 1) * (n if config.kind == "dynamic" else 1)
+    if config.kind == "none":
+        # generate_map's all-False (n_steps, 2 n_steps + 1) table
+        draw = n * cells
+    elif config.semantics == "bernoulli-uniform":
+        # 2N float64 uniforms, or N at p = 1, where the draw advances past
+        # the selections, beside the mask and the comparison ANDed into it
+        draw = 8 * (2 - (config.p == 1.0)) * cells + 2 * cells
     else:
-        # kind "none" draws an all-False table; bool rows, then the phase
-        # factors at the even and at the odd sites
-        masks = (cells if config.kind == "none" else 0) + 17 * width * rows
+        # generate_map's int64 permutation of the cells, the pi cells it
+        # picks, and the bool table
+        draw = 17 * cells
+    if config.kind == "dynamic":
+        # the cones, gathered, then transposed; one step's complex factors
+        masks = draw + 2 * n * (n + 1) * rows + 16 * (n + 1) * rows
+    else:
+        # bool rows, then the phase factors at the even and at the odd sites
+        masks = draw + 17 * width * rows
     # psi, the scratch and, with QFI, dpsi: (2, n + 1, rows) complex each
     states = (3 if config.collect_qfi else 2) * 32 * (n + 1) * rows
     # each member's per-walker QFI, |<a|db>|^2 and own-variance rows,
@@ -301,58 +316,54 @@ def _table_bytes(config):
             + 8 * width * (n + 2) + 3 * 16 * np.getbufsize())
 
 
-def _map_masks(family, seed):
-    """The pi mask of the one config of `family` at map seed `seed`, from
-    `generate_map`, the one-map definition."""
-    (config,) = family
-    yield generate_map(config.kind, config.n_steps, config.p,
-                       config.semantics, seed).pi_mask
-
-
 def _family_masks(family, seed):
-    """Each config's `generate_map` pi mask at map seed `seed`, in `family`
-    order, from one draw: the configs differ in (kind, p) alone, and draw
-    static or dynamic bernoulli-uniform maps.
+    """Each config's pi mask at map seed `seed`, in `family` order, bit for
+    bit the `generate_map` one: the row of 2 n_steps + 1 cells that drives
+    every step of a static map or kind "none", and a dynamic map's
+    (n_steps, 2 n_steps + 1) table.
 
+    The configs differ in (kind, p) alone, a lone config being a family of
+    one.  Kind "none" and exact-pi-fraction configs, which are never in a
+    family of more, are drawn by `generate_map`, the one-map definition.
+    A static or dynamic bernoulli-uniform family is drawn once.
     `generate_map` draws the selections of a map's N cells (N = 2 n_steps
     + 1 for static maps, n_steps (2 n_steps + 1) for dynamic ones), then
     the halves, from one PCG64 stream, and at p = 1 advances the stream
-    past the selections instead (see `disorder`).  So with U the first 2N
-    uniforms of the stream, the mask is (U[:N] < p) & (U[N:2N] < 0.5), or
-    U[N:2N] < 0.5 at p = 1, and one draw of the largest config's 2N
-    uniforms gives every config's mask bit for bit."""
-    n = family[0].n_steps
-    width = 2 * n + 1
-    cells = width * (n if any(c.kind == "dynamic" for c in family) else 1)
-    draw = np.random.default_rng(seed).random(2 * cells)
-    for config in family:
-        size = width * (n if config.kind == "dynamic" else 1)
-        mask = draw[size:2 * size] < 0.5
-        if config.p != 1.0:
-            mask = (draw[:size] < config.p) & mask
-        yield (mask.reshape(n, width) if config.kind == "dynamic"
-               else np.broadcast_to(mask, (n, width)))
+    past the selections instead (see `disorder`).  So with U the stream's
+    uniforms, a mask is (U[:N] < p) & (U[N:2N] < 0.5), or U[N:2N] < 0.5 at
+    p = 1.  The draw advances past the lo uniforms no config reads, lo = 0
+    if a config has p < 1 and the least N otherwise, and takes the
+    uniforms up to the largest config's 2N."""
+    config = family[0]
+    n = config.n_steps
+    if config.kind == "none" or config.semantics != "bernoulli-uniform":
+        mask = generate_map(config.kind, n, config.p, config.semantics,
+                            seed).pi_mask
+        yield mask if config.kind == "dynamic" else mask[0]
+        return
+    sizes = [(2 * n + 1) * (n if c.kind == "dynamic" else 1) for c in family]
+    lo = min(0 if c.p < 1 else size for c, size in zip(family, sizes))
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(lo)
+    draw = rng.random(2 * max(sizes) - lo)
+    for c, size in zip(family, sizes):
+        mask = draw[size - lo:2 * size - lo] < 0.5
+        if c.p < 1:
+            mask &= draw[:size] < c.p
+        yield mask.reshape(n, -1) if c.kind == "dynamic" else mask
 
 
-def _stack_masks(config, members, walkers):
-    """The members' maps of a lone config as one MapStack, each drawn by
-    `generate_map` (`_map_stacks`)."""
-    (stack,) = _map_stacks((config,), members, walkers, _map_masks)
-    return stack
-
-
-def _map_stacks(family, members, walkers, masks):
+def _map_stacks(family, members, walkers):
     """The members' maps of each config of `family`, one MapStack per
     config in `family` order, built once per kernel call, one map per
     walker row.
 
-    The configs differ in (kind, p) alone.  masks(family, seed) yields
-    each config's pi mask at one member's map seed, in `family` order:
-    `_map_masks` for a lone config, `_family_masks` for a map family,
-    which draws each member once for all of them.  A failure naming one
-    config's mask fails the member in that config, and a member's masks
-    are dropped once its cells are taken.  Every member is drawn at the
-    first stack taken; each stack is formed as it is taken.
+    The configs differ in (kind, p) alone, a lone config being a family
+    of one.  Each member is drawn once for every config (`_family_masks`).
+    A failure naming one config's mask fails the member in that config,
+    and a member's masks are dropped once its cells are taken, before the
+    next member is drawn.  Every member is drawn at the first stack
+    taken; each stack is formed as it is taken.
 
     Each member's map is repeated for each of its walkers: factors
     broadcast over a walker axis of length 2 would make every numpy inner
@@ -386,7 +397,7 @@ def _map_stacks(family, members, walkers, masks):
               else np.zeros((2 * t_max + 1, rows), dtype=bool)
               for cfg in family]
     for row, k in enumerate(members):
-        drawn = masks(family, split_seed(config.master_seed, k))
+        drawn = _family_masks(family, split_seed(config.master_seed, k))
         walker_rows = slice(row * walkers, (row + 1) * walkers)
         for cfg, table in zip(family, tables):
             try:
@@ -396,7 +407,9 @@ def _map_stacks(family, members, walkers, masks):
             if cfg.kind == "dynamic":
                 table[walker_rows] = mask.take(cells, mode="clip")
             else:
-                table[pad:pad + 2 * n + 1, walker_rows] = mask[0, :, None]
+                table[pad:pad + 2 * n + 1, walker_rows] = mask[:, None]
+        # release the masks with the draw, before the next member's draw
+        del mask
     # a stack's phase factors and transposed cones exist only from when
     # its config's evolution takes it
     for cfg in family:
@@ -420,46 +433,40 @@ def _call_blocks(n_blocks, workers):
     return [range(a, b) for a, b in zip(ends, ends[1:])]
 
 
-def _call_members(config, blocks):
-    """The members of a kernel call of the range `blocks` of block indices."""
-    return range(blocks.start * BLOCK_MAPS,
-                 min(blocks.stop * BLOCK_MAPS, config.n_maps))
-
-
 def _run_family(args):
-    """Evolve the members of a run of whole blocks of every config of a map
-    family in one kernel call each; returns each config's `_run_block`
-    results, in family order.
+    """The kernel's one task: evolve the members of a run of whole blocks
+    of every config of a map family in one kernel call each; returns each
+    config's `_run_block` results, in family order.
 
-    args is (family, blocks): configs that differ in (kind, p) alone, and
-    a range of block indices.  The call draws each member's map once for
-    every config (`_family_masks`), builds each config's MapStack from
-    that draw, then evolves the configs one after another, each through
-    `_run_block`, so each has the bits of its lone call.  Runs in worker
-    processes, so it must stay top-level picklable.
+    args is (family, blocks): configs that differ in (kind, p) alone, a
+    lone config being the family (config,), and a range of block indices.
+    The call draws each member's map once for every config and builds
+    each config's MapStack from that draw (`_map_stacks`), then evolves
+    the configs one after another, each through `_run_block`, so each has
+    the bits of its lone call.  Runs in worker processes, so it must stay
+    top-level picklable.
     """
     family, blocks = args
+    members = range(blocks.start * BLOCK_MAPS,
+                    min(blocks.stop * BLOCK_MAPS, family[0].n_maps))
     walkers = len(_walker_coins(family[0].initial))
-    stacks = _map_stacks(family, _call_members(family[0], blocks), walkers,
-                         _family_masks)
-    return [_run_block((config, blocks), next(stacks)) for config in family]
+    stacks = _map_stacks(family, members, walkers)
+    return [_run_block(config, members, next(stacks)) for config in family]
 
 
-def _run_block(args, maps=None):
-    """Evolve the members of a run of whole blocks in one kernel call;
-    returns (qfi, exchange, distribution sums, own variance).
+def _run_block(config, members, maps):
+    """Evolve `members`, those of a run of whole blocks of `config`, in one
+    kernel call on their MapStack `maps`; returns (qfi, exchange,
+    distribution sums, own variance).
 
-    args is (config, blocks), blocks a range of block indices; maps is the
-    call's MapStack, drawn here with `generate_map` unless a map family's
-    call passes the one it drew (`_run_family`).  qfi holds
-    one QFI row per walker row of the call, the walkers of a member next
-    to each other; exchange, for two walkers, one |<a|db>|^2 row per
-    member, from which `_qfi_table` forms every exchange statistic's F.
-    Own variance holds one row per member, the distribution sums one
-    (n_steps + 1, W) member-order sum of the marginals per block; each is
-    None unless collected.  Runs in worker processes, so it must
-    stay top-level picklable.  A failure on one member's map or state
-    raises EnsembleMemberError with that member's index and seed.
+    qfi holds one QFI row per walker row of the call, the walkers of a
+    member next to each other; exchange, for two walkers, one |<a|db>|^2
+    row per member, from which `_qfi_table` forms every exchange
+    statistic's F.  Own variance holds one row per member, the
+    distribution sums one (n_steps + 1, W) member-order sum of the
+    marginals per block; each is None unless collected.  A failure on one
+    member's state raises EnsembleMemberError with that member's index
+    and seed.
 
     Light-cone slots (see the module docstring): step t reads slots 0..t-1
     of each state's (2, n_steps + 1, rows) buffer and writes slots 0..t of
@@ -495,8 +502,6 @@ def _run_block(args, maps=None):
     evolution checks every statistic it can serve.  Each check is written
     to fail on NaN.
     """
-    config, blocks = args
-    members = _call_members(config, blocks)
     # each block's rows of the call's member tables
     spans = [slice(k, k + BLOCK_MAPS) for k in range(0, len(members), BLOCK_MAPS)]
     n, t_max = config.n_steps, config.t_max
@@ -506,8 +511,6 @@ def _run_block(args, maps=None):
     walkers = 1 if spec.kind == "single" else 2
     sign = _EXCHANGE_SIGN.get(spec.kind, 0)
     rows = len(members) * walkers
-    if maps is None:
-        maps = _stack_masks(config, members, walkers)
 
     def check(values, bad, what):
         """Fail the member of the first bad entry, one per walker row or
@@ -677,6 +680,10 @@ class _PoolScope:
             self.end()
             import multiprocessing  # only a pool needs it; keeps start-up lean
 
+            # numpy 2 imports numpy.random at its first use: once here, not
+            # in every forked worker at its first map draw
+            import numpy.random  # noqa: F401
+
             self.pool = multiprocessing.Pool(processes=workers)
             self.size = workers
         return self.pool
@@ -745,8 +752,10 @@ def pool_scope():
     down>, with the bits each would evolve.
 
     `share_maps` announces map families: configs that differ in (kind, p)
-    alone.  The first run of a family's config evolves every config of
-    the family from one map draw per member (`_run_family`) and keeps the
+    alone.  Every run evolves its config's family in the same kernel
+    task, `_run_family`, a config in no announced family as the family of
+    one.  The first run of an announced family's config evolves every
+    config of the family from one map draw per member and keeps the
     others' runs, distribution sums and own-variance rows included, block
     sums added in block order as ever; each later run of one of them is
     served its kept run once, with the bits it would evolve.  The results
@@ -777,8 +786,9 @@ def share_maps(configs):
     draw static or dynamic bernoulli-uniform maps, whose summed
     `_table_bytes` stays within the run limit: its kernel calls hold every
     config's map stack at once, and its run every config's results.  Every
-    other config, a family over that limit included, runs alone.  Every
-    config's run has the bits it has alone either way.
+    other config, a family over that limit included, runs alone, as the
+    family of one.  Every config's run has the bits it has alone either
+    way.
     """
     if _scope is None:
         return
@@ -794,11 +804,11 @@ def share_maps(configs):
 
 def _evolve(config, workers):
     """Evolve every member of `config`, and of every other config of its
-    announced family, in the kernel calls `_call_blocks` lays out,
-    in-process or on the scope's pool; returns the run of `config`, (QFI
-    row tables in `_row_keys` order, distribution sum, own-variance rows),
-    each None unless collected.  Keeps the family's other runs, and every
-    run's QFI row tables, in the scope."""
+    announced family, in one `_run_family` task per kernel call that
+    `_call_blocks` lays out, in-process or on the scope's pool; returns the
+    run of `config`, (QFI row tables in `_row_keys` order, distribution
+    sum, own-variance rows), each None unless collected.  Keeps the
+    family's other runs, and every run's QFI row tables, in the scope."""
     # a scope holds one evolution's results: drop them before this one's exist
     _scope.kept, _scope.results = {}, {}
     family = _scope.family(config)
@@ -806,10 +816,7 @@ def _evolve(config, workers):
     n_blocks = -(-n_maps // BLOCK_MAPS)
     workers = min(workers, n_blocks)
     calls = _call_blocks(n_blocks, workers)
-    if len(family) == 1:
-        task, tasks = _run_block, ((config, blocks) for blocks in calls)
-    else:
-        task, tasks = _run_family, ((family, blocks) for blocks in calls)
+    tasks = ((family, blocks) for blocks in calls)
     walkers = len(_walker_coins(config.initial))
 
     runs = []
@@ -824,16 +831,16 @@ def _evolve(config, workers):
         runs.append((tables, dist_sum, own_var_rows))
 
     if workers == 1:
-        results = map(task, tasks)
+        results = map(_run_family, tasks)
     else:
-        results = _scope.get(workers).imap(task, tasks)
+        results = _scope.get(workers).imap(_run_family, tasks)
     # accumulate strictly in block order: neither the calls' layout nor
     # their scheduling can change bytes
     for blocks in calls:
         called = next(results)
         members = slice(blocks.start * BLOCK_MAPS, blocks.stop * BLOCK_MAPS)
         for (tables, dist_sum, own_var_rows), (qfi, pairs, dists, own_var) in zip(
-                runs, [called] if len(family) == 1 else called):
+                runs, called):
             if tables is not None:
                 for j, table in enumerate(tables):
                     table[members] = qfi[j::walkers] if j < walkers else pairs

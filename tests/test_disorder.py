@@ -32,6 +32,20 @@ def test_map_shape_and_none_kind():
     assert not m.pi_mask.any()
 
 
+def test_none_kind_draws_nothing(monkeypatch):
+    # the clean walk needs no random numbers, so it never creates a
+    # generator: numpy 2 imports numpy.random at its first use
+    def refused(*args, **kwargs):
+        raise AssertionError("kind none drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", refused)
+    m = generate_map("none", 10, 0.0, seed=4)
+    assert m.pi_mask.shape == (10, 21) and m.pi_mask.dtype == bool
+    assert not m.pi_mask.any()
+    with pytest.raises(AssertionError, match="drew random numbers"):
+        generate_map("static", 10, 0.5, seed=4)
+
+
 def test_none_kind_requires_p_zero():
     with pytest.raises(ValueError):
         generate_map("none", 10, 0.3)

@@ -20,6 +20,7 @@ from dqwalk import (
     run_ensemble,
     split_seed,
 )
+from dqwalk.disorder import SEMANTICS
 from dqwalk.ensemble import pool_scope
 from dqwalk.figures import FIGURES, PAPER_MAPS
 from dqwalk.operators import OPERATOR_ORDERS
@@ -184,6 +185,19 @@ def test_size_rule_bounds_the_traced_peak_of_many_short_rows(monkeypatch):
     assert _traced_peak(cfg) <= ensemble_mod._table_bytes(cfg)
 
 
+@pytest.mark.parametrize("kind,p,semantics", [
+    ("dynamic", 0.5, "bernoulli-uniform"), ("dynamic", 1.0, "bernoulli-uniform"),
+    ("dynamic", 0.99, "exact-pi-fraction"), ("none", 0.0, "bernoulli-uniform"),
+])
+def test_size_rule_bounds_the_traced_peak_of_long_map_draws(kind, p, semantics):
+    # 300 steps of three maps: a member's draw of 300 x 601 cells, not the
+    # call's states, sets the peak.  An exact-pi-fraction map permutes its
+    # cells as int64, about 17 bytes a cell at p near 1
+    cfg = EnsembleConfig(kind=kind, p=p, n_steps=300, n_maps=3,
+                         semantics=semantics)
+    assert _traced_peak(cfg) <= ensemble_mod._table_bytes(cfg)
+
+
 @pytest.mark.parametrize("initial", ["single", "boson", "fermion"])
 def test_marginal_update_allocates_no_ufunc_buffers(monkeypatch, initial):
     # a call of 256 members and 30 steps; from each step's marginals to
@@ -213,7 +227,7 @@ def test_marginal_update_allocates_no_ufunc_buffers(monkeypatch, initial):
     monkeypatch.setattr(ensemble_mod, "step", step)
     tracemalloc.start()
     try:
-        ensemble_mod._run_block((cfg, range(ensemble_mod.CALL_BLOCKS)))
+        ensemble_mod._run_family(((cfg,), range(ensemble_mod.CALL_BLOCKS)))
     finally:
         tracemalloc.stop()
     # the last step's marginals are followed by no step
@@ -237,7 +251,7 @@ def test_block_cone_signs_equal_one_map_step_signs(kind, p, order, x0, initial):
                          operator_order=order)
     walkers = 1 if initial == "single" else 2
     members = range(2, 5)
-    stack = ensemble_mod._stack_masks(cfg, members, walkers)
+    (stack,) = ensemble_mod._map_stacks((cfg,), members, walkers)
     lag = OPERATOR_ORDERS.index(order)
     assert (stack.phi, stack.origin, stack.lag) == (phi, x0, lag)
     pmaps = [generate_map(kind, n, p, seed=split_seed(9, k)) for k in members]
@@ -291,11 +305,11 @@ def _member_qfi_rows(cfg):
     must agree bit for bit."""
     n_blocks = -(-cfg.n_maps // ensemble_mod.BLOCK_MAPS)
     rows = np.concatenate(
-        [ensemble_mod._run_block((cfg, range(b, b + 1)))[0]
+        [ensemble_mod._run_family(((cfg,), range(b, b + 1)))[0][0]
          for b in range(n_blocks)]
     )
     np.testing.assert_array_equal(
-        ensemble_mod._run_block((cfg, range(n_blocks)))[0], rows)
+        ensemble_mod._run_family(((cfg,), range(n_blocks)))[0][0], rows)
     return rows
 
 
@@ -340,7 +354,7 @@ def test_rows_match_qfi_series_at_fig3_size(order, initial):
         cfg = EnsembleConfig(kind="static", p=1.0, n_steps=n, n_maps=n_maps,
                              master_seed=8, phi=0.3, initial=initial,
                              operator_order=order)
-        rows = ensemble_mod._run_block((cfg, range(1)))[0]
+        rows = ensemble_mod._run_family(((cfg,), range(1)))[0][0]
         for k, row in enumerate(rows):
             if k not in expected:
                 pmap = generate_map("static", n, 1.0, seed=split_seed(8, k))
@@ -395,7 +409,7 @@ def test_block_steps_stay_in_the_light_cone(monkeypatch, collect_qfi, order,
     monkeypatch.setattr(ensemble_mod, "step_with_derivative",
                         watch(ensemble_mod.step_with_derivative))
     monkeypatch.setattr(ensemble_mod, "step", watch(ensemble_mod.step))
-    ensemble_mod._run_block((cfg, range(1)))
+    ensemble_mod._run_family(((cfg,), range(1)))
     assert steps == list(range(1, n + 1))
 
 
@@ -417,7 +431,7 @@ def test_kernel_builds_one_cone_stack_per_step(monkeypatch, initial, collect):
     n = 9
     cfg = EnsembleConfig(kind="dynamic", p=0.6, n_steps=n, n_maps=70,
                          initial=InitialStateSpec(initial), **collect)
-    ensemble_mod._run_block((cfg, range(2)))
+    ensemble_mod._run_family(((cfg,), range(2)))
     assert [stack.steps for stack in built] == list(range(n + 1))
     assert {stack.dpsi is None for stack in built} == {not cfg.collect_qfi}
     assert len({id(stack.scratch) for stack in built}) == 1
@@ -454,7 +468,7 @@ def test_block_steps_allocate_nothing_of_block_size(monkeypatch, layer, cfg):
     monkeypatch.setattr(ensemble_mod, layer, record)
     tracemalloc.start()
     try:
-        ensemble_mod._run_block((cfg, range(1)))
+        ensemble_mod._run_family(((cfg,), range(1)))
     finally:
         tracemalloc.stop()
     rows = cfg.n_maps * (1 if cfg.initial.kind == "single" else 2)
@@ -590,14 +604,14 @@ def test_offcenter_initial_state_gets_capacity():
 
 
 def test_member_failure_carries_index_and_seed(monkeypatch):
-    real = ensemble_mod.generate_map
+    real = ensemble_mod._family_masks
 
-    def broken(kind, n_steps, p, semantics, seed):
+    def broken(family, seed):
         if seed == split_seed(9, 2):
             raise ValueError("synthetic failure")
-        return real(kind, n_steps, p, semantics, seed)
+        yield from real(family, seed)
 
-    monkeypatch.setattr(ensemble_mod, "generate_map", broken)
+    monkeypatch.setattr(ensemble_mod, "_family_masks", broken)
     cfg = EnsembleConfig(kind="dynamic", p=0.5, n_steps=5, n_maps=4,
                          master_seed=9)
     with pytest.raises(EnsembleMemberError) as info:
@@ -608,18 +622,18 @@ def test_member_failure_carries_index_and_seed(monkeypatch):
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="workers must inherit the patched generate_map")
+                    reason="workers must inherit the patched map draw")
 def test_pooled_member_failure_surfaces_without_draining(monkeypatch):
-    real = ensemble_mod.generate_map
+    real = ensemble_mod._family_masks
     bad_seed = split_seed(9, 0)
 
-    def broken(kind, n_steps, p, semantics, seed):
+    def broken(family, seed):
         if seed == bad_seed:
             raise ValueError("synthetic failure")
         time.sleep(5.0)
-        return real(kind, n_steps, p, semantics, seed)
+        yield from real(family, seed)
 
-    monkeypatch.setattr(ensemble_mod, "generate_map", broken)
+    monkeypatch.setattr(ensemble_mod, "_family_masks", broken)
     # three blocks, so the pool really runs two workers
     cfg = EnsembleConfig(kind="dynamic", p=0.5, n_steps=5,
                          n_maps=3 * ensemble_mod.BLOCK_MAPS, master_seed=9)
@@ -642,18 +656,18 @@ def _three_block_config(master_seed):
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="workers must inherit the patched generate_map")
+                    reason="workers must inherit the patched map draw")
 def test_failed_member_drops_the_shared_pool(monkeypatch, pool_forks):
-    real = ensemble_mod.generate_map
+    real = ensemble_mod._family_masks
     bad_index = ensemble_mod.BLOCK_MAPS + 6  # in the second block
     bad_seed = split_seed(5, bad_index)
 
-    def broken(kind, n_steps, p, semantics, seed):
+    def broken(family, seed):
         if seed == bad_seed:
             raise ValueError("synthetic failure")
-        return real(kind, n_steps, p, semantics, seed)
+        yield from real(family, seed)
 
-    monkeypatch.setattr(ensemble_mod, "generate_map", broken)
+    monkeypatch.setattr(ensemble_mod, "_family_masks", broken)
     good, bad = _three_block_config(4), _three_block_config(5)
     with pool_scope():
         first = run_ensemble(good, workers=2)
@@ -703,12 +717,9 @@ def _call_rows(monkeypatch):
     real = ensemble_mod._run_block
     running = {}
 
-    def run(args):
-        config, blocks = args
-        running["members"] = range(
-            blocks.start * ensemble_mod.BLOCK_MAPS,
-            min(blocks.stop * ensemble_mod.BLOCK_MAPS, config.n_maps))
-        return real(args)
+    def run(config, members, maps):
+        running["members"] = members
+        return real(config, members, maps)
 
     def row_of(member, walkers):
         members = running["members"]
@@ -816,16 +827,17 @@ def test_initial_state_spec_checks_the_coin_norm():
 
 
 def _map_draws(monkeypatch):
-    """Count the maps drawn from here on: the list of their seeds."""
-    real = ensemble_mod.generate_map
-    seeds = []
+    """Count the member draws from here on: the seeds drawn for a lone
+    config, a family of one, and those drawn for a map family of more."""
+    real = ensemble_mod._family_masks
+    lone, shared = [], []
 
-    def counted(kind, n_steps, p, semantics, seed):
-        seeds.append(seed)
-        return real(kind, n_steps, p, semantics, seed)
+    def counted(family, seed):
+        (lone if len(family) == 1 else shared).append(seed)
+        return real(family, seed)
 
-    monkeypatch.setattr(ensemble_mod, "generate_map", counted)
-    return seeds
+    monkeypatch.setattr(ensemble_mod, "_family_masks", counted)
+    return lone, shared
 
 
 # two full blocks and a partial one, at phi != 0 and off the origin
@@ -869,7 +881,7 @@ def test_one_evolution_serves_all_five_series(monkeypatch, first, workers):
     configs = _five_series(_SHARED)
     configs.sort(key=lambda cfg: cfg.initial.kind != first)
     alone = [_bits(run_ensemble(cfg, workers=workers)) for cfg in configs]
-    draws = _map_draws(monkeypatch)
+    draws, _ = _map_draws(monkeypatch)
     with pool_scope():
         shared = [_bits(run_ensemble(cfg, workers=workers)) for cfg in configs]
     if workers == 1:  # pool workers draw in their own processes
@@ -880,7 +892,7 @@ def test_one_evolution_serves_all_five_series(monkeypatch, first, workers):
 
 def test_outside_a_scope_every_run_evolves(monkeypatch):
     cfg = dataclasses.replace(_SHARED, n_maps=3)
-    draws = _map_draws(monkeypatch)
+    draws, _ = _map_draws(monkeypatch)
     for other in _five_series(cfg):
         run_ensemble(other)
     assert len(draws) == 5 * cfg.n_maps
@@ -909,7 +921,7 @@ def test_a_run_differing_in_one_key_field_evolves(monkeypatch, field):
     other = dataclasses.replace(_SHARED, **_KEY_CHANGES[field])
     assert other != _SHARED
     want = _bits(run_ensemble(other))
-    draws = _map_draws(monkeypatch)
+    draws, _ = _map_draws(monkeypatch)
     with pool_scope():
         run_ensemble(_SHARED)
         assert len(draws) == _SHARED.n_maps
@@ -929,7 +941,7 @@ def test_runs_collecting_distributions_or_variances_always_evolve(
         monkeypatch, collect):
     boson = dataclasses.replace(_with_initial(_SHARED, "boson"), **collect)
     want = _bits(run_ensemble(boson))
-    draws = _map_draws(monkeypatch)
+    draws, _ = _map_draws(monkeypatch)
     with pool_scope():
         run_ensemble(_SHARED)
         got = _bits(run_ensemble(boson))
@@ -982,36 +994,41 @@ def _family(cfg):
     return [dataclasses.replace(cfg, kind=kind, p=p) for kind, p in _PANELS]
 
 
+# each family's configs as (kind, p, semantics): the three of a scan's
+# kinds, then a lone config, a family of one, of every kind and semantics
+_MASK_FAMILIES = [
+    [(kind, p, "bernoulli-uniform")
+     for kind in kinds for p in (0.0, 0.1, 0.5, 1.0)]
+    for kinds in (("static", "dynamic"), ("static",), ("dynamic",))
+] + [
+    pytest.param([(kind, p, semantics)], id=f"lone-{kind}-{p}-{semantics}")
+    for semantics in SEMANTICS
+    for kind, p in [("none", 0.0)] + [(kind, p) for kind in ("static", "dynamic")
+                                      for p in (0.0, 0.3, 0.5, 1.0)]
+]
+
+
 @pytest.mark.parametrize("n_steps", [1, 5, 50])
-@pytest.mark.parametrize("kinds", [("static", "dynamic"), ("static",),
-                                   ("dynamic",)])
+@pytest.mark.parametrize("kinds", _MASK_FAMILIES)
 def test_family_masks_equal_generate_map(n_steps, kinds):
     # every config's mask of one family draw, held to its own map, bit for
-    # bit; a family of static maps alone draws only their 2 (2n + 1) cells
-    family = [EnsembleConfig(kind=kind, p=p, n_steps=n_steps, n_maps=1)
-              for kind in kinds for p in (0.0, 0.1, 0.5, 1.0)]
+    # bit: a static or kind "none" map's row, a dynamic map's table.  A
+    # family of static maps alone draws only their 2 (2n + 1) cells
+    family = [EnsembleConfig(kind=kind, p=p, n_steps=n_steps, n_maps=1,
+                             semantics=semantics)
+              for kind, p, semantics in kinds]
     for k in range(100):
         seed = split_seed(17, k)
         masks = list(ensemble_mod._family_masks(family, seed))
         assert len(masks) == len(family)
         for cfg, mask in zip(family, masks):
-            want = generate_map(cfg.kind, n_steps, cfg.p, seed=seed).pi_mask
+            want = generate_map(cfg.kind, n_steps, cfg.p, cfg.semantics,
+                                seed).pi_mask
+            if cfg.kind != "dynamic":
+                want = want[0]
             assert mask.shape == want.shape and mask.dtype == bool
-            np.testing.assert_array_equal(mask, want,
-                                          err_msg=f"{cfg.kind} {cfg.p} {k}")
-
-
-def _family_draws(monkeypatch):
-    """Count the family draws from here on: the list of their seeds."""
-    real = ensemble_mod._family_masks
-    seeds = []
-
-    def counted(family, seed):
-        seeds.append(seed)
-        return real(family, seed)
-
-    monkeypatch.setattr(ensemble_mod, "_family_masks", counted)
-    return seeds
+            np.testing.assert_array_equal(
+                mask, want, err_msg=f"{cfg.kind} {cfg.p} {cfg.semantics} {k}")
 
 
 def _scan_config(order=OPERATOR_ORDERS[0], initial="single"):
@@ -1036,8 +1053,7 @@ def test_served_family_runs_equal_lone_runs(monkeypatch, workers, order,
     # other three are served, and every run has its lone run's bits
     family = _family(_scan_config(order, initial))
     alone = [_bits(run_ensemble(cfg, workers=workers)) for cfg in family]
-    draws = _map_draws(monkeypatch)
-    family_draws = _family_draws(monkeypatch)
+    draws, family_draws = _map_draws(monkeypatch)
     with pool_scope():
         ensemble_mod.share_maps(family)
         shared = [_bits(run_ensemble(cfg, workers=workers)) for cfg in family]
@@ -1082,8 +1098,9 @@ _FAMILY_CHANGES = {
 
 @pytest.mark.parametrize("field", _FAMILY_CHANGES)
 def test_a_config_differing_in_another_field_runs_alone(monkeypatch, field):
-    # announced beside a family, it draws its own maps with generate_map,
-    # and the family still draws once per member for its four configs
+    # announced beside a family, it runs as a family of one, which draws
+    # n_maps times, and the family still draws once per member for its
+    # four configs
     cfg = _scan_config()
     if field == "phi-sign":
         cfg = dataclasses.replace(cfg, phi=0.0)
@@ -1091,8 +1108,7 @@ def test_a_config_differing_in_another_field_runs_alone(monkeypatch, field):
     other = dataclasses.replace(family[3], **_FAMILY_CHANGES[field])
     assert ensemble_mod._map_key(other) != ensemble_mod._map_key(family[3])
     want = _bits(run_ensemble(other))
-    draws = _map_draws(monkeypatch)
-    family_draws = _family_draws(monkeypatch)
+    draws, family_draws = _map_draws(monkeypatch)
     with pool_scope():
         ensemble_mod.share_maps(family + [other])
         assert len(ensemble_mod._scope.families) == len(family)
@@ -1112,8 +1128,7 @@ def test_an_oversized_family_runs_each_config_alone(monkeypatch):
     monkeypatch.setattr(ensemble_mod, "_MAX_RUN_BYTES", sum(sizes) - 1)
     assert max(sizes) <= ensemble_mod._MAX_RUN_BYTES
     want = [_bits(run_ensemble(cfg)) for cfg in family]
-    draws = _map_draws(monkeypatch)
-    family_draws = _family_draws(monkeypatch)
+    draws, family_draws = _map_draws(monkeypatch)
     with pool_scope():
         ensemble_mod.share_maps(family)
         assert ensemble_mod._scope.families == {}
@@ -1126,7 +1141,7 @@ def test_an_oversized_family_runs_each_config_alone(monkeypatch):
 def test_share_maps_outside_a_scope_does_nothing(monkeypatch):
     family = _family(dataclasses.replace(_scan_config(), n_maps=2))
     ensemble_mod.share_maps(family)
-    draws = _map_draws(monkeypatch)
+    draws, _ = _map_draws(monkeypatch)
     for cfg in family:
         run_ensemble(cfg)
     assert len(draws) == 4 * 2

@@ -76,14 +76,14 @@ def test_single_block_ensembles_fork_no_pool(tmp_path, pool_forks):
 def test_two_walker_preset_draws_each_map_once(tmp_path, monkeypatch):
     # the separable ensemble evolves a and b for every map; the boson and
     # fermion ensembles and the single-walker sum are built from its rows
-    real = ensemble_mod.generate_map
+    real = ensemble_mod._family_masks
     seeds = []
 
-    def counted(*args):
-        seeds.append(args[-1])
-        return real(*args)
+    def counted(family, seed):
+        seeds.append(seed)
+        return real(family, seed)
 
-    monkeypatch.setattr(ensemble_mod, "generate_map", counted)
+    monkeypatch.setattr(ensemble_mod, "_family_masks", counted)
     reproduce_figure("fig4b", str(tmp_path), maps=70, workers=1)
     assert len(seeds) == 70 and len(set(seeds)) == 70
 
@@ -91,8 +91,9 @@ def test_two_walker_preset_draws_each_map_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("preset", ["fig5", "fig6"])
 def test_scan_draws_each_map_once_for_its_four_disorder_panels(
         preset, tmp_path, monkeypatch):
-    # the ordered panel draws its one map with generate_map; the first
-    # disordered panel draws each member once for all four (`share_maps`)
+    # the ordered panel, a family of one, draws its one map with
+    # generate_map; the first disordered panel draws each member once for
+    # all four (`share_maps`)
     real_map, real_family = ensemble_mod.generate_map, ensemble_mod._family_masks
     maps, families = [], []
 
@@ -108,8 +109,8 @@ def test_scan_draws_each_map_once_for_its_four_disorder_panels(
     monkeypatch.setattr(ensemble_mod, "_family_masks", counted_family)
     reproduce_figure(preset, str(tmp_path), maps=70, workers=1)
     assert len(maps) == 1
-    assert [size for size, _ in families] == [4] * 70
-    assert len({seed for _, seed in families}) == 70
+    assert [size for size, _ in families] == [1] + [4] * 70
+    assert len({seed for _, seed in families[1:]}) == 70
 
 
 def test_reproduce_figure_rejects_zero_maps(tmp_path):

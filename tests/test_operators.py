@@ -37,7 +37,7 @@ from dqwalk import (
     two_particle_step,
     two_particle_step_with_derivative,
 )
-from dqwalk.ensemble import _stack_masks
+from dqwalk.ensemble import _map_stacks
 from dqwalk.states import ConeStack
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -210,7 +210,7 @@ def test_stacked_step_with_out_matches_one_map_steps(order):
     cfg = EnsembleConfig(kind="dynamic", p=0.5, n_steps=n, n_maps=3, master_seed=1,
                          phi=0.4, initial=InitialStateSpec(position=position),
                          operator_order=order)
-    stack = _stack_masks(cfg, range(3), 1)
+    (stack,) = _map_stacks((cfg,), range(3), 1)
     pmaps = [generate_map("dynamic", n, 0.5, seed=split_seed(1, b)) for b in range(3)]
     s = new_walker_state(t_max, position, (INV_SQRT2, INV_SQRT2))
 
@@ -282,7 +282,7 @@ def test_map_stack_steps_only_at_its_own_phi():
     # a MapStack forms its phase factors at its phi once; a step at any
     # other phi must not read them
     cfg = EnsembleConfig(kind="static", p=0.6, n_steps=4, n_maps=2, phi=0.3)
-    stack = _stack_masks(cfg, range(2), 1)
+    (stack,) = _map_stacks((cfg,), range(2), 1)
     start = np.zeros((2, 1, 2), dtype=complex)
     start[UP] = 1.0
     out = ConeStack(np.zeros((2, 2, 2), dtype=complex))
@@ -305,7 +305,7 @@ def test_map_stack_steps_only_its_own_cones(kind, p, order):
     cfg = EnsembleConfig(kind=kind, p=p, n_steps=4, n_maps=2, phi=0.3,
                          initial=InitialStateSpec(position=1),
                          operator_order=order)
-    stack = _stack_masks(cfg, range(2), 1)
+    (stack,) = _map_stacks((cfg,), range(2), 1)
     other = PHASE_LAST if order == PHASE_FIRST else PHASE_FIRST
 
     def routes(slots, origin):
@@ -339,7 +339,7 @@ def test_out_route_takes_cone_stacks_only():
     # DerivativePair or bare cells there are caller errors, and a stack
     # with dpsi steps into one with dpsi, one without into one without
     cfg = EnsembleConfig(kind="static", p=0.6, n_steps=4, n_maps=2, phi=0.3)
-    stack = _stack_masks(cfg, range(2), 1)
+    (stack,) = _map_stacks((cfg,), range(2), 1)
     ctx = StepContext(0.3, 1, stack)
 
     def cells(n):

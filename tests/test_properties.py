@@ -209,7 +209,8 @@ def test_block_rows_equal_one_map_series(
     cfg = EnsembleConfig(kind=kind, p=p, n_steps=n_steps, n_maps=n_maps,
                          master_seed=seed, phi=phi, initial=spec,
                          operator_order=order, collect_distribution=True)
-    rows, exchange, (dist_sum,), _ = ensemble_mod._run_block((cfg, range(1)))
+    ((rows, exchange, (dist_sum,), _),) = ensemble_mod._run_family(
+        ((cfg,), range(1)))
     tables = [rows] if single else [rows[0::2], rows[1::2], exchange]
     qfi = ensemble_mod._qfi_table(cfg, tables)
     same = (np.testing.assert_array_equal if single else

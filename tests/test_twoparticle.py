@@ -77,7 +77,8 @@ def test_single_walker_rows_match_tensor_evolution(statistics, kind, p, order):
                          master_seed=5, phi=phi, operator_order=order,
                          initial=InitialStateSpec(kind=statistics),
                          collect_distribution=True)
-    rows, exchange, (dist_sum,), _ = ensemble_mod._run_block((cfg, range(1)))
+    ((rows, exchange, (dist_sum,), _),) = ensemble_mod._run_family(
+        ((cfg,), range(1)))
     qfi = ensemble_mod._qfi_table(cfg, [rows[0::2], rows[1::2], exchange])
     reference_dist = np.zeros_like(dist_sum)
     for k in range(n_maps):
