@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import dqwalk.ensemble as ensemble_mod
-from dqwalk import fit_power_law
+from dqwalk import fit_power_law, windowed_alpha
 from dqwalk.cli import main
 from dqwalk.figures import FIGURES
 
@@ -200,6 +200,25 @@ def test_fit_command_windowed_output(tmp_path, capsys):
     header, rows = _read_csv(alpha_csv)
     assert header == ["t_center", "alpha"]
     assert len(rows) > 5
+
+
+def test_fit_command_windows_a_series_of_every_second_step(tmp_path, capsys):
+    steps = np.arange(0, 61, 2)
+    rng = np.random.default_rng(5)
+    values = steps**1.4 * np.exp(rng.normal(0, 0.05, len(steps)))
+    series = tmp_path / "halves.csv"
+    series.write_text("t,value\n" + "".join(
+        f"{t},{float(v)!r}\n" for t, v in zip(steps, values)))
+    alpha_csv = tmp_path / "alpha.csv"
+    rc = main(["fit", "--input", str(series), "--t-min", "2", "--t-max", "60",
+               "--window", "10", "--out", str(alpha_csv)])
+    assert rc == 0
+    header, rows = _read_csv(alpha_csv)
+    assert header == ["t_center", "alpha"]
+    expected = windowed_alpha(values, window=10, steps=steps)
+    np.testing.assert_array_equal(rows[:, 0], expected.centers)
+    np.testing.assert_array_equal(rows[:, 1], expected.alphas)
+    assert expected.centers.tolist() == list(range(6, 56))
 
 
 def test_fit_command_rejects_unfittable_series(tmp_path, capsys):
