@@ -146,8 +146,10 @@ def fit_power_law(values, t_min, t_max, steps=None):
     At least 3 usable points, at more than one step, are required.
     """
     values, steps = _series(values, steps)
-    if t_min < 1 or t_max <= t_min:
-        raise ValueError(f"bad fit range [{t_min}, {t_max}]")
+    # the fit reports int() of its bounds, so they must be whole steps
+    if not (float(t_min).is_integer() and float(t_max).is_integer()
+            and 1 <= t_min < t_max):
+        raise ValueError(f"fit range [{t_min}, {t_max}] needs whole steps 1 <= t_min < t_max")
     alpha, dx, dy, x_mean, y_mean, n = _fit_windows(values, steps, [t_min], [t_max])
     # y - (alpha*x + intercept), with intercept = y_mean - alpha*x_mean
     resid = dy - alpha[:, None] * dx
@@ -172,6 +174,8 @@ def windowed_alpha(values, window=20, steps=None):
     that breaks one raises fit_power_law's error.
     """
     values, steps = _series(values, steps)
+    if not len(values):
+        raise ValueError("windowed_alpha needs a non-empty series")
     if window < 5:
         raise ValueError("window must be >= 5 steps for a stable fit")
     half = window // 2

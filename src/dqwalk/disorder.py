@@ -100,7 +100,8 @@ class MapStack:
     stack owns: a kernel call's step loop allocates none.  A static stack
     selects once, across the lattice, with the even and the odd sites
     apart; a dynamic one selects each step's cone into one buffer of
-    n_steps + 1 slots (`cone_factor`).
+    n_steps + 1 slots (`cone_factor`).  The run-size rule prices this
+    storage at the shapes `ensemble._call_arrays` lists for it.
     """
 
     n_steps: int

@@ -260,60 +260,100 @@ def _member_error(config, index, message):
                                f"{config.kind} p={config.p:g}: {message}")
 
 
-def _table_bytes(config):
-    """Bytes of the tables a run of `config` holds at once, from above.
+def _call_arrays(config, n_members, make, *names):
+    """The one list of the arrays a run of `config` forms, the shape and
+    dtype of each stated once; returns make(shape, dtype) of each array
+    named, None for one the run does not form, or, with no names, of
+    every array the run forms.
 
-    One member's draw (`_family_masks`); the largest kernel call's map
-    stack storage and phase factors, state buffers and member marginals;
-    that call's result rows and block sums, which `run_ensemble` releases
-    before the next call runs; the run's member seeds, the per-walker QFI
-    and |<a|db>|^2 rows the scope keeps, its QFI table with the temporary
-    its `std` (or the exchange term) forms, and its own-variance table;
-    the positions and distribution sum across the lattice; and the
-    buffers numpy's ufuncs iterate strided operands through,
-    np.getbufsize() elements for each of up to three complex operands."""
-    n, t_max = config.n_steps, config.t_max
-    width = 2 * t_max + 1
-    walkers = 1 if config.initial.kind == "single" else 2
-    maps = min(config.n_maps, CALL_BLOCKS * BLOCK_MAPS)
-    rows = maps * walkers
-    # the map's N cells: a static map's row, a dynamic map's table
-    cells = (2 * n + 1) * (n if config.kind == "dynamic" else 1)
-    if config.kind == "none":
-        # generate_map's all-False (n_steps, 2 n_steps + 1) table
-        draw = n * cells
-    elif config.semantics == "bernoulli-uniform":
-        # 2N float64 uniforms, or N at p = 1, where the draw advances past
-        # the selections, beside the mask and the comparison ANDed into it
-        draw = 8 * (2 - (config.p == 1.0)) * cells + 2 * cells
-    else:
-        # generate_map's int64 permutation of the cells, the pi cells it
-        # picks, and the bool table
-        draw = 17 * cells
-    if config.kind == "dynamic":
-        # the cones, gathered, then transposed; one step's complex factors
-        masks = draw + 2 * n * (n + 1) * rows + 16 * (n + 1) * rows
-    else:
-        # bool rows, then the phase factors at the even and at the odd sites
-        masks = draw + 17 * width * rows
-    # psi, the scratch and, with QFI, dpsi: (2, n + 1, rows) complex each
-    states = (3 if config.collect_qfi else 2) * 32 * (n + 1) * rows
-    # each member's per-walker QFI, |<a|db>|^2 and own-variance rows,
-    # where collected
-    qfi_rows = (walkers + (walkers == 2)) * config.collect_qfi
-    member_rows = (n + 1) * (qfi_rows + config.per_map_variance)
-    results = member_rows * maps
-    want_dist = config.collect_distribution or config.collect_variance
-    # each member's marginal, (width,)
-    marginals = 8 * width * maps if want_dist or config.per_map_variance else 0
-    if want_dist:
-        # each block's sum, (n + 1, width)
-        results += -(-maps // BLOCK_MAPS) * (n + 1) * width
-    # each member's seed and rows, and its rows of the QFI table and of
-    # the temporary its std forms
-    run = config.n_maps * (1 + member_rows + 2 * (n + 1) * config.collect_qfi)
-    return (masks + states + marginals + 8 * (results + run)
-            + 8 * width * (n + 2) + 3 * 16 * np.getbufsize())
+    The kernel allocates through it: a call of `n_members` members its
+    state buffers, result rows, marginals and block sums (`_run_block`)
+    and its maps' mask tables (`_map_stacks`), the run around the calls
+    its row tables, own-variance rows and distribution sum (`_evolve`).
+    The size rule (`_table_bytes`) prices every entry as held at once.
+    The entries after those are priced only, as numpy, `generate_map`,
+    `MapStack` or the interpreter forms them: one member's map draw
+    (`_family_masks`), a dynamic map's cone index and gathered cones, a
+    stack's contiguous cones and phase factors, a step's check values,
+    the buffer numpy takes for the last marginals, the interpreter's
+    objects, and what `run_ensemble` forms: the member seeds, the QFI
+    table and the series' positions and steps (the mean distribution is
+    formed in the sum's place).  A run that collects no distribution is
+    priced a lattice table of floats all the same, the distribution sum's
+    size: the limit has always priced one, and so refuses what it refused.
+    """
+    n, width = config.n_steps, 2 * config.t_max + 1
+    walkers = len(_walker_coins(config.initial))
+    rows, maps, blocks = n_members * walkers, config.n_maps, -(-n_members // BLOCK_MAPS)
+    qfi, own = config.collect_qfi, config.per_map_variance
+    dist = config.collect_distribution or config.collect_variance
+    dynamic, drawn = config.kind == "dynamic", config.kind != "none"
+    bernoulli = drawn and config.semantics == "bernoulli-uniform"
+    state, lattice = ((2, n + 1, rows), complex), ((n + 1, width), float)
+    # a dynamic map's cones; the map's N cells: a static map's row, a
+    # dynamic map's table
+    cone, cells = (n, n + 1), (2 * n + 1) * (n if dynamic else 1)
+    arrays = {
+        "psi": state,
+        "dpsi": state if qfi else None,
+        "scratch": state,
+        "qfi": ((rows, n + 1), float) if qfi else None,
+        "exchange": ((n_members, n + 1), float) if qfi and walkers == 2 else None,
+        "own_var": ((n_members, n + 1), float) if own else None,
+        "marginals": ((n_members, width), float) if dist or own else None,
+        "dist_sums": ((blocks, n + 1, width), float) if dist else None,
+        # static maps' pi cells across the lattice, dynamic maps' cones as
+        # each member's are gathered
+        "masks": ((rows,) + cone if dynamic else (width, rows), bool),
+        "row_tables": ((len(_row_keys(config)), maps, n + 1), float) if qfi else None,
+        "own_var_rows": ((maps, n + 1), float) if own else None,
+        "dist_sum": lattice if dist else None,
+        # priced only.  One member's draw: 2N uniforms, N at p = 1, beside
+        # the mask and the comparison ANDed into it; an int64 permutation of
+        # the cells and the pi cells it picks, beside the bool table; or kind
+        # "none"'s all-False table
+        "uniforms": (((2 - (config.p == 1)) * cells,), float) if bernoulli else None,
+        "permutation": ((2, cells), np.int64) if drawn and not bernoulli else None,
+        "draw masks": ((2 - (not bernoulli) if drawn else n, cells), bool),
+        # a dynamic map's cell index and on-map tables, one member's cones
+        # as taken from its map, then the stack's contiguous cones
+        "cone index": (cone, np.int64) if dynamic else None,
+        "cone masks": ((2,) + cone, bool) if dynamic else None,
+        "cones": (cone + (rows,), bool) if dynamic else None,
+        # `MapStack.factors`: one step's cone, or the lattice's factors
+        "factors": ((n + 1 if dynamic else width, rows), complex),
+        # a step's per-row reductions and checks: site sums, norms^2 and
+        # their residuals, QFI values, |<a|b>|, <a|db> and the F of each
+        # statistic; two walkers with QFI hold 9.1 floats a row at most
+        # (512 rows, measured with the interpreter's objects)
+        "checks": ((10, rows), float),
+        # |psi| into float work at a call's last step: the states are then
+        # contiguous whole, the work is not, and numpy buffers the output
+        # whole, up to np.getbufsize() elements, to iterate it in one loop
+        "marginal buffer": ((np.getbufsize(),), float) if dist or own else None,
+        # the interpreter's objects beside the arrays: frames, array
+        # headers, a step's ConeStack: about 8 KB measured, priced twice
+        "objects": ((16 * 1024,), np.uint8),
+        "seeds": ((maps,), np.uint64),
+        # the temporary the QFI table's std, or its exchange term, forms,
+        # and for two walkers the table itself
+        "qfi table": ((walkers, maps, n + 1), float) if qfi else None,
+        "lattice": lattice if not dist else None,
+        # the series' positions and steps
+        "positions": ((width + n + 1,), np.int64),
+    }
+    if names:
+        return [None if arrays[k] is None else make(*arrays[k]) for k in names]
+    return [make(*spec) for spec in arrays.values() if spec is not None]
+
+
+def _table_bytes(config):
+    """Bytes of every array a run of `config` forms (`_call_arrays`), at
+    its largest kernel call, as if all were held at once: an upper bound on
+    what the run holds."""
+    members = min(config.n_maps, CALL_BLOCKS * BLOCK_MAPS)
+    return sum(_call_arrays(config, members, lambda shape, dtype: (
+        math.prod(shape) * np.dtype(dtype).itemsize)))
 
 
 def _family_masks(family, seed):
@@ -385,17 +425,16 @@ def _map_stacks(family, members, walkers):
     """
     config = family[0]
     n, t_max, x0 = config.n_steps, config.t_max, config.initial.position
-    rows = len(members) * walkers
     lag = int(config.operator_order != PHASE_FIRST)
-    pad = t_max - n
-    # slot k of step t sits at x0 - (t - 1 + lag) + 2k (`MapStack`); a slot
-    # off the map's lattice reads some clipped cell, then is cleared
-    t = np.arange(1, n + 1)[:, None]
-    col = n + x0 - (t - 1 + lag) + 2 * np.arange(n + 1)
-    cells = (t - 1) * (2 * n + 1) + col
-    tables = [np.empty((rows, n, n + 1), dtype=bool) if cfg.kind == "dynamic"
-              else np.zeros((2 * t_max + 1, rows), dtype=bool)
+    tables = [_call_arrays(cfg, len(members), np.zeros, "masks")[0]
               for cfg in family]
+    if any(cfg.kind == "dynamic" for cfg in family):
+        # slot k of step s + 1 sits at x0 - (s + lag) + 2k (`MapStack`); a
+        # slot off the map's lattice reads some clipped cell, then is cleared
+        s = np.arange(n)[:, None]
+        cells = n + x0 - (s + lag) + 2 * np.arange(n + 1)
+        on_map = (cells >= 0) & (cells <= 2 * n)
+        cells += s * (2 * n + 1)
     for row, k in enumerate(members):
         drawn = _family_masks(family, split_seed(config.master_seed, k))
         walker_rows = slice(row * walkers, (row + 1) * walkers)
@@ -407,17 +446,19 @@ def _map_stacks(family, members, walkers):
             if cfg.kind == "dynamic":
                 table[walker_rows] = mask.take(cells, mode="clip")
             else:
-                table[pad:pad + 2 * n + 1, walker_rows] = mask[:, None]
-        # release the masks with the draw, before the next member's draw
-        del mask
-    # a stack's phase factors and transposed cones exist only from when
+                table[t_max - n:t_max + n + 1, walker_rows] = mask[:, None]
+        # release the draw and its masks before the next member's draw
+        del drawn, mask
+    # and the cell index before the stacks are taken
+    cells = None
+    # a stack's phase factors and contiguous cones exist only from when
     # its config's evolution takes it
     for cfg in family:
         table = tables.pop(0)
         if cfg.kind != "dynamic":
             yield MapStack(n, cfg.phi, pi=table, origin=x0, lag=lag)
             continue
-        table &= (col >= 0) & (col <= 2 * n)
+        table &= on_map
         table = np.ascontiguousarray(table.transpose(1, 2, 0))
         yield MapStack(n, cfg.phi, cones=table, origin=x0, lag=lag)
 
@@ -480,9 +521,10 @@ def _run_block(config, members, maps):
     means are formed in the call's scratch, a third buffer of the same
     shape, which each step's ConeStack carries to the layers; the
     marginals, the block sums and the phase factors have storage of their
-    own.  A
-    call of B members and w walkers each thus holds (2 or 3) x 32
-    (n_steps + 1) B w bytes of states and scratch, fixed when it starts.
+    own.  Every buffer of the call is allocated when it starts, at the
+    shape `_call_arrays` states for the size rule: the states and scratch
+    of B members and w walkers each take (2 or 3) x 32 (n_steps + 1) B w
+    bytes.
 
     Rows equal `qfi_series`: it reduces every step over the full lattice,
     whose cells off the cone are exact zeros, and `qfi_pure` sums in an
@@ -505,12 +547,9 @@ def _run_block(config, members, maps):
     # each block's rows of the call's member tables
     spans = [slice(k, k + BLOCK_MAPS) for k in range(0, len(members), BLOCK_MAPS)]
     n, t_max = config.n_steps, config.t_max
-    width = 2 * t_max + 1
-    spec = config.initial
-    x0 = spec.position
+    spec, x0 = config.initial, config.initial.position
     walkers = 1 if spec.kind == "single" else 2
     sign = _EXCHANGE_SIGN.get(spec.kind, 0)
-    rows = len(members) * walkers
 
     def check(values, bad, what):
         """Fail the member of the first bad entry, one per walker row or
@@ -525,29 +564,18 @@ def _run_block(config, members, maps):
         member = members[exc.row // walkers]
         return _member_error(config, member, f"step {t}: {exc}")
 
+    psi, dpsi, scratch, qfi, exchange, marginals, dist_sums, own_var = (
+        _call_arrays(config, len(members), np.zeros, "psi", "dpsi", "scratch",
+                     "qfi", "exchange", "marginals", "dist_sums", "own_var"))
     # one walker: the configured coin at x0; two walkers: a = |x0, up> and
     # b = |x0, down> (see the module docstring)
-    psi = np.zeros((2, n + 1, rows), dtype=np.complex128)
     for j, coin in enumerate(_walker_coins(spec)):
         psi[:, 0, j::walkers] = np.array(coin)[:, None]
-    qfi = exchange = dpsi = dist_sums = own_var = marginals = None
-    if config.collect_qfi:
-        dpsi = np.zeros_like(psi)
-        qfi = np.empty((rows, n + 1))
-        if walkers == 2:
-            exchange = np.empty((len(members), n + 1))
     evolve = step if qfi is None else step_with_derivative
-    scratch = np.empty_like(psi)
-
-    if config.collect_distribution or config.collect_variance:
-        dist_sums = np.empty((len(spans), n + 1, width))
-    if config.per_map_variance:
-        own_var = np.empty((len(members), n + 1))
-    if dist_sums is not None or own_var is not None:
-        marginals = np.zeros((len(members), width))
+    if marginals is not None:
         # the back half of the scratch's coin plane 1, which float work
         # space (`ConeStack.work`) leaves alone
-        pair_means = scratch[1].reshape(-1).view(np.float64)[(n + 1) * rows:]
+        pair_means = scratch[1].reshape(-1).view(np.float64)[scratch[1].size:]
 
     for t in range(n + 1):
         # step t's walkers: slots 0..t of each buffer
@@ -812,23 +840,15 @@ def _evolve(config, workers):
     # a scope holds one evolution's results: drop them before this one's exist
     _scope.kept, _scope.results = {}, {}
     family = _scope.family(config)
-    n_maps, n = config.n_maps, config.n_steps
+    n_maps = config.n_maps
     n_blocks = -(-n_maps // BLOCK_MAPS)
     workers = min(workers, n_blocks)
     calls = _call_blocks(n_blocks, workers)
     tasks = ((family, blocks) for blocks in calls)
     walkers = len(_walker_coins(config.initial))
 
-    runs = []
-    for cfg in family:
-        tables = dist_sum = own_var_rows = None
-        if cfg.collect_qfi:
-            tables = [np.empty((n_maps, n + 1)) for _ in _row_keys(cfg)]
-        if cfg.collect_distribution or cfg.collect_variance:
-            dist_sum = np.zeros((n + 1, 2 * cfg.t_max + 1))
-        if cfg.per_map_variance:
-            own_var_rows = np.empty((n_maps, n + 1))
-        runs.append((tables, dist_sum, own_var_rows))
+    runs = [_call_arrays(cfg, n_maps, np.zeros, "row_tables", "dist_sum",
+                         "own_var_rows") for cfg in family]
 
     if workers == 1:
         results = map(_run_family, tasks)
@@ -905,7 +925,9 @@ def run_ensemble(config, workers=None):
         else:
             out.qfi_stderr = np.zeros(n + 1)
     if dist_sum is not None:
-        dist_mean = dist_sum / n_maps
+        # the mean in place of the sum, which nothing else reads
+        dist_mean = dist_sum
+        dist_mean /= n_maps
         if config.collect_distribution:
             out.distribution = dist_mean
         if config.collect_variance:

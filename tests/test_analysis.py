@@ -130,6 +130,24 @@ def test_windowed_alpha_window_validation():
         windowed_alpha(values, window=200)
 
 
+def test_windowed_alpha_names_an_empty_series():
+    for steps in (None, []):
+        with pytest.raises(ValueError, match="non-empty series"):
+            windowed_alpha([], window=5, steps=steps)
+
+
+@pytest.mark.parametrize("t_min,t_max", [(3, 3.5), (2.5, 40), (3, float("nan")),
+                                         (np.float64(10.25), 50)])
+def test_fit_power_law_rejects_fractional_bounds(t_min, t_max):
+    # the fit reports int() of its bounds, so a fractional bound would fit
+    # one range and report another
+    with pytest.raises(ValueError, match=r"fit range .* needs whole steps"):
+        fit_power_law(_planted(1.5), t_min, t_max)
+    # whole-valued floats and numpy integers are whole steps
+    fit = fit_power_law(_planted(1.5), np.int64(10), 50.0)
+    assert (fit.t_min, fit.t_max) == (10, 50)
+
+
 # np.polyfit, window by window: the reference the closed-form pass replaced
 def _polyfit_fit(values, t_min, t_max, steps=None):
     values = np.asarray(values, dtype=float)

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import multiprocessing
 import pickle
 import time
@@ -196,6 +197,70 @@ def test_size_rule_bounds_the_traced_peak_of_long_map_draws(kind, p, semantics):
     cfg = EnsembleConfig(kind=kind, p=p, n_steps=300, n_maps=3,
                          semantics=semantics)
     assert _traced_peak(cfg) <= ensemble_mod._table_bytes(cfg)
+
+
+@pytest.mark.parametrize("kind,p", [("static", 0.6), ("none", 0.0)])
+def test_size_rule_bounds_the_traced_peak_of_long_distribution_runs(kind, p):
+    # 300 steps of three maps of two walkers: a call's block sums and the
+    # run's distribution sum, (301, 601) floats each, set the peak.  Only
+    # dynamic maps gather cones, so these runs build no (300, 301) int64
+    # cone cell index, which their price does not hold
+    cfg = EnsembleConfig(kind=kind, p=p, n_steps=300, n_maps=3,
+                         initial=InitialStateSpec("boson"),
+                         **_COLLECT["distribution"])
+    assert _traced_peak(cfg) <= ensemble_mod._table_bytes(cfg)
+
+
+@pytest.mark.parametrize("maps", [40, 13])
+def test_size_rule_bounds_the_buffered_last_marginals(maps):
+    # at a call's last step psi is contiguous whole and its float work
+    # space is not: numpy buffers |psi| for one loop when the call holds
+    # fewer than np.getbufsize() floats of it, 2 x 101 x 40 = 8080 here
+    cfg = EnsembleConfig(kind="static", p=0.6, n_steps=100, n_maps=maps,
+                         **_COLLECT["distribution"])
+    assert _traced_peak(cfg) <= ensemble_mod._table_bytes(cfg)
+
+
+def test_size_rule_adds_no_ufunc_buffer_allowance():
+    # no allowance of 3 x 16 x np.getbufsize() bytes for ufunc buffers
+    # sits on top of the listed arrays: 8185 steps of one map fit within
+    # it of the limit, 8186 do not
+    cfg = EnsembleConfig(kind="static", p=1.0, n_steps=8185, n_maps=1)
+    assert (ensemble_mod._MAX_RUN_BYTES - 3 * 16 * np.getbufsize()
+            < ensemble_mod._table_bytes(cfg) <= ensemble_mod._MAX_RUN_BYTES)
+    with pytest.raises(ValueError, match="over the limit"):
+        EnsembleConfig(kind="static", p=1.0, n_steps=8186, n_maps=1)
+
+
+@pytest.mark.parametrize("kind,p", [("none", 0.0), ("static", 0.6),
+                                    ("dynamic", 0.6)])
+@pytest.mark.parametrize("initial", ["single", "boson"])
+def test_map_stack_storage_is_the_listed_storage(kind, p, initial):
+    # the stack the kernel steps on holds the masks, cones and phase
+    # factors of the shapes and dtypes the size rule prices
+    cfg = EnsembleConfig(kind=kind, p=p, n_steps=7, n_maps=5, phi=0.3,
+                         initial=InitialStateSpec(initial, position=2))
+    members = range(1, 4)
+    walkers = 1 if initial == "single" else 2
+    (stack,) = ensemble_mod._map_stacks((cfg,), members, walkers)
+    listed = ensemble_mod._call_arrays(
+        cfg, len(members), lambda shape, dtype: (shape, np.dtype(dtype)),
+        "masks", "cones", "factors")
+    masks, cones, (shape, dtype) = listed
+    rows = len(members) * walkers
+    if kind == "dynamic":
+        assert masks == ((rows, 7, 8), np.dtype(bool))
+        assert (stack.cones.shape, stack.cones.dtype) == cones
+        factors = stack.factors[1]
+        assert (shape, dtype) == ((8, rows), np.dtype(complex))
+        assert (factors.shape, factors.dtype) == (shape, dtype)
+    else:
+        assert cones is None
+        assert (stack.pi.shape, stack.pi.dtype) == masks
+        even, odd = stack.factors
+        assert even.dtype == odd.dtype == dtype
+        assert shape == (2 * cfg.t_max + 1, rows)
+        assert (len(even) + len(odd),) + even.shape[1:] == shape
 
 
 @pytest.mark.parametrize("initial", ["single", "boson", "fermion"])
@@ -1174,6 +1239,24 @@ def test_family_member_failure_names_its_config(monkeypatch, bad):
     assert info.value.member_seed == bad_seed
     kind, p = _PANELS[bad]
     assert f"{kind} p={p:g}: synthetic failure" in str(info.value)
+
+
+@pytest.mark.parametrize("panels", [_PANELS, _PANELS[:2], _PANELS[2:3]])
+def test_map_stacks_hold_no_draw_or_cell_index_through_a_call(panels):
+    # the generator is suspended through every `_run_block` of its call,
+    # and holds what its frame references: of the draw and the cone
+    # tables, only bool tables, no member's draw nor the int64 cell index
+    # (n_steps, n_steps + 1) that gathers dynamic cones
+    n = 30
+    base = EnsembleConfig(kind="static", p=0.1, n_steps=n, n_maps=3)
+    family = [dataclasses.replace(base, kind=kind, p=p) for kind, p in panels]
+    stacks = ensemble_mod._map_stacks(family, range(3), 1)
+    for _ in family:
+        next(stacks)
+        held = stacks.gi_frame.f_locals.values()
+        assert not [v for v in held if inspect.isgenerator(v)]
+        assert not [v for v in held if isinstance(v, np.ndarray)
+                    and v.dtype != bool and v.size >= n * (n + 1)]
 
 
 @pytest.mark.parametrize("collect", _COLLECT)
