@@ -60,12 +60,12 @@ The kernel returns each walker row's own QFI, and for two walkers each
 member's |<a|db>|^2, and `run_ensemble` forms the run's F from those rows
 (`_qfi_table`).  So one evolution of a and b holds every statistic's F,
 and the single-walker F of |x0, up> and |x0, down> besides; each step
-checks all of them.  A `pool_scope` keeps the rows of its latest
-evolution, and a later QFI-only run over the same maps whose walkers'
-rows are kept is built from them: a two-walker preset draws and evolves
-each map once for its five series.  Each value is formed from the same
-rows by the same operations either way, so a run built from kept rows
-has the bits of one that evolves.
+checks all of them.  A `pool_scope` stores every table of its latest
+evolution under a key of the fields that fix it (`_keys`), and a run
+reads its tables from that store, evolving only when one is missing: a
+two-walker preset draws and evolves each map once for its five series.
+Each value is formed from the same tables by the same operations either
+way, so a run read from the store has the bits of one that evolves.
 
 Every kernel call evolves a map family (`_run_family`): configs that
 differ in their disorder (kind, p) alone, and so draw every member's
@@ -76,10 +76,10 @@ config's pi mask from that one draw, bit for bit the `generate_map` mask
 `_run_block`.  Kind "none" and exact-pi-fraction maps, whose configs
 always run alone, are drawn by `generate_map` itself.  The distribution
 and variance scans run four disordered configs of one family:
-`share_maps` announces it to the scope, the first run of one of its
-configs evolves them all, and the scope keeps the other configs' runs,
-block sums added in block order, and serves each later run of one of
-them from them.
+`share_maps` announces it to the scope, and the first run of one of its
+configs evolves them all and stores every config's tables, block sums
+added in block order, from which each later run of one of them reads
+its own.
 """
 
 from __future__ import annotations
@@ -269,18 +269,17 @@ def _call_arrays(config, n_members, make, *names):
     The kernel allocates through it: a call of `n_members` members its
     state buffers, result rows, marginals and block sums (`_run_block`)
     and its maps' mask tables (`_map_stacks`), the run around the calls
-    its row tables, own-variance rows and distribution sum (`_evolve`).
-    The size rule (`_table_bytes`) prices every entry as held at once.
+    its row tables, own-variance rows and distribution sum (`_evolve`),
+    which the scope stores.  The size rule (`_table_bytes`) prices every
+    entry as held at once.
     The entries after those are priced only, as numpy, `generate_map`,
     `MapStack` or the interpreter forms them: one member's map draw
     (`_family_masks`), a dynamic map's cone index and gathered cones, a
     stack's contiguous cones and phase factors, a step's check values,
     the buffer numpy takes for the last marginals, the interpreter's
     objects, and what `run_ensemble` forms: the member seeds, the QFI
-    table and the series' positions and steps (the mean distribution is
-    formed in the sum's place).  A run that collects no distribution is
-    priced a lattice table of floats all the same, the distribution sum's
-    size: the limit has always priced one, and so refuses what it refused.
+    table, the mean distribution, formed out of the stored sum, and the
+    series' positions and steps.
     """
     n, width = config.n_steps, 2 * config.t_max + 1
     walkers = len(_walker_coins(config.initial))
@@ -305,7 +304,7 @@ def _call_arrays(config, n_members, make, *names):
         # static maps' pi cells across the lattice, dynamic maps' cones as
         # each member's are gathered
         "masks": ((rows,) + cone if dynamic else (width, rows), bool),
-        "row_tables": ((len(_row_keys(config)), maps, n + 1), float) if qfi else None,
+        "row_tables": ((len(_keys(config)[0]), maps, n + 1), float) if qfi else None,
         "own_var_rows": ((maps, n + 1), float) if own else None,
         "dist_sum": lattice if dist else None,
         # priced only.  One member's draw: 2N uniforms, N at p = 1, beside
@@ -338,7 +337,8 @@ def _call_arrays(config, n_members, make, *names):
         # the temporary the QFI table's std, or its exchange term, forms,
         # and for two walkers the table itself
         "qfi table": ((walkers, maps, n + 1), float) if qfi else None,
-        "lattice": lattice if not dist else None,
+        # the mean distribution, which leaves the stored sum as it is
+        "dist_mean": lattice if dist else None,
         # the series' positions and steps
         "positions": ((width + n + 1,), np.int64),
     }
@@ -653,23 +653,31 @@ def _walker_coins(spec):
     return (spec.coin,) if spec.kind == "single" else _PAIR_COINS
 
 
-def _row_keys(config):
-    """A key for each (n_maps, n_steps + 1) table of rows a run of `config`
-    forms its QFI from: each walker's QFI, by the coin it starts in, then,
-    for two walkers, |<a|db>|^2.  A key holds every field that fixes its
-    rows, floats by repr: 0.0 and -0.0 compare equal, yet may form
-    different bits."""
+def _keys(config):
+    """The store keys (`pool_scope`) of the tables a run of `config` reads:
+    (row keys, distribution key, own-variance key).  A row key for each
+    (n_maps, n_steps + 1) table of rows the run forms its QFI from: each
+    walker's QFI, by the coin it starts in, then, for two walkers,
+    |<a|db>|^2; none without the QFI.  Then the keys of its distribution
+    sum and its own-variance rows, each None unless collected.  A key
+    holds every field that fixes its table, floats by repr: 0.0 and -0.0
+    compare equal, yet may form different bits.  A walker's rows are fixed
+    by the coin it starts in, the two sums by the whole initial state."""
     maps = (config.kind, repr(config.p), config.n_steps, config.n_maps,
             config.master_seed, repr(config.phi), config.semantics,
             config.operator_order, config.initial.position)
-    coins = _walker_coins(config.initial)
+    coins = _walker_coins(config.initial) if config.collect_qfi else ()
+    sums = maps + (repr(config.initial),)
+    dist = config.collect_distribution or config.collect_variance
     return ([maps + (repr(coin),) for coin in coins]
-            + [maps + ("exchange",)] * (len(coins) == 2))
+            + [maps + ("exchange",)] * (len(coins) == 2),
+            sums + ("distribution",) if dist else None,
+            sums + ("own variance",) if config.per_map_variance else None)
 
 
 def _qfi_table(config, tables):
     """Each member's F, (n_maps, n_steps + 1), from the run's row tables in
-    `_row_keys` order: F_c for one walker, F_a + F_b + 8 s |<a|db>|^2 for
+    `_keys` order: F_c for one walker, F_a + F_b + 8 s |<a|db>|^2 for
     two (see the module docstring)."""
     if config.initial.kind == "single":
         return tables[0]
@@ -684,7 +692,7 @@ def _qfi_table(config, tables):
 
 def _map_key(config):
     """Every field of `config` but (kind, p), floats by repr (see
-    `_row_keys`): configs with one key draw their maps from the same
+    `_keys`): configs with one key draw their maps from the same
     member seeds, on the same lattice, and evolve from the same walkers."""
     return tuple(repr(getattr(config, f.name)) for f in fields(config)
                  if f.name not in ("kind", "p"))
@@ -692,15 +700,14 @@ def _map_key(config):
 
 class _PoolScope:
     """What every ensemble inside one `pool_scope` shares: the process pool,
-    the announced map families, and the results of the scope's latest
-    evolution: its QFI rows, and the runs of its family's other configs."""
+    the announced map families, and the store of every table the scope's
+    latest evolution formed, by key (`_keys`)."""
 
     def __init__(self):
         self.pool = None
         self.size = 0
         self.kept = {}
         self.families = {}
-        self.results = {}
 
     def get(self, workers):
         """The pool, forked now, or re-forked if it has fewer than `workers`."""
@@ -724,25 +731,9 @@ class _PoolScope:
             del self.families[repr(other)]
         return (config,) + tuple(c for c in family if repr(c) != repr(config))
 
-    def served(self, config):
-        """The kept run of `config`, (QFI row tables in `_row_keys` order,
-        distribution sum, own-variance rows): the one its family's
-        evolution formed, or one built from kept QFI rows.  None if it
-        must evolve: it is in no family evolved and not yet served, and it
-        collects distributions or variances, or a table it needs is not
-        kept."""
-        if repr(config) in self.results:
-            return self.results.pop(repr(config))
-        keys = _row_keys(config)
-        if (config.collect_distribution or config.collect_variance
-                or config.per_map_variance
-                or not all(key in self.kept for key in keys)):
-            return None
-        return [self.kept[key] for key in keys], None, None
-
     def end(self, terminate=False):
         """Close and join the pool, or stop its workers at once and drop
-        every kept result and announced family; then drop the pool."""
+        the store and every announced family; then drop the pool."""
         if self.pool is not None:
             if terminate:
                 self.pool.terminate()
@@ -751,7 +742,7 @@ class _PoolScope:
             self.pool.join()
         self.pool, self.size = None, 0
         if terminate:
-            self.kept, self.families, self.results = {}, {}, {}
+            self.kept, self.families = {}, {}
 
 
 _scope = None
@@ -759,8 +750,9 @@ _scope = None
 
 @contextlib.contextmanager
 def pool_scope():
-    """Share one process pool, the latest evolution's results and the
-    announced map families between every `run_ensemble` call inside.
+    """Share one process pool, the store of the latest evolution's tables
+    and the announced map families between every `run_ensemble` call
+    inside.
 
     The pool is forked at the first call that needs one, with that call's
     number of processes, so its workers run the code as it stood then; a
@@ -770,24 +762,25 @@ def pool_scope():
     them instead.  Inside an open scope, `pool_scope()` does nothing, and
     `run_ensemble` outside any scope opens its own.
 
-    Every evolution drops the results the scope kept, and one that
-    collects the QFI keeps its own rows: each walker's QFI rows and, for
-    two walkers, the |<a|db>|^2 rows.  A later QFI-only run over the same
-    maps, from the same x0 and at the same phi and operator order, whose
-    walkers' rows are all kept, is built from them without drawing a map
-    or taking a step: one two-walker evolution serves the separable, boson
-    and fermion runs and the single-walker runs from |x0, up> and |x0,
-    down>, with the bits each would evolve.
+    Every evolution drops the tables the scope stored, then stores every
+    table it formed (`_evolve`): each config's QFI rows, each walker's by
+    the coin it starts in and, for two walkers, the |<a|db>|^2 rows, its
+    distribution sum and its own-variance rows, each under a key of the
+    fields that fix it (`_keys`).  A run whose tables are all stored reads
+    them, without drawing a map or taking a step, and any other evolves:
+    one two-walker evolution serves the separable, boson and fermion runs
+    and the single-walker runs from |x0, up> and |x0, down>, and a rerun
+    is served again, each with the bits it would evolve.
 
     `share_maps` announces map families: configs that differ in (kind, p)
     alone.  Every run evolves its config's family in the same kernel
     task, `_run_family`, a config in no announced family as the family of
     one.  The first run of an announced family's config evolves every
-    config of the family from one map draw per member and keeps the
-    others' runs, distribution sums and own-variance rows included, block
-    sums added in block order as ever; each later run of one of them is
-    served its kept run once, with the bits it would evolve.  The results
-    live as long as the scope; a failure drops them, and the families.
+    config of the family from one map draw per member and stores every
+    config's tables, block sums added in block order as ever, from which
+    each later run of one of them reads its own, with the bits it would
+    evolve.  The store lives as long as the scope; a failure drops it,
+    and the families.
     """
     global _scope
     if _scope is not None:
@@ -813,7 +806,7 @@ def share_maps(configs):
     A family is two or more configs that differ in (kind, p) alone and
     draw static or dynamic bernoulli-uniform maps, whose summed
     `_table_bytes` stays within the run limit: its kernel calls hold every
-    config's map stack at once, and its run every config's results.  Every
+    config's map stack at once, and the store every config's tables.  Every
     other config, a family over that limit included, runs alone, as the
     family of one.  Every config's run has the bits it has alone either
     way.
@@ -833,12 +826,11 @@ def share_maps(configs):
 def _evolve(config, workers):
     """Evolve every member of `config`, and of every other config of its
     announced family, in one `_run_family` task per kernel call that
-    `_call_blocks` lays out, in-process or on the scope's pool; returns the
-    run of `config`, (QFI row tables in `_row_keys` order, distribution
-    sum, own-variance rows), each None unless collected.  Keeps the
-    family's other runs, and every run's QFI row tables, in the scope."""
-    # a scope holds one evolution's results: drop them before this one's exist
-    _scope.kept, _scope.results = {}, {}
+    `_call_blocks` lays out, in-process or on the scope's pool, and store
+    every table each config formed, its QFI rows, distribution sum and
+    own-variance rows, under its key (`_keys`)."""
+    # the store holds one evolution's tables: drop them before this one's exist
+    _scope.kept = {}
     family = _scope.family(config)
     n_maps = config.n_maps
     n_blocks = -(-n_maps // BLOCK_MAPS)
@@ -871,11 +863,11 @@ def _evolve(config, workers):
                 own_var_rows[members] = own_var
         # release this call's results before the next call runs
         del called, qfi, pairs, dists, own_var
-    for cfg, (tables, _, _) in zip(family, runs):
-        if tables is not None:
-            _scope.kept.update(zip(_row_keys(cfg), tables))
-    _scope.results = {repr(cfg): run for cfg, run in zip(family[1:], runs[1:])}
-    return runs[0]
+    for cfg, (tables, *sums) in zip(family, runs):
+        rows, *sum_keys = _keys(cfg)
+        _scope.kept.update(zip(rows, tables if rows else ()))
+        _scope.kept.update((key, table) for key, table in zip(sum_keys, sums)
+                           if key is not None)
 
 
 def run_ensemble(config, workers=None):
@@ -886,25 +878,28 @@ def run_ensemble(config, workers=None):
     sharded over the process pool of the open `pool_scope`, one opened for
     this call if none is.  Aggregation order is by block, then member,
     either way, so results are bit-identical across worker counts and
-    call layouts.  Inside a scope, a QFI-only run may instead be built
-    from the rows the scope kept, a run of an announced map family
-    evolves the whole family, and a later run of the family is served the
-    run that evolution kept (`pool_scope`), all with the same bits.
+    call layouts.  Every run reads its tables from the store of the
+    scope, after evolving them, with its announced map family, only if
+    one of them is missing (`pool_scope`); the bits are the same either
+    way.
     """
     if workers is None:
         workers = 1
     if workers < 1:
         raise ValueError("workers must be >= 1")
     n_maps, n = config.n_maps, config.n_steps
+    rows, *sum_keys = _keys(config)
     with pool_scope():
         try:
-            run = _scope.served(config)
-            if run is None:
-                run = _evolve(config, workers)
-            tables, dist_sum, own_var_rows = run
+            if not all(key in _scope.kept
+                       for key in rows + sum_keys if key is not None):
+                _evolve(config, workers)
+            tables = [_scope.kept[key] for key in rows]
+            # a table not collected has the key None, which is never stored
+            dist_sum, own_var_rows = map(_scope.kept.get, sum_keys)
         except BaseException:
             # a failed member or an interrupt must not wait for the queue to
-            # drain, nor leave a pool or rows the rest of the scope would reuse
+            # drain, nor leave a pool or tables the rest of the scope would read
             _scope.end(terminate=True)
             raise
 
@@ -917,7 +912,7 @@ def run_ensemble(config, workers=None):
         steps=np.arange(n + 1),
         positions=np.arange(-config.t_max, config.t_max + 1),
     )
-    if tables is not None:
+    if rows:
         qfi_table = _qfi_table(config, tables)
         out.qfi_mean = qfi_table.mean(axis=0)
         if n_maps > 1:
@@ -925,9 +920,8 @@ def run_ensemble(config, workers=None):
         else:
             out.qfi_stderr = np.zeros(n + 1)
     if dist_sum is not None:
-        # the mean in place of the sum, which nothing else reads
-        dist_mean = dist_sum
-        dist_mean /= n_maps
+        # out of place: the store's sum serves every later run as it is
+        dist_mean = dist_sum / n_maps
         if config.collect_distribution:
             out.distribution = dist_mean
         if config.collect_variance:

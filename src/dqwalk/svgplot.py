@@ -113,15 +113,14 @@ def _frame(width, height, x_axis, y_axis, title, xlabel, ylabel):
         f'height="{y0 - y1:.2f}" fill="none" stroke="#333" stroke-width="1"/>'
     )
     for tick in x_axis.ticks():
-        raw = tick if not x_axis.log else tick
-        px = x_axis.to_pix(raw)
+        px = x_axis.to_pix(tick)
         if px < x0 - 0.5 or px > x1 + 0.5:
             continue
         parts.append(
             f'<line x1="{px:.2f}" y1="{y0:.2f}" x2="{px:.2f}" y2="{y0 + 5:.2f}" stroke="#333"/>'
         )
         parts.append(
-            f'<text x="{px:.2f}" y="{y0 + 18:.2f}" font-size="11" text-anchor="middle">{escape(_fmt(raw))}</text>'
+            f'<text x="{px:.2f}" y="{y0 + 18:.2f}" font-size="11" text-anchor="middle">{escape(_fmt(tick))}</text>'
         )
     for tick in y_axis.ticks():
         py = y_axis.to_pix(tick)
@@ -197,14 +196,6 @@ def line_plot(curves, title="", xlabel="", ylabel="", log_x=False, log_y=False,
     return "\n".join(parts) + "\n"
 
 
-def _ramp_color(frac):
-    pos = frac * (len(_RAMP) - 1)
-    i = min(int(pos), len(_RAMP) - 2)
-    w = pos - i
-    a, b = _RAMP[i], _RAMP[i + 1]
-    return tuple(round(a[c] + w * (b[c] - a[c])) for c in range(3))
-
-
 def _png_data_uri(matrix):
     """Encode a (rows, cols) array in [0, 1] as a tiny color-mapped PNG."""
     h, w = matrix.shape
@@ -265,11 +256,12 @@ def heatmap(matrix, x_values, y_values, title="", xlabel="", ylabel="",
     )
     parts.extend(_frame(width, height, x_axis, y_axis, title, xlabel, ylabel))
 
-    # colorbar
+    # colorbar: the ramp's colours, evenly spaced, as the image reads them
     bar_x = width - m["right"] - 40
     stops = "".join(
-        f'<stop offset="{f * 100:.0f}%" stop-color="rgb{_ramp_color(f)}"/>'
-        for f in (0.0, 0.25, 0.5, 0.75, 1.0)
+        f'<stop offset="{k * 100 / (len(_RAMP) - 1):.0f}%" '
+        f'stop-color="rgb{color}"/>'
+        for k, color in enumerate(_RAMP)
     )
     parts.append(
         f'<defs><linearGradient id="ramp" x1="0" y1="1" x2="0" y2="0">{stops}'

@@ -415,19 +415,19 @@ def test_reproduce_sizes_the_ensembles_it_runs(tmp_path, capsys, monkeypatch,
 
 def test_state_buffers_past_the_size_limit_exit_2(tmp_path, capsys,
                                                   monkeypatch):
-    # 7900 two-walker steps of a 64-map block: the map, QFI and lattice
-    # tables fit 2**30 bytes, the block's state buffers push them past it
+    # 52000 two-walker steps of a 64-map block: the map, phase-factor and
+    # QFI tables fit 2**30 bytes, the block's state buffers push them past it
     monkeypatch.setattr("dqwalk.cli.run_ensemble", _refuse_to_run)
     monkeypatch.setattr("dqwalk.figures.run_ensemble", _refuse_to_run)
     monkeypatch.setattr("dqwalk.twoparticle.run_ensemble", _refuse_to_run)
-    cfg = _write_config(tmp_path, experiment="two-particle", steps=7900,
+    cfg = _write_config(tmp_path, experiment="two-particle", steps=52000,
                         maps=64, disorder={"kind": "static", "p": 1.0},
                         initial={"kind": "boson"})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "over the limit" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
     panel, params = FIGURES["fig4b"]
-    monkeypatch.setitem(FIGURES, "fig4b", (panel, dict(params, n_steps=7900)))
+    monkeypatch.setitem(FIGURES, "fig4b", (panel, dict(params, n_steps=52000)))
     out = tmp_path / "r"
     assert main(["reproduce", "fig4b", "--maps", "64", "--workers", "1",
                  "--out", str(out)]) == 2
@@ -437,11 +437,11 @@ def test_state_buffers_past_the_size_limit_exit_2(tmp_path, capsys,
 
 def test_kernel_call_past_the_size_limit_exits_2(tmp_path, capsys,
                                                 monkeypatch):
-    # 7500 steps of CALL_BLOCKS full blocks fit 2**30 bytes at 64 rows;
+    # 28000 steps of CALL_BLOCKS full blocks fit 2**30 bytes at 64 rows;
     # one kernel call holds CALL_BLOCKS x 64 rows, and they do not
     monkeypatch.setattr("dqwalk.cli.run_ensemble", _refuse_to_run)
     maps = ensemble_mod.CALL_BLOCKS * ensemble_mod.BLOCK_MAPS
-    cfg = _write_config(tmp_path, steps=7500, maps=maps,
+    cfg = _write_config(tmp_path, steps=28000, maps=maps,
                         disorder={"kind": "static", "p": 1.0})
     with monkeypatch.context() as one_block_calls:
         one_block_calls.setattr(ensemble_mod, "CALL_BLOCKS", 1)

@@ -102,30 +102,34 @@ def test_config_size_is_bounded():
 
 
 def test_state_buffers_count_toward_the_size_limit():
-    # 7900 steps of a full two-walker block: the map, QFI and lattice
-    # tables take about 1.04e9 bytes, under 2**30; a block's psi, dpsi and
-    # scratch, (2, 7901, 128) complex each, add about 9.7e7 more
+    # a full two-walker block.  At 52000 steps of QFI its map, phase-factor
+    # and QFI tables take about 4.4e8 bytes; psi, dpsi and scratch,
+    # (2, 52001, 128) complex each, add about 6.4e8 more.  At 4650 steps of
+    # distributions its lattice tables take about 1.06e9 bytes, under 2**30;
+    # psi and scratch, (2, 4651, 128) complex each, add about 3.8e7 more
     boson = InitialStateSpec(kind="boson")
+    distribution = {"collect_qfi": False, "collect_distribution": True}
     with pytest.raises(ValueError, match="over the limit"):
-        EnsembleConfig(kind="static", p=1.0, n_steps=7900, n_maps=64,
+        EnsembleConfig(kind="static", p=1.0, n_steps=52000, n_maps=64,
                        initial=boson)
     with pytest.raises(ValueError, match="over the limit"):
-        EnsembleConfig(kind="static", p=1.0, n_steps=7900, n_maps=64,
-                       initial=boson, collect_qfi=False,
-                       collect_distribution=True)
-    # a one-map run of the same length still fits
-    EnsembleConfig(kind="static", p=1.0, n_steps=7900, n_maps=1)
+        EnsembleConfig(kind="static", p=1.0, n_steps=4650, n_maps=64,
+                       initial=boson, **distribution)
+    # one-map runs of the same lengths still fit
+    EnsembleConfig(kind="static", p=1.0, n_steps=52000, n_maps=1)
+    EnsembleConfig(kind="static", p=1.0, n_steps=4650, n_maps=1,
+                   **distribution)
 
 
 def test_size_limit_prices_the_largest_kernel_call(monkeypatch):
-    # 7500 steps of CALL_BLOCKS full blocks: the tables fit 2**30 bytes
+    # 28000 steps of CALL_BLOCKS full blocks: the tables fit 2**30 bytes
     # at 64 rows, but not at the CALL_BLOCKS x 64 rows one call holds
     maps = ensemble_mod.CALL_BLOCKS * ensemble_mod.BLOCK_MAPS
     assert ensemble_mod.CALL_BLOCKS > 1
     with pytest.raises(ValueError, match="over the limit"):
-        EnsembleConfig(kind="static", p=1.0, n_steps=7500, n_maps=maps)
+        EnsembleConfig(kind="static", p=1.0, n_steps=28000, n_maps=maps)
     monkeypatch.setattr(ensemble_mod, "CALL_BLOCKS", 1)
-    EnsembleConfig(kind="static", p=1.0, n_steps=7500, n_maps=maps)
+    EnsembleConfig(kind="static", p=1.0, n_steps=28000, n_maps=maps)
 
 
 _COLLECT = {
@@ -223,13 +227,13 @@ def test_size_rule_bounds_the_buffered_last_marginals(maps):
 
 def test_size_rule_adds_no_ufunc_buffer_allowance():
     # no allowance of 3 x 16 x np.getbufsize() bytes for ufunc buffers
-    # sits on top of the listed arrays: 8185 steps of one map fit within
-    # it of the limit, 8186 do not
-    cfg = EnsembleConfig(kind="static", p=1.0, n_steps=8185, n_maps=1)
+    # sits on top of the listed arrays: 108455 steps of a 64-map block fit
+    # within it of the limit, 108456 do not
+    cfg = EnsembleConfig(kind="static", p=1.0, n_steps=108455, n_maps=64)
     assert (ensemble_mod._MAX_RUN_BYTES - 3 * 16 * np.getbufsize()
             < ensemble_mod._table_bytes(cfg) <= ensemble_mod._MAX_RUN_BYTES)
     with pytest.raises(ValueError, match="over the limit"):
-        EnsembleConfig(kind="static", p=1.0, n_steps=8186, n_maps=1)
+        EnsembleConfig(kind="static", p=1.0, n_steps=108456, n_maps=64)
 
 
 @pytest.mark.parametrize("kind,p", [("none", 0.0), ("static", 0.6),
@@ -751,8 +755,8 @@ def test_failed_member_drops_the_shared_pool(monkeypatch, pool_forks):
 
 
 def test_pool_scope_forks_once_and_joins_on_exit(pool_forks):
-    # a seed of its own for every run, so that each one evolves: a rerun of
-    # a QFI-only config would be served from the rows the scope kept
+    # a seed of its own for every run, so that each one evolves: a rerun
+    # would be served from the tables the scope stored
     seeds = iter(range(4, 10))
     with pool_scope():
         # serial: no pool yet
@@ -997,24 +1001,70 @@ def test_a_run_differing_in_one_key_field_evolves(monkeypatch, field):
     _assert_same_bits(got, want)
 
 
+def _stored(cfg):
+    """The store keys of every table a run of cfg reads."""
+    rows, *sums = ensemble_mod._keys(cfg)
+    return set(rows) | {key for key in sums if key is not None}
+
+
 @pytest.mark.parametrize("collect", [
     {"collect_distribution": True},
     {"collect_variance": True},
     {"per_map_variance": True},
 ])
-def test_runs_collecting_distributions_or_variances_always_evolve(
-        monkeypatch, collect):
+def test_a_run_whose_sum_is_not_stored_evolves(monkeypatch, collect):
+    # the separable evolution stores the QFI rows a boson run reads, but
+    # not its distribution sum or own-variance rows: it evolves
     boson = dataclasses.replace(_with_initial(_SHARED, "boson"), **collect)
     want = _bits(run_ensemble(boson))
     draws, _ = _map_draws(monkeypatch)
     with pool_scope():
         run_ensemble(_SHARED)
+        assert set(ensemble_mod._keys(boson)[0]) <= set(ensemble_mod._scope.kept)
         got = _bits(run_ensemble(boson))
         assert len(draws) == 2 * _SHARED.n_maps
-        # its own QFI rows are kept in place of the separable run's
+        # its own tables are stored in place of the separable run's
+        assert set(ensemble_mod._scope.kept) == _stored(boson)
         run_ensemble(_with_initial(_SHARED, "fermion"))
         assert len(draws) == 2 * _SHARED.n_maps
     _assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("initial", ["single", "boson"])
+@pytest.mark.parametrize("collect", [
+    {"collect_qfi": False, "collect_distribution": True,
+     "collect_variance": True},
+    {"per_map_variance": True},
+])
+def test_a_rerun_reads_the_store_and_draws_no_map(monkeypatch, initial,
+                                                  collect):
+    # each rerun reads the tables the first run stored, which none of the
+    # runs writes, so every run has the bits of its lone run
+    cfg = dataclasses.replace(_with_initial(_SHARED, initial), **collect)
+    want = _bits(run_ensemble(cfg))
+    draws, _ = _map_draws(monkeypatch)
+    with pool_scope():
+        for _ in range(3):
+            _assert_same_bits(_bits(run_ensemble(cfg)), want)
+            assert len(draws) == cfg.n_maps
+
+
+def test_a_sum_is_stored_under_its_whole_initial_state(monkeypatch):
+    # distribution runs over the same maps from the same x0 whose walkers
+    # differ evolve each in turn, with the bits of their lone runs
+    configs = [dataclasses.replace(_with_initial(_SHARED, kind, coin),
+                                   collect_qfi=False, collect_distribution=True)
+               for kind, coin in (("separable", (1.0, 0.0)),
+                                  ("boson", (1.0, 0.0)),
+                                  ("single", (1.0, 0.0)),
+                                  ("single", _BALANCED))]
+    want = [_bits(run_ensemble(cfg)) for cfg in configs]
+    draws, _ = _map_draws(monkeypatch)
+    with pool_scope():
+        got = [_bits(run_ensemble(cfg)) for cfg in configs]
+    assert len(draws) == len(configs) * _SHARED.n_maps
+    for cfg, a, b in zip(configs, got, want):
+        _assert_same_bits(a, b, cfg.initial)
 
 
 def test_failure_drops_the_kept_rows():
@@ -1114,15 +1164,16 @@ def _scan_config(order=OPERATOR_ORDERS[0], initial="single"):
 @pytest.mark.parametrize("initial", ["single", "boson"])
 def test_served_family_runs_equal_lone_runs(monkeypatch, workers, order,
                                             initial):
-    # the first run evolves all four configs from one draw per member; the
-    # other three are served, and every run has its lone run's bits
+    # the first run evolves all four configs from one draw per member and
+    # stores every config's tables; the other three are served from the
+    # store, and every run has its lone run's bits
     family = _family(_scan_config(order, initial))
     alone = [_bits(run_ensemble(cfg, workers=workers)) for cfg in family]
     draws, family_draws = _map_draws(monkeypatch)
     with pool_scope():
         ensemble_mod.share_maps(family)
         shared = [_bits(run_ensemble(cfg, workers=workers)) for cfg in family]
-        assert ensemble_mod._scope.results == {}
+        assert set(ensemble_mod._scope.kept) == set().union(*map(_stored, family))
     assert draws == []
     if workers == 1:  # pool workers draw in their own processes
         n_maps = family[0].n_maps
@@ -1131,20 +1182,22 @@ def test_served_family_runs_equal_lone_runs(monkeypatch, workers, order,
         _assert_same_bits(got, want, (cfg.kind, cfg.p))
 
 
-def test_a_family_config_runs_once_from_the_family():
-    # a served run is not served again: a rerun evolves alone, as does a
-    # config announced in no family
+def test_a_family_rerun_is_served_again_from_the_store(monkeypatch):
+    # the family's first run stores every config's tables, and every run
+    # of one of them after it, a rerun included, reads them and draws
+    # nothing
     family = _family(dataclasses.replace(_scan_config(), n_maps=3))
-    want = _bits(run_ensemble(family[1]))
+    want = [_bits(run_ensemble(cfg)) for cfg in family]
+    draws, family_draws = _map_draws(monkeypatch)
     with pool_scope():
         ensemble_mod.share_maps(family)
         run_ensemble(family[0])
-        assert set(ensemble_mod._scope.results) == {repr(c) for c in family[1:]}
+        assert set(ensemble_mod._scope.kept) == set().union(*map(_stored, family))
         assert ensemble_mod._scope.families == {}
-        _assert_same_bits(_bits(run_ensemble(family[1])), want)
-        _assert_same_bits(_bits(run_ensemble(family[1])), want)
-        # the rerun evolved, and dropped the family's other runs
-        assert ensemble_mod._scope.results == {}
+        for _ in range(2):
+            for cfg, bits in zip(family, want):
+                _assert_same_bits(_bits(run_ensemble(cfg)), bits, cfg.kind)
+    assert draws == [] and len(family_draws) == 3
 
 
 _FAMILY_CHANGES = {
@@ -1233,8 +1286,7 @@ def test_family_member_failure_names_its_config(monkeypatch, bad):
         with pytest.raises(EnsembleMemberError) as info:
             run_ensemble(family[0])
         scope = ensemble_mod._scope
-        assert (scope.pool, scope.kept, scope.families, scope.results) == (
-            None, {}, {}, {})
+        assert (scope.pool, scope.kept, scope.families) == (None, {}, {})
     assert info.value.member_index == index
     assert info.value.member_seed == bad_seed
     kind, p = _PANELS[bad]
