@@ -4,6 +4,8 @@ import multiprocessing
 import pickle
 import time
 import tracemalloc
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +40,17 @@ def test_split_seed_depends_on_master():
     xs = [split_seed(1, k) for k in range(100)]
     ys = [split_seed(2, k) for k in range(100)]
     assert not set(xs) & set(ys)
+
+
+@pytest.mark.parametrize("master_seed", [0, 1, 7, 2**63, 2**64 - 1])
+def test_member_seeds_equal_split_seed(master_seed):
+    # the uint64 array wraps where split_seed masks, and warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seeds = ensemble_mod._member_seeds(master_seed, 5000)
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == [split_seed(master_seed, k) for k in range(5000)]
+    assert ensemble_mod._member_seeds(master_seed, 0).shape == (0,)
 
 
 def test_split_seed_range_and_validation():
@@ -169,7 +182,7 @@ def test_size_rule_bounds_the_traced_peak(kind, p, initial, collect, x0):
     cfg = EnsembleConfig(kind=kind, p=p, n_steps=10,
                          n_maps=(blocks - 1) * ensemble_mod.BLOCK_MAPS + 5,
                          initial=walkers, **_COLLECT[collect])
-    assert len(ensemble_mod._call_blocks(blocks, 1)) == 2
+    assert len(ensemble_mod._call_blocks(blocks)) == 2
     kept = None
     if initial == "boson-in-scope":
         kept = dataclasses.replace(
@@ -581,16 +594,37 @@ def test_worker_count_does_not_change_results():
 
 @pytest.mark.parametrize("n_blocks", range(1, 12))
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
-def test_call_blocks_lay_out_whole_blocks_evenly(n_blocks, workers):
-    calls = ensemble_mod._call_blocks(n_blocks, workers)
+def test_call_blocks_lay_out_whole_blocks_evenly(monkeypatch, n_blocks,
+                                                 workers):
+    calls = ensemble_mod._call_blocks(n_blocks)
     assert [b for call in calls for b in call] == list(range(n_blocks))
     sizes = [len(call) for call in calls]
     assert max(sizes) <= ensemble_mod.CALL_BLOCKS
     assert max(sizes) - min(sizes) <= 1 and sizes == sorted(sizes, reverse=True)
-    assert len(calls) >= min(workers, n_blocks)
-    # no more calls than the cap and the worker count need
-    assert len(calls) == max(-(-n_blocks // ensemble_mod.CALL_BLOCKS),
-                             min(workers, n_blocks))
+    # no more calls than the cap needs
+    assert len(calls) == -(-n_blocks // ensemble_mod.CALL_BLOCKS)
+    # an ensemble runs those calls at every worker count, on a pool of
+    # min(workers, calls) processes when both exceed one; a stand-in pool
+    # records its size and runs the calls in-process
+    ran, pools = [], []
+    real = ensemble_mod._run_family
+
+    def run(args):
+        ran.append(args[1])
+        return real(args)
+
+    def pool(scope, processes):
+        pools.append(processes)
+        return types.SimpleNamespace(imap=map)
+
+    monkeypatch.setattr(ensemble_mod, "_run_family", run)
+    monkeypatch.setattr(ensemble_mod._PoolScope, "get", pool)
+    cfg = EnsembleConfig(kind="none", p=0.0, n_steps=1,
+                         n_maps=n_blocks * ensemble_mod.BLOCK_MAPS - 1)
+    run_ensemble(cfg, workers=workers)
+    assert ran == calls
+    processes = min(workers, len(calls))
+    assert pools == ([processes] if processes > 1 else [])
 
 
 _LAYOUT_CASES = {
@@ -619,16 +653,22 @@ def _bits(series):
 
 
 @pytest.mark.parametrize("case", _LAYOUT_CASES)
-def test_call_layout_never_moves_a_bit(monkeypatch, case):
-    # four blocks, the last partial: one-block calls, the default calls
-    # and the calls of two workers must give the same bits, array by array
+def test_call_layout_never_moves_a_bit(monkeypatch, pool_forks, case):
+    # four blocks, the last partial: the default call, two two-block calls
+    # on two workers and four one-block calls must give the same bits,
+    # array by array
     cfg = dataclasses.replace(_LAYOUT_CASES[case],
                               n_maps=3 * ensemble_mod.BLOCK_MAPS + 5)
-    assert ensemble_mod.CALL_BLOCKS > 1
+    assert ensemble_mod.CALL_BLOCKS > 2
     default = _bits(run_ensemble(cfg, workers=1))
-    pooled = _bits(run_ensemble(cfg, workers=2))
+    assert pool_forks == []
+    with monkeypatch.context() as layout:
+        layout.setattr(ensemble_mod, "CALL_BLOCKS", 2)
+        assert len(ensemble_mod._call_blocks(4)) == 2
+        pooled = _bits(run_ensemble(cfg, workers=2))
+    assert pool_forks == [2]
     monkeypatch.setattr(ensemble_mod, "CALL_BLOCKS", 1)
-    assert len(ensemble_mod._call_blocks(4, 1)) == 4
+    assert len(ensemble_mod._call_blocks(4)) == 4
     single = _bits(run_ensemble(cfg, workers=1))
     for name, bits in single.items():
         for other in (default, pooled):
@@ -692,7 +732,8 @@ def test_member_failure_carries_index_and_seed(monkeypatch):
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="workers must inherit the patched map draw")
-def test_pooled_member_failure_surfaces_without_draining(monkeypatch):
+def test_pooled_member_failure_surfaces_without_draining(monkeypatch,
+                                                         pool_forks):
     real = ensemble_mod._family_masks
     bad_seed = split_seed(9, 0)
 
@@ -703,13 +744,15 @@ def test_pooled_member_failure_surfaces_without_draining(monkeypatch):
         yield from real(family, seed)
 
     monkeypatch.setattr(ensemble_mod, "_family_masks", broken)
-    # three blocks, so the pool really runs two workers
+    # three one-block calls, so the pool really runs two workers
+    monkeypatch.setattr(ensemble_mod, "CALL_BLOCKS", 1)
     cfg = EnsembleConfig(kind="dynamic", p=0.5, n_steps=5,
                          n_maps=3 * ensemble_mod.BLOCK_MAPS, master_seed=9)
     start = time.monotonic()
     with pytest.raises(EnsembleMemberError) as info:
         run_ensemble(cfg, workers=2)
     elapsed = time.monotonic() - start
+    assert pool_forks == [2]
     assert info.value.member_index == 0
     assert info.value.member_seed == bad_seed
     assert "synthetic failure" in str(info.value)
@@ -719,6 +762,9 @@ def test_pooled_member_failure_surfaces_without_draining(monkeypatch):
 
 
 def _three_block_config(master_seed):
+    """Three blocks, which the tests that take it run as three one-block
+    kernel calls (CALL_BLOCKS = 1), so that two or three workers share
+    them."""
     return EnsembleConfig(kind="dynamic", p=0.5, n_steps=5,
                           n_maps=3 * ensemble_mod.BLOCK_MAPS,
                           master_seed=master_seed)
@@ -737,6 +783,7 @@ def test_failed_member_drops_the_shared_pool(monkeypatch, pool_forks):
         yield from real(family, seed)
 
     monkeypatch.setattr(ensemble_mod, "_family_masks", broken)
+    monkeypatch.setattr(ensemble_mod, "CALL_BLOCKS", 1)
     good, bad = _three_block_config(4), _three_block_config(5)
     with pool_scope():
         first = run_ensemble(good, workers=2)
@@ -754,10 +801,11 @@ def test_failed_member_drops_the_shared_pool(monkeypatch, pool_forks):
     np.testing.assert_array_equal(first.qfi_mean, again.qfi_mean)
 
 
-def test_pool_scope_forks_once_and_joins_on_exit(pool_forks):
+def test_pool_scope_forks_once_and_joins_on_exit(monkeypatch, pool_forks):
     # a seed of its own for every run, so that each one evolves: a rerun
     # would be served from the tables the scope stored
     seeds = iter(range(4, 10))
+    monkeypatch.setattr(ensemble_mod, "CALL_BLOCKS", 1)
     with pool_scope():
         # serial: no pool yet
         run_ensemble(_three_block_config(next(seeds)), workers=1)
@@ -766,7 +814,7 @@ def test_pool_scope_forks_once_and_joins_on_exit(pool_forks):
             run_ensemble(_three_block_config(next(seeds)), workers=2)
         assert pool_forks == [2] and multiprocessing.active_children()
         run_ensemble(_three_block_config(next(seeds)), workers=2)
-        # three blocks: a larger pool
+        # three calls: a larger pool
         run_ensemble(_three_block_config(next(seeds)), workers=3)
     assert pool_forks == [2, 3]
     assert multiprocessing.active_children() == []
@@ -776,6 +824,22 @@ def test_pool_scope_forks_once_and_joins_on_exit(pool_forks):
             run_ensemble(_three_block_config(next(seeds)), workers=2)
             raise RuntimeError("after the ensemble")
     assert pool_forks == [2, 3, 2]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [2, 3, 8])
+def test_only_an_ensemble_of_several_calls_forks_a_pool(pool_forks, workers):
+    # CALL_BLOCKS blocks are one kernel call, run in-process at any worker
+    # count; one block more makes two calls, which two processes share
+    def run(blocks):
+        run_ensemble(EnsembleConfig(kind="static", p=0.5, n_steps=3,
+                                    n_maps=blocks * ensemble_mod.BLOCK_MAPS),
+                     workers=workers)
+
+    run(ensemble_mod.CALL_BLOCKS)
+    assert pool_forks == []
+    run(ensemble_mod.CALL_BLOCKS + 1)
+    assert pool_forks == [min(workers, 2)]
     assert multiprocessing.active_children() == []
 
 
@@ -848,7 +912,7 @@ def test_nan_amplitude_fails_its_member(monkeypatch, initial, collect, state):
                          collect_distribution=collect == "distribution",
                          initial=InitialStateSpec(kind=initial))
     # one kernel call of four blocks; the member sits in the third
-    assert ensemble_mod._call_blocks(n_blocks, 1) == [range(n_blocks)]
+    assert ensemble_mod._call_blocks(n_blocks) == [range(n_blocks)]
     member = 2 * ensemble_mod.BLOCK_MAPS + 3
     walkers = 1 if initial == "single" else 2
     row_of = _call_rows(monkeypatch)

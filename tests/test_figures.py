@@ -48,12 +48,18 @@ def test_preset_csv_and_json_carry_the_same_series(preset, tmp_path):
 
 @pytest.mark.parametrize("preset", ["fig5", "fig6"])
 def test_preset_shares_one_pool_and_bytes_across_workers(preset, tmp_path,
+                                                        monkeypatch,
                                                         pool_forks):
-    # 130 maps are three blocks, so two workers really share each ensemble
+    # 130 maps are three blocks: one kernel call at --workers 1, and three
+    # one-block calls at --workers 2, so two workers really share each
+    # ensemble
     files = {}
     for workers in (1, 2):
         out = tmp_path / str(workers)
-        reproduce_figure(preset, str(out), maps=130, workers=workers)
+        with monkeypatch.context() as layout:
+            if workers == 2:
+                layout.setattr(ensemble_mod, "CALL_BLOCKS", 1)
+            reproduce_figure(preset, str(out), maps=130, workers=workers)
         # the four disordered ensembles share one pool, joined on return
         assert pool_forks == ([] if workers == 1 else [2])
         assert multiprocessing.active_children() == []
@@ -62,8 +68,11 @@ def test_preset_shares_one_pool_and_bytes_across_workers(preset, tmp_path,
 
 
 @pytest.mark.parametrize("preset", sorted(FIGURES))
-def test_serial_preset_forks_no_pool(preset, tmp_path, pool_forks):
-    # 65 maps are two blocks, which --workers 2 would share out
+def test_serial_preset_forks_no_pool(preset, tmp_path, monkeypatch,
+                                     pool_forks):
+    # 65 maps are two blocks, here two one-block kernel calls, which
+    # --workers 2 would share out
+    monkeypatch.setattr(ensemble_mod, "CALL_BLOCKS", 1)
     reproduce_figure(preset, str(tmp_path), maps=65, workers=1)
     assert pool_forks == []
 
