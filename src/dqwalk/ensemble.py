@@ -39,15 +39,16 @@ serially or on a process pool.  So the same config produces bit-identical
 aggregates no matter how the blocks were laid out into calls or how the
 calls were scheduled.
 
-The calls of an ensemble are laid out by its number of blocks alone
-(`_call_blocks`), and pool workers take whole calls; an ensemble of one
-call, up to CALL_BLOCKS blocks, runs in-process at any worker count:
-split, it would pay every step's per-call overhead once per part, and
-the pool's start, which on short walks outweighs a second worker.
-Every ensemble inside one `pool_scope` shares its pool: a `reproduce`
-preset opens one scope, so the command forks its workers once, at the
-first ensemble of more than one call, and joins them once, when the
-preset ends, instead of once per ensemble.
+The calls of an ensemble are laid out by its blocks and the worker count
+(`_call_blocks`), and pool workers take whole calls.  An ensemble of up
+to CALL_BLOCKS blocks whose walk is short, up to POOL_MIN_CELLS state
+cells, is one call, run in-process at any worker count: split, it would
+pay every step's per-call overhead once per part, and the pool's start,
+which outweigh the array work a second worker takes.  Every ensemble
+inside one `pool_scope` shares its pool: a `reproduce` preset opens one
+scope, so the command forks its workers once, at the first ensemble it
+shares out, and joins them once, when the preset ends, instead of once
+per ensemble.
 
 Two walkers share one map, and U (x) U is linear, so their joint state is
 exactly (a (x) b + s b (x) a) / sqrt2 with a = U|x,up>, b = U|x,down> and
@@ -128,10 +129,19 @@ INITIAL_KINDS = ("single",) + TWO_PARTICLE_KINDS
 BLOCK_MAPS = 64
 
 #: most whole blocks one kernel call evolves together.  Calls only share out
-#: the steps, so their layout (`_call_blocks`) moves no bit of the output;
-#: it follows the block count alone, and the worker count only schedules
-#: the calls.
+#: the steps; their layout may follow the worker count (`_call_blocks`)
+#: without moving a bit of the output.
 CALL_BLOCKS = 4
+
+#: most state cells (`_state_cells`) of an ensemble of at most CALL_BLOCKS
+#: blocks that runs in-process, as one kernel call, at any worker count;
+#: past them it is shared out as a larger one is.  Measured on 2 vCPUs
+#: at --workers 2, two calls broke even at about 20,000 cells, with or
+#: without the QFI, for one walker or two; at 16,384 (256 maps of one
+#: walker, 63 steps) the one call took about 0.7 of their time, the
+#: pool's start and a second pass of per-step overhead outweighing the
+#: halved array work.
+POOL_MIN_CELLS = 16_384
 
 #: bytes a run may hold in its map, state, QFI and lattice tables together
 #: (`_table_bytes`), so that a mistyped size is refused as a config instead
@@ -161,22 +171,6 @@ def split_seed(master_seed, index):
     z = ((z ^ (z >> 30)) * _MIX_B) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX_C) & _MASK64
     return z ^ (z >> 31)
-
-
-def _member_seeds(master_seed, n_maps):
-    """`split_seed(master_seed, k)` for every k < n_maps, as uint64, in one
-    pass over the index array: numpy's uint64 arithmetic wraps modulo
-    2**64 as `split_seed` masks, and on arrays it wraps without a
-    warning."""
-    z = np.arange(1, n_maps + 1, dtype=np.uint64)
-    z *= np.uint64(_GOLDEN)
-    z += np.uint64(master_seed)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX_B)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX_C)
-    z ^= z >> np.uint64(31)
-    return z
 
 
 @dataclass(frozen=True)
@@ -355,8 +349,7 @@ def _call_arrays(config, n_members, make, *names):
         # the interpreter's objects beside the arrays: frames, array
         # headers, a step's ConeStack: about 8 KB measured, priced twice
         "objects": ((16 * 1024,), np.uint8),
-        # the member seeds, and the shift each of their mixing steps forms
-        "seeds": ((2, maps), np.uint64),
+        "seeds": ((maps,), np.uint64),
         # the temporary the QFI table's std, or its exchange term, forms,
         # and for two walkers the table itself
         "qfi table": ((walkers, maps, n + 1), float) if qfi else None,
@@ -486,13 +479,20 @@ def _map_stacks(family, members, walkers):
         yield MapStack(n, cfg.phi, cones=table, origin=x0, lag=lag)
 
 
-def _call_blocks(n_blocks):
+def _state_cells(config):
+    """The cells of an ensemble's state at its last step: a row per member
+    and walker, times the T + 1 slots of each.  A walk's array work grows
+    as its cells times T, its per-step overhead as T alone."""
+    walkers = len(_walker_coins(config.initial))
+    return config.n_maps * walkers * (config.n_steps + 1)
+
+
+def _call_blocks(n_blocks, workers):
     """The kernel calls of an ensemble of n_blocks blocks, as ranges of
-    block indices: the fewest contiguous runs of at most CALL_BLOCKS whole
-    blocks, their lengths as even as their number allows, longer calls
-    first.  The layout follows the block count alone; the worker count
-    only schedules the calls."""
-    n_calls = -(-n_blocks // CALL_BLOCKS)
+    block indices: contiguous runs of whole blocks, at most CALL_BLOCKS
+    each and at least min(workers, n_blocks) of them, their lengths as
+    even as their number allows, longer calls first."""
+    n_calls = max(-(-n_blocks // CALL_BLOCKS), min(workers, n_blocks))
     size, extra = divmod(n_blocks, n_calls)
     ends = [k * size + min(k, extra) for k in range(n_calls + 1)]
     return [range(a, b) for a, b in zip(ends, ends[1:])]
@@ -778,8 +778,8 @@ def pool_scope():
     and the announced map families between every `run_ensemble` call
     inside.
 
-    The pool is forked at the first call that needs one, an ensemble of
-    more than one kernel call at more than one worker, with that call's
+    The pool is forked at the first call that needs one, an ensemble
+    shared out over more than one worker (`_evolve`), with that call's
     number of processes, so its workers run the code as it stood then; a
     later call that needs more processes replaces it.  Leaving the scope
     closes and joins the pool, so its workers have exited, and their CPU
@@ -851,16 +851,21 @@ def share_maps(configs):
 def _evolve(config, workers):
     """Evolve every member of `config`, and of every other config of its
     announced family, in one `_run_family` task per kernel call that
-    `_call_blocks` lays out, on min(workers, calls) processes of the
-    scope's pool, or in-process for one call or one worker, and store
-    every table each config formed, its QFI rows, distribution sum and
-    own-variance rows, under its key (`_keys`)."""
+    `_call_blocks` lays out, on the scope's pool, and store every table
+    each config formed, its QFI rows, distribution sum and own-variance
+    rows, under its key (`_keys`).  One worker, one block, or a short walk
+    (POOL_MIN_CELLS) of at most CALL_BLOCKS blocks runs in-process."""
     # the store holds one evolution's tables: drop them before this one's exist
     _scope.kept = {}
     family = _scope.family(config)
     n_maps = config.n_maps
-    calls = _call_blocks(-(-n_maps // BLOCK_MAPS))
-    workers = min(workers, len(calls))
+    n_blocks = -(-n_maps // BLOCK_MAPS)
+    if n_blocks <= CALL_BLOCKS and _state_cells(config) <= POOL_MIN_CELLS:
+        # one call, too short a walk to pay for a second pass of per-step
+        # overhead and for a pool's start
+        workers = 1
+    workers = min(workers, n_blocks)
+    calls = _call_blocks(n_blocks, workers)
     tasks = ((family, blocks) for blocks in calls)
     walkers = len(_walker_coins(config.initial))
 
@@ -898,16 +903,16 @@ def _evolve(config, workers):
 def run_ensemble(config, workers=None):
     """Run all members and aggregate.
 
-    The kernel calls are runs of whole blocks that `_call_blocks` lays
-    out by the number of blocks alone.  workers = None or 1, or an
-    ensemble of one call, of at most CALL_BLOCKS blocks, runs in-process;
-    otherwise the calls are sharded over min(workers, calls) processes of
-    the pool of the open `pool_scope`, one opened for this call if none
-    is.  Aggregation order is by block, then member, either way, so
-    results are bit-identical across worker counts and call layouts.
-    Every run reads its tables from the store of the scope, after
-    evolving them, with its announced map family, only if one of them is
-    missing (`pool_scope`); the bits are the same either way.
+    workers = None or 1, a single block, or a short walk of at most
+    CALL_BLOCKS blocks (POOL_MIN_CELLS) runs in-process; otherwise the
+    kernel calls, runs of whole blocks laid out by `_call_blocks`, are
+    sharded over the process pool of the open `pool_scope`, one opened
+    for this call if none is.  Aggregation order is by block, then
+    member, either way, so results are bit-identical across worker counts
+    and call layouts.  Every run reads its tables from the store of the
+    scope, after evolving them, with its announced map family, only if
+    one of them is missing (`pool_scope`); the bits are the same either
+    way.
     """
     if workers is None:
         workers = 1
@@ -931,7 +936,10 @@ def run_ensemble(config, workers=None):
 
     out = EnsembleSeries(
         config=config,
-        member_seeds=_member_seeds(config.master_seed, n_maps),
+        member_seeds=np.fromiter(
+            (split_seed(config.master_seed, k) for k in range(n_maps)),
+            dtype=np.uint64, count=n_maps,
+        ),
         steps=np.arange(n + 1),
         positions=np.arange(-config.t_max, config.t_max + 1),
     )

@@ -23,3 +23,13 @@ def pool_forks(monkeypatch):
     yield forks
     for pool in pools:
         pool.terminate()
+
+
+@pytest.fixture
+def long_walks(monkeypatch):
+    """Count every walk as long (`ensemble.POOL_MIN_CELLS` = 0), so that
+    an ensemble of at most CALL_BLOCKS blocks is shared out over the
+    workers as a larger one is, instead of running in-process."""
+    from dqwalk import ensemble
+
+    monkeypatch.setattr(ensemble, "POOL_MIN_CELLS", 0)

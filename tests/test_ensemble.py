@@ -5,7 +5,6 @@ import pickle
 import time
 import tracemalloc
 import types
-import warnings
 
 import numpy as np
 import pytest
@@ -40,17 +39,6 @@ def test_split_seed_depends_on_master():
     xs = [split_seed(1, k) for k in range(100)]
     ys = [split_seed(2, k) for k in range(100)]
     assert not set(xs) & set(ys)
-
-
-@pytest.mark.parametrize("master_seed", [0, 1, 7, 2**63, 2**64 - 1])
-def test_member_seeds_equal_split_seed(master_seed):
-    # the uint64 array wraps where split_seed masks, and warns of nothing
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        seeds = ensemble_mod._member_seeds(master_seed, 5000)
-    assert seeds.dtype == np.uint64
-    assert seeds.tolist() == [split_seed(master_seed, k) for k in range(5000)]
-    assert ensemble_mod._member_seeds(master_seed, 0).shape == (0,)
 
 
 def test_split_seed_range_and_validation():
@@ -182,7 +170,7 @@ def test_size_rule_bounds_the_traced_peak(kind, p, initial, collect, x0):
     cfg = EnsembleConfig(kind=kind, p=p, n_steps=10,
                          n_maps=(blocks - 1) * ensemble_mod.BLOCK_MAPS + 5,
                          initial=walkers, **_COLLECT[collect])
-    assert len(ensemble_mod._call_blocks(blocks)) == 2
+    assert len(ensemble_mod._call_blocks(blocks, 1)) == 2
     kept = None
     if initial == "boson-in-scope":
         kept = dataclasses.replace(
@@ -573,9 +561,10 @@ def test_rerun_is_bit_identical():
     np.testing.assert_array_equal(a.variance, b.variance)
 
 
-def test_worker_count_does_not_change_results():
-    # four blocks, so every pool size below gets more than one of them; at
-    # phi = 0.3 each worker forms its calls' phase factors at that phi
+def test_worker_count_does_not_change_results(long_walks, pool_forks):
+    # four blocks, counted a long walk, so every pool size below gets more
+    # than one of them; at phi = 0.3 each worker forms its calls' phase
+    # factors at that phi
     for kind, phi in (("dynamic", 0.0), ("dynamic", 0.3), ("static", 0.0),
                       ("static", 0.3)):
         cfg = EnsembleConfig(kind=kind, p=0.5, n_steps=18,
@@ -590,22 +579,27 @@ def test_worker_count_does_not_change_results():
                 np.testing.assert_array_equal(
                     getattr(serial, name), getattr(pooled, name),
                     err_msg=f"{kind} phi={phi} workers={workers} {name}")
+    # each pooled run forked a pool of its own
+    assert pool_forks == [2, 3] * 4
 
 
 @pytest.mark.parametrize("n_blocks", range(1, 12))
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
 def test_call_blocks_lay_out_whole_blocks_evenly(monkeypatch, n_blocks,
                                                  workers):
-    calls = ensemble_mod._call_blocks(n_blocks)
+    calls = ensemble_mod._call_blocks(n_blocks, workers)
     assert [b for call in calls for b in call] == list(range(n_blocks))
     sizes = [len(call) for call in calls]
     assert max(sizes) <= ensemble_mod.CALL_BLOCKS
     assert max(sizes) - min(sizes) <= 1 and sizes == sorted(sizes, reverse=True)
-    # no more calls than the cap needs
-    assert len(calls) == -(-n_blocks // ensemble_mod.CALL_BLOCKS)
-    # an ensemble runs those calls at every worker count, on a pool of
-    # min(workers, calls) processes when both exceed one; a stand-in pool
-    # records its size and runs the calls in-process
+    assert len(calls) >= min(workers, n_blocks)
+    # no more calls than the cap and the worker count need
+    assert len(calls) == max(-(-n_blocks // ensemble_mod.CALL_BLOCKS),
+                             min(workers, n_blocks))
+    # an ensemble of a walk of one step runs those calls on min(workers,
+    # n_blocks) processes if it has more than CALL_BLOCKS blocks, and its
+    # one call in-process if not: a stand-in pool records its size and
+    # runs the calls in-process
     ran, pools = [], []
     real = ensemble_mod._run_family
 
@@ -622,8 +616,9 @@ def test_call_blocks_lay_out_whole_blocks_evenly(monkeypatch, n_blocks,
     cfg = EnsembleConfig(kind="none", p=0.0, n_steps=1,
                          n_maps=n_blocks * ensemble_mod.BLOCK_MAPS - 1)
     run_ensemble(cfg, workers=workers)
-    assert ran == calls
-    processes = min(workers, len(calls))
+    split = n_blocks > ensemble_mod.CALL_BLOCKS
+    assert ran == (calls if split else [range(n_blocks)])
+    processes = min(workers, n_blocks) if split else 1
     assert pools == ([processes] if processes > 1 else [])
 
 
@@ -653,22 +648,20 @@ def _bits(series):
 
 
 @pytest.mark.parametrize("case", _LAYOUT_CASES)
-def test_call_layout_never_moves_a_bit(monkeypatch, pool_forks, case):
-    # four blocks, the last partial: the default call, two two-block calls
-    # on two workers and four one-block calls must give the same bits,
-    # array by array
+def test_call_layout_never_moves_a_bit(monkeypatch, long_walks, pool_forks,
+                                      case):
+    # four blocks, the last partial: one-block calls, the default calls
+    # and the calls of two workers must give the same bits, array by array
     cfg = dataclasses.replace(_LAYOUT_CASES[case],
                               n_maps=3 * ensemble_mod.BLOCK_MAPS + 5)
-    assert ensemble_mod.CALL_BLOCKS > 2
+    assert ensemble_mod.CALL_BLOCKS > 1
     default = _bits(run_ensemble(cfg, workers=1))
     assert pool_forks == []
-    with monkeypatch.context() as layout:
-        layout.setattr(ensemble_mod, "CALL_BLOCKS", 2)
-        assert len(ensemble_mod._call_blocks(4)) == 2
-        pooled = _bits(run_ensemble(cfg, workers=2))
+    # counted a long walk, two two-block calls on two workers
+    pooled = _bits(run_ensemble(cfg, workers=2))
     assert pool_forks == [2]
     monkeypatch.setattr(ensemble_mod, "CALL_BLOCKS", 1)
-    assert len(ensemble_mod._call_blocks(4)) == 4
+    assert len(ensemble_mod._call_blocks(4, 1)) == 4
     single = _bits(run_ensemble(cfg, workers=1))
     for name, bits in single.items():
         for other in (default, pooled):
@@ -733,6 +726,7 @@ def test_member_failure_carries_index_and_seed(monkeypatch):
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="workers must inherit the patched map draw")
 def test_pooled_member_failure_surfaces_without_draining(monkeypatch,
+                                                         long_walks,
                                                          pool_forks):
     real = ensemble_mod._family_masks
     bad_seed = split_seed(9, 0)
@@ -744,8 +738,7 @@ def test_pooled_member_failure_surfaces_without_draining(monkeypatch,
         yield from real(family, seed)
 
     monkeypatch.setattr(ensemble_mod, "_family_masks", broken)
-    # three one-block calls, so the pool really runs two workers
-    monkeypatch.setattr(ensemble_mod, "CALL_BLOCKS", 1)
+    # three blocks, counted a long walk, so the pool really runs two workers
     cfg = EnsembleConfig(kind="dynamic", p=0.5, n_steps=5,
                          n_maps=3 * ensemble_mod.BLOCK_MAPS, master_seed=9)
     start = time.monotonic()
@@ -762,9 +755,8 @@ def test_pooled_member_failure_surfaces_without_draining(monkeypatch,
 
 
 def _three_block_config(master_seed):
-    """Three blocks, which the tests that take it run as three one-block
-    kernel calls (CALL_BLOCKS = 1), so that two or three workers share
-    them."""
+    """Three blocks, which the tests that take it count a long walk
+    (`long_walks`), so that two or three workers share them."""
     return EnsembleConfig(kind="dynamic", p=0.5, n_steps=5,
                           n_maps=3 * ensemble_mod.BLOCK_MAPS,
                           master_seed=master_seed)
@@ -772,7 +764,8 @@ def _three_block_config(master_seed):
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="workers must inherit the patched map draw")
-def test_failed_member_drops_the_shared_pool(monkeypatch, pool_forks):
+def test_failed_member_drops_the_shared_pool(monkeypatch, long_walks,
+                                             pool_forks):
     real = ensemble_mod._family_masks
     bad_index = ensemble_mod.BLOCK_MAPS + 6  # in the second block
     bad_seed = split_seed(5, bad_index)
@@ -783,7 +776,6 @@ def test_failed_member_drops_the_shared_pool(monkeypatch, pool_forks):
         yield from real(family, seed)
 
     monkeypatch.setattr(ensemble_mod, "_family_masks", broken)
-    monkeypatch.setattr(ensemble_mod, "CALL_BLOCKS", 1)
     good, bad = _three_block_config(4), _three_block_config(5)
     with pool_scope():
         first = run_ensemble(good, workers=2)
@@ -801,11 +793,10 @@ def test_failed_member_drops_the_shared_pool(monkeypatch, pool_forks):
     np.testing.assert_array_equal(first.qfi_mean, again.qfi_mean)
 
 
-def test_pool_scope_forks_once_and_joins_on_exit(monkeypatch, pool_forks):
+def test_pool_scope_forks_once_and_joins_on_exit(long_walks, pool_forks):
     # a seed of its own for every run, so that each one evolves: a rerun
     # would be served from the tables the scope stored
     seeds = iter(range(4, 10))
-    monkeypatch.setattr(ensemble_mod, "CALL_BLOCKS", 1)
     with pool_scope():
         # serial: no pool yet
         run_ensemble(_three_block_config(next(seeds)), workers=1)
@@ -814,7 +805,7 @@ def test_pool_scope_forks_once_and_joins_on_exit(monkeypatch, pool_forks):
             run_ensemble(_three_block_config(next(seeds)), workers=2)
         assert pool_forks == [2] and multiprocessing.active_children()
         run_ensemble(_three_block_config(next(seeds)), workers=2)
-        # three calls: a larger pool
+        # three blocks: a larger pool
         run_ensemble(_three_block_config(next(seeds)), workers=3)
     assert pool_forks == [2, 3]
     assert multiprocessing.active_children() == []
@@ -827,19 +818,37 @@ def test_pool_scope_forks_once_and_joins_on_exit(monkeypatch, pool_forks):
     assert multiprocessing.active_children() == []
 
 
+def test_state_cells_count_rows_and_slots():
+    # a row per member and walker, each of T + 1 slots
+    one = EnsembleConfig(kind="static", p=0.5, n_steps=9, n_maps=7)
+    assert ensemble_mod._state_cells(one) == 7 * 10
+    two = dataclasses.replace(one, initial=InitialStateSpec("boson"))
+    assert ensemble_mod._state_cells(two) == 2 * 7 * 10
+
+
 @pytest.mark.parametrize("workers", [2, 3, 8])
-def test_only_an_ensemble_of_several_calls_forks_a_pool(pool_forks, workers):
-    # CALL_BLOCKS blocks are one kernel call, run in-process at any worker
-    # count; one block more makes two calls, which two processes share
-    def run(blocks):
+def test_only_a_long_walk_or_several_calls_forks_a_pool(monkeypatch,
+                                                        pool_forks, workers):
+    # CALL_BLOCKS blocks are one kernel call: in-process at any worker
+    # count up to POOL_MIN_CELLS state cells, shared out past them; one
+    # block more is shared out whatever the walk
+    def run(blocks, seed):
         run_ensemble(EnsembleConfig(kind="static", p=0.5, n_steps=3,
-                                    n_maps=blocks * ensemble_mod.BLOCK_MAPS),
+                                    n_maps=blocks * ensemble_mod.BLOCK_MAPS,
+                                    master_seed=seed),
                      workers=workers)
 
-    run(ensemble_mod.CALL_BLOCKS)
-    assert pool_forks == []
-    run(ensemble_mod.CALL_BLOCKS + 1)
-    assert pool_forks == [min(workers, 2)]
+    blocks = ensemble_mod.CALL_BLOCKS
+    cells = blocks * ensemble_mod.BLOCK_MAPS * 4
+    with monkeypatch.context() as limit:
+        limit.setattr(ensemble_mod, "POOL_MIN_CELLS", cells)
+        run(blocks, 1)
+        assert pool_forks == []
+        limit.setattr(ensemble_mod, "POOL_MIN_CELLS", cells - 1)
+        run(blocks, 2)
+        assert pool_forks == [min(workers, blocks)]
+    run(blocks + 1, 3)
+    assert pool_forks == [min(workers, blocks), min(workers, blocks + 1)]
     assert multiprocessing.active_children() == []
 
 
@@ -912,7 +921,7 @@ def test_nan_amplitude_fails_its_member(monkeypatch, initial, collect, state):
                          collect_distribution=collect == "distribution",
                          initial=InitialStateSpec(kind=initial))
     # one kernel call of four blocks; the member sits in the third
-    assert ensemble_mod._call_blocks(n_blocks) == [range(n_blocks)]
+    assert ensemble_mod._call_blocks(n_blocks, 1) == [range(n_blocks)]
     member = 2 * ensemble_mod.BLOCK_MAPS + 3
     walkers = 1 if initial == "single" else 2
     row_of = _call_rows(monkeypatch)
@@ -1007,7 +1016,8 @@ def _five_series(cfg):
 
 @pytest.mark.parametrize("first", ["separable", "boson", "fermion"])
 @pytest.mark.parametrize("workers", [1, 2])
-def test_one_evolution_serves_all_five_series(monkeypatch, first, workers):
+def test_one_evolution_serves_all_five_series(monkeypatch, long_walks,
+                                              pool_forks, first, workers):
     # whichever statistic runs first evolves a and b once per map; the
     # other four series are built from its rows, with the bits each run
     # made outside any scope has
@@ -1019,6 +1029,7 @@ def test_one_evolution_serves_all_five_series(monkeypatch, first, workers):
         shared = [_bits(run_ensemble(cfg, workers=workers)) for cfg in configs]
     if workers == 1:  # pool workers draw in their own processes
         assert len(draws) == _SHARED.n_maps
+    assert (pool_forks == []) == (workers == 1)
     for cfg, want, got in zip(configs, alone, shared):
         _assert_same_bits(got, want, cfg.initial)
 
@@ -1226,7 +1237,8 @@ def _scan_config(order=OPERATOR_ORDERS[0], initial="single"):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("order", OPERATOR_ORDERS)
 @pytest.mark.parametrize("initial", ["single", "boson"])
-def test_served_family_runs_equal_lone_runs(monkeypatch, workers, order,
+def test_served_family_runs_equal_lone_runs(monkeypatch, long_walks,
+                                            pool_forks, workers, order,
                                             initial):
     # the first run evolves all four configs from one draw per member and
     # stores every config's tables; the other three are served from the
@@ -1242,6 +1254,7 @@ def test_served_family_runs_equal_lone_runs(monkeypatch, workers, order,
     if workers == 1:  # pool workers draw in their own processes
         n_maps = family[0].n_maps
         assert family_draws == [split_seed(23, k) for k in range(n_maps)]
+    assert (pool_forks == []) == (workers == 1)
     for cfg, want, got in zip(family, alone, shared):
         _assert_same_bits(got, want, (cfg.kind, cfg.p))
 

@@ -48,18 +48,14 @@ def test_preset_csv_and_json_carry_the_same_series(preset, tmp_path):
 
 @pytest.mark.parametrize("preset", ["fig5", "fig6"])
 def test_preset_shares_one_pool_and_bytes_across_workers(preset, tmp_path,
-                                                        monkeypatch,
+                                                        long_walks,
                                                         pool_forks):
-    # 130 maps are three blocks: one kernel call at --workers 1, and three
-    # one-block calls at --workers 2, so two workers really share each
-    # ensemble
+    # 130 maps are three blocks, counted a long walk, so two workers really
+    # share each ensemble
     files = {}
     for workers in (1, 2):
         out = tmp_path / str(workers)
-        with monkeypatch.context() as layout:
-            if workers == 2:
-                layout.setattr(ensemble_mod, "CALL_BLOCKS", 1)
-            reproduce_figure(preset, str(out), maps=130, workers=workers)
+        reproduce_figure(preset, str(out), maps=130, workers=workers)
         # the four disordered ensembles share one pool, joined on return
         assert pool_forks == ([] if workers == 1 else [2])
         assert multiprocessing.active_children() == []
@@ -68,11 +64,10 @@ def test_preset_shares_one_pool_and_bytes_across_workers(preset, tmp_path,
 
 
 @pytest.mark.parametrize("preset", sorted(FIGURES))
-def test_serial_preset_forks_no_pool(preset, tmp_path, monkeypatch,
+def test_serial_preset_forks_no_pool(preset, tmp_path, long_walks,
                                      pool_forks):
-    # 65 maps are two blocks, here two one-block kernel calls, which
-    # --workers 2 would share out
-    monkeypatch.setattr(ensemble_mod, "CALL_BLOCKS", 1)
+    # 65 maps are two blocks, which --workers 2 would share out as a long
+    # walk
     reproduce_figure(preset, str(tmp_path), maps=65, workers=1)
     assert pool_forks == []
 
@@ -80,6 +75,17 @@ def test_serial_preset_forks_no_pool(preset, tmp_path, monkeypatch,
 def test_single_block_ensembles_fork_no_pool(tmp_path, pool_forks):
     reproduce_figure("fig4b", str(tmp_path), maps=2, workers=2)
     assert pool_forks == []
+
+
+def test_only_the_long_walk_of_one_kernel_call_forks(tmp_path, pool_forks):
+    # 200 maps are four blocks, one kernel call: fig5's 50 steps are 10200
+    # state cells and run in-process at --workers 2; fig6's 100 steps are
+    # 20200, past POOL_MIN_CELLS, and are shared out
+    assert 200 * 51 <= ensemble_mod.POOL_MIN_CELLS < 200 * 101
+    reproduce_figure("fig5", str(tmp_path / "fig5"), maps=200, workers=2)
+    assert pool_forks == []
+    reproduce_figure("fig6", str(tmp_path / "fig6"), maps=200, workers=2)
+    assert pool_forks == [2]
 
 
 def test_two_walker_preset_draws_each_map_once(tmp_path, monkeypatch):
