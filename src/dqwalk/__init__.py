@@ -8,6 +8,22 @@ maps and log-log exponent fits classify the transport regime; a two-walker
 layer compares exchange statistics on the same footing.
 """
 
+import os as _os
+
+# numpy's OpenBLAS starts nproc - 1 worker threads when it loads, and each
+# spins for about 0.1 s, though the kernel is ufuncs on a few hundred cells
+# and never gives BLAS work.  OpenBLAS reads its thread count only when it
+# loads, so numpy is loaded with one thread and the variable removed again:
+# os.environ and every subprocess see exactly what the caller set.  A thread
+# count the caller sets, or numpy imported before dqwalk, still wins.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if not any(name in _os.environ for name in _BLAS_THREAD_VARS):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from ._version import __version__
 from .analysis import AlphaSeries, PowerLawFit, fit_power_law, windowed_alpha
 from .disorder import (

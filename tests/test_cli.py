@@ -462,17 +462,55 @@ def test_reproduce_ordered_preset_runs_one_map_whatever_maps(tmp_path):
     assert manifest["runs"][0]["config"]["maps"] == 1
 
 
+def _src_env(env, **extra):
+    """`env` and `extra`, with this tree's src/ first on PYTHONPATH."""
+    return dict(env, **extra, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def test_cli_import_skips_network_and_pool_modules():
     # xml.sax.saxutils pulls in urllib.request and friends, and a pool is
     # only needed with several workers; neither belongs in every start-up
     code = ("import sys, dqwalk, dqwalk.cli; "
             "print(sorted({'urllib.request', 'multiprocessing'} & set(sys.modules)))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")]
-        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(os.environ),
+                         check=True, capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def _threads_after(imports, **thread_vars):
+    """Threads of a fresh interpreter after `imports`, and whether its
+    os.environ is what it started with; only `thread_vars` of OpenBLAS's
+    thread variables are set."""
+    code = ("import os; before = dict(os.environ); " + imports + "; "
+            "print(len(os.listdir('/proc/self/task')), dict(os.environ) == before)")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(env, **thread_vars),
+                         check=True, capture_output=True, text=True).stdout.split()
+    return int(out[0]), out[1] == "True"
+
+
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                reason="counts threads in /proc/self/task")
+
+
+@needs_proc
+def test_import_loads_blas_with_one_thread():
+    # the kernel never gives BLAS work, so its idle workers only spin
+    assert _threads_after("import dqwalk") == (1, True)
+
+
+@needs_proc
+@pytest.mark.parametrize("imports, thread_vars", [
+    ("import dqwalk", {"OPENBLAS_NUM_THREADS": "2"}),
+    ("import dqwalk", {"OMP_NUM_THREADS": "2"}),
+    ("import numpy, dqwalk", {}),
+], ids=["openblas-var", "omp-var", "numpy-first"])
+def test_callers_blas_threads_win(imports, thread_vars):
+    assert _threads_after(imports, **thread_vars) == \
+        _threads_after("import numpy", **thread_vars)
 
 
 def test_longest_window_that_fits_runs(tmp_path):
