@@ -59,10 +59,6 @@ from .operators import (
     PHASE_LAST,
     DerivativePair,
     StepContext,
-    apply_coin,
-    apply_phase,
-    apply_phase_derivative,
-    apply_shift,
     step,
     step_with_derivative,
     two_particle_step,
@@ -96,7 +92,6 @@ __all__ = [
     "qfi_pure", "qfi_series",
     "PositionDistribution", "position_distribution", "position_variance",
     "PHASE_FIRST", "PHASE_LAST", "DerivativePair", "StepContext",
-    "apply_coin", "apply_phase", "apply_phase_derivative", "apply_shift",
     "step", "step_with_derivative",
     "two_particle_step", "two_particle_step_with_derivative",
     "DOWN", "UP", "TwoParticleState", "WalkerState", "exchange_residual",

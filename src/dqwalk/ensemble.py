@@ -27,12 +27,13 @@ row per walker, the walker axis innermost as well: static maps as one row
 of pi cells across the lattice, turned into phase factors at phi once,
 and dynamic maps gathered into the cone coordinates of the slots each
 step's phase acts on.
-Every amplitude goes through the element-wise operations of the one-map
-step, and `qfi_pure` sums each walker's cells in an order fixed by those
-cells alone, skipping only exact zeros, so every member's series equals
-the one-map `qfi_series` bit for bit, in a call of any size.  The
-distribution sums and the own variances are formed block by block, with
-the calls a block of BLOCK_MAPS members alone would make; block boundaries
+The kernel and the one-map step are one definition, `operators.cone_step`,
+on cells laid out alike, and `qfi_pure` sums each walker's cells in an
+order fixed by those cells alone, skipping only exact zeros, so every
+member's series equals the one-map `qfi_series` bit for bit, in a call of
+any size.  The distribution sums and the own variances are formed block
+by block, with the calls a block of BLOCK_MAPS members alone would make;
+block boundaries
 follow from the member index alone, and block sums are accumulated
 strictly in block order, whether the blocks ran in one call or several,
 serially or on a process pool.  So the same config produces bit-identical
@@ -538,10 +539,11 @@ def _run_block(config, members, maps):
     the same buffer (`operators.cone_step`).  The two cells the shift
     leaves unwritten, up at slot 0 and down at slot t, are zero: the step
     clears up at slot 0, and down at slot t was never written, as no slot
-    is written before the step that reaches it.  Every element goes
-    through the operations of `step_with_derivative` in the same order, so
-    it has the bits of the one-map evolution.  The products of a step,
-    the squares and residuals of its reductions and two walkers' pair
+    is written before the step that reaches it.  The one-map
+    `step_with_derivative` steps its lattice through the same
+    `cone_step`, so each element has the bits of the one-map evolution.
+    The products of a step, the squares and residuals of its reductions
+    and two walkers' pair
     means are formed in the call's scratch, a third buffer of the same
     shape, which each step's ConeStack carries to the layers; the
     marginals, the block sums and the phase factors have storage of their

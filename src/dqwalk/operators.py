@@ -11,6 +11,11 @@ up amplitude multiplied by an extra factor of i and every down amplitude
 dropped.  Co-evolving (psi, dpsi) with the product rule gives the exact
 derivative state at every step, which is what the Fisher-information layer
 consumes; no finite differencing happens here.
+
+`cone_step` is the one definition of the step, on walkers held on their
+light-cone slots.  The ensembles step their stacks with it in place (the
+`out` route of `step*`); the one-map API steps lattice states with it,
+each parity class of sites as one light cone (`_lattice_step`).
 """
 
 from __future__ import annotations
@@ -63,83 +68,9 @@ class DerivativePair:
         return cls(state, zero)
 
 
-def _phase_factor(ctx, state):
-    """Complex up-component multiplier e^{i(phi + dphi(x))} at each site of
-    `state`: the (slot, row) cells of a `ConeStack` under a `MapStack`,
-    formed in the map stack's own storage (`MapStack.cone_factor`), or the
-    lattice of any other state under a `PhaseMap`.
-
-    A `MapStack` serves the one cone each step acts on, s = step_index -
-    1 + lag steps from its origin, at its own phi; a step at another phi,
-    or on a cone of another origin or length, raises ValueError.  That
-    includes a map stack built for the other operator order, whose cones
-    are one step off.
-    """
-    if isinstance(state, ConeStack):
-        stack = ctx.phase_map
-        if ctx.phi != stack.phi:
-            raise ValueError(
-                f"step at phi = {ctx.phi!r} under a map stack formed at "
-                f"phi = {stack.phi!r}"
-            )
-        s = ctx.step_index - 1 + stack.lag
-        if (state.origin, state.steps) != (stack.origin, s):
-            raise ValueError(
-                f"step {ctx.step_index} under a map stack acts on the cone "
-                f"{s} steps from {stack.origin}, not {state.steps} steps "
-                f"from {state.origin}"
-            )
-        return stack.cone_factor(ctx.step_index)
-    return np.exp(1j * ctx.phi) * ctx.phase_map.step_signs(ctx.step_index,
-                                                           state.t_max)
-
-
-def apply_phase(state, ctx):
-    """P: multiply the up component at x by e^{i(phi + dphi(t, x))}."""
-    a = state.amplitudes
-    out = np.empty_like(a)
-    out[..., UP] = a[..., UP] * _phase_factor(ctx, state)
-    out[..., DOWN] = a[..., DOWN]
-    return WalkerState(state.t_max, out)
-
-
-def apply_phase_derivative(state, ctx):
-    """dP/dphi: i * e^{i(phi + dphi)} on the up component, zero on down."""
-    a = state.amplitudes
-    out = np.zeros_like(a)
-    out[..., UP] = a[..., UP] * (1j * _phase_factor(ctx, state))
-    return WalkerState(state.t_max, out)
-
-
-def apply_coin(state):
-    """Balanced coin: up -> (up+down)/sqrt2, down -> (up-down)/sqrt2."""
-    a = state.amplitudes
-    out = np.empty_like(a)
-    out[..., UP] = (a[..., UP] + a[..., DOWN]) * INV_SQRT2
-    out[..., DOWN] = (a[..., UP] - a[..., DOWN]) * INV_SQRT2
-    return WalkerState(state.t_max, out)
-
-
-def apply_shift(state):
-    """Coin-conditioned translation: up moves to x+1, down to x-1.
-
-    Raises BoundaryError if any walker's amplitude would cross the lattice
-    edge, since a silent wrap or truncation would corrupt every later step.
-    """
-    a = state.amplitudes
-    if a[..., -1, UP].any() or a[..., 0, DOWN].any():
-        raise BoundaryError(
-            f"walker support reached the lattice edge (t_max = {state.t_max})"
-        )
-    out = np.zeros_like(a)
-    out[..., 1:, UP] = a[..., :-1, UP]
-    out[..., :-1, DOWN] = a[..., 1:, DOWN]
-    return WalkerState(state.t_max, out)
-
-
 def step(state, ctx, out=None):
     """One full step of the walk on a single walker, or on each walker of
-    a stack of shape (..., W, 2) alike.
+    a stack of shape (..., W, 2) alike (`_lattice_step`).
 
     With `out`, `state` is a `ConeStack` of psi alone, t = ctx.step_index
     slots from the origin of the `MapStack` ctx holds, and out the
@@ -152,16 +83,15 @@ def step(state, ctx, out=None):
     if out is not None:
         _fused_step(state, ctx, out)
         return out
-    if ctx.order == PHASE_FIRST:
-        return apply_shift(apply_coin(apply_phase(state, ctx)))
-    return apply_phase(apply_shift(apply_coin(state)), ctx)
+    (psi,) = _lattice_step((state,), ctx)
+    return psi
 
 
 def step_with_derivative(pair, ctx, out=None):
     """Advance (psi, dpsi) one step.
 
-    The psi component follows exactly the same code path as `step`; dpsi picks
-    up the inhomogeneous term from differentiating the phase operator:
+    psi steps as in `step`, bit for bit; dpsi picks up the inhomogeneous
+    term from differentiating the phase operator:
 
         phase-first:  dpsi' = S C (dP psi + P dpsi)
         phase-last:   dpsi' = dP S C psi + P S C dpsi
@@ -173,56 +103,96 @@ def step_with_derivative(pair, ctx, out=None):
     if out is not None:
         _fused_step(pair, ctx, out)
         return out
-    psi, dpsi = pair.psi, pair.dpsi
-    if ctx.order == PHASE_FIRST:
-        psi_next = apply_shift(apply_coin(apply_phase(psi, ctx)))
-        mixed = apply_phase_derivative(psi, ctx)
-        mixed.amplitudes += apply_phase(dpsi, ctx).amplitudes
-        dpsi_next = apply_shift(apply_coin(mixed))
-    else:
-        sc_psi = apply_shift(apply_coin(psi))
-        psi_next = apply_phase(sc_psi, ctx)
-        dpsi_next = apply_phase_derivative(sc_psi, ctx)
-        dpsi_next.amplitudes += apply_phase(
-            apply_shift(apply_coin(dpsi)), ctx
-        ).amplitudes
-    return DerivativePair(psi_next, dpsi_next)
+    return DerivativePair(*_lattice_step((pair.psi, pair.dpsi), ctx))
+
+
+def _lattice_step(states, ctx):
+    """`cone_step` on the lattice: psi, or (psi, dpsi), each a walker or a
+    stack of them, (..., W, 2), as new `WalkerState`s laid out as psi.
+
+    The sites of either parity are the slots of one light cone: lattice
+    index 2k + c is slot k of class c, and a step takes each class onto
+    the other, slot k of its output to index 2k + c - 1.  Each class is
+    gathered into (coin, slot, row) cells, rows innermost as the ensembles
+    hold them, stepped into t_max + 2 - c slots and scattered back.  The
+    outer class, c = 0, also steps onto the sites -t_max - 1 and t_max + 1
+    beyond the lattice: BoundaryError if either holds amplitude, of psi or
+    of dpsi, since a silent truncation would corrupt every later step.
+    """
+    t_max, psi = states[0].t_max, states[0].amplitudes
+    # (coin, site, ...) views of the states, dpsi broadcast to psi's
+    # stack, and of their results
+    axes = (psi.ndim - 1, psi.ndim - 2) + tuple(range(psi.ndim - 2))
+    lattices = [np.broadcast_to(s.amplitudes, psi.shape).transpose(axes)
+                for s in states]
+    results = [np.empty_like(psi) for _ in states]
+    targets = [a.transpose(axes) for a in results]
+    lag = ctx.order == PHASE_LAST  # the phase acts on the output's sites
+    # e^{i(phi + dphi)} across the lattice and one site beyond either edge
+    factors = np.exp(1j * ctx.phi) * ctx.phase_map.step_signs(ctx.step_index,
+                                                              t_max + 1)
+    for c in (0, 1):
+        n = t_max + 1 - c
+        cells = [np.ascontiguousarray(a[:, c::2]).reshape(2, n, -1)
+                 for a in lattices]
+        outs = [np.zeros((2, n + 1) + cells[0].shape[2:], complex)
+                for _ in cells]
+        cone_step(cells[0], cells[1] if len(cells) > 1 else None,
+                  factors[c + 1 - lag::2][:n + lag, None], ctx.order,
+                  outs[0], outs[1] if len(outs) > 1 else None,
+                  np.empty_like(outs[0]))
+        if c == 0 and any(out[DOWN, 0].any() or out[UP, -1].any()
+                          for out in outs):
+            raise BoundaryError(
+                f"walker support reached the lattice edge (t_max = {t_max})"
+            )
+        for target, out in zip(targets, outs):
+            target[:, 1 - c::2] = out[:, 1 - c:t_max + 1].reshape(
+                target[:, 1 - c::2].shape)
+    return [WalkerState(t_max, a) for a in results]
 
 
 def _fused_step(stack, ctx, out):
     """The `out` route of `step*`: `cone_step` on the stacks' cells, psi
-    and, where the stacks hold it, dpsi, with the phase taken at the sites
-    it acts on, those of the input for phase-first and of the output for
+    and, where the stacks hold it, dpsi, with the phase factors of the
+    `MapStack` ctx holds (`MapStack.cone_factor`), at the sites it acts
+    on, those of the input for phase-first and of the output for
     phase-last, and out's work space (`ConeStack.work`).
+
+    A `MapStack` serves the one cone each step acts on, s = step_index -
+    1 + lag steps from its origin, at its own phi; a step at another phi,
+    or on a cone of another origin or length, raises ValueError.  That
+    includes a map stack built for the other operator order, whose cones
+    are one step off.
     """
     if not isinstance(out, ConeStack):
         raise TypeError("out must be a ConeStack one slot longer than the input")
     if (stack.dpsi is None) != (out.dpsi is None):
         raise ValueError("a stack with dpsi steps into one with dpsi, and "
                          "one without into one without")
+    maps = ctx.phase_map
+    if ctx.phi != maps.phi:
+        raise ValueError(
+            f"step at phi = {ctx.phi!r} under a map stack formed at "
+            f"phi = {maps.phi!r}"
+        )
     sites = stack if ctx.order == PHASE_FIRST else out
-    cone_step(stack.psi, stack.dpsi, _phase_factor(ctx, sites), ctx.order,
-              out.psi, out.dpsi, out.work())
-
-
-def _coin_shift(up, down, out):
-    """Balanced coin, then the shift onto light-cone slots, of (up, down),
-    shape (t, ...), into out, (coin, slot, ...) cells of shape (2, t + 1,
-    ...): slot k of step t is site x0 - t + 2k (`states.ConeStack`), so up
-    moves one slot and down stays.  Up at slot 0 and down at slot t of
-    `out` are the cells the shift leaves empty; they are never written.
-    """
-    out_up, out_down = out[UP, 1:], out[DOWN, :-1]
-    np.add(up, down, out=out_up)
-    out_up *= INV_SQRT2
-    np.subtract(up, down, out=out_down)
-    out_down *= INV_SQRT2
+    s = ctx.step_index - 1 + maps.lag
+    if (sites.origin, sites.steps) != (maps.origin, s):
+        raise ValueError(
+            f"step {ctx.step_index} under a map stack acts on the cone "
+            f"{s} steps from {maps.origin}, not {sites.steps} steps "
+            f"from {sites.origin}"
+        )
+    cone_step(stack.psi, stack.dpsi, maps.cone_factor(ctx.step_index),
+              ctx.order, out.psi, out.dpsi, out.work())
 
 
 def _cone_coin_shift(up, down, out, tmp):
     """Balanced coin, then the shift onto light-cone slots, of (up, down),
-    shape (t, ...), into out, cells of shape (2, t + 1, ...): up moves one
-    slot and down stays, as in `_coin_shift`, with the same operations.
+    shape (t, ...), into out, cells of shape (2, t + 1, ...): slot k of
+    step t is site x0 - t + 2k (`states.ConeStack`), so up moves one slot
+    and down stays.
 
     down may be out's own down cells, and up out's up cells one slot back,
     as in a step in place; tmp, t slots of work space that shares memory
@@ -241,27 +211,37 @@ def _cone_coin_shift(up, down, out, tmp):
 
 def cone_step(psi, dpsi, factor, order, psi_out, dpsi_out, work):
     """One step of stacked single-walker rows on light-cone slots, on bare
-    arrays, in place or not.
+    arrays, in place or not: the one definition of the step, which every
+    route of `step` and `step_with_derivative` takes.
 
     psi and dpsi are (coin, slot, row) cells of t slots, shape (2, t,
     ...), one walker per row; dpsi is None to evolve psi alone.  psi_out
     (and dpsi_out) hold the t + 1 slots one step on, (2, t + 1, ...), and
     may be the same memory as their input with one more slot: psi =
-    psi_out[:, :t] steps a stack in place.  `factor` is as for
-    `block_step`.  work is complex work space of shape (2, s, ...), s >=
-    t + 1, that shares no memory with the states: its two coin planes hold
-    the phased up component and the coin sums.  Of the two cells the shift
-    leaves empty, up at slot 0 of the outputs is cleared, and down at slot
-    t must be zero, as it is where a stack steps in place: no step writes
-    a slot before it reaches it.
+    psi_out[:, :t] steps a stack in place.  `factor` holds each row's
+    up-component multipliers e^{i(phi + dphi(t, x))} at the (slot, row)
+    sites the phase acts on, the input's t for phase-first and the
+    output's t + 1 for phase-last, and broadcasts against one coin plane
+    of them.  work is complex work space of shape (2, s, ...), s >= t +
+    1, that shares no memory with the states: its two coin planes hold
+    the phased up component and the coin sums.  Of the two cells the
+    shift leaves empty, up at slot 0 of the outputs is cleared, and down
+    at slot t must be zero, as it is where a stack steps in place: no step
+    writes a slot before it reaches it.
 
-    Every amplitude goes through the operations of `block_step` in the
-    same order, so the two agree bit for bit where the arrays are laid out
-    alike: numpy's complex multiply rounds some short strided loops
-    differently, so the ensembles keep every coin plane, of the states and
-    of work, slot-major with the rows innermost.  The order of the writes
-    keeps every input cell until its last read: in phase-first order
-    dpsi, which reads psi, steps first.
+    The phase P multiplies up by the factor, the balanced coin C takes
+    (up, down) to ((up + down), (up - down)) / sqrt2, and the shift S
+    moves up one site right and down one left; dP = i n_up P.  So
+
+        phase-first:  psi' = S C P psi,  dpsi' = S C (dP psi + P dpsi)
+        phase-last:   psi' = P S C psi,  dpsi' = dP S C psi + P S C dpsi
+
+    Every amplitude goes through the same operations in the same order
+    whatever the number of rows, but numpy's complex multiply rounds some
+    short strided loops differently, so every caller keeps each coin
+    plane, of the states and of work, slot-major with the rows innermost.
+    The order of the writes keeps every input cell until its last read:
+    in phase-first order dpsi, which reads psi, steps first.
     """
     t = psi.shape[1]
     plane_a, plane_b = work[0, :t + 1], work[1, :t + 1]
@@ -287,45 +267,13 @@ def cone_step(psi, dpsi, factor, order, psi_out, dpsi_out, work):
     psi_out[UP] *= factor
 
 
-def block_step(psi, dpsi, factor, order, psi_out, dpsi_out):
-    """One step of stacked single-walker rows on light-cone slots, on bare
-    arrays, out of place: the reference the tests hold `cone_step` to.
-
-    psi and dpsi are (coin, slot, row) cells of shape (2, t, ...), one
-    walker per row; dpsi is None to evolve psi alone.  psi_out (and
-    dpsi_out) have shape (2, t + 1, ...) (`_coin_shift`), are distinct
-    from the inputs, and are zero in the two cells the shift leaves empty.
-    `factor` holds each row's up-component multipliers e^{i(phi + dphi(t,
-    x))} at the (slot, row) sites the phase acts on, the input's for
-    phase-first and the output's for phase-last, and broadcasts against
-    one coin plane of them.
-
-    Every amplitude goes through the operations of `step_with_derivative`
-    in the same order, so each row agrees with it bit for bit.
-    """
-    up, down = psi[UP], psi[DOWN]
-    if order == PHASE_FIRST:
-        if dpsi is not None:
-            mixed_up = up * (1j * factor) + dpsi[UP] * factor
-            _coin_shift(mixed_up, dpsi[DOWN], dpsi_out)
-        _coin_shift(up * factor, down, psi_out)
-        return
-    _coin_shift(up, down, psi_out)
-    if dpsi is not None:
-        _coin_shift(dpsi[UP], dpsi[DOWN], dpsi_out)
-        dpsi_out[UP] *= factor
-        dpsi_out[UP] += psi_out[UP] * (1j * factor)
-    psi_out[UP] *= factor
-
-
 # -- two-walker evolution ----------------------------------------------------
 #
 # The joint step is U (x) U with both factors driven by the same phase map and
 # the same phi.  A (W, 2, W, 2) tensor is a stack of walkers for either
 # particle: particle 2 is its trailing (W, 2) axes as they stand, particle 1
 # the trailing axes of the view a.transpose(2, 3, 0, 1).  So the joint step is
-# the single-walker step on particle 1's view, then on particle 2's, and the
-# factor's (W,) row broadcasts against (..., W) in both.
+# the single-walker step on particle 1's view, then on particle 2's.
 
 
 def _swap(state):
@@ -337,8 +285,8 @@ def _swap(state):
 def two_particle_step(state, ctx):
     """One joint step: the single-walker step for particle 1, then for 2.
 
-    `apply_shift` raises BoundaryError if either particle's amplitude
-    would cross an edge.
+    `step` raises BoundaryError if either particle's amplitude would cross
+    an edge.
     """
     a = step(_swap(step(_swap(state), ctx)), ctx).amplitudes
     return TwoParticleState(state.t_max, a, state.symmetry)

@@ -56,23 +56,27 @@ def csv_text(manifest, columns):
 
     `columns` maps header -> equal-length list.  Floats are written in
     shortest round-trip form, so files parse back to the exact binary values
-    that were computed.
+    that were computed.  Each value is written as its `_cell`, in one `%`
+    pass over the rows: `%d` for a column of ints alone, `%r` for one of
+    floats alone (no bool, no subclass), and `%s` of `_cell` for any other.
     """
-    lines = [f"# manifest: {canonical_json(manifest)}", ",".join(columns)]
-    lines.extend(map(",".join, zip(*map(_column_cells, columns.values()))))
-    return "\n".join(lines) + "\n"
-
-
-def _column_cells(values):
-    """Each value's `_cell`, formatted a column at a time as the rows are
-    joined: `str` for a column of ints alone, `float.__repr__` for one of
-    floats alone (no bool, no subclass), and `_cell` for any other."""
-    types = set(map(type, values))
-    if types <= {int}:
-        return map(str, values)
-    if types == {float}:
-        return map(float.__repr__, values)
-    return map(_cell, values)
+    specs, cells = [], []
+    for values in columns.values():
+        types = set(map(type, values))
+        if types <= {int}:
+            specs.append("%d")
+        elif types == {float}:
+            specs.append("%r")
+        else:
+            specs.append("%s")
+            values = list(map(_cell, values))
+        cells.append(values)
+    n_rows = len(cells[0]) if cells else 0
+    flat = [None] * (n_rows * len(cells))
+    for i, values in enumerate(cells):
+        flat[i::len(cells)] = values
+    body = ((",".join(specs) + "\n") * n_rows) % tuple(flat)
+    return f"# manifest: {canonical_json(manifest)}\n{','.join(columns)}\n{body}"
 
 
 def write_csv(path, manifest, columns):

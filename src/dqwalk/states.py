@@ -88,7 +88,9 @@ class ConeStack:
     row r is one walker.  The ensembles hold slots 0..t of their kernel
     call's buffers this way, step them (`step`/`step_with_derivative` with
     `out`) and reduce them (`qfi_pure`, `position_distribution`), whose
-    sums then skip only exact zeros.
+    sums then skip only exact zeros.  These are the cells
+    `operators.cone_step` steps; the one-map step gathers each parity
+    class of a lattice's sites into them as well.
 
     `scratch`, if given, is complex work space of shape (2, s, rows),
     s >= t + 1, each coin plane contiguous and distinct from every stack

@@ -1,6 +1,18 @@
+import dqwalk  # noqa: F401  first: numpy loads with the BLAS threads a command gets
+
 import multiprocessing
 
 import pytest
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property and oracle tests skip themselves
+    pass
+else:
+    # CI's tier-1 step runs --hypothesis-profile=ci: ten times hypothesis's
+    # default 100 cases for every test whose @settings leave max_examples
+    # to the profile, the dense-matrix oracle's
+    settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 @pytest.fixture

@@ -147,3 +147,44 @@ def test_svg_text_escapes_as_saxutils(text):
 
     from dqwalk import svgplot
     assert svgplot.escape(text) == saxutils.escape(text)
+
+
+def test_heatmap_image_is_the_matrix_bottom_up():
+    # decode the PNG data URI: its size is the matrix's, the ramp's ends
+    # sit at the maximum and at the zeros, and row 0 is the bottom scanline
+    import base64
+    import re
+    import struct
+    import zlib
+
+    import numpy as np
+
+    from dqwalk import svgplot
+
+    matrix = np.zeros((3, 4))
+    matrix[0, 1] = 2.0  # the maximum, drawn with the ramp's top colour
+    matrix[2, 3] = 1.0  # half of it, the ramp's middle colour
+    svg = svgplot.heatmap(matrix, [-1, 0, 1, 2], [0, 1, 2])
+    (uri,) = re.findall(r'href="data:image/png;base64,([^"]+)"', svg)
+    png = base64.b64decode(uri)
+    assert png[:8] == b"\x89PNG\r\n\x1a\n"
+    chunks, pos = {}, 8
+    while pos < len(png):
+        (size,) = struct.unpack(">I", png[pos:pos + 4])
+        tag, data = png[pos + 4:pos + 8], png[pos + 8:pos + 8 + size]
+        assert struct.unpack(">I", png[pos + 8 + size:pos + 12 + size])[0] == (
+            zlib.crc32(tag + data) & 0xFFFFFFFF)
+        chunks[tag] = data
+        pos += 12 + size
+    assert list(chunks) == [b"IHDR", b"IDAT", b"IEND"]
+    assert struct.unpack(">IIBBBBB", chunks[b"IHDR"]) == (4, 3, 8, 2, 0, 0, 0)
+    raw = zlib.decompress(chunks[b"IDAT"])
+    assert len(raw) == 3 * (1 + 4 * 3)
+    lines = [raw[i * 13:(i + 1) * 13] for i in range(3)]
+    assert all(line[0] == 0 for line in lines)  # filter type None
+    pixels = np.frombuffer(b"".join(line[1:] for line in lines),
+                           dtype=np.uint8).reshape(3, 4, 3)[::-1]
+    assert tuple(pixels[0, 1]) == svgplot._RAMP[-1]
+    assert tuple(pixels[2, 3]) == svgplot._RAMP[2]
+    zeros = matrix == 0
+    assert (pixels[zeros] == svgplot._RAMP[0]).all()

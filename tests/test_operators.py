@@ -1,4 +1,5 @@
-"""Step operator pieces checked against hand-worked amplitudes.
+"""The step and its pieces, each seen in one step from a localized walker,
+checked against hand-worked amplitudes.
 
 The t = 2 clean-walk state from the up input is worked out explicitly:
 psi_2 = (|2,up> + |0,down> + |0,up> - |-2,down>) / 2, and its derivative
@@ -21,10 +22,6 @@ from dqwalk import (
     InitialStateSpec,
     StepContext,
     WalkerState,
-    apply_coin,
-    apply_phase,
-    apply_phase_derivative,
-    apply_shift,
     generate_map,
     inner_product,
     new_two_particle_state,
@@ -49,90 +46,101 @@ def _ctx(phi=0.0, t=1, pmap=None, order=PHASE_FIRST, n_steps=8):
     return StepContext(phi, t, pmap, order)
 
 
+def _one_step(coin, ctx, position=0, t_max=2):
+    """The amplitudes one step takes a walker at `position` to."""
+    return step(new_walker_state(t_max, position, coin), ctx).amplitudes
+
+
 def test_coin_on_up_and_down():
-    s = new_walker_state(2, coin=(1.0, 0.0))
-    c = apply_coin(s)
-    assert c.amplitudes[2, UP] == pytest.approx(INV_SQRT2)
-    assert c.amplitudes[2, DOWN] == pytest.approx(INV_SQRT2)
-    s = new_walker_state(2, coin=(0.0, 1.0))
-    c = apply_coin(s)
-    assert c.amplitudes[2, UP] == pytest.approx(INV_SQRT2)
-    assert c.amplitudes[2, DOWN] == pytest.approx(-INV_SQRT2)
+    # a clean step at phi = 0 is S C: the coin's up output lands at x = 1,
+    # its down output at x = -1
+    a = _one_step((1.0, 0.0), _ctx())
+    assert a[3, UP] == pytest.approx(INV_SQRT2)
+    assert a[1, DOWN] == pytest.approx(INV_SQRT2)
+    a = _one_step((0.0, 1.0), _ctx())
+    assert a[3, UP] == pytest.approx(INV_SQRT2)
+    assert a[1, DOWN] == pytest.approx(-INV_SQRT2)
 
 
-def test_coin_is_unitary_and_involutive():
+@pytest.mark.parametrize("order", [PHASE_FIRST, PHASE_LAST])
+def test_step_is_unitary(order):
+    # <U u|U v> = <u|v> for walkers with room for a step, under disorder
     rng = np.random.default_rng(0)
-    a = rng.normal(size=(7, 2)) + 1j * rng.normal(size=(7, 2))
-    a /= np.linalg.norm(a)
-    s = WalkerState(3, a)
-    once = apply_coin(s)
-    assert once.norm() == pytest.approx(1.0, abs=1e-14)
-    twice = apply_coin(once)
-    np.testing.assert_allclose(twice.amplitudes, a, atol=1e-15)
+    pmap = generate_map("dynamic", 3, 0.8, seed=5)
+    u, v = (WalkerState(3, rng.normal(size=(7, 2)) + 1j * rng.normal(size=(7, 2)))
+            for _ in range(2))
+    for w in (u, v):
+        w.amplitudes[[0, -1]] = 0
+    ctx = _ctx(phi=0.9, t=2, pmap=pmap, order=order)
+    assert inner_product(step(u, ctx), step(v, ctx)) == pytest.approx(
+        inner_product(u, v), abs=1e-14)
 
 
 def test_shift_moves_up_right_and_down_left():
-    s = new_walker_state(2, coin=(1.0, 0.0))
-    out = apply_shift(s)
-    assert out.amplitudes[s.index_of(1), UP] == 1.0
-    s = new_walker_state(2, coin=(0.0, 1.0))
-    out = apply_shift(s)
-    assert out.amplitudes[s.index_of(-1), DOWN] == 1.0
+    # the coin takes (1, 1)/sqrt2 to up alone, (1, -1)/sqrt2 to down alone
+    a = _one_step((INV_SQRT2, INV_SQRT2), _ctx(), position=1)
+    assert a[4, UP] == pytest.approx(1.0)
+    assert np.count_nonzero(np.abs(a) > 1e-15) == 1
+    a = _one_step((INV_SQRT2, -INV_SQRT2), _ctx(), position=1)
+    assert a[2, DOWN] == pytest.approx(1.0)
+    assert np.count_nonzero(np.abs(a) > 1e-15) == 1
 
 
 def test_shift_raises_at_lattice_edge():
-    s = new_walker_state(2, position=2, coin=(1.0, 0.0))
-    with pytest.raises(BoundaryError):
-        apply_shift(s)
-    s = new_walker_state(2, position=-2, coin=(0.0, 1.0))
-    with pytest.raises(BoundaryError):
-        apply_shift(s)
+    # amplitude the shift would carry off either edge, of psi or of dpsi,
+    # in either order; an edge site whose coined amplitude moves inward
+    # steps
+    for order in (PHASE_FIRST, PHASE_LAST):
+        ctx = _ctx(order=order)
+        for position, coin in ((2, (1.0, 0.0)), (-2, (0.0, 1.0))):
+            s = new_walker_state(2, position, coin)
+            with pytest.raises(BoundaryError):
+                step(s, ctx)
+            with pytest.raises(BoundaryError):
+                step_with_derivative(DerivativePair.initial(s), ctx)
+            with pytest.raises(BoundaryError):
+                step_with_derivative(DerivativePair(new_walker_state(2), s), ctx)
+        s = new_walker_state(2, 2, (INV_SQRT2, -INV_SQRT2))
+        assert support_radius(step(s, ctx)) == 1
 
 
 def test_phase_acts_on_up_only():
-    s = new_walker_state(2, coin=(INV_SQRT2, INV_SQRT2))
-    out = apply_phase(s, _ctx(phi=0.7))
-    assert out.amplitudes[2, UP] == pytest.approx(INV_SQRT2 * np.exp(0.7j))
-    assert out.amplitudes[2, DOWN] == pytest.approx(INV_SQRT2)
+    # phase-last: P multiplies the up amplitude S C left at x = 1
+    a = _one_step((1.0, 0.0), _ctx(phi=0.7, order=PHASE_LAST))
+    assert a[3, UP] == pytest.approx(INV_SQRT2 * np.exp(0.7j))
+    assert a[1, DOWN] == pytest.approx(INV_SQRT2)
 
 
 def test_phase_picks_up_map_sign():
     pmap = generate_map("static", 3, 1.0, seed=1)
     row = pmap.row(1)
-    s = new_walker_state(3, coin=(1.0, 0.0))
-    out = apply_phase(s, _ctx(phi=0.0, pmap=pmap))
-    expected = -1.0 if row[pmap.n_steps] else 1.0
-    assert out.amplitudes[3, UP] == pytest.approx(expected)
+    a = _one_step((1.0, 0.0), _ctx(phi=0.0, pmap=pmap, order=PHASE_LAST),
+                  t_max=3)
+    expected = -1.0 if row[pmap.n_steps + 1] else 1.0
+    assert a[4, UP] == pytest.approx(expected * INV_SQRT2)
+    assert a[2, DOWN] == pytest.approx(INV_SQRT2)
 
 
 def test_phase_derivative_multiplies_by_i_and_zeroes_down():
-    s = new_walker_state(2, coin=(INV_SQRT2, INV_SQRT2))
-    out = apply_phase_derivative(s, _ctx(phi=0.3))
-    assert out.amplitudes[2, UP] == pytest.approx(1j * np.exp(0.3j) * INV_SQRT2)
-    assert out.amplitudes[2, DOWN] == 0.0
-
-
-def test_step_matches_primitive_composition_bitwise():
-    rng = np.random.default_rng(7)
-    pmap = generate_map("dynamic", 6, 0.8, seed=3)
-    a = rng.normal(size=(13, 2)) + 1j * rng.normal(size=(13, 2))
-    a[0, :] = a[-1, :] = 0
-    a /= np.linalg.norm(a)
-    s = WalkerState(6, a)
-    for t in (1, 4):
-        ctx = _ctx(phi=0.4, t=t, pmap=pmap)
-        via_step = step(s, ctx)
-        composed = apply_shift(apply_coin(apply_phase(s, ctx)))
-        assert np.array_equal(via_step.amplitudes, composed.amplitudes)
+    # phase-last from dpsi = 0: dpsi' = dP S C psi
+    pair = step_with_derivative(DerivativePair.initial(new_walker_state(2)),
+                                _ctx(phi=0.3, order=PHASE_LAST))
+    d = pair.dpsi.amplitudes
+    assert d[3, UP] == pytest.approx(1j * np.exp(0.3j) * INV_SQRT2)
+    assert d[1, DOWN] == 0.0
+    assert pair.psi.amplitudes[1, DOWN] == pytest.approx(INV_SQRT2)
 
 
 def test_phase_last_order_composes_after_shift():
+    # P S C: the clean phase-free step, then e^{i(phi + dphi)} on up at
+    # the sites the walker reached
     pmap = generate_map("dynamic", 4, 1.0, seed=9)
     s = new_walker_state(4)
     ctx = _ctx(phi=0.2, pmap=pmap, order=PHASE_LAST)
     via_step = step(s, ctx)
-    composed = apply_phase(apply_shift(apply_coin(s)), ctx)
-    assert np.array_equal(via_step.amplitudes, composed.amplitudes)
+    composed = step(s, _ctx(phi=0.0, n_steps=4)).amplitudes
+    composed[:, UP] *= np.exp(0.2j) * pmap.step_signs(1, 4)
+    assert np.array_equal(via_step.amplitudes, composed)
     # with disorder the two orders genuinely differ
     first = step(s, _ctx(phi=0.2, pmap=pmap))
     assert not np.allclose(first.amplitudes, via_step.amplitudes)

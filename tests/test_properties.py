@@ -46,7 +46,7 @@ from dqwalk.config import EXPERIMENTS
 from dqwalk.disorder import KINDS, SEMANTICS, MapStack
 from dqwalk.ensemble import INITIAL_KINDS
 from dqwalk.figures import FIGURES
-from dqwalk.operators import OPERATOR_ORDERS, block_step, cone_step
+from dqwalk.operators import OPERATOR_ORDERS, cone_step
 from dqwalk.states import INV_SQRT2, TWO_PARTICLE_KINDS, ConeStack
 
 pytest.importorskip("hypothesis")
@@ -144,14 +144,15 @@ def test_cone_stacked_steps_equal_one_map_steps(
     with_dpsi=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_in_place_cone_step_equals_block_step(t, spare, rows, order,
-                                              with_dpsi, seed):
+def test_in_place_cone_step_equals_out_of_place(t, spare, rows, order,
+                                                with_dpsi, seed):
     # a stack of t slots stepped in place, one buffer per state as the
-    # ensembles hold them, against out-of-place `block_step` into fresh
-    # buffers: every bit of slots 0..t, zero signs included, and zeros in
-    # up at slot 0 and beyond slot t.  Every array is laid out as in the
-    # ensembles, coin planes of slots with the rows innermost: numpy's
-    # complex multiply rounds some short strided loops differently.
+    # ensembles hold them, against `cone_step` out of place into fresh
+    # buffers and fresh work space: every bit of slots 0..t, zero signs
+    # included, and zeros in up at slot 0 and beyond slot t.  Every array
+    # is laid out as in the ensembles, coin planes of slots with the rows
+    # innermost: numpy's complex multiply rounds some short strided loops
+    # differently.
     rng = np.random.default_rng(seed)
     n = t + spare  # the buffers hold n + 1 slots
 
@@ -167,9 +168,11 @@ def test_in_place_cone_step_equals_block_step(t, spare, rows, order,
     sites = t + (order != OPERATOR_ORDERS[0])  # the input's or the output's
     factor = np.exp(1j * rng.uniform(-math.pi, math.pi, (sites, rows)))
     factor = factor * rng.choice([-1.0, 1.0], (sites, rows))
+    ins = [b[:, :t].copy() for b in bufs]
     outs = [np.zeros((2, t + 1, rows), dtype=complex) for _ in bufs]
-    block_step(bufs[0][:, :t], bufs[1][:, :t] if with_dpsi else None,
-               factor, order, outs[0], outs[1] if with_dpsi else None)
+    cone_step(ins[0], ins[1] if with_dpsi else None, factor, order,
+              outs[0], outs[1] if with_dpsi else None,
+              np.zeros((2, t + 1, rows), dtype=complex))
     work = np.full((2, n + 1, rows), np.nan + 1j * np.nan)  # never read
     cone_step(bufs[0][:, :t], bufs[1][:, :t] if with_dpsi else None,
               factor, order, bufs[0][:, :t + 1],
