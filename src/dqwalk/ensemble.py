@@ -17,8 +17,11 @@ step forms its products and the reductions their squares and residuals, so
 nothing of the call's size is allocated after the call starts.  The
 walker axis is innermost in memory and the slots of a step are
 contiguous, so each numpy operation of a step is one contiguous loop over
-only the cells that can be nonzero.  Each step hands the public layers
-slots 0..t of the buffers as they are, (coin, slot, row) cells, in one
+only the cells that can be nonzero.  Every per-member array of a call is
+laid out on the slots, the marginals too: each block's distribution sum
+and its members' own variances are formed from a step's slots and written
+only at the t + 1 sites the step reaches.  Each step hands the public
+layers slots 0..t of the buffers as they are, (coin, slot, row) cells, in one
 `states.ConeStack` that carries the scratch, and the kernel calls
 `step_with_derivative` (or `step`), `qfi_pure` and `position_distribution`
 on it once per step of a call, whatever its number of blocks.  The call
@@ -33,12 +36,11 @@ order fixed by those cells alone, skipping only exact zeros, so every
 member's series equals the one-map `qfi_series` bit for bit, in a call of
 any size.  The distribution sums and the own variances are formed block
 by block, with the calls a block of BLOCK_MAPS members alone would make;
-block boundaries
-follow from the member index alone, and block sums are accumulated
-strictly in block order, whether the blocks ran in one call or several,
-serially or on a process pool.  So the same config produces bit-identical
-aggregates no matter how the blocks were laid out into calls or how the
-calls were scheduled.
+block boundaries follow from the member index alone, and block sums are
+accumulated strictly in block order, whether the blocks ran in one call
+or several, serially or on a process pool.  So the same config produces
+bit-identical aggregates no matter how the blocks were laid out into
+calls or how the calls were scheduled.
 
 The calls of an ensemble are laid out by its blocks and the worker count
 (`_call_blocks`), and pool workers take whole calls.  An ensemble of up
@@ -284,7 +286,7 @@ def _call_arrays(config, n_members, make, *names):
     every array the run forms.
 
     The kernel allocates through it: a call of `n_members` members its
-    state buffers, result rows, marginals and block sums (`_run_block`)
+    state buffers, result rows and block sums (`_run_block`)
     and its maps' mask tables (`_map_stacks`), the run around the calls
     its row tables, own-variance rows and distribution sum (`_evolve`),
     which the scope stores.  The size rule (`_table_bytes`) prices every
@@ -293,7 +295,7 @@ def _call_arrays(config, n_members, make, *names):
     `MapStack` or the interpreter forms them: one member's map draw
     (`_family_masks`), a dynamic map's cone index and gathered cones, a
     stack's contiguous cones and phase factors, a step's check values,
-    the buffer numpy takes for the last marginals, the interpreter's
+    the buffer numpy takes for the last step's marginals, the interpreter's
     objects, and what `run_ensemble` forms: the member seeds, the QFI
     table, the mean distribution, formed out of the stored sum, and the
     series' positions and steps.
@@ -316,7 +318,6 @@ def _call_arrays(config, n_members, make, *names):
         "qfi": ((rows, n + 1), float) if qfi else None,
         "exchange": ((n_members, n + 1), float) if qfi and walkers == 2 else None,
         "own_var": ((n_members, n + 1), float) if own else None,
-        "marginals": ((n_members, width), float) if dist or own else None,
         "dist_sums": ((blocks, n + 1, width), float) if dist else None,
         # static maps' pi cells across the lattice, dynamic maps' cones as
         # each member's are gathered
@@ -529,8 +530,8 @@ def _run_block(config, members, maps):
     member next to each other; exchange, for two walkers, one |<a|db>|^2
     row per member, from which `_qfi_table` forms every exchange
     statistic's F.  Own variance holds one row per member, the
-    distribution sums one (n_steps + 1, W) member-order sum of the
-    marginals per block; each is None unless collected.  A failure on one
+    distribution sums one (n_steps + 1, W) sum of the members' marginals
+    per block; each is None unless collected.  A failure on one
     member's state raises EnsembleMemberError with that member's index
     and seed.
 
@@ -542,25 +543,29 @@ def _run_block(config, members, maps):
     is written before the step that reaches it.  The one-map
     `step_with_derivative` steps its lattice through the same
     `cone_step`, so each element has the bits of the one-map evolution.
-    The products of a step, the squares and residuals of its reductions
-    and two walkers' pair
-    means are formed in the call's scratch, a third buffer of the same
-    shape, which each step's ConeStack carries to the layers; the
-    marginals, the block sums and the phase factors have storage of their
-    own.  Every buffer of the call is allocated when it starts, at the
-    shape `_call_arrays` states for the size rule: the states and scratch
-    of B members and w walkers each take (2 or 3) x 32 (n_steps + 1) B w
-    bytes.
+    The products of a step and the squares and residuals of its
+    reductions, the marginals among them, are formed in the call's
+    scratch, a third buffer of the same shape, which each step's ConeStack
+    carries to the layers; the block sums and the phase factors have
+    storage of their own.  Every buffer of the call is allocated when it
+    starts, at the shape `_call_arrays` states for the size rule: the
+    states and scratch of B members and w walkers each take (2 or 3) x 32
+    (n_steps + 1) B w bytes.
 
     Rows equal `qfi_series`: it reduces every step over the full lattice,
     whose cells off the cone are exact zeros, and `qfi_pure` sums in an
     order fixed by each walker's own cells (`metrology._site_sums`), so
     neither the skipped zeros, the number of walkers nor the memory order
-    changes a bit.  The marginals are kept on the full lattice, with the
-    previous step's sites zeroed, so they too equal the one-map ones.
-    Each block's distribution sum and own variances come from that
-    block's rows of the marginals alone, with the calls a call of that
-    one block makes, so a block's results do not depend on the call that
+    changes a bit.  The marginals stay on the slots too, the (t + 1,
+    rows) probabilities `position_distribution` forms: each block's
+    distribution sum is the sum of that block's rows, written at the
+    t + 1 sites x0 - t + 2k the step reaches, and its own variances are
+    the moments of each row over those sites
+    (`PositionDistribution.positions`).  A member's marginal is walker
+    a's for a separable pair and the mean of both walkers' for bosons and
+    fermions, so their sums and moments are averaged over the two rows.
+    A block's results come from its own rows alone, with the calls a call
+    of that one block makes, so they do not depend on the call that
     evolved it.
 
     Every step checks the norms, 0 <= F(t) <= t^2 for every walker row
@@ -575,7 +580,10 @@ def _run_block(config, members, maps):
     n, t_max = config.n_steps, config.t_max
     spec, x0 = config.initial, config.initial.position
     walkers = 1 if spec.kind == "single" else 2
-    sign = _EXCHANGE_SIGN.get(spec.kind, 0)
+    # a member's marginal is the mean of `counted` of its rows, every
+    # `stride`-th: a separable pair's walker a, a boson or fermion pair's two
+    stride = 2 if spec.kind == "separable" else 1
+    counted = walkers // stride
 
     def check(values, bad, what):
         """Fail the member of the first bad entry, one per walker row or
@@ -590,18 +598,14 @@ def _run_block(config, members, maps):
         member = members[exc.row // walkers]
         return _member_error(config, member, f"step {t}: {exc}")
 
-    psi, dpsi, scratch, qfi, exchange, marginals, dist_sums, own_var = (
+    psi, dpsi, scratch, qfi, exchange, dist_sums, own_var = (
         _call_arrays(config, len(members), np.zeros, "psi", "dpsi", "scratch",
-                     "qfi", "exchange", "marginals", "dist_sums", "own_var"))
+                     "qfi", "exchange", "dist_sums", "own_var"))
     # one walker: the configured coin at x0; two walkers: a = |x0, up> and
     # b = |x0, down> (see the module docstring)
     for j, coin in enumerate(_walker_coins(spec)):
         psi[:, 0, j::walkers] = np.array(coin)[:, None]
     evolve = step if qfi is None else step_with_derivative
-    if marginals is not None:
-        # the back half of the scratch's coin plane 1, which float work
-        # space (`ConeStack.work`) leaves alone
-        pair_means = scratch[1].reshape(-1).view(np.float64)[scratch[1].size:]
 
     for t in range(n + 1):
         # step t's walkers: slots 0..t of each buffer
@@ -640,30 +644,25 @@ def _run_block(config, members, maps):
                       "fermion F outside [0, (2t)^2]")
                 check(boson, ~(boson <= 4 * bound * (1 + NORM_TOL)),
                       f"boson F outside [0, (2t)^2 = {4 * bound}]")
-        if marginals is not None:
+        if dist_sums is not None or own_var is not None:
             try:
-                probs = position_distribution(now).probabilities
+                dist = position_distribution(now)
             except RowCheckError as exc:
                 raise failed(exc) from exc
-            # full-lattice member marginals: zero step t-1's sites, then
-            # write step t's, x0 - t + 2k at column t_max + x0 - t + 2k
-            lo = t_max + x0 - t
-            marginals[:, lo + 1:lo + 2 * t:2] = 0.0
-            sites = marginals[:, lo:lo + 2 * t + 1:2]
-            if sign == 0:
-                sites[...] = probs[:, ::walkers].T
-            else:
-                # the pairs' means in the walkers' (t + 1, rows) layout:
-                # numpy would buffer the strided operands of `sites`
-                means = pair_means[:(t + 1) * len(members)].reshape(t + 1, -1)
-                np.add(probs[:, 0::2], probs[:, 1::2], out=means)
-                means /= 2
-                sites[...] = means.T
+            x = dist.positions().astype(float)
+            sites = slice(t_max + x0 - t, t_max + x0 + t + 1, 2)
             for i, span in enumerate(spans):
+                # the block's rows of step t's (t + 1, rows) probabilities
+                probs = dist.probabilities[:, span.start * walkers:
+                                           span.stop * walkers:stride]
                 if dist_sums is not None:
-                    marginals[span].sum(axis=0, out=dist_sums[i, t])
+                    sums = probs.sum(axis=1, out=dist_sums[i, t, sites])
+                    sums /= counted
                 if own_var is not None:
-                    own_var[span, t] = _variance_rows(marginals[span], t_max)
+                    # each member's moments, the mean of its rows'
+                    mean, square = ((y @ probs).reshape(-1, counted).mean(axis=1)
+                                    for y in (x, x * x))
+                    own_var[span, t] = square - mean * mean
     return qfi, exchange, dist_sums, own_var
 
 

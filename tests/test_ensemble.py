@@ -268,16 +268,22 @@ def test_map_stack_storage_is_the_listed_storage(kind, p, initial):
         assert (len(even) + len(odd),) + even.shape[1:] == shape
 
 
-@pytest.mark.parametrize("initial", ["single", "boson", "fermion"])
-def test_marginal_update_allocates_no_ufunc_buffers(monkeypatch, initial):
+@pytest.mark.parametrize("initial,own", [
+    pytest.param(initial, own, id=initial + "-own-variance" * own)
+    for own in (False, True) for initial in ensemble_mod.INITIAL_KINDS])
+def test_marginal_update_allocates_no_ufunc_buffers(monkeypatch, initial, own):
     # a call of 256 members and 30 steps; from each step's marginals to
-    # the next step.  The pair means of two walkers' marginals, formed on
-    # the strided operands of the member table, went through numpy's
-    # buffered iterator: about 190 KB a step, 3 operands x 7936 float64
+    # the next step, in which every block's distribution sum or own
+    # variances are formed from the marginals' light-cone slots.  Pair
+    # means once formed on the strided operands of a full-lattice member
+    # table went through numpy's buffered iterator: about 190 KB a step,
+    # 3 operands x 7936 float64.  A separable run reads walker a's rows,
+    # every second row of the marginals
     call = ensemble_mod.CALL_BLOCKS * ensemble_mod.BLOCK_MAPS
     cfg = EnsembleConfig(kind="static", p=0.6, n_steps=30, n_maps=call,
                          phi=0.3, initial=InitialStateSpec(initial, position=1),
-                         collect_qfi=False, collect_distribution=True)
+                         collect_qfi=False, collect_distribution=not own,
+                         per_map_variance=own)
     real_marginals = ensemble_mod.position_distribution
     real_step = ensemble_mod.step
     traced = []

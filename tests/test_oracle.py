@@ -18,13 +18,16 @@ evolve their amplitude matrix as Psi -> W Psi W^T, and F is taken on the
 whole joint state (Omar, Paunkovic, Sheridan & Bose, PRA 74, 042304
 (2006)).  F = 4 (<dpsi|dpsi> - |<psi|dpsi>|^2) (Braunstein & Caves, PRL 72,
 3439 (1994)).  The oracle reads nothing of dqwalk but the maps'
-`generate_map(...).pi_mask` and the members' `split_seed`.
+`generate_map(...).pi_mask` and the members' `split_seed`.  It draws maps
+of both semantics; one example runs BLOCK_MAPS + 3 members, two blocks,
+so that the blocks' distribution sums and two walkers' own variances meet
+it past a block boundary.
 
 The tolerances are measured.  Over 3000 cases drawn as the test draws
 them, the worst deviation of any QFI value, ensemble mean or one-map, was
-8.1e-15 of (walkers * n_steps)^2, the scale both terms of F grow as; of
-any probability 2.2e-15; of any variance 9.7e-15 of max(1, variance).
-The bounds below leave a margin of 40 or more.  The hypothesis profile
+7.0e-15 of (walkers * n_steps)^2, the scale both terms of F grow as; of
+any probability 1.9e-15; of any variance 9.2e-16 of t_max^2.  The bounds
+below leave a margin of 50 or more.  The hypothesis profile
 `ci` (tests/conftest.py) searches ten times as many cases as a local run.
 """
 
@@ -43,6 +46,8 @@ from dqwalk import (
     run_ensemble,
     split_seed,
 )
+from dqwalk.disorder import SEMANTICS
+from dqwalk.ensemble import BLOCK_MAPS
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -125,15 +130,16 @@ def _variances(dist, t_max):
 
 
 def check_against_oracle(kind, p, seed, n_maps, n_steps, position, phi,
-                         order, initial, coin):
+                         order, initial, coin, semantics="bernoulli-uniform"):
     """Assert that `run_ensemble` and the one-map `qfi_series` agree with
     the oracle on every member and every statistic."""
     spec = InitialStateSpec(kind=initial, position=position,
                             coin=coin if initial == "single" else (1, 0))
     cfg = EnsembleConfig(kind=kind, p=p, n_steps=n_steps, n_maps=n_maps,
-                         master_seed=seed, phi=phi, initial=spec,
-                         operator_order=order, collect_distribution=True,
-                         collect_variance=True, per_map_variance=True)
+                         master_seed=seed, phi=phi, semantics=semantics,
+                         initial=spec, operator_order=order,
+                         collect_distribution=True, collect_variance=True,
+                         per_map_variance=True)
     t_max = cfg.t_max
     qfi_atol = QFI_TOL * ((1 if initial == "single" else 2) * n_steps) ** 2
     var_atol = PROB_TOL * t_max**2
@@ -141,7 +147,7 @@ def check_against_oracle(kind, p, seed, n_maps, n_steps, position, phi,
              else new_two_particle_state(initial, t_max, position))
     qfis, dists = [], []
     for k in range(n_maps):
-        pmap = generate_map(kind, n_steps, p, seed=split_seed(seed, k))
+        pmap = generate_map(kind, n_steps, p, semantics, split_seed(seed, k))
         qfi, dist = oracle_member(pmap.pi_mask, t_max, phi, order, initial,
                                   position, spec.coin)
         np.testing.assert_allclose(
@@ -167,6 +173,7 @@ def check_against_oracle(kind, p, seed, n_maps, n_steps, position, phi,
 @given(
     kind=st.sampled_from(["none", "static", "dynamic"]),
     p=st.floats(0.0, 1.0),
+    semantics=st.sampled_from(SEMANTICS),
     seed=st.integers(0, 2**32 - 1),
     n_maps=st.integers(1, 4),
     n_steps=st.integers(1, 10),
@@ -177,14 +184,20 @@ def check_against_oracle(kind, p, seed, n_maps, n_steps, position, phi,
     theta=st.floats(0.0, math.pi),
     chi=st.floats(-math.pi, math.pi),
 )
-@example(kind="static", p=0.6, seed=3, n_maps=3, n_steps=8, position=-2,
-         phi=0.3, order="phase-last", initial="fermion", theta=0.0, chi=0.0)
-@example(kind="dynamic", p=1.0, seed=5, n_maps=3, n_steps=8, position=3,
-         phi=-1.2, order="phase-first", initial="single", theta=1.85,
-         chi=math.pi / 2)
-def test_walk_matches_dense_matrix_oracle(kind, p, seed, n_maps, n_steps,
-                                          position, phi, order, initial,
-                                          theta, chi):
+@example(kind="static", p=0.6, semantics="bernoulli-uniform", seed=3,
+         n_maps=3, n_steps=8, position=-2, phi=0.3, order="phase-last",
+         initial="fermion", theta=0.0, chi=0.0)
+@example(kind="dynamic", p=1.0, semantics="bernoulli-uniform", seed=5,
+         n_maps=3, n_steps=8, position=3, phi=-1.2, order="phase-first",
+         initial="single", theta=1.85, chi=math.pi / 2)
+# two blocks, the second partial, of boson pairs: the blocks' slot sums
+# added in block order and each member's pair-averaged own variances
+@example(kind="dynamic", p=0.6, semantics="exact-pi-fraction", seed=7,
+         n_maps=BLOCK_MAPS + 3, n_steps=5, position=1, phi=0.3,
+         order="phase-last", initial="boson", theta=0.0, chi=0.0)
+def test_walk_matches_dense_matrix_oracle(kind, p, semantics, seed, n_maps,
+                                          n_steps, position, phi, order,
+                                          initial, theta, chi):
     # mean QFI, distribution, variance and per-map variance of the
     # ensembles, and each map's one-map QFI series, single-walker or joint
     # tensor, against the oracle
@@ -193,7 +206,7 @@ def test_walk_matches_dense_matrix_oracle(kind, p, seed, n_maps, n_steps,
     coin = (math.cos(theta / 2), complex(math.cos(chi), math.sin(chi))
             * math.sin(theta / 2))
     check_against_oracle(kind, p, seed, n_maps, n_steps, position, phi,
-                         order, initial, coin)
+                         order, initial, coin, semantics)
 
 
 # A mistake the kernel, the one-map API and the two-walker sum shared
