@@ -24,7 +24,7 @@ from .analysis import fit_power_law, windowed_alpha
 from .config import describe_ensemble, load_config
 from .ensemble import run_ensemble
 from .errors import ConfigError
-from .figures import FIGURES, reproduce_figure
+from .figures import FIGURES, density_plot, qfi_plot, reproduce_figure, variance_plot
 from .output import (
     FORMATS,
     alpha_columns,
@@ -39,28 +39,16 @@ from .output import (
     write_series,
     write_text,
 )
-from .svgplot import heatmap, line_plot
 
 
 def _simulate_plot(cfg, series):
     where = f"({cfg.ensemble.kind}, p={cfg.ensemble.p:g})"
     if cfg.experiment == "variance":
-        return line_plot(
-            [(series.steps[1:], series.variance[1:], "Var(x)")],
-            title=f"variance {where}",
-            xlabel="step t", ylabel="Var(x)", log_x=True, log_y=True,
-        )
+        return variance_plot(f"variance {where}",
+                             [(series.steps, series.variance, "Var(x)")])
     if cfg.experiment == "distribution":
-        return heatmap(
-            series.distribution, series.positions, series.steps,
-            title=f"walker density {where}",
-            xlabel="position x", ylabel="step t",
-        )
-    return line_plot(
-        [(series.steps[2:], series.qfi_mean[2:], "QFI")],
-        title=f"QFI {where}",
-        xlabel="step t", ylabel="QFI", log_x=True, log_y=True,
-    )
+        return density_plot(f"walker density {where}", series)
+    return qfi_plot(f"QFI {where}", [(series.steps, series.qfi_mean, "QFI")])
 
 
 def _write_simulate_outputs(cfg, series):

@@ -241,7 +241,9 @@ def describe_ensemble(config, experiment, fit=None):
 
     This is what gets hashed into output manifests: everything that can
     change the numbers, and nothing that cannot (output paths, worker
-    counts, plot toggles).
+    counts, plot toggles).  Numbers are recorded as Python ints and
+    floats, so p = 0 and p = 0.0, or numpy's and Python's 3, describe one
+    run alike.
     """
     initial = {
         "kind": config.initial.kind,
@@ -255,13 +257,13 @@ def describe_ensemble(config, experiment, fit=None):
         "experiment": experiment,
         "disorder": {
             "kind": config.kind,
-            "p": config.p,
+            "p": float(config.p),
             "semantics": config.semantics,
         },
-        "steps": config.n_steps,
-        "maps": config.n_maps,
-        "phi": config.phi,
-        "seed": config.master_seed,
+        "steps": int(config.n_steps),
+        "maps": int(config.n_maps),
+        "phi": float(config.phi),
+        "seed": int(config.master_seed),
         "initial": initial,
         "operator_order": config.operator_order,
     }

@@ -32,6 +32,7 @@ are the same bits as the plain draw's.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,7 +118,7 @@ class MapStack:
     def __post_init__(self):
         if (self.pi is None) == (self.cones is None):
             raise ValueError("a MapStack holds either pi or cones")
-        plus, minus = np.exp(1j * self.phi) * np.array([1.0 + 0j, -1.0 + 0j])
+        plus, minus = np.exp(1j * float(self.phi)) * np.array([1.0 + 0j, -1.0 + 0j])
         if self.cones is None:
             factors = tuple(np.where(self.pi[s::2], minus, plus) for s in (0, 1))
         else:
@@ -148,6 +149,22 @@ class MapStack:
         return out
 
 
+def check_int(name, value, minimum):
+    """Raise ValueError naming `name` unless `value` is an integer of at
+    least `minimum`; numpy integers pass, bool does not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+
+
+def check_real(name, value):
+    """Raise ValueError naming `name` unless `value` is a real number
+    (numpy's included) and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def validate_disorder(kind, n_steps, p, semantics):
     """Reject invalid disorder parameters; shared by maps and ensemble configs."""
     if kind not in KINDS:
@@ -156,8 +173,8 @@ def validate_disorder(kind, n_steps, p, semantics):
         raise ValueError(
             f"unknown disorder semantics {semantics!r}; expected one of {SEMANTICS}"
         )
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    check_int("n_steps", n_steps, 1)
+    check_real("p", p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"disorder degree p = {p!r} outside [0, 1]")
     if kind == "none" and p != 0.0:
@@ -167,30 +184,25 @@ def validate_disorder(kind, n_steps, p, semantics):
 def generate_map(kind, n_steps, p, semantics="bernoulli-uniform", seed=0):
     """Draw a phase map.  See the module docstring for the sampling rules."""
     validate_disorder(kind, n_steps, p, semantics)
+    check_int("seed", seed, 0)
     width = 2 * n_steps + 1
     if kind == "none":
         # no draw: numpy 2 imports numpy.random at its first use
         return PhaseMap(kind, float(p), int(n_steps), semantics, int(seed),
                         np.zeros((n_steps, width), dtype=bool))
     rng = np.random.default_rng(seed)
-    if semantics == "bernoulli-uniform":
-        shape = (width,) if kind == "static" else (n_steps, width)
-        if p == 1.0:
-            # every cell is selected; skip the draw (see the module docstring)
-            rng.bit_generator.advance(math.prod(shape))
-            mask = rng.random(shape) < 0.5
-        else:
-            selected = rng.random(shape) < p
-            mask = selected & (rng.random(shape) < 0.5)
-    elif kind == "static":
-        mask = np.zeros(width, dtype=bool)
-        mask[rng.choice(width, size=math.floor(p * width), replace=False)] = True
+    shape = (width,) if kind == "static" else (n_steps, width)
+    if semantics == "exact-pi-fraction":
+        mask = np.zeros(shape, dtype=bool)
+        n_pi = math.floor(p * mask.size)
+        mask.flat[rng.choice(mask.size, n_pi, replace=False)] = True
+    elif p == 1.0:
+        # every cell is selected; skip the draw (see the module docstring)
+        rng.bit_generator.advance(math.prod(shape))
+        mask = rng.random(shape) < 0.5
     else:
-        n_cells = n_steps * width
-        n_pi = math.floor(p * n_cells)
-        flat = np.zeros(n_cells, dtype=bool)
-        flat[rng.choice(n_cells, size=n_pi, replace=False)] = True
-        mask = flat.reshape(n_steps, width)
+        selected = rng.random(shape) < p
+        mask = selected & (rng.random(shape) < 0.5)
     if kind == "static":
         mask = np.broadcast_to(mask, (n_steps, width))
     return PhaseMap(kind, float(p), int(n_steps), semantics, int(seed), mask)
@@ -221,6 +233,8 @@ def map_from_json(obj):
         raise ValueError(f"phase-map object missing keys: {sorted(missing)}")
     kind, p, n_steps = obj["kind"], obj["p"], obj["T"]
     semantics, seed, entries = obj["semantics"], obj["seed"], obj["entries"]
+    check_int("T", n_steps, 1)
+    check_int("seed", seed, 0)
     validate_disorder(kind, n_steps, p, semantics)
     width = 2 * n_steps + 1
     if len(entries) != n_steps * width:

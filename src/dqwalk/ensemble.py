@@ -99,10 +99,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .disorder import MapStack, generate_map, validate_disorder
+from .disorder import MapStack, check_int, check_real, generate_map, validate_disorder
 from .errors import EnsembleMemberError, RowCheckError
 from .metrology import NEGATIVE_TOL, NORM_TOL, pair_inner, qfi_pure
-from .observables import position_distribution
+from .observables import PositionDistribution, position_distribution, position_variance
 from .operators import (
     OPERATOR_ORDERS,
     PHASE_FIRST,
@@ -220,10 +220,9 @@ class EnsembleConfig:
 
     def __post_init__(self):
         validate_disorder(self.kind, self.n_steps, self.p, self.semantics)
-        if self.n_maps < 1:
-            raise ValueError("n_maps must be >= 1")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be nonnegative")
+        check_int("n_maps", self.n_maps, 1)
+        check_int("master_seed", self.master_seed, 0)
+        check_real("phi", self.phi)
         if self.master_seed > _MASK64:
             raise ValueError(f"master_seed {self.master_seed} is not below 2**64")
         if not math.isfinite(self.phi):
@@ -257,7 +256,9 @@ class EnsembleSeries:
 
     qfi_mean/qfi_stderr: per-step ensemble mean and standard error of the QFI.
     distribution: ensemble-mean position distribution, shape (n_steps+1, W).
-    variance: per-step variance of the ensemble-mean distribution.
+    variance: per-step variance of the ensemble-mean distribution, by
+        `position_variance`, so a row of it that does not sum to 1 fails
+        the run.
     variance_per_map: per-step mean over members of each map's own variance.
     """
 
@@ -666,12 +667,6 @@ def _run_block(config, members, maps):
     return qfi, exchange, dist_sums, own_var
 
 
-def _variance_rows(dists, t_max):
-    x = np.arange(-t_max, t_max + 1, dtype=float)
-    means = dists @ x
-    return dists @ (x * x) - means**2
-
-
 def _walker_coins(spec):
     """The coin each walker row of a member starts in at x0: the configured
     one, or a = |x0, up> and b = |x0, down> for two walkers."""
@@ -957,7 +952,8 @@ def run_ensemble(config, workers=None):
         if config.collect_distribution:
             out.distribution = dist_mean
         if config.collect_variance:
-            out.variance = _variance_rows(dist_mean, config.t_max)
+            out.variance = position_variance(
+                PositionDistribution(config.t_max, dist_mean))
     if own_var_rows is not None:
         out.variance_per_map = own_var_rows.mean(axis=0)
     return out

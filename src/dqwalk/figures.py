@@ -2,7 +2,9 @@
 
 Each preset runs one reference panel end to end: build the ensemble, write
 the data files (with embedded manifests), fit the scaling exponents that the
-panel is about, and render an SVG.  Disordered presets default to 1000 maps,
+panel is about, and render an SVG through the one plot of each series kind
+(`qfi_plot`, `variance_plot`, `density_plot`), which `simulate --plot`
+draws through as well.  Disordered presets default to 1000 maps,
 which reproduces every exponent well inside its stated tolerance on a laptop;
 --paper-scale raises that to the full 10000-map ensembles.  A panel builds
 the config of every ensemble it runs before the first one runs, so a size
@@ -53,7 +55,7 @@ class FigureResult:
 
 
 class _Job:
-    """Shared knobs for one reproduce invocation."""
+    """Shared knobs for one reproduce invocation, and the runs it made."""
 
     def __init__(self, name, out_dir, paper_scale=False, maps=None, seed=0,
                  fmt="csv", workers=None):
@@ -65,6 +67,7 @@ class _Job:
         self.fmt = fmt
         self.workers = workers
         self.result = FigureResult(name)
+        self.runs = []
 
     def n_maps(self, p):
         if p == 0:
@@ -76,6 +79,15 @@ class _Job:
         return _refused(EnsembleConfig, kind=kind, p=p, n_steps=n_steps,
                         n_maps=self.n_maps(p), master_seed=self.seed,
                         **collect)
+
+    def manifest(self, config, experiment, fit_range=None, **extras):
+        """The manifest of one run of `config`, naming this figure, with
+        `extras`; kept for `emit_manifest`."""
+        fit = None if fit_range is None else dict(zip(("t_min", "t_max"), fit_range))
+        manifest = build_manifest(describe_ensemble(config, experiment, fit=fit),
+                                  figure=self.name, **extras)
+        self.runs.append(manifest)
+        return manifest
 
     def path(self, suffix):
         return os.path.join(self.out_dir, f"{self.name}_{suffix}")
@@ -90,9 +102,9 @@ class _Job:
         write_text(path, svg)
         self.result.files.append(path)
 
-    def emit_manifest(self, manifests):
+    def emit_manifest(self):
         path = self.path("manifest.json")
-        write_manifest(path, {"figure": self.name, "runs": manifests})
+        write_manifest(path, {"figure": self.name, "runs": self.runs})
         self.result.files.append(path)
 
 
@@ -103,6 +115,31 @@ def _refused(build, *args, **kwargs):
         return build(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+# One plot per series kind, for `reproduce` and `simulate --plot` alike.
+# Curves are (steps, values, label).  A log axis starts past the zeros:
+# F(0) = 0, F(1) = 0 for a walker started in one coin state, Var(x) = 0 at
+# t = 0.
+
+def qfi_plot(title, curves):
+    """Log-log QFI curves from t = 2."""
+    return line_plot([(t[2:], f[2:], label) for t, f, label in curves],
+                     title=title, xlabel="step t", ylabel="QFI",
+                     log_x=True, log_y=True)
+
+
+def variance_plot(title, curves):
+    """Log-log spreading-variance curves from t = 1."""
+    return line_plot([(t[1:], v[1:], label) for t, v, label in curves],
+                     title=title, xlabel="step t", ylabel="Var(x)",
+                     log_x=True, log_y=True)
+
+
+def density_plot(title, series):
+    """Heatmap of an ensemble's mean position distribution over (x, t)."""
+    return heatmap(series.distribution, series.positions, series.steps,
+                   title=title, xlabel="position x", ylabel="step t")
 
 
 def _label(kind, p):
@@ -116,43 +153,33 @@ def _slug(kind, p):
 def _single_qfi_panel(job, kind, p, n_steps, fit_range):
     cfg = job.config(kind, p, n_steps)
     series = run_ensemble(cfg, workers=job.workers)
-    fit = fit_power_law(series.qfi_mean, *fit_range)
-    job.result.fits["qfi"] = fit
-    desc = describe_ensemble(cfg, "qfi", fit={"t_min": fit_range[0], "t_max": fit_range[1]})
-    manifest = build_manifest(desc, figure=job.name, fit=asdict(fit))
+    fit = job.result.fits["qfi"] = fit_power_law(series.qfi_mean, *fit_range)
+    manifest = job.manifest(cfg, "qfi", fit_range, fit=asdict(fit))
     job.emit_series("qfi", qfi_columns(series), manifest)
-    svg = line_plot(
-        [(series.steps[2:], series.qfi_mean[2:], _label(kind, p))],
-        title=f"{job.name}: QFI, alpha[{fit.t_min},{fit.t_max}] = {fit.alpha:.3f}",
-        xlabel="step t", ylabel="QFI", log_x=True, log_y=True,
-    )
-    job.emit_svg("qfi", svg)
-    return [manifest]
+    job.emit_svg("qfi", qfi_plot(
+        f"{job.name}: QFI, alpha[{fit.t_min},{fit.t_max}] = {fit.alpha:.3f}",
+        [(series.steps, series.qfi_mean, _label(kind, p))],
+    ))
 
 
 def _alpha_panel(job, kind, p, n_steps, window):
     cfg = job.config(kind, p, n_steps)
     series = run_ensemble(cfg, workers=job.workers)
     alpha = windowed_alpha(series.qfi_mean, window=window)
-    desc = describe_ensemble(cfg, "qfi")
-    manifest = build_manifest(desc, figure=job.name, window=window)
+    manifest = job.manifest(cfg, "qfi", window=window)
     job.emit_series("qfi", qfi_columns(series), manifest)
     job.emit_series("alpha", alpha_columns(alpha), manifest)
-    job.emit_svg("qfi", line_plot(
-        [(series.steps[2:], series.qfi_mean[2:], _label(kind, p))],
-        title=f"{job.name}: QFI", xlabel="step t", ylabel="QFI",
-        log_x=True, log_y=True,
+    job.emit_svg("qfi", qfi_plot(
+        f"{job.name}: QFI", [(series.steps, series.qfi_mean, _label(kind, p))]
     ))
     job.emit_svg("alpha", line_plot(
         [(alpha.centers, alpha.alphas, f"window {window}")],
         title=f"{job.name}: local exponent", xlabel="window center t",
         ylabel="alpha(t)",
     ))
-    return [manifest]
 
 
 def _two_particle_panel(job, kind, p, n_steps):
-    manifests = []
     curves = []
     experiments = [
         _refused(TwoParticleExperiment, statistics, kind, p, n_steps,
@@ -162,22 +189,16 @@ def _two_particle_panel(job, kind, p, n_steps):
     for exp in experiments:
         statistics = exp.statistics
         series = run_two_particle(exp, workers=job.workers)
-        desc = describe_ensemble(series.config, "two-particle")
-        manifest = build_manifest(desc, figure=job.name, statistics=statistics)
+        manifest = job.manifest(series.config, "two-particle",
+                                statistics=statistics)
         job.emit_series(f"qfi_{statistics}", qfi_columns(series), manifest)
-        curves.append((series.steps[2:], series.qfi_mean[2:], statistics))
-        manifests.append(manifest)
+        curves.append((series.steps, series.qfi_mean, statistics))
         if statistics == "separable":
             reference = separable_reference(exp, workers=job.workers)
-            curves.append(
-                (series.steps[2:], reference[2:], "single-walker sum")
-            )
-    job.emit_svg("qfi", line_plot(
-        curves,
-        title=f"{job.name}: joint QFI ({_label(kind, p)})",
-        xlabel="step t", ylabel="QFI", log_x=True, log_y=True,
+            curves.append((series.steps, reference, "single-walker sum"))
+    job.emit_svg("qfi", qfi_plot(
+        f"{job.name}: joint QFI ({_label(kind, p)})", curves
     ))
-    return manifests
 
 
 # the five disorder panels of the distribution and variance scans
@@ -201,53 +222,34 @@ def _scan(job, n_steps, **collect):
 
 
 def _distribution_panels(job, n_steps):
-    manifests = []
     for kind, p, cfg in _scan(job, n_steps, collect_distribution=True):
         series = run_ensemble(cfg, workers=job.workers)
-        desc = describe_ensemble(cfg, "distribution")
-        manifest = build_manifest(desc, figure=job.name)
         slug = _slug(kind, p)
-        job.emit_series(
-            f"distribution_{slug}", distribution_columns(series), manifest
-        )
-        job.emit_svg(f"distribution_{slug}", heatmap(
-            series.distribution, series.positions, series.steps,
-            title=f"{job.name}: walker density ({slug})",
-            xlabel="position x", ylabel="step t",
+        job.emit_series(f"distribution_{slug}", distribution_columns(series),
+                        job.manifest(cfg, "distribution"))
+        job.emit_svg(f"distribution_{slug}", density_plot(
+            f"{job.name}: walker density ({slug})", series
         ))
-        manifests.append(manifest)
-    return manifests
 
 
 def _variance_panels(job, n_steps):
-    manifests = []
     curves = {"static": [], "dynamic": []}
     for kind, p, cfg in _scan(job, n_steps, collect_variance=True):
         series = run_ensemble(cfg, workers=job.workers)
-        fit = fit_power_law(series.variance, 10, n_steps)
-        desc = describe_ensemble(cfg, "variance")
-        manifest = build_manifest(desc, figure=job.name, fit=asdict(fit))
         slug = _slug(kind, p)
-        job.result.fits[slug] = fit
+        fit = job.result.fits[slug] = fit_power_law(series.variance, 10, n_steps)
         job.emit_series(
             f"variance_{slug}", variance_columns(series.steps, series.variance),
-            manifest,
+            job.manifest(cfg, "variance", fit=asdict(fit)),
         )
         label = "ordered" if kind == "none" else f"p = {p:g}"
-        curve = (series.steps[1:], series.variance[1:], label)
-        if kind == "none":
-            curves["static"].append(curve)
-            curves["dynamic"].append(curve)
-        else:
-            curves[kind].append(curve)
-        manifests.append(manifest)
-    for kind in ("static", "dynamic"):
-        job.emit_svg(f"variance_{kind}", line_plot(
-            curves[kind],
-            title=f"{job.name}: spreading variance ({kind} disorder)",
-            xlabel="step t", ylabel="Var(x)", log_x=True, log_y=True,
+        # the ordered curve is drawn on both plots
+        for plot in curves if kind == "none" else (kind,):
+            curves[plot].append((series.steps, series.variance, label))
+    for kind, plot_curves in curves.items():
+        job.emit_svg(f"variance_{kind}", variance_plot(
+            f"{job.name}: spreading variance ({kind} disorder)", plot_curves
         ))
-    return manifests
 
 
 # preset -> (panel function, its parameters)
@@ -281,7 +283,7 @@ def reproduce_figure(name, out_dir, paper_scale=False, maps=None, seed=0,
     panel, params = FIGURES[name]
     # one pool for all of the preset's ensembles, joined before the return
     with pool_scope():
-        manifests = panel(job, **params)
-    job.emit_manifest(manifests)
+        panel(job, **params)
+    job.emit_manifest()
     return job.result
 

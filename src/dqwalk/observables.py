@@ -68,11 +68,17 @@ def position_distribution(state, particle=0):
 
 
 def position_variance(dist):
-    """Var(x) = <x^2> - <x>^2 of a position distribution."""
+    """Var(x) = <x^2> - <x>^2 of a position distribution: a float for
+    probabilities of shape (W,), one variance per row for a stack of
+    shape (..., W) (a light cone's (slot, row) cells go one row at a
+    time).  Raises ValueError if a row's probabilities sum to NaN or off
+    1 by more than NORM_TOL."""
     x = dist.positions().astype(float)
     p = dist.probabilities
-    total = p.sum()
-    if not np.isfinite(total) or abs(total - 1.0) > NORM_TOL:
-        raise ValueError(f"probabilities sum to {total!r}, expected 1")
-    mean = float(x @ p)
-    return float((x * x) @ p - mean * mean)
+    totals = p.sum(axis=-1)
+    off = ~(np.abs(totals - 1.0) <= NORM_TOL)  # true for NaN as well
+    if off.any():
+        raise ValueError(f"probabilities sum to {float(totals[off][0])!r}, expected 1")
+    mean = p @ x
+    variance = p @ (x * x) - mean * mean
+    return float(variance) if p.ndim == 1 else variance

@@ -16,7 +16,7 @@ map (`dqwalk.ensemble`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .ensemble import EnsembleConfig, InitialStateSpec, run_ensemble
 from .operators import PHASE_FIRST
@@ -50,18 +50,10 @@ class TwoParticleExperiment:
         self._ensemble_config(InitialStateSpec(kind=self.statistics))
 
     def _ensemble_config(self, initial, collect_distribution=False):
-        return EnsembleConfig(
-            kind=self.kind,
-            p=self.p,
-            n_steps=self.n_steps,
-            n_maps=self.n_maps,
-            master_seed=self.master_seed,
-            phi=self.phi,
-            semantics=self.semantics,
-            initial=initial,
-            collect_distribution=collect_distribution,
-            operator_order=self.operator_order,
-        )
+        shared = {f.name: getattr(self, f.name) for f in fields(self)
+                  if f.name != "statistics"}
+        return EnsembleConfig(**shared, initial=initial,
+                              collect_distribution=collect_distribution)
 
 
 def run_two_particle(experiment, workers=None, collect_distribution=False):

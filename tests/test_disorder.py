@@ -62,6 +62,11 @@ def test_parameter_validation():
         generate_map("dynamic", 0, 0.5)
     with pytest.raises(ValueError):
         generate_map("dynamic", 10, 0.5, semantics="almost-uniform")
+    for name, args in (("n_steps", (10.0, 0.5)), ("p", (10, True)),
+                       ("seed", (10, 0.5, "bernoulli-uniform", 1.5)),
+                       ("seed", (10, 0.5, "bernoulli-uniform", -4))):
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            generate_map("dynamic", *args)
 
 
 def test_static_map_repeats_one_row():
@@ -243,6 +248,17 @@ def test_json_import_validation():
     entries[0] = 1 - entries[0]
     with pytest.raises(ValueError):
         map_from_json(dict(obj, entries=entries))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("seed", "7"), ("seed", -4), ("seed", True),
+    ("p", "0.5"), ("p", True), ("T", True), ("T", 4.0),
+])
+def test_json_import_names_a_field_of_the_wrong_type(field, value):
+    obj = dict(map_to_json(generate_map("static", 4, 0.6, seed=0)),
+               **{field: value})
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
+        map_from_json(obj)
 
 
 def test_json_none_kind_must_be_empty():

@@ -22,10 +22,13 @@ from dqwalk import (
     run_ensemble,
     split_seed,
 )
+from dqwalk.config import describe_ensemble
 from dqwalk.disorder import SEMANTICS
 from dqwalk.ensemble import pool_scope
 from dqwalk.figures import FIGURES, PAPER_MAPS
 from dqwalk.operators import OPERATOR_ORDERS
+from dqwalk.output import canonical_json
+from dqwalk.twoparticle import TwoParticleExperiment
 
 
 def test_split_seed_deterministic_and_distinct():
@@ -87,6 +90,41 @@ def test_config_validation():
     with pytest.raises(ValueError):
         EnsembleConfig(kind="dynamic", p=0.5, n_steps=10, n_maps=5,
                        collect_qfi=False)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("master_seed", 1.5), ("master_seed", True), ("master_seed", "7"),
+    ("n_steps", 10.0), ("n_steps", True), ("n_maps", 5.0), ("n_maps", True),
+    ("p", True), ("p", "0.5"), ("phi", True), ("phi", "0.3"),
+])
+def test_config_names_a_field_of_the_wrong_type(field, value):
+    kwargs = {"kind": "dynamic", "p": 0.5, "n_steps": 10, "n_maps": 5,
+              field: value}
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
+        EnsembleConfig(**kwargs)
+    if field != "n_maps":
+        kwargs = {"statistics": "boson", **kwargs}
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            TwoParticleExperiment(**kwargs)
+
+
+@pytest.mark.parametrize("kind", ["static", "dynamic"])
+def test_config_takes_numpy_numbers_as_their_values(kind):
+    # a float32 phi once formed complex64 phase factors, and failed the
+    # norm check at step 1
+    plain = EnsembleConfig(kind=kind, p=0.5, n_steps=10, n_maps=5,
+                           master_seed=3, phi=float(np.float32(0.3)))
+    numpy_ = EnsembleConfig(kind=kind, p=np.float32(0.5),
+                            n_steps=np.int64(10), n_maps=np.int32(5),
+                            master_seed=np.uint64(3), phi=np.float32(0.3))
+    assert (canonical_json(describe_ensemble(numpy_, "qfi"))
+            == canonical_json(describe_ensemble(plain, "qfi")))
+    np.testing.assert_array_equal(run_ensemble(numpy_).qfi_mean,
+                                  run_ensemble(plain).qfi_mean)
+    # an int p is the float p
+    ordered = (EnsembleConfig(kind="none", p=p, n_steps=10, n_maps=1)
+               for p in (0, 0.0))
+    assert len({canonical_json(describe_ensemble(c, "qfi")) for c in ordered}) == 1
 
 
 def test_config_size_is_bounded():

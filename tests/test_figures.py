@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import re
 
 import pytest
 
@@ -126,6 +127,22 @@ def test_scan_draws_each_map_once_for_its_four_disorder_panels(
     assert len(maps) == 1
     assert [size for size, _ in families] == [1] + [4] * 70
     assert len({seed for _, seed in families[1:]}) == 70
+
+
+def test_reproduce_and_simulate_draw_one_qfi_curve(tmp_path):
+    # fig2a's ordered walk, as a preset and as a simulate config: one plot
+    # definition, so one polyline
+    assert main(["reproduce", "fig2a", "--maps", "1", "--workers", "1",
+                 "--out", str(tmp_path / "preset")]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "qfi", "disorder": {"kind": "none"},
+                               "steps": 100, "maps": 1}))
+    assert main(["simulate", "--config", str(cfg), "--workers", "1", "--plot",
+                 "--out", str(tmp_path / "sim")]) == 0
+    preset, simulated = (re.findall(r"<polyline [^>]*>", path.read_text())
+                         for path in (tmp_path / "preset" / "fig2a_qfi.svg",
+                                      tmp_path / "sim" / "qfi.svg"))
+    assert len(preset) == 1 and preset == simulated
 
 
 def test_reproduce_figure_rejects_zero_maps(tmp_path):

@@ -14,6 +14,7 @@ from dqwalk import (
     two_particle_step,
 )
 from dqwalk.errors import RowCheckError
+from dqwalk.metrology import NORM_TOL
 from dqwalk.states import ConeStack
 
 
@@ -122,6 +123,30 @@ def test_variance_requires_normalized_distribution():
     d = PositionDistribution(1, np.array([0.5, 0.0, 0.4]))
     with pytest.raises(ValueError):
         position_variance(d)
+
+
+def test_variance_of_a_stack_is_the_variance_of_each_row():
+    rng = np.random.default_rng(5)
+    t_max = 20
+    probs = rng.random((3, 4, 2 * t_max + 1))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    stacked = position_variance(PositionDistribution(t_max, probs))
+    assert stacked.shape == (3, 4)
+    rows = [position_variance(PositionDistribution(t_max, row))
+            for row in probs.reshape(12, -1)]
+    assert all(type(v) is float for v in rows)
+    # a row alone is a dot product and a stack one BLAS matrix-vector
+    # product, which need not add a row's terms in the same order
+    np.testing.assert_allclose(stacked.ravel(), rows, rtol=0,
+                               atol=1e-15 * t_max**2)
+
+
+@pytest.mark.parametrize("bad_row", ["off", "nan"])
+def test_variance_checks_every_row_of_a_stack(bad_row):
+    probs = np.full((3, 5), 0.2)
+    probs[1] = np.nan if bad_row == "nan" else 0.2 * (1 + 2 * NORM_TOL)
+    with pytest.raises(ValueError, match="sum to"):
+        position_variance(PositionDistribution(2, probs))
 
 
 def test_ballistic_variance_growth_clean_walk():
