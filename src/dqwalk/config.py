@@ -247,7 +247,7 @@ def describe_ensemble(config, experiment, fit=None):
     """
     initial = {
         "kind": config.initial.kind,
-        "position": config.initial.position,
+        "position": int(config.initial.position),
         "coin": [
             [config.initial.coin[0].real, config.initial.coin[0].imag],
             [config.initial.coin[1].real, config.initial.coin[1].imag],

@@ -65,6 +65,13 @@ rebuilds the joint QFI and marginal from them:
 both exact while <a|b> = 0, which the evolution conserves and every step
 checks (Omar, Paunkovic, Sheridan & Bose, PRA 74, 042304 (2006)).
 
+A failing check takes one path to the caller.  Every check of a step,
+in the layers or in the kernel, raises a `RowCheckError` through
+`metrology.check_rows`, naming a walker row, and one handler in
+`_run_block` raises `EnsembleMemberError` for that row's member, with its
+index, seed and step.  Leaving `pool_scope` on it, as on any exception,
+stops the pool and drops the store.
+
 The kernel returns each walker row's own QFI, and for two walkers each
 member's |<a|db>|^2, and `run_ensemble` forms the run's F from those rows
 (`_qfi_table`).  So one evolution of a and b holds every statistic's F,
@@ -101,7 +108,7 @@ import numpy as np
 
 from .disorder import MapStack, check_int, check_real, generate_map, validate_disorder
 from .errors import EnsembleMemberError, RowCheckError
-from .metrology import NEGATIVE_TOL, NORM_TOL, pair_inner, qfi_pure
+from .metrology import NEGATIVE_TOL, NORM_TOL, check_rows, pair_inner, qfi_pure
 from .observables import PositionDistribution, position_distribution, position_variance
 from .operators import (
     OPERATOR_ORDERS,
@@ -187,6 +194,7 @@ class InitialStateSpec:
     def __post_init__(self):
         if self.kind not in INITIAL_KINDS:
             raise ValueError(f"unknown initial-state kind {self.kind!r}")
+        check_int("position", self.position, -math.inf)
         object.__setattr__(self, "coin", coin_spinor(self.coin))
         if self.kind != "single" and self.coin != (1.0 + 0.0j, 0.0j):
             raise ValueError(
@@ -574,7 +582,12 @@ def _run_block(config, members, maps):
     for two walkers, |<a|b>| <= NORM_TOL, which the product form relies
     on, and the fermion F >= 0 and the boson F <= (2t)^2, so that one
     evolution checks every statistic it can serve.  Each check is written
-    to fail on NaN.
+    to fail on NaN.  The norms and the floor F >= 0 are checked by the
+    layers (`qfi_pure`, `position_distribution`), the rest here, and every
+    one raises through `metrology.check_rows`, which names a walker row: a
+    check of one value per member names the member's first row.  One
+    handler around the steps turns that into EnsembleMemberError for the
+    row's member, with the step.
     """
     # each block's rows of the call's member tables
     spans = [slice(k, k + BLOCK_MAPS) for k in range(0, len(members), BLOCK_MAPS)]
@@ -586,19 +599,6 @@ def _run_block(config, members, maps):
     stride = 2 if spec.kind == "separable" else 1
     counted = walkers // stride
 
-    def check(values, bad, what):
-        """Fail the member of the first bad entry, one per walker row or
-        one per member."""
-        if bad.any():
-            row = int(np.flatnonzero(bad)[0])
-            message = f"step {t}: {what}: {values[row]!r}"
-            member = members[row // (len(values) // len(members))]
-            raise _member_error(config, member, message)
-
-    def failed(exc):
-        member = members[exc.row // walkers]
-        return _member_error(config, member, f"step {t}: {exc}")
-
     psi, dpsi, scratch, qfi, exchange, dist_sums, own_var = (
         _call_arrays(config, len(members), np.zeros, "psi", "dpsi", "scratch",
                      "qfi", "exchange", "dist_sums", "own_var"))
@@ -608,62 +608,61 @@ def _run_block(config, members, maps):
         psi[:, 0, j::walkers] = np.array(coin)[:, None]
     evolve = step if qfi is None else step_with_derivative
 
-    for t in range(n + 1):
-        # step t's walkers: slots 0..t of each buffer
-        cells = psi[:, :t + 1]
-        now = ConeStack(cells, None if dpsi is None else dpsi[:, :t + 1], x0,
-                        scratch)
-        if t > 0:
-            ctx = StepContext(config.phi, t, maps, config.operator_order)
-            evolve(prev, ctx, out=now)
-        prev = now
-        if walkers == 2:
-            pairs = scratch[:, :t + 1]
-            ab = np.abs(pair_inner(cells, cells, pairs))
-            check(ab, ~(ab <= NORM_TOL), f"|<a|b>| exceeds {NORM_TOL}")
-        if qfi is not None:
-            try:
-                values = qfi_pure(now)
-            except RowCheckError as exc:
-                raise failed(exc) from exc
-            bound = t * t
-            check(values,
-                  ~((values >= -NEGATIVE_TOL)
-                    & (values <= bound * (1 + NORM_TOL))),
-                  f"F outside [0, t^2 = {bound}]")
-            np.maximum(values, 0.0, out=qfi[:, t])
-            if exchange is not None:
-                # |<a|db>|^2, and every statistic's F from the rows as
-                # `_qfi_table` forms it, held to [0, (2t)^2]: the
-                # separable F lies between the fermion and the boson one
-                a_db = pair_inner(cells, now.dpsi, pairs)
-                exchange[:, t] = np.abs(a_db) ** 2
-                both = qfi[0::2, t] + qfi[1::2, t]
-                swap = 8 * exchange[:, t]
-                fermion, boson = both - swap, both + swap
-                check(fermion, ~(fermion >= -NEGATIVE_TOL),
-                      "fermion F outside [0, (2t)^2]")
-                check(boson, ~(boson <= 4 * bound * (1 + NORM_TOL)),
-                      f"boson F outside [0, (2t)^2 = {4 * bound}]")
-        if dist_sums is not None or own_var is not None:
-            try:
+    try:
+        for t in range(n + 1):
+            # step t's walkers: slots 0..t of each buffer
+            cells = psi[:, :t + 1]
+            now = ConeStack(cells, None if dpsi is None else dpsi[:, :t + 1],
+                            x0, scratch)
+            if t > 0:
+                ctx = StepContext(config.phi, t, maps, config.operator_order)
+                evolve(prev, ctx, out=now)
+            prev = now
+            if walkers == 2:
+                pairs = scratch[:, :t + 1]
+                ab = np.abs(pair_inner(cells, cells, pairs))
+                check_rows(ab <= NORM_TOL, ab, f"|<a|b>| exceeds {NORM_TOL}",
+                           walkers)
+            if qfi is not None:
+                # `qfi_rows` holds the floor, and clamps at 0
+                values = qfi[:, t] = qfi_pure(now)
+                bound = t * t
+                check_rows(values <= bound * (1 + NORM_TOL), values,
+                           f"F outside [0, t^2 = {bound}]")
+                if exchange is not None:
+                    # |<a|db>|^2, and every statistic's F from the rows as
+                    # `_qfi_table` forms it, held to [0, (2t)^2]: the
+                    # separable F lies between the fermion and the boson one
+                    a_db = pair_inner(cells, now.dpsi, pairs)
+                    exchange[:, t] = np.abs(a_db) ** 2
+                    both = qfi[0::2, t] + qfi[1::2, t]
+                    swap = 8 * exchange[:, t]
+                    fermion, boson = both - swap, both + swap
+                    check_rows(fermion >= -NEGATIVE_TOL, fermion,
+                               "fermion F outside [0, (2t)^2]", walkers)
+                    check_rows(boson <= 4 * bound * (1 + NORM_TOL), boson,
+                               f"boson F outside [0, (2t)^2 = {4 * bound}]",
+                               walkers)
+            if dist_sums is not None or own_var is not None:
                 dist = position_distribution(now)
-            except RowCheckError as exc:
-                raise failed(exc) from exc
-            x = dist.positions().astype(float)
-            sites = slice(t_max + x0 - t, t_max + x0 + t + 1, 2)
-            for i, span in enumerate(spans):
-                # the block's rows of step t's (t + 1, rows) probabilities
-                probs = dist.probabilities[:, span.start * walkers:
-                                           span.stop * walkers:stride]
-                if dist_sums is not None:
-                    sums = probs.sum(axis=1, out=dist_sums[i, t, sites])
-                    sums /= counted
-                if own_var is not None:
-                    # each member's moments, the mean of its rows'
-                    mean, square = ((y @ probs).reshape(-1, counted).mean(axis=1)
-                                    for y in (x, x * x))
-                    own_var[span, t] = square - mean * mean
+                x = dist.positions().astype(float)
+                sites = slice(t_max + x0 - t, t_max + x0 + t + 1, 2)
+                for i, span in enumerate(spans):
+                    # the block's rows of step t's (t + 1, rows) probabilities
+                    probs = dist.probabilities[:, span.start * walkers:
+                                               span.stop * walkers:stride]
+                    if dist_sums is not None:
+                        sums = probs.sum(axis=1, out=dist_sums[i, t, sites])
+                        sums /= counted
+                    if own_var is not None:
+                        # each member's moments, the mean of its rows'
+                        mean, square = ((y @ probs).reshape(-1, counted)
+                                        .mean(axis=1) for y in (x, x * x))
+                        own_var[span, t] = square - mean * mean
+    except RowCheckError as exc:
+        # every check names a walker row: the member's first row or its own
+        raise _member_error(config, members[exc.row // walkers],
+                            f"step {t}: {exc}") from exc
     return qfi, exchange, dist_sums, own_var
 
 
@@ -779,9 +778,14 @@ def pool_scope():
     number of processes, so its workers run the code as it stood then; a
     later call that needs more processes replaces it.  Leaving the scope
     closes and joins the pool, so its workers have exited, and their CPU
-    time is reaped, by the time the scope ends; an exception terminates
-    them instead.  Inside an open scope, `pool_scope()` does nothing, and
-    `run_ensemble` outside any scope opens its own.
+    time is reaped, by the time the scope ends.  Inside an open scope,
+    `pool_scope()` opens no scope of its own, and `run_ensemble` outside
+    any scope opens its own.  An exception leaving any scope, nested or
+    not, a failed member or an interrupt inside `run_ensemble` among
+    them, terminates the pool's workers at once, without waiting for its
+    queue to drain, and drops the store and the announced families, so
+    that nothing the failed run left is read later in the scope.  No
+    other code stops the pool or drops the store on a failure.
 
     Every evolution drops the tables the scope stored, then stores every
     table it formed (`_evolve`): each config's QFI rows, each walker's by
@@ -800,23 +804,22 @@ def pool_scope():
     config of the family from one map draw per member and stores every
     config's tables, block sums added in block order as ever, from which
     each later run of one of them reads its own, with the bits it would
-    evolve.  The store lives as long as the scope; a failure drops it,
-    and the families.
+    evolve.  The store lives as long as the scope, or until a failure.
     """
     global _scope
-    if _scope is not None:
-        yield
-        return
-    _scope = scope = _PoolScope()
+    opened = _scope is None
+    if opened:
+        _scope = _PoolScope()
+    scope = _scope
     try:
         yield
     except BaseException:
         scope.end(terminate=True)
         raise
-    else:
-        scope.end()
     finally:
-        _scope = None
+        if opened:
+            scope.end()
+            _scope = None
 
 
 def share_maps(configs):
@@ -908,7 +911,9 @@ def run_ensemble(config, workers=None):
     and call layouts.  Every run reads its tables from the store of the
     scope, after evolving them, with its announced map family, only if
     one of them is missing (`pool_scope`); the bits are the same either
-    way.
+    way.  A failing member raises EnsembleMemberError with its index and
+    seed, and, as any exception, stops the scope's pool and drops its
+    store (`pool_scope`).
     """
     if workers is None:
         workers = 1
@@ -917,18 +922,12 @@ def run_ensemble(config, workers=None):
     n_maps, n = config.n_maps, config.n_steps
     rows, *sum_keys = _keys(config)
     with pool_scope():
-        try:
-            if not all(key in _scope.kept
-                       for key in rows + sum_keys if key is not None):
-                _evolve(config, workers)
-            tables = [_scope.kept[key] for key in rows]
-            # a table not collected has the key None, which is never stored
-            dist_sum, own_var_rows = map(_scope.kept.get, sum_keys)
-        except BaseException:
-            # a failed member or an interrupt must not wait for the queue to
-            # drain, nor leave a pool or tables the rest of the scope would read
-            _scope.end(terminate=True)
-            raise
+        if not all(key in _scope.kept
+                   for key in rows + sum_keys if key is not None):
+            _evolve(config, workers)
+        tables = [_scope.kept[key] for key in rows]
+        # a table not collected has the key None, which is never stored
+        dist_sum, own_var_rows = map(_scope.kept.get, sum_keys)
 
     out = EnsembleSeries(
         config=config,

@@ -13,7 +13,9 @@ class RowCheckError(ValueError):
     """A check failed on one row of a stacked (rows, N) computation.
 
     `row` is the index of the first offending row, so that a caller holding
-    many states at once can name the one that failed.
+    many states at once can name the one that failed.  Every row check
+    raises it through `metrology.check_rows`; the ensemble kernel turns it
+    into the EnsembleMemberError of the row's member.
     """
 
     def __init__(self, row, message):

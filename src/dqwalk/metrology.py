@@ -22,6 +22,12 @@ unchanged.  So `qfi_series`,
 which reduces a walker over its full lattice, and the ensemble kernel,
 which reduces only the t + 1 light-cone sites a walker can occupy after t
 steps (`states.ConeStack`), agree bit for bit.
+
+Every check on a stack of rows raises through `check_rows`: the norms
+(`check_norms`), the QFI floor of `qfi_rows`, the row sums of
+`observables.position_variance` and the ensemble kernel's per-step checks.
+It names the first failing row in a `RowCheckError`, from which the
+kernel names the member.
 """
 
 from __future__ import annotations
@@ -115,20 +121,28 @@ def _abs2_sums(squares):
     return sums[0::2] + sums[1::2]
 
 
-def _first(bad):
-    return int(np.flatnonzero(bad)[0])
+def check_rows(ok, values, what, per=1):
+    """Raise RowCheckError for the first entry, in C order, where the mask
+    `ok` is False; its message is `what` and the entry's value in `values`.
+
+    Write `ok` so that NaN gives False: a comparison with NaN is False.
+    The error's row is the entry's index times `per`, so that a check of
+    one value per member names row = member x walkers, as a check of one
+    value per walker row does.
+    """
+    ok = np.ravel(ok)
+    if not ok.all():
+        index = int(np.argmin(ok))
+        raise RowCheckError(index * per,
+                            f"{what}: {float(np.ravel(values)[index])!r}")
 
 
 def check_norms(norm2):
-    """Raise RowCheckError naming the first walker whose norm^2, one entry
-    of the 1-D `norm2`, is off 1 by more than NORM_TOL or is NaN.
+    """Raise RowCheckError naming the first walker, in C order, whose
+    norm^2, one entry of `norm2`, is off 1 by more than NORM_TOL or is NaN.
     """
-    off = ~(np.abs(norm2 - 1.0) <= NORM_TOL)  # true for NaN as well
-    if off.any():
-        row = _first(off)
-        raise RowCheckError(
-            row, f"state norm^2 = {norm2[row]!r} deviates from 1 beyond {NORM_TOL}"
-        )
+    check_rows(np.abs(norm2 - 1.0) <= NORM_TOL, norm2,
+               f"state norm^2 deviates from 1 beyond {NORM_TOL}")
 
 
 def qfi_rows(psi, dpsi, scratch=None):
@@ -154,10 +168,7 @@ def qfi_rows(psi, dpsi, scratch=None):
     np.multiply(work[1], psi[1], out=work[1])
     np.subtract(dpsi, work, out=work)
     values = 4.0 * _abs2_sums(np.square(floats, out=floats))
-    negative = ~(values >= -NEGATIVE_TOL)
-    if negative.any():
-        row = _first(negative)
-        raise RowCheckError(row, f"QFI evaluated to {values[row]!r}, not >= 0")
+    check_rows(values >= -NEGATIVE_TOL, values, "QFI not >= 0")
     return np.maximum(values, 0.0)
 
 

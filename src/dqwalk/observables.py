@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrology import NORM_TOL, check_norms
+from .metrology import NORM_TOL, check_norms, check_rows
 from .states import DOWN, UP, ConeStack, TwoParticleState, WalkerState, cone_positions
 
 
@@ -63,7 +63,7 @@ def position_distribution(state, particle=0):
     else:
         probs = weights[..., UP]
         probs += weights[..., DOWN]
-    check_norms(np.atleast_1d(probs.sum(axis=-1)).ravel())
+    check_norms(probs.sum(axis=-1))
     return PositionDistribution(state.t_max, probs)
 
 
@@ -71,14 +71,14 @@ def position_variance(dist):
     """Var(x) = <x^2> - <x>^2 of a position distribution: a float for
     probabilities of shape (W,), one variance per row for a stack of
     shape (..., W) (a light cone's (slot, row) cells go one row at a
-    time).  Raises ValueError if a row's probabilities sum to NaN or off
-    1 by more than NORM_TOL."""
+    time).  Raises RowCheckError, a ValueError, naming the first row, in
+    C order, whose probabilities sum to NaN or off 1 by more than
+    NORM_TOL."""
     x = dist.positions().astype(float)
     p = dist.probabilities
     totals = p.sum(axis=-1)
-    off = ~(np.abs(totals - 1.0) <= NORM_TOL)  # true for NaN as well
-    if off.any():
-        raise ValueError(f"probabilities sum to {float(totals[off][0])!r}, expected 1")
+    check_rows(np.abs(totals - 1.0) <= NORM_TOL, totals,
+               f"probabilities do not sum to 1 within {NORM_TOL}")
     mean = p @ x
     variance = p @ (x * x) - mean * mean
     return float(variance) if p.ndim == 1 else variance

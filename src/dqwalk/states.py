@@ -13,6 +13,7 @@ evolutions a, b of |x,up>, |x,down> (see `dqwalk.ensemble`).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,8 +191,13 @@ def cone_positions(origin, steps):
 def coin_spinor(coin):
     """The (up, down) coin amplitudes as complex numbers.
 
-    Raises ValueError unless |c|^2 is 1 within COIN_TOL.
+    Raises ValueError, naming the coin, unless it is two amplitudes that
+    are numbers, numpy's included and bool not, and |c|^2 is 1 within
+    COIN_TOL.
     """
+    if len(coin) != 2 or any(isinstance(c, bool)
+                             or not isinstance(c, numbers.Number) for c in coin):
+        raise ValueError(f"coin amplitudes must be two numbers, got {coin!r}")
     cu, cd = complex(coin[0]), complex(coin[1])
     n2 = abs(cu) ** 2 + abs(cd) ** 2
     if not abs(n2 - 1.0) <= COIN_TOL:  # also rejects nan

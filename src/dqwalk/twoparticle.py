@@ -49,17 +49,16 @@ class TwoParticleExperiment:
         # the single-walker runs of `separable_reference` over the same maps
         self._ensemble_config(InitialStateSpec(kind=self.statistics))
 
-    def _ensemble_config(self, initial, collect_distribution=False):
+    def _ensemble_config(self, initial):
         shared = {f.name: getattr(self, f.name) for f in fields(self)
                   if f.name != "statistics"}
-        return EnsembleConfig(**shared, initial=initial,
-                              collect_distribution=collect_distribution)
+        return EnsembleConfig(**shared, initial=initial)
 
 
-def run_two_particle(experiment, workers=None, collect_distribution=False):
+def run_two_particle(experiment, workers=None):
     """Evolve the joint state for every map and average the joint QFI."""
     initial = InitialStateSpec(kind=experiment.statistics)
-    config = experiment._ensemble_config(initial, collect_distribution)
+    config = experiment._ensemble_config(initial)
     return run_ensemble(config, workers=workers)
 
 

@@ -18,6 +18,7 @@ from dqwalk import (
     EnsembleMemberError,
     InitialStateSpec,
     generate_map,
+    new_walker_state,
     qfi_series,
     run_ensemble,
     split_seed,
@@ -27,7 +28,7 @@ from dqwalk.disorder import SEMANTICS
 from dqwalk.ensemble import pool_scope
 from dqwalk.figures import FIGURES, PAPER_MAPS
 from dqwalk.operators import OPERATOR_ORDERS
-from dqwalk.output import canonical_json
+from dqwalk.output import canonical_json, config_sha256
 from dqwalk.twoparticle import TwoParticleExperiment
 
 
@@ -1012,6 +1013,34 @@ def test_initial_state_spec_checks_the_coin_norm():
     assert spec.build(3).norm() == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("coin", [(True, False), ("1", "0"), (np.True_, 0.0),
+                                  (None, 1.0), (1.0, 0.0, 0.5), (1.0,)])
+@pytest.mark.parametrize("build", [lambda coin: InitialStateSpec(coin=coin),
+                                   lambda coin: new_walker_state(3, 0, coin)],
+                         ids=["InitialStateSpec", "new_walker_state"])
+def test_coin_amplitudes_must_be_numbers(build, coin):
+    # complex() takes most of these, so each became a coin |up>, or failed
+    # with a TypeError or IndexError of its own
+    with pytest.raises(ValueError, match="coin amplitudes must be two numbers") as info:
+        build(coin)
+    assert repr(coin) in str(info.value)
+
+
+def test_initial_position_must_be_an_integer():
+    for position in (1.5, "1", True, None):
+        with pytest.raises(ValueError) as info:
+            InitialStateSpec(position=position)
+        assert str(info.value).startswith("position must be")
+    # numpy's integers pass, and describe and hash the run as Python's do
+    configs = [EnsembleConfig(kind="static", p=0.5, n_steps=4, n_maps=2,
+                              initial=InitialStateSpec(position=position))
+               for position in (2, np.int64(2))]
+    descs = [describe_ensemble(cfg, "qfi") for cfg in configs]
+    assert descs[0] == descs[1]
+    assert canonical_json(descs[0]) == canonical_json(descs[1])
+    assert config_sha256(descs[0]) == config_sha256(descs[1])
+
+
 def _map_draws(monkeypatch):
     """Count the member draws from here on: the seeds drawn for a lone
     config, a family of one, and those drawn for a map family of more."""
@@ -1184,6 +1213,22 @@ def test_a_sum_is_stored_under_its_whole_initial_state(monkeypatch):
     assert len(draws) == len(configs) * _SHARED.n_maps
     for cfg, a, b in zip(configs, got, want):
         _assert_same_bits(a, b, cfg.initial)
+
+
+def test_exception_in_a_nested_scope_stops_the_pool_and_drops_the_store(
+        long_walks, pool_forks):
+    # the outer scope catches what left the nested one: the nested scope
+    # alone stopped the pool and dropped the store
+    with pool_scope():
+        run_ensemble(_three_block_config(4), workers=2)
+        assert pool_forks == [2] and ensemble_mod._scope.kept
+        with pytest.raises(RuntimeError, match="inside the nested scope"):
+            with pool_scope():
+                raise RuntimeError("inside the nested scope")
+        assert ensemble_mod._scope.pool is None
+        assert ensemble_mod._scope.kept == {}
+        assert multiprocessing.active_children() == []
+    assert ensemble_mod._scope is None
 
 
 def test_failure_drops_the_kept_rows():

@@ -15,7 +15,7 @@ from dqwalk import (
     qfi_series,
 )
 from dqwalk.errors import RowCheckError
-from dqwalk.metrology import check_norms, qfi_rows
+from dqwalk.metrology import check_norms, check_rows, qfi_rows
 
 
 def _random_pair(seed, t_max=6):
@@ -145,3 +145,28 @@ def test_nan_fails_the_norm_and_qfi_checks():
     with pytest.raises(RowCheckError, match="nan") as info:
         qfi_rows(psi, dpsi)
     assert info.value.row == 2
+
+
+def test_check_rows_names_the_first_failing_entry():
+    values = np.array([0.5, 2.0, np.nan, 3.0])
+    # an all-True mask passes
+    check_rows(values[:2] >= 0.0, values[:2], "never")
+    check_rows(np.ones((2, 3), dtype=bool), np.zeros((2, 3)), "never")
+    # the first False entry, not a later one
+    with pytest.raises(RowCheckError, match=r"above 1: 2\.0") as info:
+        check_rows(values <= 1.0, values, "above 1")
+    assert info.value.row == 1
+    # NaN compares False, so a mask written as the bound held fails on it
+    with pytest.raises(RowCheckError, match="nan") as info:
+        check_rows(values >= 0.0, values, "negative")
+    assert info.value.row == 2
+    # one value per member of two walker rows each names the member's
+    # first row
+    with pytest.raises(RowCheckError) as info:
+        check_rows(values <= 1.0, values, "above 1", per=2)
+    assert info.value.row == 2
+    # a stack is counted in C order
+    with pytest.raises(RowCheckError, match="3.0") as info:
+        check_rows(np.array([[True, True], [True, False]]),
+                   np.arange(4.0).reshape(2, 2), "odd")
+    assert info.value.row == 3

@@ -12,6 +12,7 @@ from dqwalk import (
     new_two_particle_state,
     position_distribution,
     qfi_series,
+    run_ensemble,
     run_two_particle,
     separable_reference,
     split_seed,
@@ -101,8 +102,10 @@ def test_joint_qfi_nonnegative_under_disorder():
 
 
 def test_collect_distribution_gives_marginal():
-    exp = TwoParticleExperiment("boson", "none", 0.0, 10, 1)
-    series = run_two_particle(exp, collect_distribution=True)
+    cfg = EnsembleConfig(kind="none", p=0.0, n_steps=10, n_maps=1,
+                         initial=InitialStateSpec("boson"),
+                         collect_distribution=True)
+    series = run_ensemble(cfg)
     assert series.distribution.shape == (11, 21)
     np.testing.assert_allclose(series.distribution.sum(axis=1), 1.0,
                                atol=1e-12)
