@@ -192,6 +192,8 @@ def _check_fit_args(args):
         raise ConfigError("--t-max must be at least --t-min + 2 (3 points)")
     if args.window is not None and args.window < 5:
         raise ConfigError("--window must be an integer >= 5")
+    if args.out and args.window is None:
+        raise ConfigError("--out writes the windowed series: it needs --window")
 
 
 def _cmd_fit(args):
@@ -216,7 +218,7 @@ def _cmd_fit(args):
         "input_sha256": digest,
         "fit": asdict(fit),
     }
-    if alpha is not None and args.out:
+    if args.out:
         write_csv(args.out, manifest, alpha)
         # status goes to stderr so stdout stays machine-readable
         print(f"wrote {args.out}", file=sys.stderr)
@@ -287,7 +289,7 @@ def _build_parser():
     fit.add_argument("--window", type=int, default=None,
                      help="also compute a sliding-window exponent series")
     fit.add_argument("--out", default=None,
-                     help="write the windowed series to this CSV")
+                     help="write the windowed series to this CSV (needs --window)")
     fit.add_argument("--format", choices=("text", "json"), default="text")
     fit.set_defaults(handler=_cmd_fit)
     return parser

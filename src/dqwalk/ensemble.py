@@ -237,6 +237,8 @@ class EnsembleConfig:
             raise ValueError("phi must be finite")
         if self.operator_order not in OPERATOR_ORDERS:
             raise ValueError(f"unknown operator order {self.operator_order!r}")
+        if not isinstance(self.initial, InitialStateSpec):
+            raise ValueError(f"initial must be an InitialStateSpec, got {self.initial!r}")
         size = _table_bytes(self)
         if size > _MAX_RUN_BYTES:
             raise ValueError(
@@ -902,23 +904,22 @@ def _evolve(config, workers):
 def run_ensemble(config, workers=None):
     """Run all members and aggregate.
 
-    workers = None or 1, a single block, or a short walk of at most
-    CALL_BLOCKS blocks (POOL_MIN_CELLS) runs in-process; otherwise the
-    kernel calls, runs of whole blocks laid out by `_call_blocks`, are
-    sharded over the process pool of the open `pool_scope`, one opened
-    for this call if none is.  Aggregation order is by block, then
-    member, either way, so results are bit-identical across worker counts
-    and call layouts.  Every run reads its tables from the store of the
-    scope, after evolving them, with its announced map family, only if
-    one of them is missing (`pool_scope`); the bits are the same either
-    way.  A failing member raises EnsembleMemberError with its index and
-    seed, and, as any exception, stops the scope's pool and drops its
-    store (`pool_scope`).
+    workers is None, read as 1, or an integer >= 1 (`check_int`: numpy's
+    pass, bool does not).  workers = 1, a single block, or a short walk of
+    at most CALL_BLOCKS blocks (POOL_MIN_CELLS) runs in-process; otherwise
+    the kernel calls, runs of whole blocks laid out by `_call_blocks`, are
+    sharded over the process pool of the open `pool_scope`, one opened for
+    this call if none is.  Aggregation order is by block, then member,
+    either way, so results are bit-identical across worker counts and call
+    layouts.  Every run reads its tables from the store of the scope,
+    after evolving them, with its announced map family, only if one of
+    them is missing (`pool_scope`); the bits are the same either way.  A
+    failing member raises EnsembleMemberError with its index and seed,
+    and, as any exception, stops the scope's pool and drops its store
+    (`pool_scope`).
     """
-    if workers is None:
-        workers = 1
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    workers = 1 if workers is None else workers
+    check_int("workers", workers, 1)
     n_maps, n = config.n_maps, config.n_steps
     rows, *sum_keys = _keys(config)
     with pool_scope():

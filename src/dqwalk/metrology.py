@@ -33,7 +33,7 @@ kernel names the member.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -244,7 +244,8 @@ def qfi_finite_difference_crosscheck(initial, phase_map, phi, n_steps,
     Evolves plain states at phi and phi +/- h and forms (psi+ - psi-)/(2h).
     Slower and less accurate than the co-evolved derivative (truncation error
     grows with t), so this is a validation tool, not the production route.
-    Returns (qfi_value, dpsi_numeric).
+    Returns (qfi_value, dpsi_numeric), dpsi `initial` rebuilt as its own
+    kind (a tensor keeps its symmetry) with the differenced amplitudes.
     """
     if not 1e-7 <= h <= 1e-3:
         raise ValueError(f"step h = {h!r} outside [1e-7, 1e-3]")
@@ -259,11 +260,7 @@ def qfi_finite_difference_crosscheck(initial, phase_map, phi, n_steps,
     center = evolve(phi)
     plus = evolve(phi + h)
     minus = evolve(phi - h)
-    d_amp = (plus.amplitudes - minus.amplitudes) / (2.0 * h)
-    if isinstance(initial, TwoParticleState):
-        dpsi = TwoParticleState(initial.t_max, d_amp, initial.symmetry)
-    else:
-        dpsi = type(initial)(initial.t_max, d_amp)
+    dpsi = replace(initial, amplitudes=(plus.amplitudes - minus.amplitudes) / (2.0 * h))
     return qfi_pure(DerivativePair(center, dpsi)), dpsi
 
 

@@ -20,13 +20,13 @@ each parity class of sites as one light cone (`_lattice_step`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .disorder import PhaseMap
 from .errors import BoundaryError
-from .states import DOWN, INV_SQRT2, UP, ConeStack, TwoParticleState, WalkerState
+from .states import DOWN, INV_SQRT2, UP, ConeStack, WalkerState
 
 PHASE_FIRST = "phase-first"
 PHASE_LAST = "phase-last"
@@ -60,12 +60,14 @@ class DerivativePair:
 
     @classmethod
     def initial(cls, state):
-        """Pair for a phi-independent initial state: dpsi = 0."""
-        if isinstance(state, TwoParticleState):
-            zero = TwoParticleState.zeros(state.t_max, state.symmetry)
-        else:
-            zero = WalkerState.zeros(state.t_max)
-        return cls(state, zero)
+        """Pair for a phi-independent initial state: dpsi = 0.
+
+        dpsi is `state` rebuilt as its own kind, so a tensor keeps its
+        symmetry, with complex zeros of the state's own shape, one
+        walker's or a whole stack's.
+        """
+        zeros = np.zeros(state.amplitudes.shape, complex)
+        return cls(state, replace(state, amplitudes=zeros))
 
 
 def step(state, ctx, out=None):
@@ -286,10 +288,10 @@ def two_particle_step(state, ctx):
     """One joint step: the single-walker step for particle 1, then for 2.
 
     `step` raises BoundaryError if either particle's amplitude would cross
-    an edge.
+    an edge.  The result is `state` rebuilt with the new amplitudes, so it
+    keeps its kind and symmetry.
     """
-    a = step(_swap(step(_swap(state), ctx)), ctx).amplitudes
-    return TwoParticleState(state.t_max, a, state.symmetry)
+    return replace(state, amplitudes=step(_swap(step(_swap(state), ctx)), ctx).amplitudes)
 
 
 def two_particle_step_with_derivative(pair, ctx):
@@ -301,11 +303,12 @@ def two_particle_step_with_derivative(pair, ctx):
         dpsi' = U2 dU1 psi + dU2 U1 psi + U2 U1 dpsi
 
     holds by construction, and psi' is `two_particle_step`'s bit for bit.
+    psi and dpsi are each rebuilt with their new amplitudes, as in
+    `two_particle_step`.
     """
     def swap(p):
         return DerivativePair(_swap(p.psi), _swap(p.dpsi))
 
     out = step_with_derivative(swap(step_with_derivative(swap(pair), ctx)), ctx)
-    t_max, symmetry = pair.psi.t_max, pair.psi.symmetry
-    return DerivativePair(TwoParticleState(t_max, out.psi.amplitudes, symmetry),
-                          TwoParticleState(t_max, out.dpsi.amplitudes, symmetry))
+    return DerivativePair(replace(pair.psi, amplitudes=out.psi.amplitudes),
+                          replace(pair.dpsi, amplitudes=out.dpsi.amplitudes))

@@ -8,6 +8,13 @@ tensor is the one-map API and the reference the tests hold the ensembles to:
 since both walkers share one map and U (x) U is linear, ensembles evolve a
 pair exactly as (a (x) b + s b (x) a) / sqrt2 from the single-walker
 evolutions a, b of |x,up>, |x,down> (see `dqwalk.ensemble`).
+
+`EXCHANGE_SIGN` is the one table of the pair kinds: it names them, prepares
+each tensor (`new_two_particle_state`) and gives the sign its exchange
+symmetry is checked against (`exchange_residual`).  The one-map layer reads
+no kind beyond it: it rebuilds every state it evolves as its own kind
+(`dataclasses.replace`), and reads either kind's support as a stack of
+walkers (`support_radius`).
 """
 
 from __future__ import annotations
@@ -26,8 +33,13 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 #: how far |c|^2 of a coin spinor may be off 1
 COIN_TOL = 1e-12
 
+#: exchange sign s of each two-walker preparation, 0 for no symmetry: a
+#: pair at x is (|x,up>|x,down> + s |x,down>|x,up>) / sqrt2, without the
+#: 1/sqrt2 for s = 0
+EXCHANGE_SIGN = {"separable": 0, "boson": 1, "fermion": -1}
+
 #: symmetry tags a two-walker state can carry
-TWO_PARTICLE_KINDS = ("separable", "boson", "fermion")
+TWO_PARTICLE_KINDS = tuple(EXCHANGE_SIGN)
 
 
 def _width(t_max):
@@ -75,6 +87,10 @@ class WalkerState:
 
     def norm(self):
         return float(np.linalg.norm(self.amplitudes))
+
+    def walker_stacks(self):
+        """The amplitudes as stacks of walkers (..., W, 2): itself."""
+        return (self.amplitudes,)
 
 
 @dataclass
@@ -182,6 +198,13 @@ class TwoParticleState:
     def norm(self):
         return float(np.linalg.norm(self.amplitudes))
 
+    def walker_stacks(self):
+        """The amplitudes as a stack of walkers (..., W, 2) for each
+        particle: for particle 2 the tensor as it stands, for particle 1
+        its view with the leading (W, 2) axes trailing, as the joint step
+        reads them (`operators._swap`)."""
+        return self.amplitudes, self.amplitudes.transpose(2, 3, 0, 1)
+
 
 def cone_positions(origin, steps):
     """Sites origin - steps + 2k, k = 0..steps, of a light cone's slots."""
@@ -225,21 +248,17 @@ def new_two_particle_state(kind, t_max, position=0):
     separable:  |x,up> (x) |x,down>              walker 1 up, walker 2 down
     boson:      (|up,down> + |down,up>) / sqrt2  symmetrized coin pair
     fermion:    (|up,down> - |down,up>) / sqrt2  antisymmetrized coin pair
+
+    with the sign of the second term from `EXCHANGE_SIGN`.
     """
     if kind not in TWO_PARTICLE_KINDS:
         raise ValueError(f"unknown two-particle kind {kind!r}")
-    state = TwoParticleState.zeros(t_max, symmetry=kind)
-    row = t_max + position
     if abs(position) > t_max:
         raise ValueError(f"position {position} outside lattice (|x| <= {t_max})")
-    if kind == "separable":
-        state.amplitudes[row, UP, row, DOWN] = 1.0
-    elif kind == "boson":
-        state.amplitudes[row, UP, row, DOWN] = INV_SQRT2
-        state.amplitudes[row, DOWN, row, UP] = INV_SQRT2
-    else:
-        state.amplitudes[row, UP, row, DOWN] = INV_SQRT2
-        state.amplitudes[row, DOWN, row, UP] = -INV_SQRT2
+    state = TwoParticleState.zeros(t_max, symmetry=kind)
+    row, sign = t_max + position, EXCHANGE_SIGN[kind]
+    state.amplitudes[row, UP, row, DOWN] = INV_SQRT2 if sign else 1.0
+    state.amplitudes[row, DOWN, row, UP] = sign * INV_SQRT2
     return state
 
 
@@ -258,28 +277,30 @@ def inner_product(a, b):
 def exchange_residual(state):
     """Max deviation from the tagged exchange symmetry of a two-walker state.
 
-    Bosonic states satisfy A[x1,c1,x2,c2] = A[x2,c2,x1,c1], fermionic states
-    the same with a minus sign.  Returns the largest absolute violation; a
-    symmetry-preserving evolution keeps this at rounding level.
+    A state of exchange sign s (`EXCHANGE_SIGN`) satisfies A[x1,c1,x2,c2] =
+    s A[x2,c2,x1,c1]: bosons with s = +1, fermions with s = -1.  Returns the
+    largest absolute violation; a symmetry-preserving evolution keeps this
+    at rounding level.
     """
     if not isinstance(state, TwoParticleState):
         raise ValueError("exchange symmetry is defined for two-particle states")
-    if state.symmetry == "separable":
+    sign = EXCHANGE_SIGN[state.symmetry]
+    if not sign:
         raise ValueError("separable states carry no exchange symmetry to check")
-    swapped = np.transpose(state.amplitudes, (2, 3, 0, 1))
-    sign = 1.0 if state.symmetry == "boson" else -1.0
-    return float(np.max(np.abs(state.amplitudes - sign * swapped)))
+    amplitudes, swapped = state.walker_stacks()
+    return float(np.max(np.abs(amplitudes - sign * swapped)))
 
 
 def support_radius(state):
-    """Largest |x| holding any nonzero amplitude; -1 for the zero state."""
-    if isinstance(state, TwoParticleState):
-        occ = np.abs(state.amplitudes)
-        occ1 = occ.sum(axis=(1, 2, 3))
-        occ2 = occ.sum(axis=(0, 1, 3))
-        hit = np.nonzero((occ1 > 0) | (occ2 > 0))[0]
-    else:
-        hit = np.nonzero(np.abs(state.amplitudes).sum(axis=1) > 0)[0]
+    """Largest |x| holding any nonzero amplitude; -1 for the zero state.
+
+    Every state is read as stacks of walkers (`walker_stacks`): a site is
+    occupied if any walker of any stack has amplitude there, so a stack of
+    walkers counts each of them and a two-walker tensor either particle.
+    """
+    occupied = [(a != 0).any(axis=-1).reshape(-1, a.shape[-2]).any(axis=0)
+                for a in state.walker_stacks()]
+    hit = np.nonzero(np.logical_or.reduce(occupied))[0]
     if hit.size == 0:
         return -1
     return int(np.abs(state.positions()[hit]).max())

@@ -202,6 +202,19 @@ def test_fit_command_windowed_output(tmp_path, capsys):
     assert len(rows) > 5
 
 
+def test_fit_command_out_needs_a_window(tmp_path, capsys):
+    # --out writes the windowed series; without --window it is refused
+    # before the input is read, and nothing is written
+    alpha_csv = tmp_path / "alpha.csv"
+    rc = main(["fit", "--input", str(tmp_path / "missing.csv"), "--t-min", "5",
+               "--t-max", "30", "--out", str(alpha_csv)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--out" in err and "--window" in err
+    assert "missing.csv" not in err
+    assert not alpha_csv.exists()
+
+
 def test_fit_command_windows_a_series_of_every_second_step(tmp_path, capsys):
     steps = np.arange(0, 61, 2)
     rng = np.random.default_rng(5)

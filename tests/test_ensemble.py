@@ -97,13 +97,16 @@ def test_config_validation():
     ("master_seed", 1.5), ("master_seed", True), ("master_seed", "7"),
     ("n_steps", 10.0), ("n_steps", True), ("n_maps", 5.0), ("n_maps", True),
     ("p", True), ("p", "0.5"), ("phi", True), ("phi", "0.3"),
+    ("initial", "boson"),
 ])
 def test_config_names_a_field_of_the_wrong_type(field, value):
     kwargs = {"kind": "dynamic", "p": 0.5, "n_steps": 10, "n_maps": 5,
               field: value}
     with pytest.raises(ValueError, match=rf"^{field} must be"):
         EnsembleConfig(**kwargs)
-    if field != "n_maps":
+    # a TwoParticleExperiment has neither field: it sets n_maps and
+    # builds its initial state from its statistics
+    if field not in ("n_maps", "initial"):
         kwargs = {"statistics": "boson", **kwargs}
         with pytest.raises(ValueError, match=rf"^{field} must be"):
             TwoParticleExperiment(**kwargs)
@@ -997,8 +1000,9 @@ def test_member_error_survives_pickling():
 
 def test_workers_validation():
     cfg = EnsembleConfig(kind="none", p=0.0, n_steps=5, n_maps=1)
-    with pytest.raises(ValueError):
-        run_ensemble(cfg, workers=0)
+    for workers in (0, 1.5, "2", True):
+        with pytest.raises(ValueError, match="^workers must be"):
+            run_ensemble(cfg, workers=workers)
 
 
 def test_initial_state_spec_checks_the_coin_norm():

@@ -5,6 +5,7 @@ import pytest
 
 from dqwalk import (
     DerivativePair,
+    TwoParticleState,
     WalkerState,
     cramer_rao_bound,
     generate_map,
@@ -101,6 +102,18 @@ def test_finite_difference_crosscheck_value():
     fd_value, fd_dpsi = qfi_finite_difference_crosscheck(s, pmap, 0.6, 15)
     exact = qfi_series(s, pmap, 0.6, 15).values[15]
     assert fd_value == pytest.approx(exact, rel=1e-6, abs=1e-6)
+    assert fd_dpsi.amplitudes.shape == s.amplitudes.shape
+
+
+@pytest.mark.parametrize("kind", ["boson", "fermion"])
+def test_finite_difference_crosscheck_of_a_tensor(kind):
+    pmap = generate_map("dynamic", 6, 0.5, seed=23)
+    s = new_two_particle_state(kind, 7, position=1)
+    fd_value, fd_dpsi = qfi_finite_difference_crosscheck(s, pmap, 0.4, 6)
+    exact = qfi_series(s, pmap, 0.4, 6).values[6]
+    assert fd_value == pytest.approx(exact, rel=1e-6)
+    assert isinstance(fd_dpsi, TwoParticleState)
+    assert fd_dpsi.symmetry == kind
     assert fd_dpsi.amplitudes.shape == s.amplitudes.shape
 
 

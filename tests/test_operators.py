@@ -21,6 +21,7 @@ from dqwalk import (
     EnsembleConfig,
     InitialStateSpec,
     StepContext,
+    TwoParticleState,
     WalkerState,
     generate_map,
     inner_product,
@@ -429,6 +430,36 @@ def test_two_particle_step_factorizes_on_separable_input():
         s_down = step(s_down, ctx)
     tensor = np.tensordot(s_up.amplitudes, s_down.amplitudes, axes=0)
     assert np.max(np.abs(joint.amplitudes - tensor)) < 1e-14
+
+
+@pytest.mark.parametrize("kind", ["separable", "boson", "fermion"])
+def test_initial_pair_of_a_tensor_keeps_its_symmetry(kind):
+    state = new_two_particle_state(kind, 3)
+    pair = DerivativePair.initial(state)
+    assert pair.psi is state
+    assert isinstance(pair.dpsi, TwoParticleState)
+    assert pair.dpsi.symmetry == kind
+    assert pair.dpsi.amplitudes.dtype == complex
+    assert not pair.dpsi.amplitudes.any()
+    assert pair.dpsi.amplitudes.shape == state.amplitudes.shape
+
+
+def test_initial_pair_of_a_stack_has_zeros_of_its_shape():
+    stack = np.zeros((4, 3, 7, 2), dtype=complex)
+    stack[..., 3, UP] = 1.0
+    pair = DerivativePair.initial(WalkerState(3, stack))
+    assert type(pair.dpsi) is WalkerState
+    assert pair.dpsi.amplitudes.shape == (4, 3, 7, 2)
+    assert pair.dpsi.amplitudes.dtype == complex
+    assert not pair.dpsi.amplitudes.any()
+    # each walker of the stack steps as it would alone
+    ctx = _ctx(phi=0.3)
+    one = step_with_derivative(DerivativePair.initial(new_walker_state(3)), ctx)
+    out = step_with_derivative(pair, ctx)
+    for got, alone in ((out.psi, one.psi), (out.dpsi, one.dpsi)):
+        assert got.amplitudes.shape == (4, 3, 7, 2)
+        assert np.array_equal(got.amplitudes,
+                              np.broadcast_to(alone.amplitudes, (4, 3, 7, 2)))
 
 
 def test_two_particle_derivative_psi_component_bitwise():

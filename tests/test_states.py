@@ -14,7 +14,7 @@ from dqwalk import (
     new_walker_state,
     support_radius,
 )
-from dqwalk.states import ConeStack
+from dqwalk.states import EXCHANGE_SIGN, TWO_PARTICLE_KINDS, ConeStack
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -96,6 +96,16 @@ def test_exchange_residual_detects_symmetry():
     assert exchange_residual(b) > 0.05
 
 
+def test_pair_preparations_follow_the_exchange_sign_table():
+    assert TWO_PARTICLE_KINDS == ("separable", "boson", "fermion")
+    for kind, sign in EXCHANGE_SIGN.items():
+        a = new_two_particle_state(kind, 2, position=-1).amplitudes
+        norm = INV_SQRT2 if sign else 1.0
+        assert a[1, UP, 1, DOWN] == norm
+        assert a[1, DOWN, 1, UP] == sign * norm
+        assert np.count_nonzero(a) == (2 if sign else 1)
+
+
 def test_exchange_residual_rejects_separable_and_single():
     with pytest.raises(ValueError):
         exchange_residual(new_two_particle_state("separable", 2))
@@ -118,6 +128,24 @@ def test_support_radius():
     assert support_radius(WalkerState.zeros(3)) == -1
     tp = new_two_particle_state("boson", 5, position=2)
     assert support_radius(tp) == 2
+
+
+@pytest.mark.parametrize("walkers, walker, x", [(9, 8, 0), (3, 0, 0), (3, 1, -2)])
+def test_support_radius_of_a_stack_reads_every_walker(walkers, walker, x):
+    # one walker of the stack at x, the others empty: the leading axis
+    # counts walkers, not sites
+    stack = np.zeros((walkers, 7, 2), dtype=complex)
+    stack[walker, x + 3, DOWN] = 1.0
+    assert support_radius(WalkerState(3, stack)) == abs(x)
+    stack[-1, 6, UP] = 1.0  # another walker at x = 3
+    assert support_radius(WalkerState(3, stack)) == 3
+
+
+def test_support_radius_of_a_tensor_reads_either_particle():
+    for cell in [(1, UP, 4, DOWN), (4, DOWN, 1, UP)]:  # one particle at x = -3
+        tp = TwoParticleState.zeros(4)
+        tp.amplitudes[cell] = 1.0
+        assert support_radius(tp) == 3
 
 
 def test_cone_stack_checks_its_cells():
